@@ -7,8 +7,8 @@
 //! - [`Strategy::Optimized`] — well-behaved joins are rewritten to
 //!   three-way natural joins over the materialized `f(D,G)` / `h(D,G)`
 //!   (static joins) or their sub-query variants (dynamic joins), with the
-//!   `g_L` connectivity cache for link joins; non-well-behaved joins fall
-//!   back to heuristic joins.
+//!   pre-computed `g_L` reachability index for link joins; non-well-behaved
+//!   joins fall back to heuristic joins.
 //! - [`Strategy::Heuristic`] — heuristic joins are forced for *all*
 //!   semantic joins (the Exp-2(II) protocol).
 //!
@@ -946,14 +946,161 @@ mod tests {
     #[test]
     fn link_join_cache_is_populated() {
         let e = engine();
+        let profile = e.profile("Gs").unwrap();
+        assert_eq!(profile.link_index_count(), 0);
         let q = "select * from customer l-join <Gs> customer as customerB \
                  where customer.cid = cid02";
-        assert_eq!(e.profile("Gs").unwrap().link_cache_len(), 0);
         e.run(q, Strategy::Optimized).unwrap();
-        assert_eq!(e.profile("Gs").unwrap().link_cache_len(), 1);
-        // Second run hits the cache (observable: len stays 1).
-        e.run(q, Strategy::Optimized).unwrap();
-        assert_eq!(e.profile("Gs").unwrap().link_cache_len(), 1);
+        assert_eq!(profile.link_index_count(), 1);
+        let index = profile.link_index("customer", "customer", 2).unwrap();
+        let bytes = profile.materialized_bytes();
+        // Every other selection of either side probes the same index
+        // (the old per-selection cache grew by one relation each).
+        for cid in ["cid01", "cid03", "cid04"] {
+            let q = format!(
+                "select * from (select * from customer where credit = good) \
+                 l-join <Gs> customer as customerB where not customerB.cid = {cid}"
+            );
+            e.run(&q, Strategy::Optimized).unwrap();
+        }
+        assert_eq!(profile.link_index_count(), 1);
+        assert!(Arc::ptr_eq(
+            &index,
+            &profile.link_index("customer", "customer", 2).unwrap()
+        ));
+        assert_eq!(profile.materialized_bytes(), bytes);
+    }
+
+    /// Sorted rendered rows: the row multiset of a relation.
+    fn row_multiset(rel: &Relation) -> Vec<String> {
+        let mut rows: Vec<String> = rel.tuples().iter().map(|t| format!("{t:?}")).collect();
+        rows.sort();
+        rows
+    }
+
+    /// `engine()` plus a customer no vertex of `Gs` matches.
+    fn engine_with_stranger() -> GsqlEngine {
+        let mut e = engine();
+        let mut customer = e.db.get("customer").unwrap().clone();
+        customer
+            .push_values(vec![
+                Value::str("cid05"),
+                Value::str("Zed Nobody"),
+                Value::str("good"),
+                Value::Int(70_000),
+            ])
+            .unwrap();
+        e.db.insert(customer);
+        e
+    }
+
+    #[test]
+    fn single_side_conjuncts_run_below_the_link_join() {
+        let e = engine_with_stranger();
+        // Two single-side conjuncts, one spanning both sides, one `or`
+        // across the sides.
+        let cond = "customer.cid = 'cid02' and not customerB.cid = 'cid03' \
+                    and customer.credit = customerB.credit \
+                    and (customer.bal > 200000 or customerB.bal < 120000)";
+        let from = "select * from customer l-join <Gs> customer as customerB";
+        let pushed = e.parse(&format!("{from} where {cond}")).unwrap();
+        let pred = pushed.where_clause.clone().unwrap();
+        let unpushed = e.parse(from).unwrap();
+        for strategy in [Strategy::Optimized, Strategy::Baseline, Strategy::Heuristic] {
+            let reference = e.run_query(&unpushed, strategy).and_then(|rel| {
+                gsj_relational::physical::filter_rel(rel, &pred, "ref", &mut ExecContext::new())
+            });
+            let run = e.run_query_stats(&pushed, strategy);
+            let (Ok(reference), Ok((rel, ctx))) = (&reference, &run) else {
+                // No typed relations on `Gs`: the heuristic l-join degrades
+                // or fails the same way with or without the pushdown.
+                assert_eq!(reference.is_err(), run.is_err(), "{strategy:?}");
+                continue;
+            };
+            assert_eq!(row_multiset(rel), row_multiset(reference), "{strategy:?}");
+            assert_eq!(rel.len(), 1, "Bob Brown with himself; Ada's credit differs");
+            let ops = ctx.ops();
+            let ljoin = ops
+                .iter()
+                .position(|o| o.label.starts_with("LJoin("))
+                .unwrap();
+            let filters: Vec<(&str, Option<usize>, usize, usize)> = ops
+                .iter()
+                .filter(|o| o.label.starts_with("Filter"))
+                .map(|o| (o.label.as_str(), o.parent, o.rows_in, o.rows_out))
+                .collect();
+            assert_eq!(
+                filters,
+                vec![
+                    ("Filter(customer.cid)", Some(ljoin), 5, 1),
+                    ("Filter(customerB.cid)", Some(ljoin), 5, 4),
+                    ("Filter(customer.credit, customerB.credit)", None, 2, 1),
+                    ("Filter(customer.bal, customerB.bal)", None, 1, 1),
+                ],
+                "{strategy:?}"
+            );
+            // The join saw the filtered sides only.
+            assert_eq!((ops[ljoin].rows_in, ops[ljoin].rows_out), (5, 2));
+        }
+    }
+
+    #[test]
+    fn unmatched_tuples_drop_out_with_or_without_pushdown() {
+        let e = engine_with_stranger();
+        for strategy in [Strategy::Optimized, Strategy::Baseline] {
+            let all = e
+                .run(
+                    "select * from customer l-join <Gs> customer as customerB",
+                    strategy,
+                )
+                .unwrap();
+            let col = |attr: &str| all.column(attr).unwrap();
+            assert!(!col("customer.cid").contains(&Value::str("cid05")));
+            assert!(!col("customerB.cid").contains(&Value::str("cid05")));
+            for side in ["customer", "customerB"] {
+                let q = format!(
+                    "select * from customer l-join <Gs> customer as customerB \
+                     where {side}.cid = cid05"
+                );
+                assert!(
+                    e.run(&q, strategy).unwrap().is_empty(),
+                    "{strategy:?} {side}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pushdown_reaches_link_joins_inside_subqueries_and_beside_other_items() {
+        let e = engine();
+        let q = e
+            .parse(
+                "select p.pid, s.cid from product as p, \
+                 (select customer.cid as cid, customerB.name as friend \
+                  from customer l-join <Gs> customer as customerB \
+                  where customerB.cid = cid03) as s \
+                 where p.pid = fd1",
+            )
+            .unwrap();
+        let (rel, ctx) = e.run_query_stats(&q, Strategy::Optimized).unwrap();
+        // Guy Ritchie is within two hops of Bob Brown, Ada King and himself.
+        assert_eq!(rel.len(), 3);
+        let ops = ctx.ops();
+        let ljoin = ops
+            .iter()
+            .position(|o| o.label.starts_with("LJoin("))
+            .unwrap();
+        let pushed = ops
+            .iter()
+            .find(|o| o.label == "Filter(customerB.cid)")
+            .unwrap();
+        assert_eq!(pushed.parent, Some(ljoin));
+        assert_eq!(ops[ljoin].rows_in, 4 + 1);
+        // Operators stay in pre-order: the join's children follow it.
+        assert!(ops
+            .iter()
+            .enumerate()
+            .all(|(i, o)| o.parent.is_none_or(|p| p < i)));
     }
 
     #[test]
@@ -1139,7 +1286,7 @@ mod tests {
             .unwrap();
         let report = e.explain_analyze(&q, Strategy::Optimized).unwrap();
         assert!(
-            report.contains("LJoin(<Gs> customer × customer, k=2, g_L cache)"),
+            report.contains("LJoin(<Gs> customer × customer, k=2, g_L index)"),
             "{report}"
         );
         assert!(report.contains("Filter(customer.cid)"), "{report}");

@@ -10,6 +10,17 @@
 //! joins, pushed-down filters, the left-to-right theta-join fold,
 //! aggregation, sort, limit — records rows in/out and wall time into an
 //! [`ExecContext`] for `EXPLAIN ANALYZE`.
+//!
+//! WHERE is bound *before* any link join runs: a link join's output
+//! schema is the concatenation of its two qualified sides, so the full
+//! FROM schema is known once every item's sources are evaluated, and
+//! every conjunct that resolves on one side of an `l-join` is applied to
+//! that side first (`Filter(..)` nested under `LJoin(..)`). All three
+//! implementations resolve tuples to vertices one tuple at a time (HER
+//! scores a tuple against the graph's block index, `vertex_of` and the
+//! heuristic ER look one row up), so selection commutes with the join.
+//! Enrichment joins are *not* pushed below: `EJoinImpl::Online` discovers
+//! its extraction scheme from the input relation.
 
 use super::analyze::source_base;
 use super::ast::{FromItem, Projection, Query, Source};
@@ -19,7 +30,7 @@ use gsj_common::{GsjError, Result, Value};
 use gsj_relational::physical::{self, ExecContext};
 use gsj_relational::plan::AggSpec;
 use gsj_relational::{Expr, Relation, Schema};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A planned query: the original AST plus one physical item per FROM
 /// entry, with every semantic join's implementation already chosen.
@@ -135,6 +146,40 @@ fn degraded_label(planned: String, outcome: &strategies::JoinOutcome) -> String 
     }
 }
 
+/// A FROM item once its sources ran, before WHERE is bound.
+enum Staged<'a> {
+    /// Fully evaluated: a plain source or an enrichment join.
+    Ready(Relation),
+    /// A link join whose sides wait for the conjuncts that resolve on
+    /// one of them.
+    Link(Box<StagedLink<'a>>),
+}
+
+struct StagedLink<'a> {
+    plan: &'a LJoinPlan,
+    /// The planned operator label.
+    label: String,
+    /// The qualified sides.
+    lrel: Relation,
+    rrel: Relation,
+    /// What evaluating the sides recorded; becomes the join's children.
+    side_ops: ExecContext,
+    /// Wall time of evaluating the sides.
+    side_time: Duration,
+}
+
+impl Staged<'_> {
+    /// The attributes this item contributes to the FROM schema.
+    fn attrs(&self) -> impl Iterator<Item = &String> {
+        let (a, b) = match self {
+            Staged::Ready(rel) => (rel, None),
+            Staged::Link(link) => (&link.lrel, Some(&link.rrel)),
+        };
+        let rest = b.map_or(&[][..], |r| r.schema().attrs());
+        a.schema().attrs().iter().chain(rest)
+    }
+}
+
 impl GsqlEngine {
     /// Plan a parsed query under a strategy: every FROM item becomes a
     /// physical [`ItemPlan`] with its semantic-join implementation fixed.
@@ -245,23 +290,27 @@ impl GsqlEngine {
         }
     }
 
-    fn eval_item_plan(&self, item: &ItemPlan, ctx: &mut ExecContext) -> Result<Relation> {
-        // Each FROM item opens an operator slot before evaluating its
-        // sources, so scans and sub-plans nest under it in the trace tree.
-        // (On an error `?` the slot stays pending — the ctx is discarded.)
-        let token = ctx.enter();
+    /// Evaluate a FROM item up to, but not including, a link join: its
+    /// sides run against a context of their own so the join can adopt
+    /// their operators once it opens.
+    fn stage_item<'a>(&self, item: &'a ItemPlan, ctx: &mut ExecContext) -> Result<Staged<'a>> {
+        let t0 = Instant::now();
         match item {
+            // A FROM item opens its operator slot before evaluating its
+            // sources, so scans and sub-plans nest under it in the trace
+            // tree. (On an error `?` the slot stays pending — the ctx is
+            // discarded.)
             ItemPlan::Plain { source, name } => {
-                let t0 = Instant::now();
+                let token = ctx.enter();
                 let rel = self.eval_source_plan(source, ctx)?.qualified(name);
                 ctx.exit(
                     token,
                     physical::external_stats(item.describe(self.k), rel.len(), rel.len(), t0),
                 );
-                Ok(rel)
+                Ok(Staged::Ready(rel))
             }
             ItemPlan::EJoin(p) => {
-                let t0 = Instant::now();
+                let token = ctx.enter();
                 let gov = ctx.governor().clone();
                 let rel = self.eval_source_plan(&p.source, ctx)?;
                 let outcome = strategies::eval_ejoin(self, p, &rel, &gov)?;
@@ -274,51 +323,82 @@ impl GsqlEngine {
                         t0,
                     ),
                 );
-                Ok(match &p.alias {
+                Ok(Staged::Ready(match &p.alias {
                     Some(a) => outcome.rel.qualified(a),
                     None => outcome.rel,
-                })
+                }))
             }
             ItemPlan::LJoin(p) => {
-                let t0 = Instant::now();
-                let gov = ctx.governor().clone();
-                let lrel = self.eval_source_plan(&p.left, ctx)?.qualified(&p.lalias);
-                let rrel = self.eval_source_plan(&p.right, ctx)?.qualified(&p.ralias);
-                let outcome = strategies::eval_ljoin(self, p, &lrel, &rrel, &gov)?;
-                ctx.exit(
-                    token,
-                    physical::external_stats(
-                        degraded_label(item.describe(self.k), &outcome),
-                        lrel.len() + rrel.len(),
-                        outcome.rel.len(),
-                        t0,
-                    ),
-                );
-                Ok(outcome.rel)
+                let mut side_ops = ExecContext::with_governor(ctx.governor().clone());
+                let lrel = self
+                    .eval_source_plan(&p.left, &mut side_ops)?
+                    .qualified(&p.lalias);
+                let rrel = self
+                    .eval_source_plan(&p.right, &mut side_ops)?
+                    .qualified(&p.ralias);
+                Ok(Staged::Link(Box::new(StagedLink {
+                    plan: p,
+                    label: item.describe(self.k),
+                    lrel,
+                    rrel,
+                    side_ops,
+                    side_time: t0.elapsed(),
+                })))
             }
         }
+    }
+
+    /// Finish a staged FROM item: a link join filters each side by the
+    /// conjuncts that resolve on it, then joins what is left.
+    fn finish_item(
+        &self,
+        staged: Staged<'_>,
+        conjuncts: &[Expr],
+        applied: &mut [bool],
+        ctx: &mut ExecContext,
+    ) -> Result<Relation> {
+        let link = match staged {
+            Staged::Ready(rel) => return Ok(rel),
+            Staged::Link(link) => *link,
+        };
+        let token = ctx.enter();
+        let t0 = Instant::now();
+        ctx.absorb(link.side_ops);
+        let lrel = apply_applicable(link.lrel, conjuncts, applied, ctx)?;
+        let rrel = apply_applicable(link.rrel, conjuncts, applied, ctx)?;
+        let gov = ctx.governor().clone();
+        let outcome = strategies::eval_ljoin(self, link.plan, &lrel, &rrel, &gov)?;
+        let mut stats = physical::external_stats(
+            degraded_label(link.label, &outcome),
+            lrel.len() + rrel.len(),
+            outcome.rel.len(),
+            t0,
+        );
+        // The operator's wall time covers its children, as every FROM
+        // item's does.
+        stats.nanos += link.side_time.as_nanos();
+        ctx.exit(token, stats);
+        Ok(outcome.rel)
     }
 
     /// Execute a plan, recording per-operator counters into `ctx`.
     pub fn execute_plan(&self, plan: &QueryPlan, ctx: &mut ExecContext) -> Result<Relation> {
         let q = &plan.query;
 
-        // 1. Evaluate FROM items.
-        let mut items: Vec<Relation> = Vec::with_capacity(plan.items.len());
+        // 1. Evaluate the FROM items, holding every link join back until
+        //    WHERE is bound.
+        let mut staged: Vec<Staged> = Vec::with_capacity(plan.items.len());
         for item in &plan.items {
-            items.push(self.eval_item_plan(item, ctx)?);
+            staged.push(self.stage_item(item, ctx)?);
         }
-        if items.is_empty() {
+        if staged.is_empty() {
             return Err(GsjError::Parse("empty FROM clause".into()));
         }
 
         // 2. Bind WHERE conjuncts against the full combined schema: bare
         //    identifiers that resolve nowhere become string literals (the
         //    paper writes `T.pid = fd1`).
-        let mut all_attrs: Vec<String> = Vec::new();
-        for r in &items {
-            all_attrs.extend(r.schema().attrs().iter().cloned());
-        }
+        let all_attrs: Vec<String> = staged.iter().flat_map(|s| s.attrs()).cloned().collect();
         let full_schema = Schema::new("q".to_string(), all_attrs).map_err(|e| {
             GsjError::Schema(format!(
                 "FROM items must have distinct attribute names (add aliases): {e}"
@@ -333,7 +413,13 @@ impl GsqlEngine {
         };
         let mut applied = vec![false; conjuncts.len()];
 
-        // 3. Fold the items left-to-right with predicate pushdown.
+        // 3. Run the link joins, each over its filtered sides.
+        let mut items: Vec<Relation> = Vec::with_capacity(staged.len());
+        for staged in staged {
+            items.push(self.finish_item(staged, &conjuncts, &mut applied, ctx)?);
+        }
+
+        // 4. Fold the items left-to-right with predicate pushdown.
         let mut acc = items.remove(0);
         acc = apply_applicable(acc, &conjuncts, &mut applied, ctx)?;
         for item in items {
@@ -359,7 +445,7 @@ impl GsqlEngine {
             acc = physical::join_rel(&acc, &item, &pred, label, ctx)?;
         }
 
-        // 4. Any remaining conjunct must resolve now.
+        // 5. Any remaining conjunct must resolve now.
         for (c, done) in conjuncts.iter().zip(applied.iter()) {
             if !*done {
                 if !resolves(c, acc.schema()) {
@@ -372,7 +458,7 @@ impl GsqlEngine {
             }
         }
 
-        // 5. Projection / aggregation, then ORDER BY / LIMIT.
+        // 6. Projection / aggregation, then ORDER BY / LIMIT.
         let mut rel = self.project_plan(q, acc, ctx)?;
         if !q.order_by.is_empty() {
             let label = format!(

@@ -12,8 +12,8 @@
 
 use super::exec::{GsqlEngine, Strategy};
 use super::plan::{EJoinPlan, LJoinPlan};
-use crate::join::{connectivity_relation, enrichment_join, enrichment_join_precomputed, link_join};
-use gsj_common::{FxHashSet, GsjError, QueryGovernor, Result};
+use crate::join::{enrichment_join, enrichment_join_precomputed, link_join};
+use gsj_common::{GsjError, QueryGovernor, Result};
 use gsj_graph::VertexId;
 use gsj_relational::{Relation, Schema};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -63,7 +63,8 @@ impl EJoinImpl {
 pub enum LJoinImpl {
     /// Conceptual baseline: HER matching + bidirectional BFS per pair.
     Online,
-    /// Pre-matched `f(D,G)` vertices + the `g_L` connectivity cache.
+    /// Pre-matched `f(D,G)` vertices probed in the pre-computed `g_L`
+    /// reachability index.
     Cached,
     /// Heuristic: ER against `gτ(G)` + connectivity.
     Heuristic,
@@ -74,7 +75,7 @@ impl LJoinImpl {
     pub fn describe(self) -> &'static str {
         match self {
             LJoinImpl::Online => "online HER + bidirectional BFS",
-            LJoinImpl::Cached => "pre-matched f(D,G) + g_L connectivity cache",
+            LJoinImpl::Cached => "pre-matched f(D,G) + pre-computed g_L reachability index",
             LJoinImpl::Heuristic => "heuristic: ER to gτ(G) + connectivity",
         }
     }
@@ -83,7 +84,7 @@ impl LJoinImpl {
     pub fn tag(self) -> &'static str {
         match self {
             LJoinImpl::Online => "online",
-            LJoinImpl::Cached => "g_L cache",
+            LJoinImpl::Cached => "g_L index",
             LJoinImpl::Heuristic => "heuristic",
         }
     }
@@ -365,71 +366,46 @@ fn run_ljoin_impl(
                 .profiles
                 .get(&p.graph)
                 .ok_or_else(|| GsjError::Config(format!("no profile for graph `{}`", p.graph)))?;
-            let m1 = &profile.extraction(&p.lbase)?.matches;
-            let m2 = &profile.extraction(&p.rbase)?.matches;
-            // Resolve each side's id column to vertices once (reused below
-            // for the pair emission), then the distinct matched vertices.
-            let lpos = lrel.schema().require(&lid)?;
-            let rpos = rrel.schema().require(&rid)?;
-            let v1s: Vec<Option<VertexId>> = (0..lrel.len())
-                .map(|i| m1.vertex_of(&lrel.value_at(i, lpos)))
-                .collect();
-            let v2s: Vec<Option<VertexId>> = (0..rrel.len())
-                .map(|i| m2.vertex_of(&rrel.value_at(i, rpos)))
-                .collect();
-            let mut lv: Vec<VertexId> = v1s.iter().copied().flatten().collect();
-            lv.sort();
-            lv.dedup();
-            let mut rv: Vec<VertexId> = v2s.iter().copied().flatten().collect();
-            rv.sort();
-            rv.dedup();
-            let signature = link_signature(&p.graph, &p.lbase, &p.rbase, e.k, &lv, &rv);
-            // An injected cache fault degrades to a miss: the cached copy
-            // is distrusted and the connectivity relation is recomputed.
-            let cached =
+            // One lookup per evaluated l-join. An injected cache fault
+            // degrades to a miss: the held index is distrusted and
+            // rebuilt.
+            let held =
                 match gsj_faults::fault_point("gsql.gl_cache", gsj_faults::FaultClass::Recoverable)
                 {
-                    Ok(()) => profile.cached_link(&signature),
+                    Ok(()) => profile.link_index(&p.lbase, &p.rbase, e.k),
                     Err(err) => {
                         gsj_obs::event("gsql.gl_cache", &[("fault", &true), ("error", &err)]);
                         None
                     }
                 };
-            let gl = match cached {
-                Some(rel) => {
+            let hit = held.is_some();
+            let index = match held {
+                Some(index) => {
                     GL_CACHE_HITS.inc();
-                    gsj_obs::event("gsql.gl_cache", &[("hit", &true), ("rows", &rel.len())]);
-                    rel
+                    index
                 }
                 None => {
                     GL_CACHE_MISSES.inc();
-                    let rel = connectivity_relation(g, &lv, &rv, e.k, "g_l", gov)?;
-                    gsj_obs::event("gsql.gl_cache", &[("hit", &false), ("rows", &rel.len())]);
-                    profile.cache_link(signature, rel.clone());
-                    rel
+                    profile.build_link_index(g, &p.lbase, &p.rbase, e.k, gov)?
                 }
             };
-            let pairs: FxHashSet<(i64, i64)> = (0..gl.len())
-                .filter_map(|i| Some((gl.value_at(i, 0).as_int()?, gl.value_at(i, 1).as_int()?)))
-                .collect();
-            // Emit tuple pairs whose matched vertices are connected:
-            // resolve each side's id column once, then one columnar gather
-            // per output column instead of a push per pair.
+            gsj_obs::event("gsql.gl_cache", &[("hit", &hit), ("rows", &index.pairs())]);
+            // Resolve each side's id column to vertices once, probe the
+            // index, and gather each output column once.
+            let resolve = |rel: &Relation, id: &str, base: &str| -> Result<Vec<Option<VertexId>>> {
+                let pos = rel.schema().require(id)?;
+                let matches = &profile.extraction(base)?.matches;
+                Ok((0..rel.len())
+                    .map(|i| matches.vertex_of(&rel.value_at(i, pos)))
+                    .collect())
+            };
+            let (li, ri) = index.probe(
+                &resolve(lrel, &lid, &p.lbase)?,
+                &resolve(rrel, &rid, &p.rbase)?,
+            );
             let mut attrs = lrel.schema().attrs().to_vec();
             attrs.extend(rrel.schema().attrs().iter().cloned());
             let schema = Schema::new(format!("{}_lj_{}", p.lalias, p.ralias), attrs)?;
-            let mut li: Vec<u32> = Vec::new();
-            let mut ri: Vec<u32> = Vec::new();
-            for (i, v1) in v1s.iter().enumerate() {
-                let Some(v1) = *v1 else { continue };
-                for (j, v2) in v2s.iter().enumerate() {
-                    let Some(v2) = *v2 else { continue };
-                    if pairs.contains(&(v1.0 as i64, v2.0 as i64)) {
-                        li.push(i as u32);
-                        ri.push(j as u32);
-                    }
-                }
-            }
             Relation::gather_concat(lrel, &li, rrel, &ri, None, schema)
         }
         LJoinImpl::Heuristic => {
@@ -450,20 +426,4 @@ fn run_ljoin_impl(
             )
         }
     }
-}
-
-/// `g_L` cache key: graph, bases, k, and the participating vertex sets.
-fn link_signature(
-    graph: &str,
-    lbase: &str,
-    rbase: &str,
-    k: usize,
-    lv: &[VertexId],
-    rv: &[VertexId],
-) -> String {
-    use std::hash::{Hash, Hasher};
-    let mut h = gsj_common::FxHasher::default();
-    lv.hash(&mut h);
-    rv.hash(&mut h);
-    format!("{graph}|{lbase}|{rbase}|{k}|{:x}", h.finish())
 }

@@ -1,12 +1,14 @@
 //! Link joins `S1 ⋈_G S2`: join tuples whose matching vertices are within
-//! `k` hops of each other in `G` (Section II-B), checked by bidirectional
-//! BFS (Section IV-A).
+//! `k` hops of each other in `G` (Section II-B) — checked online by
+//! bidirectional BFS per pair, or probed in the pre-computed connectivity
+//! relation `g_L` ([`LinkIndex`], Section IV-A).
 
-use gsj_common::{pool, FxHashMap, QueryGovernor, Result, Value};
-use gsj_graph::traversal::within_k_hops_governed;
+use gsj_common::{pool, FxHashMap, QueryGovernor, Result};
+use gsj_graph::traversal::{k_hop_set_governed, within_k_hops_governed};
 use gsj_graph::{LabeledGraph, VertexId};
 use gsj_her::{her_match, HerConfig, MatchRelation};
-use gsj_relational::{Relation, Schema};
+use gsj_relational::{Column, Relation, Schema};
+use std::sync::Arc;
 
 /// The conceptual-level link join: HER on both sides, then pairwise
 /// bidirectional BFS. Input schemas must have disjoint attribute names
@@ -164,10 +166,147 @@ fn par_pair_scan(
     Ok((li, ri, checked))
 }
 
+/// The members of `among`, in `among`'s order, within `k` hops of
+/// `source`: one governed level-synchronous expansion from `source`,
+/// then one set probe per candidate.
+fn reachable_among<'a>(
+    g: &LabeledGraph,
+    source: VertexId,
+    among: &'a [VertexId],
+    k: usize,
+    gov: &QueryGovernor,
+) -> Result<impl Iterator<Item = VertexId> + 'a> {
+    gov.check_coarse("join.connectivity")?;
+    let ball = k_hop_set_governed(g, source, k, gov)?;
+    Ok(among.iter().copied().filter(move |v| ball.contains(v)))
+}
+
+fn sorted_distinct(vs: &[VertexId]) -> Vec<VertexId> {
+    let mut vs = vs.to_vec();
+    vs.sort_unstable();
+    vs.dedup();
+    vs
+}
+
+/// The pre-computed connectivity relation `g_L` of Section IV-A ("we also
+/// pre-compute connectivity relations g_L for vertices of G that match
+/// selected tuples in D") as an immutable reachability index: for every
+/// source vertex, the sorted list of target vertices within `k` hops
+/// (self-pairs included, distance 0 ≤ k), laid out CSR-style so a probe
+/// is one binary search over the sources plus a slice borrow.
+#[derive(Debug, PartialEq, Eq)]
+pub struct LinkIndex {
+    /// Distinct source vertices, ascending.
+    sources: Vec<VertexId>,
+    /// `targets[offsets[i]..offsets[i + 1]]` belongs to `sources[i]`.
+    offsets: Vec<usize>,
+    /// Per source, the reachable target vertices, ascending.
+    targets: Vec<VertexId>,
+}
+
+impl LinkIndex {
+    /// Index which of `right` lies within `k` hops of each vertex of
+    /// `left`: one governed k-hop expansion per distinct source,
+    /// intersected with the distinct targets. The build observes the
+    /// governor per source and inside every expansion, and charges the
+    /// index's bytes and pair count like any other materialization.
+    pub fn build(
+        g: &LabeledGraph,
+        left: &[VertexId],
+        right: &[VertexId],
+        k: usize,
+        gov: &QueryGovernor,
+    ) -> Result<LinkIndex> {
+        let mut span = gsj_obs::span("join.connectivity");
+        gsj_faults::fault_point("join.connectivity", gsj_faults::FaultClass::Critical)?;
+        gov.check("join.connectivity")?;
+        let sources = sorted_distinct(left);
+        let among = sorted_distinct(right);
+        let mut offsets = Vec::with_capacity(sources.len() + 1);
+        let mut targets = Vec::new();
+        offsets.push(0);
+        for &source in &sources {
+            targets.extend(reachable_among(g, source, &among, k, gov)?);
+            offsets.push(targets.len());
+        }
+        let index = LinkIndex {
+            sources,
+            offsets,
+            targets,
+        };
+        gov.charge_mem(index.approx_bytes() as u64);
+        gov.charge_rows(index.pairs() as u64);
+        span.field("sources", index.sources.len())
+            .field("targets", among.len())
+            .field("pairs", index.pairs())
+            .field("k", k);
+        Ok(index)
+    }
+
+    /// The indexed targets within `k` hops of `v`, ascending (empty when
+    /// `v` is not an indexed source).
+    pub fn reachable(&self, v: VertexId) -> &[VertexId] {
+        match self.sources.binary_search(&v) {
+            Ok(i) => &self.targets[self.offsets[i]..self.offsets[i + 1]],
+            Err(_) => &[],
+        }
+    }
+
+    /// Number of connected `(source, target)` pairs — the row count of
+    /// the relation `g_L(vid1, vid2)` this index stands for.
+    pub fn pairs(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// Heap bytes held by the index.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.sources.len() + self.targets.len()) * size_of::<VertexId>()
+            + self.offsets.len() * size_of::<usize>()
+    }
+
+    /// The link join of two resolved id columns: every row pair `(i, j)`
+    /// whose vertices are connected, left-major with `j` ascending.
+    /// Unmatched rows (`None`) drop out. Output-sensitive: per left row
+    /// one adjacency lookup merged against the right rows sorted by
+    /// vertex — never the `|left| × |right|` pair space.
+    pub fn probe(
+        &self,
+        left: &[Option<VertexId>],
+        right: &[Option<VertexId>],
+    ) -> (Vec<u32>, Vec<u32>) {
+        let mut by_vertex: Vec<(VertexId, u32)> = right
+            .iter()
+            .enumerate()
+            .filter_map(|(j, v)| Some(((*v)?, j as u32)))
+            .collect();
+        by_vertex.sort_unstable();
+        let mut li: Vec<u32> = Vec::new();
+        let mut ri: Vec<u32> = Vec::new();
+        for (i, v1) in left.iter().enumerate() {
+            let Some(v1) = *v1 else { continue };
+            let first = ri.len();
+            let mut adj = self.reachable(v1).iter().peekable();
+            for &(v2, j) in &by_vertex {
+                while adj.next_if(|&&t| t < v2).is_some() {}
+                match adj.peek() {
+                    Some(&&t) if t == v2 => ri.push(j),
+                    Some(_) => {}
+                    None => break,
+                }
+            }
+            ri[first..].sort_unstable();
+            li.resize(ri.len(), i as u32);
+        }
+        (li, ri)
+    }
+}
+
 /// Materialize a connectivity relation `g_L(vid1, vid2)` for two vertex
-/// sets — the link-join cache of Section IV-A ("we also pre-compute
-/// connectivity relations g_L for vertices of G that match selected tuples
-/// in D"). Self-pairs are included (distance 0 ≤ k).
+/// sets: a row per `(v1, v2) ∈ left × right` within `k` hops, in
+/// left-major order (self-pairs included, distance 0 ≤ k). Same
+/// per-source expansion as [`LinkIndex::build`], but in the caller's
+/// vertex order and as a relation.
 pub fn connectivity_relation(
     g: &LabeledGraph,
     left: &[VertexId],
@@ -181,42 +320,30 @@ pub fn connectivity_relation(
     span.field("left", left.len())
         .field("right", right.len())
         .field("k", k);
-    let mut rel = Relation::empty(Schema::of(name, &["vid1", "vid2"]));
-    let scan_chunk = |range: std::ops::Range<usize>| -> Result<(Vec<u32>, Vec<u32>, usize)> {
-        let mut memo: FxHashMap<(VertexId, VertexId), bool> = FxHashMap::default();
-        let mut li: Vec<u32> = Vec::new();
-        let mut ri: Vec<u32> = Vec::new();
-        for &v1 in &left[range] {
-            for &v2 in right {
-                gov.check_coarse("join.connectivity")?;
-                let key = if v1 <= v2 { (v1, v2) } else { (v2, v1) };
-                let connected = match memo.get(&key) {
-                    Some(&c) => c,
-                    None => {
-                        let c = within_k_hops_governed(g, v1, v2, k, gov)?;
-                        memo.insert(key, c);
-                        c
-                    }
-                };
-                if connected {
-                    li.push(v1.0);
-                    ri.push(v2.0);
-                }
-            }
-        }
-        Ok((li, ri, memo.len()))
-    };
-    let (li, ri, _) = par_pair_scan(left.len(), right.len(), gov, scan_chunk)?;
-    for (v1, v2) in li.into_iter().zip(ri) {
-        rel.push_values(vec![Value::Int(v1 as i64), Value::Int(v2 as i64)])?;
+    let mut vid1: Vec<i64> = Vec::new();
+    let mut vid2: Vec<i64> = Vec::new();
+    for &v1 in left {
+        vid2.extend(reachable_among(g, v1, right, k, gov)?.map(|v| v.0 as i64));
+        vid1.resize(vid2.len(), v1.0 as i64);
     }
-    gov.charge_rows(rel.len() as u64);
+    let rows = vid1.len();
+    let rel = Relation::from_shared_columns(
+        Schema::of(name, &["vid1", "vid2"]),
+        vec![
+            Arc::new(Column::from_ints(vid1)),
+            Arc::new(Column::from_ints(vid2)),
+        ],
+        rows,
+    )?;
+    gov.charge_mem(rel.approx_bytes());
+    gov.charge_rows(rows as u64);
     Ok(rel)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsj_common::Value;
 
     /// A social chain: bob - ada - guy, with an isolated eve.
     fn social() -> (LabeledGraph, Vec<VertexId>) {
@@ -292,6 +419,63 @@ mod tests {
         assert_eq!(
             rel.schema().attrs(),
             &["vid1".to_string(), "vid2".to_string()]
+        );
+        // Left-major in the caller's vertex order, duplicates kept.
+        let rel = connectivity_relation(&g, &[vs[2], vs[0]], &[vs[1], vs[0], vs[1]], 1, "gl", &gov)
+            .unwrap();
+        let ints = |attr: &str| -> Vec<i64> {
+            let col = rel.column(attr).unwrap();
+            col.iter().map(|v| v.as_int().unwrap()).collect()
+        };
+        let id = |i: usize| vs[i].0 as i64;
+        assert_eq!(ints("vid1"), vec![id(2), id(2), id(0), id(0), id(0)]);
+        assert_eq!(ints("vid2"), vec![id(1), id(1), id(1), id(0), id(1)]);
+        assert_eq!(rel.col(0).repr_name(), "int");
+    }
+
+    #[test]
+    fn link_index_lists_sorted_targets_per_source() {
+        let gov = QueryGovernor::unlimited();
+        let (g, vs) = social();
+        let (bob, ada, guy, eve) = (vs[0], vs[1], vs[2], vs[3]);
+        // Unsorted input with duplicates: the index sorts and dedups.
+        let index =
+            LinkIndex::build(&g, &[guy, bob, eve, bob], &[eve, guy, ada, bob], 1, &gov).unwrap();
+        assert_eq!(index.reachable(bob), &[bob, ada]);
+        assert_eq!(index.reachable(guy), &[ada, guy]);
+        assert_eq!(index.reachable(eve), &[eve]);
+        assert!(index.reachable(ada).is_empty(), "ada is not a source");
+        assert_eq!(index.pairs(), 5);
+        assert_eq!(index.approx_bytes(), (3 + 5) * 4 + 4 * 8);
+    }
+
+    #[test]
+    fn probe_emits_connected_row_pairs_left_major() {
+        let gov = QueryGovernor::unlimited();
+        let (g, vs) = social();
+        let index = LinkIndex::build(&g, &vs, &vs, 1, &gov).unwrap();
+        let (bob, ada, guy, eve) = (Some(vs[0]), Some(vs[1]), Some(vs[2]), Some(vs[3]));
+        // Unmatched rows drop out on either side; rows sharing a vertex
+        // each pair up; `j` ascends within one left row.
+        let (li, ri) = index.probe(&[ada, None, eve, bob], &[guy, bob, None, ada, guy, eve]);
+        assert_eq!(li, vec![0, 0, 0, 0, 2, 3, 3]);
+        assert_eq!(ri, vec![0, 1, 3, 4, 5, 1, 3]);
+        assert_eq!(index.probe(&[], &[bob]), (vec![], vec![]));
+        assert_eq!(index.probe(&[bob], &[]), (vec![], vec![]));
+    }
+
+    #[test]
+    fn cancelled_governor_stops_index_build() {
+        let (g, vs) = social();
+        let gov = QueryGovernor::unlimited();
+        gov.cancel();
+        assert_eq!(
+            LinkIndex::build(&g, &vs, &vs, 2, &gov),
+            Err(gsj_common::GsjError::Cancelled)
+        );
+        assert_eq!(
+            connectivity_relation(&g, &vs, &vs, 2, "gl", &gov),
+            Err(gsj_common::GsjError::Cancelled)
         );
     }
 

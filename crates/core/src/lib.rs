@@ -20,7 +20,8 @@
 //!   static/dynamic joins over pre-extracted relations, heuristic joins).
 //! - **Offline profiling** ([`profile`]): `f(D,G)`, reference keywords
 //!   `A_R`, materialized `h(D,G)`, typed relations, and the link-join
-//!   connectivity cache `g_L` (Section IV-A).
+//!   connectivity relation `g_L` as a shared reachability index
+//!   (Section IV-A).
 
 pub mod config;
 pub mod discover;

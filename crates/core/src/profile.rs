@@ -1,7 +1,7 @@
 //! Offline preprocessing for the efficient semantic-join method
 //! (Section IV-A): profile graph `G` once, materialize everything
-//! well-behaved queries need, and maintain a cache of link-join
-//! connectivity relations `g_L`.
+//! well-behaved queries need, and hold the link-join connectivity
+//! relations `g_L` as shared reachability indexes.
 //!
 //! Concretely, for each input relation `D` of schema `R` the profile
 //! holds: (1) the HER matches `f(D,G)`; (2) a set `A_R` of reference
@@ -9,13 +9,15 @@
 //! heuristic joins the typed relations `gτ(G)`.
 
 use crate::incext::Extraction;
+use crate::join::LinkIndex;
 use crate::rext::Rext;
 use crate::typed::{extract_typed, TypedConfig, TypedRelation};
-use gsj_common::{FxHashMap, GsjError, Result};
-use gsj_graph::LabeledGraph;
+use gsj_common::{FxHashMap, GsjError, QueryGovernor, Result};
+use gsj_graph::{LabeledGraph, VertexId};
 use gsj_her::{her_match, HerConfig};
-use gsj_relational::{Database, Relation};
+use gsj_relational::{CellRef, Database, Relation};
 use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// What to profile for one base relation.
 #[derive(Debug, Clone)]
@@ -48,9 +50,16 @@ pub struct GraphProfile {
     pub extractions: FxHashMap<String, Extraction>,
     /// Typed relations `gτ(G)` for heuristic joins.
     pub typed: FxHashMap<String, TypedRelation>,
-    /// The `g_L` cache, keyed by a query-shape signature.
-    link_cache: Mutex<FxHashMap<String, Relation>>,
+    /// The pre-computed `g_L`: one immutable reachability index per
+    /// `(lbase, rbase, k)` over *all* of `f(lbase,G)` × `f(rbase,G)`, so
+    /// every selection of either side probes the same index. Built by the
+    /// first link join that needs it; emptied by [`Self::set_extraction`].
+    /// A handful of entries at most, hence a scanned `Vec`.
+    link_indexes: Mutex<Vec<(LinkKey, Arc<LinkIndex>)>>,
 }
+
+/// `(lbase, rbase, k)` — the graph is the profile's own.
+type LinkKey = (String, String, usize);
 
 impl GraphProfile {
     /// Profile `g` against the given base relations: run HER, pattern
@@ -108,7 +117,7 @@ impl GraphProfile {
             specs: spec_map,
             extractions,
             typed,
-            link_cache: Mutex::new(FxHashMap::default()),
+            link_indexes: Mutex::new(Vec::new()),
         })
     }
 
@@ -133,38 +142,75 @@ impl GraphProfile {
     }
 
     /// Replace a relation's extraction state (IncExt commits through
-    /// here).
+    /// here). This is the invalidation point of every `g_L` index: a
+    /// committed extraction means the graph or `f(D,G)` changed, so the
+    /// next link join rebuilds from the current state.
     pub fn set_extraction(&mut self, relation: &str, e: Extraction) {
         self.extractions.insert(relation.to_string(), e);
-        // Graph structure changed → cached connectivity is stale.
-        self.link_cache.lock().clear();
+        self.link_indexes.lock().clear();
     }
 
-    /// Look up a cached `g_L` connectivity relation.
-    pub fn cached_link(&self, signature: &str) -> Option<Relation> {
-        self.link_cache.lock().get(signature).cloned()
+    /// The `g_L` index of `f(lbase,G)` × `f(rbase,G)` at `k` hops, if one
+    /// has been built since the last [`Self::set_extraction`].
+    pub fn link_index(&self, lbase: &str, rbase: &str, k: usize) -> Option<Arc<LinkIndex>> {
+        self.link_indexes
+            .lock()
+            .iter()
+            .find(|((l, r, kk), _)| l == lbase && r == rbase && *kk == k)
+            .map(|(_, index)| index.clone())
     }
 
-    /// Store a `g_L` connectivity relation ("we keep those g_L for recent
-    /// queries as a cache").
-    pub fn cache_link(&self, signature: String, rel: Relation) {
-        self.link_cache.lock().insert(signature, rel);
+    /// Build the `g_L` index of `f(lbase,G)` × `f(rbase,G)` at `k` hops
+    /// over `g` under `gov`, and install it in place of any previous one.
+    /// The lock is not held while building: two queries racing on a cold
+    /// profile both build, and the later install wins.
+    pub fn build_link_index(
+        &self,
+        g: &LabeledGraph,
+        lbase: &str,
+        rbase: &str,
+        k: usize,
+        gov: &QueryGovernor,
+    ) -> Result<Arc<LinkIndex>> {
+        let matched = |base: &str| -> Result<Vec<VertexId>> {
+            Ok(self.extraction(base)?.matches.vertices().collect())
+        };
+        let index = Arc::new(LinkIndex::build(
+            g,
+            &matched(lbase)?,
+            &matched(rbase)?,
+            k,
+            gov,
+        )?);
+        let mut indexes = self.link_indexes.lock();
+        indexes.retain(|((l, r, kk), _)| !(l == lbase && r == rbase && *kk == k));
+        indexes.push(((lbase.to_string(), rbase.to_string(), k), index.clone()));
+        Ok(index)
     }
 
-    /// Number of cached link relations.
-    pub fn link_cache_len(&self) -> usize {
-        self.link_cache.lock().len()
+    /// Number of `g_L` indexes currently held.
+    pub fn link_index_count(&self) -> usize {
+        self.link_indexes.lock().len()
     }
 
     /// Rough materialization footprint in bytes (for the "% of raw data"
-    /// statistics of Exp-3(I)): sums rendered value lengths of all
-    /// materialized relations.
+    /// statistics of Exp-3(I)): rendered value lengths of all
+    /// materialized relations, 16 bytes per HER match, and the real
+    /// bytes of every `g_L` index.
     pub fn materialized_bytes(&self) -> usize {
+        // Cell by cell off the columns: `Relation::tuples()` would
+        // materialize (and keep) a row copy of everything counted.
         let rel_bytes = |r: &Relation| -> usize {
-            r.tuples()
+            r.columns()
                 .iter()
-                .flat_map(|t| t.values().iter())
-                .map(|v| v.to_string().len())
+                .map(|col| {
+                    (0..r.len())
+                        .map(|i| match col.cell(i) {
+                            CellRef::Str(s) => s.len(),
+                            other => other.to_value().to_string().len(),
+                        })
+                        .sum::<usize>()
+                })
                 .sum()
         };
         let mut total = 0usize;
@@ -176,10 +222,10 @@ impl GraphProfile {
             total += rel_bytes(&t.relation);
         }
         total += self
-            .link_cache
+            .link_indexes
             .lock()
-            .values()
-            .map(|r| r.len() * 16)
+            .iter()
+            .map(|(_, index)| index.approx_bytes())
             .sum::<usize>();
         total
     }
@@ -267,16 +313,65 @@ mod tests {
             None,
         )
         .unwrap();
-        assert!(profile.cached_link("sig").is_none());
-        profile.cache_link(
-            "sig".into(),
-            Relation::empty(Schema::of("gl", &["vid1", "vid2"])),
+        let gov = QueryGovernor::unlimited();
+        assert!(profile.link_index("product", "product", 2).is_none());
+        let without_index = profile.materialized_bytes();
+        let built = profile
+            .build_link_index(&g, "product", "product", 2, &gov)
+            .unwrap();
+        // Products share the `Product` type vertex: all 3 × 3 pairs at k=2.
+        assert_eq!(built.pairs(), 9);
+        let held = profile.link_index("product", "product", 2).unwrap();
+        assert!(Arc::ptr_eq(&built, &held), "lookups share one index");
+        assert!(profile.link_index("product", "product", 1).is_none());
+        assert_eq!(
+            profile.materialized_bytes(),
+            without_index + built.approx_bytes()
         );
-        assert!(profile.cached_link("sig").is_some());
-        assert_eq!(profile.link_cache_len(), 1);
-        // Committing new extraction state clears the cache.
+        // Rebuilding replaces, never accumulates.
+        profile
+            .build_link_index(&g, "product", "product", 2, &gov)
+            .unwrap();
+        assert_eq!(profile.link_index_count(), 1);
+        assert!(profile
+            .build_link_index(&g, "product", "nonexistent", 2, &gov)
+            .is_err());
+        // Committing new extraction state clears every index.
         let e = profile.extraction("product").unwrap().clone();
         profile.set_extraction("product", e);
-        assert_eq!(profile.link_cache_len(), 0);
+        assert_eq!(profile.link_index_count(), 0);
+    }
+
+    #[test]
+    fn materialized_bytes_counts_cells_like_the_row_rendering() {
+        let (g, db) = setting();
+        let rext = quick_rext(&g);
+        let profile = GraphProfile::build(
+            &g,
+            &db,
+            vec![RelationSpec::new("product", "pid", &["company", "name"])],
+            &rext,
+            &HerConfig::default(),
+            Some(&TypedConfig::default()),
+        )
+        .unwrap();
+        let by_rows = |r: &Relation| -> usize {
+            r.clone()
+                .into_parts()
+                .1
+                .iter()
+                .flat_map(|t| t.values().iter())
+                .map(|v| v.to_string().len())
+                .sum()
+        };
+        let e = profile.extraction("product").unwrap();
+        let expected = by_rows(&e.dg)
+            + e.matches.len() * 16
+            + profile
+                .typed
+                .values()
+                .map(|t| by_rows(&t.relation))
+                .sum::<usize>();
+        assert_eq!(profile.materialized_bytes(), expected);
     }
 }

@@ -30,6 +30,15 @@ impl Bitmap {
         Self::default()
     }
 
+    /// A bitmap of `len` set bits (no NULLs).
+    pub fn all_set(len: usize) -> Self {
+        let mut words = vec![u64::MAX; len.div_ceil(64)];
+        if let (Some(last), tail @ 1..) = (words.last_mut(), len % 64) {
+            *last = (1u64 << tail) - 1;
+        }
+        Bitmap { words, len }
+    }
+
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len
@@ -150,6 +159,12 @@ impl Column {
             c.push(v);
         }
         c
+    }
+
+    /// An `Int` column without NULLs that takes ownership of `data`.
+    pub fn from_ints(data: Vec<i64>) -> Column {
+        let validity = Bitmap::all_set(data.len());
+        Column::Int { data, validity }
     }
 
     /// Number of rows.
@@ -676,6 +691,20 @@ mod tests {
         assert!(b.get(0) && !b.get(1) && b.get(129));
         assert_eq!(b.count_valid(), (0..130).filter(|i| i % 3 == 0).count());
         assert!(!b.all_valid());
+    }
+
+    #[test]
+    fn all_set_bitmap_equals_pushing_true() {
+        for len in [0, 1, 63, 64, 65, 130] {
+            let mut pushed = Bitmap::new();
+            for _ in 0..len {
+                pushed.push(true);
+            }
+            assert_eq!(Bitmap::all_set(len), pushed, "len {len}");
+        }
+        let c = Column::from_ints(vec![7, -1]);
+        assert_eq!(c.value(1), Value::Int(-1));
+        assert!(!c.is_null(0));
     }
 
     #[test]

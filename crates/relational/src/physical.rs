@@ -153,6 +153,20 @@ impl ExecContext {
         self.ops.push(stats);
     }
 
+    /// Append the operators `other` recorded, in its order, hanging its
+    /// roots under the innermost open operator — for sub-plans that ran
+    /// against a context of their own before their parent operator
+    /// opened (a link join's sides run ahead of the join so that WHERE
+    /// can be bound first).
+    pub fn absorb(&mut self, other: ExecContext) {
+        let base = self.ops.len();
+        let open = self.stack.last().copied();
+        self.ops.extend(other.ops.into_iter().map(|mut op| {
+            op.parent = op.parent.map(|p| p + base).or(open);
+            op
+        }));
+    }
+
     /// Nesting depth of op `i` (0 for roots), following parent links.
     pub fn depth(&self, i: usize) -> usize {
         let mut depth = 0;
@@ -1134,6 +1148,25 @@ mod tests {
         let rendered = ctx.render();
         assert!(rendered.contains("\n  Sort(pid)"), "{rendered}");
         assert!(rendered.contains("\n      Scan(orders)"), "{rendered}");
+    }
+
+    #[test]
+    fn absorb_rebases_parent_links_under_the_open_operator() {
+        let leaf = |label: &str| op(label.to_string(), 1, 1, Instant::now());
+        let mut side = ExecContext::new();
+        let sub = side.enter();
+        side.record(leaf("Scan(a)"));
+        side.exit(sub, leaf("Subquery(as s)"));
+        let mut ctx = ExecContext::new();
+        ctx.record(leaf("Scan(b)"));
+        let join = ctx.enter();
+        ctx.absorb(side);
+        ctx.record(leaf("Filter(x)"));
+        ctx.exit(join, leaf("LJoin(..)"));
+        let parents: Vec<Option<usize>> = ctx.ops().iter().map(|o| o.parent).collect();
+        // Scan(b), LJoin, Subquery → LJoin, Scan(a) → Subquery, Filter → LJoin.
+        assert_eq!(parents, vec![None, None, Some(1), Some(2), Some(1)]);
+        assert_eq!(ctx.depth(3), 2);
     }
 
     #[test]

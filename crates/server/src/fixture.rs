@@ -1,8 +1,9 @@
 //! Collection loading: build the shared immutable engine state once at
 //! startup — train RExt, build the offline [`GraphProfile`] (which
-//! includes the `f`/`h` pre-extractions and warms into the `g_L` link
-//! cache on use), register the graph — and hand it to the server behind
-//! an `Arc`.
+//! includes the `f`/`h` pre-extractions; the `g_L` reachability index is
+//! not part of it — the first link join builds one per
+//! `(lbase, rbase, k)` and every later one probes it), register the
+//! graph — and hand it to the server behind an `Arc`.
 //!
 //! The recipe mirrors the integration suite's `engine_for` so a served
 //! collection behaves exactly like one driven in-process by the tests.
@@ -16,8 +17,10 @@ use gsj_core::typed::TypedConfig;
 use gsj_datagen::{Collection, Scale};
 use std::sync::Arc;
 
-/// The fast random-path RExt configuration used for serving fixtures:
-/// no LM training, single-threaded, deterministic.
+/// The random-path RExt configuration used for serving fixtures:
+/// single-threaded and deterministic. Path *selection* is unguided, but
+/// the default `SeqKind::Lstm100` path embedding still trains the LSTM
+/// (≈ 17 s of set-up at `Scale(100)`).
 pub fn serving_rext_config() -> RExtConfig {
     RExtConfig {
         k: 3,

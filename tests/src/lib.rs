@@ -40,3 +40,10 @@ pub fn guided_rext_config() -> RExtConfig {
 pub fn tiny(name: &str) -> Collection {
     gsj_datagen::collections::build(name, Scale::tiny(), 42).expect("known collection")
 }
+
+/// Current value of an unlabelled counter in the global metrics registry.
+pub fn counter(name: &str) -> u64 {
+    gsj_obs::metrics::Registry::global()
+        .counter(name, &[])
+        .get()
+}

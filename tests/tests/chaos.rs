@@ -28,7 +28,7 @@ use gsj_graph::random_walk::{build_corpus_governed, WalkConfig};
 use gsj_graph::traversal::k_hop_set_governed;
 use gsj_graph::update::apply_updates;
 use gsj_her::her_match;
-use gsj_tests::{fast_rext_config, tiny};
+use gsj_tests::{counter, fast_rext_config, tiny};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -254,12 +254,6 @@ fn with_spec<R>(spec: &str, body: impl FnOnce() -> R) -> R {
     let out = body();
     gsj_faults::set_spec(None).unwrap();
     out
-}
-
-fn counter(name: &str) -> u64 {
-    gsj_obs::metrics::Registry::global()
-        .counter(name, &[])
-        .get()
 }
 
 #[test]

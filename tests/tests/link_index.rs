@@ -1,0 +1,286 @@
+//! Link joins over the shared `g_L` reachability index with selections
+//! pushed below the join: the pushed-down plan must return what the
+//! un-pushed one does, the index must agree with per-pair BFS, and one
+//! index per `(graph, lbase, rbase, k)` must serve every selection until
+//! IncExt commits a new extraction.
+
+use gsj_common::{pool, QueryGovernor};
+use gsj_core::gsql::exec::{GsqlEngine, Strategy};
+use gsj_core::incext::inc_update_graph;
+use gsj_core::join::{connectivity_relation, LinkIndex};
+use gsj_core::profile::GraphProfile;
+use gsj_core::rext::Rext;
+use gsj_datagen::queries::workload;
+use gsj_datagen::updates::balanced_updates;
+use gsj_datagen::Collection;
+use gsj_graph::traversal::within_k_hops;
+use gsj_graph::update::apply_updates;
+use gsj_graph::{GraphUpdate, LabeledGraph, VertexId};
+use gsj_relational::physical::{filter_rel, ExecContext};
+use gsj_relational::Relation;
+use gsj_tests::{counter, fast_rext_config, tiny};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+const K: usize = 2;
+
+fn engine_for(col: &Collection) -> (GsqlEngine, Arc<Rext>) {
+    let rext = Arc::new(Rext::train(&col.graph, fast_rext_config()).unwrap());
+    let mut engine = GsqlEngine::new(col.db.clone());
+    engine.set_id_attr(&col.spec.rel_name, &col.spec.id_attr);
+    engine.set_her_config(col.her_config());
+    let profile = GraphProfile::build(
+        &col.graph,
+        &engine.db,
+        vec![col.relation_spec()],
+        &rext,
+        &col.her_config(),
+        None,
+    )
+    .unwrap();
+    engine.add_graph("G", col.graph.clone());
+    engine.set_rext("G", rext.clone());
+    engine.set_profile("G", profile);
+    engine.set_k(K);
+    (engine, rext)
+}
+
+/// Sorted rendered rows: the row multiset of a relation.
+fn row_multiset(rel: &Relation) -> Vec<String> {
+    let mut rows: Vec<String> = rel.tuples().iter().map(|t| format!("{t:?}")).collect();
+    rows.sort();
+    rows
+}
+
+/// `q6` and the Q3-form (left side a selected sub-query) of a collection:
+/// each as (FROM part, link predicate with quoted constants).
+fn link_queries(col: &Collection) -> Vec<(String, String)> {
+    let (rel, id) = (&col.spec.rel_name, &col.spec.id_attr);
+    let (extra_attr, _, _) = &col.spec.extra_attrs[0];
+    let extra_val = col.entity_relation().column(extra_attr).unwrap()[0].to_string();
+    let cond = format!(
+        "{rel}.{id} = '{}' and not {rel}B.{id} = '{}'",
+        col.id_of(0),
+        col.id_of(1)
+    );
+    let q6_from = format!("select * from {rel} l-join <G> {rel} as {rel}B");
+    let q6 = &workload(col)[5].text;
+    assert!(q6.starts_with(&q6_from), "{q6}");
+    vec![
+        (q6_from, cond.clone()),
+        (
+            format!(
+                "select * from (select * from {rel} where {extra_attr} = '{extra_val}') \
+                 l-join <G> {rel} as {rel}B"
+            ),
+            cond,
+        ),
+    ]
+}
+
+#[test]
+fn pushed_down_link_joins_equal_the_unpushed_reference() {
+    for name in gsj_datagen::collections::ALL {
+        let col = tiny(name);
+        let (engine, _) = engine_for(&col);
+        let (rel_name, id) = (&col.spec.rel_name, &col.spec.id_attr);
+        for (from, cond) in link_queries(&col) {
+            let pushed = format!("{from} where {cond}");
+            let pred = engine.parse(&pushed).unwrap().where_clause.unwrap();
+            // Optimized ≡ Baseline too: one expected multiset per query.
+            let mut expected: Option<Vec<String>> = None;
+            for strategy in [Strategy::Baseline, Strategy::Optimized] {
+                for threads in [1, 8] {
+                    pool::with_threads(threads, || {
+                        let all = engine.run(&from, strategy).unwrap();
+                        let reference =
+                            filter_rel(all, &pred, "reference", &mut ExecContext::new()).unwrap();
+                        let (rel, ctx) = engine
+                            .run_query_stats(&engine.parse(&pushed).unwrap(), strategy)
+                            .unwrap();
+                        assert_eq!(
+                            row_multiset(&rel),
+                            row_multiset(&reference),
+                            "{name} {strategy:?} threads={threads}: {pushed}"
+                        );
+                        assert_eq!(
+                            expected.get_or_insert_with(|| row_multiset(&rel)),
+                            &row_multiset(&rel),
+                            "{name} {strategy:?} threads={threads}: {pushed}"
+                        );
+                        // Both conjuncts ran below the join, nothing above it.
+                        let ops = ctx.ops();
+                        let ljoin = ops.iter().position(|o| o.label.starts_with("LJoin("));
+                        for side in [rel_name.to_string(), format!("{rel_name}B")] {
+                            let pushed = ops
+                                .iter()
+                                .find(|o| o.label == format!("Filter({side}.{id})"))
+                                .unwrap_or_else(|| panic!("{name}: {}", ctx.render()));
+                            assert_eq!(pushed.parent, ljoin, "{name}: {}", ctx.render());
+                        }
+                        assert!(
+                            !ops.iter()
+                                .any(|o| o.label.starts_with("Filter") && o.parent.is_none()),
+                            "{name}: {}",
+                            ctx.render()
+                        );
+                    });
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn distinct_selections_share_one_index() {
+    // The per-selection cache this replaces kept one full relation per
+    // distinct selected vertex set, keyed by an unverified 64-bit hash.
+    let col = tiny("Celebrity");
+    let (engine, _) = engine_for(&col);
+    let (rel, id) = (&col.spec.rel_name, &col.spec.id_attr);
+    let n = col.spec.entities;
+    let profile = engine.profile("G").unwrap();
+    let (mut bytes, mut index) = (None, None);
+    for i in 0..500 {
+        let q = format!(
+            "select * from {rel} l-join <G> {rel} as {rel}B \
+             where {rel}.{id} = {} and not {rel}B.{id} = {}",
+            col.id_of(i % n),
+            col.id_of((i / n + i + 1) % n)
+        );
+        engine.run(&q, Strategy::Optimized).unwrap();
+        // (An injected `gsql.ljoin` fault may send a run down the online
+        // path, which neither reads nor builds the index.)
+        let Some(held) = profile.link_index(rel, rel, K) else {
+            continue;
+        };
+        assert_eq!(profile.link_index_count(), 1);
+        assert_eq!(
+            *bytes.get_or_insert(profile.materialized_bytes()),
+            profile.materialized_bytes(),
+            "materialized_bytes grew at query {i}"
+        );
+        // Same contents every time; the same allocation unless an
+        // injected `gsql.gl_cache` fault forced a rebuild.
+        let first = index.get_or_insert_with(|| held.clone());
+        assert_eq!(**first, *held);
+        if !gsj_faults::enabled() {
+            assert!(Arc::ptr_eq(first, &held));
+        }
+    }
+    assert_eq!(profile.link_index_count(), 1);
+}
+
+#[test]
+fn incext_commit_invalidates_the_index() {
+    let col = tiny("Celebrity");
+    let (mut engine, rext) = engine_for(&col);
+    let rel = col.spec.rel_name.clone();
+    let q6 = workload(&col)[5].text.clone();
+    engine.run(&q6, Strategy::Optimized).unwrap();
+
+    // ΔG through IncExt, committed the way a serving process does it.
+    let ups = balanced_updates(engine.graph("G").unwrap(), 0.10, 99);
+    assert!(!ups.is_empty());
+    let report = apply_updates(engine.graph_mut("G").unwrap(), &ups);
+    let next = inc_update_graph(
+        &rext,
+        engine.graph("G").unwrap(),
+        engine.db.get(&rel).unwrap(),
+        &col.her_config(),
+        engine.profile("G").unwrap().extraction(&rel).unwrap(),
+        &report,
+    )
+    .unwrap();
+    engine
+        .profile_mut("G")
+        .unwrap()
+        .set_extraction(&rel, next.clone());
+    assert_eq!(engine.profile("G").unwrap().link_index_count(), 0);
+
+    let misses = counter("gsj_core_gl_cache_misses_total");
+    let opt = engine.run(&q6, Strategy::Optimized).unwrap();
+    if !gsj_faults::enabled() {
+        assert!(counter("gsj_core_gl_cache_misses_total") > misses);
+        assert_eq!(engine.profile("G").unwrap().link_index_count(), 1);
+    }
+    // The rebuilt index reflects the updated graph and matches: the
+    // un-selected join equals per-pair BFS over the new `f(D,G)`.
+    let base = engine.run(&q6, Strategy::Baseline).unwrap();
+    assert_eq!(row_multiset(&opt), row_multiset(&base));
+    let all = format!("select * from {rel} l-join <G> {rel} as {rel}B");
+    let joined = engine.run(&all, Strategy::Optimized).unwrap();
+    let matched: Vec<VertexId> = next.matches.vertices().collect();
+    let g = engine.graph("G").unwrap();
+    let expected = matched
+        .iter()
+        .flat_map(|&u| matched.iter().map(move |&v| (u, v)))
+        .filter(|&(u, v)| within_k_hops(g, u, v, K))
+        .count();
+    assert_eq!(joined.len(), expected);
+}
+
+/// `connectivity_relation` as it was defined before the per-source
+/// expansion: one bidirectional BFS per pair, left-major.
+fn connectivity_by_pair_bfs(
+    g: &LabeledGraph,
+    left: &[VertexId],
+    right: &[VertexId],
+    k: usize,
+) -> Vec<(i64, i64)> {
+    let mut rows = Vec::new();
+    for &u in left {
+        for &v in right {
+            if within_k_hops(g, u, v, k) {
+                rows.push((u.0 as i64, v.0 as i64));
+            }
+        }
+    }
+    rows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Index membership ≡ `within_k_hops`, and `connectivity_relation` ≡
+    /// its per-pair definition, on random graphs with a dead vertex.
+    #[test]
+    fn link_index_agrees_with_pairwise_bfs(
+        edges in prop::collection::vec((0u32..14, 0u32..14), 0..40),
+        left in prop::collection::vec(0u32..14, 0..10),
+        right in prop::collection::vec(0u32..14, 0..10),
+        // 14 = no dead vertex.
+        dead in 0u32..15,
+        k in 0usize..4,
+    ) {
+        let mut g = LabeledGraph::new();
+        let vs: Vec<VertexId> = (0..14).map(|i| g.add_vertex(&format!("v{i}"))).collect();
+        for (a, b) in edges {
+            g.add_edge(vs[a as usize], "e", vs[b as usize]);
+        }
+        if let Some(&d) = vs.get(dead as usize) {
+            apply_updates(&mut g, &[GraphUpdate::RemoveVertex(d)]);
+        }
+        let left: Vec<VertexId> = left.into_iter().map(|i| vs[i as usize]).collect();
+        let right: Vec<VertexId> = right.into_iter().map(|i| vs[i as usize]).collect();
+        let gov = QueryGovernor::unlimited();
+
+        let index = LinkIndex::build(&g, &left, &right, k, &gov).unwrap();
+        for &u in &left {
+            let reachable = index.reachable(u);
+            prop_assert!(reachable.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
+            for &v in &right {
+                prop_assert_eq!(reachable.contains(&v), within_k_hops(&g, u, v, k));
+            }
+            prop_assert!(reachable.iter().all(|v| right.contains(v)));
+        }
+
+        let rel = connectivity_relation(&g, &left, &right, k, "g_l", &gov).unwrap();
+        let rows: Vec<(i64, i64)> = (0..rel.len())
+            .map(|i| {
+                (rel.value_at(i, 0).as_int().unwrap(), rel.value_at(i, 1).as_int().unwrap())
+            })
+            .collect();
+        prop_assert_eq!(rows, connectivity_by_pair_bfs(&g, &left, &right, k));
+    }
+}
