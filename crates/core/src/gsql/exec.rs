@@ -1221,6 +1221,52 @@ mod tests {
     }
 
     #[test]
+    fn select_list_aliases_name_the_output_columns() {
+        let e = engine();
+        let rows = |r: &Relation| -> Vec<Vec<Value>> {
+            r.tuples().iter().map(|t| t.values().to_vec()).collect()
+        };
+        // Plain projection: reordered, renamed, and one column twice.
+        let (r, ctx) = e
+            .run_query_stats(
+                &e.parse("select bal as b, cid, cid as id from customer where credit = good")
+                    .unwrap(),
+                Strategy::Optimized,
+            )
+            .unwrap();
+        assert_eq!(r.schema().attrs(), &["b", "cid", "id"]);
+        assert_eq!(
+            rows(&r),
+            vec![
+                vec![
+                    Value::Int(110_000),
+                    Value::str("cid02"),
+                    Value::str("cid02")
+                ],
+                vec![Value::Int(50_000), Value::str("cid03"), Value::str("cid03")],
+            ]
+        );
+        let project = ctx.ops().last().unwrap();
+        assert_eq!(project.label, "Project(b, cid, id)");
+        assert_eq!((project.rows_in, project.rows_out), (2, 2));
+        // Aggregate: aliases on the group key and on both aggregates.
+        let r = e
+            .run(
+                "select credit as c, count(*) as n, max(bal) as top from customer group by credit",
+                Strategy::Optimized,
+            )
+            .unwrap();
+        assert_eq!(r.schema().attrs(), &["c", "n", "top"]);
+        assert_eq!(
+            rows(&r),
+            vec![
+                vec![Value::str("fair"), Value::Int(2), Value::Int(500_000)],
+                vec![Value::str("good"), Value::Int(2), Value::Int(110_000)],
+            ]
+        );
+    }
+
+    #[test]
     fn explain_names_the_rewrite() {
         let e = engine();
         let q = e

@@ -28,8 +28,7 @@ use super::exec::{GsqlEngine, Strategy};
 use super::strategies::{self, EJoinImpl, LJoinImpl};
 use gsj_common::{GsjError, Result, Value};
 use gsj_relational::physical::{self, ExecContext};
-use gsj_relational::plan::AggSpec;
-use gsj_relational::{Expr, Relation, Schema};
+use gsj_relational::{AggSpec, Expr, Relation, Schema};
 use std::time::{Duration, Instant};
 
 /// A planned query: the original AST plus one physical item per FROM
@@ -529,7 +528,9 @@ impl GsqlEngine {
             }
             let label = format!("Aggregate(group_by=[{}])", group_by.join(", "));
             let rel = physical::aggregate_rel(&input, &group_by, &aggs, label, ctx)?;
-            return rename_attrs(rel, &out_names);
+            // Positional rename to the select list's names.
+            let all: Vec<usize> = (0..out_names.len()).collect();
+            return rel.project(&all, out_names);
         }
         // Plain projection with optional renaming.
         let t0 = Instant::now();
@@ -541,18 +542,9 @@ impl GsqlEngine {
                 names.push(alias.clone().unwrap_or_else(|| name.clone()));
             }
         }
-        let schema = Schema::new(input.schema().name().to_string(), names.clone())?;
-        let mut out = Relation::empty(schema);
-        for t in input.tuples() {
-            out.push(t.project(&positions))?;
-        }
-        physical::record_external(
-            format!("Project({})", names.join(", ")),
-            input.len(),
-            out.len(),
-            t0,
-            ctx,
-        );
+        let label = format!("Project({})", names.join(", "));
+        let out = input.project(&positions, names)?;
+        physical::record_external(label, input.len(), out.len(), t0, ctx);
         Ok(out)
     }
 }
@@ -639,11 +631,4 @@ fn apply_applicable(
         rel = physical::filter_rel(rel, c, filter_label(c), ctx)?;
     }
     Ok(rel)
-}
-
-/// Rename a relation's attributes positionally.
-fn rename_attrs(rel: Relation, names: &[String]) -> Result<Relation> {
-    let (schema, tuples) = rel.into_parts();
-    let new = Schema::new(schema.name().to_string(), names.to_vec())?;
-    Relation::new(new, tuples)
 }

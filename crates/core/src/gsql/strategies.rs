@@ -12,7 +12,8 @@
 
 use super::exec::{GsqlEngine, Strategy};
 use super::plan::{EJoinPlan, LJoinPlan};
-use crate::join::{enrichment_join, enrichment_join_precomputed, link_join};
+use crate::join::enrichment::enrichment_join_precomputed_governed;
+use crate::join::{enrichment_join, link_join};
 use gsj_common::{GsjError, QueryGovernor, Result};
 use gsj_graph::VertexId;
 use gsj_relational::{Relation, Schema};
@@ -276,8 +277,14 @@ fn run_ejoin_impl(
                 .get(&p.graph)
                 .ok_or_else(|| GsjError::Config(format!("no profile for graph `{}`", p.graph)))?;
             let ex = profile.extraction(&p.base)?;
-            let out =
-                enrichment_join_precomputed(rel, &id_attr, &ex.matches, &ex.dg, Some(&p.keywords))?;
+            let out = enrichment_join_precomputed_governed(
+                rel,
+                &id_attr,
+                &ex.matches,
+                &ex.dg,
+                Some(&p.keywords),
+                gov,
+            )?;
             gov.charge_rows(out.len() as u64);
             Ok(out)
         }

@@ -9,7 +9,7 @@ use crate::rext::Rext;
 use gsj_common::{QueryGovernor, Result};
 use gsj_graph::LabeledGraph;
 use gsj_her::{her_match, HerConfig, MatchRelation};
-use gsj_relational::exec::natural_join_governed;
+use gsj_relational::exec::natural_join;
 use gsj_relational::{Column, Relation, Schema};
 
 /// The conceptual-level enrichment join: calls HER and RExt online
@@ -39,13 +39,7 @@ pub fn enrichment_join(
     let discovery = rext.discover(g, &matches, Some((s, id_attr)), keywords, &schema_name)?;
     gov.check("rext.extract")?;
     let dg = rext.extract(g, &matches, &discovery)?;
-    let joined = join_three_way(
-        s,
-        id_attr,
-        &matches,
-        &keyword_view(&dg, keywords)?,
-        Some(gov),
-    )?;
+    let joined = join_three_way(s, id_attr, &matches, &keyword_view(&dg, keywords)?, gov)?;
     gov.charge_rows(joined.len() as u64);
     span.field("rows_in", s.len())
         .field("rows_out", joined.len());
@@ -62,6 +56,7 @@ pub fn enrichment_join(
 /// The static/dynamic fast path: `S ⋈ f(D,G) ⋈ h(D,G)` over materialized
 /// relations, no HER/RExt at query time (Section IV-A). `keep_attrs`
 /// optionally normalizes `h` to the requested keywords (plus `vid`).
+/// Ungoverned; a query runs the governed form below with its own governor.
 pub fn enrichment_join_precomputed(
     s: &Relation,
     id_attr: &str,
@@ -69,11 +64,25 @@ pub fn enrichment_join_precomputed(
     dg: &Relation,
     keep_attrs: Option<&[String]>,
 ) -> Result<Relation> {
+    let gov = QueryGovernor::unlimited();
+    enrichment_join_precomputed_governed(s, id_attr, matches, dg, keep_attrs, &gov)
+}
+
+/// [`enrichment_join_precomputed`] under a query's governor: the two
+/// hash-join probes observe its deadline, budgets and cancellation.
+pub(crate) fn enrichment_join_precomputed_governed(
+    s: &Relation,
+    id_attr: &str,
+    matches: &MatchRelation,
+    dg: &Relation,
+    keep_attrs: Option<&[String]>,
+    gov: &QueryGovernor,
+) -> Result<Relation> {
     let dg_view = match keep_attrs {
         None => dg.clone(),
         Some(attrs) => keyword_view(dg, attrs)?,
     };
-    join_three_way(s, id_attr, matches, &dg_view, None)
+    join_three_way(s, id_attr, matches, &dg_view, gov)
 }
 
 /// `h` restricted to the requested keywords, in request order. The output
@@ -105,11 +114,11 @@ fn join_three_way(
     id_attr: &str,
     matches: &MatchRelation,
     dg: &Relation,
-    gov: Option<&QueryGovernor>,
+    gov: &QueryGovernor,
 ) -> Result<Relation> {
     let f_rel = matches.to_relation(&format!("f_{}", s.schema().name()), id_attr);
-    let s_f = natural_join_governed(s, &f_rel, gov)?;
-    natural_join_governed(&s_f, dg, gov)
+    let s_f = natural_join(s, &f_rel, gov)?;
+    natural_join(&s_f, dg, gov)
 }
 
 #[cfg(test)]
@@ -162,6 +171,23 @@ mod tests {
             .unwrap();
         let loc_pos = r.schema().position("loc").unwrap();
         assert_eq!(fd1.get(loc_pos), &Value::str("UK"));
+    }
+
+    #[test]
+    fn governed_form_observes_cancel_and_is_otherwise_identical() {
+        let (s, m, dg) = pieces();
+        let keep = ["loc".to_string()];
+        let free = QueryGovernor::unlimited();
+        assert_eq!(
+            enrichment_join_precomputed_governed(&s, "pid", &m, &dg, Some(&keep), &free).unwrap(),
+            enrichment_join_precomputed(&s, "pid", &m, &dg, Some(&keep)).unwrap()
+        );
+        let cancelled = QueryGovernor::unlimited();
+        cancelled.cancel();
+        assert_eq!(
+            enrichment_join_precomputed_governed(&s, "pid", &m, &dg, Some(&keep), &cancelled),
+            Err(gsj_common::GsjError::Cancelled)
+        );
     }
 
     #[test]

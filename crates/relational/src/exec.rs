@@ -1,4 +1,4 @@
-//! The logical-plan interpreter and the shared operator kernels.
+//! The operator kernels.
 //!
 //! Kernels are vectorized over the columnar storage
 //! ([`crate::column`]): filters evaluate predicate masks over column
@@ -11,13 +11,18 @@
 //! division by zero) that a mask evaluation could not order correctly.
 //!
 //! Joins are hash-based: natural joins key on the common attributes,
-//! theta joins mine equi-conjuncts (`left.col = right.col`) from the
-//! predicate and hash on those, falling back to a nested loop only for
-//! genuinely non-equi predicates — the same discipline a production
-//! engine applies. The kernels ([`hash_join_core`],
-//! [`nested_loop_core`], [`aggregate`]) are shared with the physical
-//! executor ([`crate::physical`]), which wraps them with per-operator
-//! statistics.
+//! theta joins hash on the equi-conjuncts (`left.col = right.col`) that
+//! [`equi_positions`] mines from the predicate, and the nested loop is
+//! only for genuinely non-equi predicates — the same discipline a
+//! production engine applies. There is no plan tree in this crate: gSQL's
+//! `QueryPlan` (in `gsj-core`) is the only plan type, and it reaches these
+//! kernels through the instrumented operators of [`crate::physical`],
+//! which add per-operator statistics and the boundary governance checks.
+//!
+//! Every kernel that can run long takes the query's [`QueryGovernor`]:
+//! each morsel checks it before working and charges the buffers it
+//! materialized. Callers with nothing to enforce pass
+//! [`QueryGovernor::unlimited`].
 //!
 //! Execution is *morsel-driven* (DESIGN.md §13): when more than one
 //! worker is configured (`GSJ_THREADS`, see [`gsj_common::pool`]) and
@@ -30,83 +35,15 @@
 //! morsel contains the globally first failing row). One worker is the
 //! exact legacy whole-relation path.
 
-use crate::catalog::Database;
 use crate::column::{CellRef, Column};
-use crate::expr::{AggFunc, CmpOp, Expr};
-use crate::plan::{AggSpec, JoinKind, LogicalPlan};
+use crate::expr::{AggFunc, AggSpec, CmpOp, Expr};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use gsj_common::pool::{self, Mergeable};
-use gsj_common::{FxHashMap, FxHashSet, GsjError, QueryGovernor, Result, Value};
+use gsj_common::{FxHashMap, GsjError, QueryGovernor, Result, Value};
 use std::cmp::Ordering;
 use std::ops::Range;
-
-/// Execute a plan against a database with the interpreter.
-pub fn execute(plan: &LogicalPlan, db: &Database) -> Result<Relation> {
-    match plan {
-        LogicalPlan::Scan(name) => Ok(db.get(name)?.clone()),
-        LogicalPlan::Values(rel) => Ok(rel.clone()),
-        LogicalPlan::Select { input, pred } => filter(execute(input, db)?, pred),
-        LogicalPlan::Project { input, cols } => project(&execute(input, db)?, cols),
-        LogicalPlan::Qualify { input, alias } => {
-            let rel = execute(input, db)?;
-            Ok(rel.qualified(alias))
-        }
-        LogicalPlan::Join { left, right, kind } => {
-            let l = execute(left, db)?;
-            let r = execute(right, db)?;
-            match kind {
-                JoinKind::Natural => natural_join(&l, &r),
-                JoinKind::Theta(pred) => theta_join(&l, &r, pred),
-            }
-        }
-        LogicalPlan::Union { left, right } => union(execute(left, db)?, execute(right, db)?),
-        LogicalPlan::Difference { left, right } => {
-            difference(execute(left, db)?, &execute(right, db)?)
-        }
-        LogicalPlan::Distinct { input } => Ok(distinct(execute(input, db)?)),
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => aggregate(&execute(input, db)?, group_by, aggs),
-        LogicalPlan::Sort { input, by, desc } => sort(execute(input, db)?, by, *desc),
-        LogicalPlan::Limit { input, n } => Ok(execute(input, db)?.head(*n)),
-    }
-}
-
-/// The join key of `t` at `keys`, as borrowed values; `None` when any key
-/// cell is NULL (SQL semantics: NULL keys never match). Row-oriented
-/// compatibility helper — the vectorized kernels key on column cells.
-#[inline]
-pub fn hash_key<'a>(t: &'a Tuple, keys: &[usize]) -> Option<Vec<&'a Value>> {
-    let mut out = Vec::with_capacity(keys.len());
-    for &k in keys {
-        let v = t.get(k);
-        if v.is_null() {
-            return None;
-        }
-        out.push(v);
-    }
-    Some(out)
-}
-
-/// Build-side hash index: borrowed key → row indices. No key `Value` is
-/// cloned; the map borrows from `tuples`. Row-oriented compatibility
-/// helper — see [`hash_join_core`] for the columnar build/probe.
-pub fn build_row_index<'a>(
-    tuples: &'a [Tuple],
-    keys: &[usize],
-) -> FxHashMap<Vec<&'a Value>, Vec<usize>> {
-    let mut table: FxHashMap<Vec<&'a Value>, Vec<usize>> = FxHashMap::default();
-    for (i, t) in tuples.iter().enumerate() {
-        if let Some(key) = hash_key(t, keys) {
-            table.entry(key).or_default().push(i);
-        }
-    }
-    table
-}
 
 /// Split a predicate into its top-level conjuncts.
 fn conjuncts(pred: &Expr) -> Vec<&Expr> {
@@ -420,12 +357,10 @@ fn probe_all(
     probe_keys: &[usize],
     build_rows: usize,
     swap: bool,
-    gov: Option<&QueryGovernor>,
+    gov: &QueryGovernor,
 ) -> Result<(Vec<u32>, Vec<u32>, JoinStats)> {
     let probe_morsel = |range: Range<usize>| -> Result<ProbePartial> {
-        if let Some(gov) = gov {
-            gov.check("relational.parallel_probe")?;
-        }
+        gov.check("relational.parallel_probe")?;
         let mut li: Vec<u32> = Vec::new();
         let mut ri: Vec<u32> = Vec::new();
         let probe_rows = range.len();
@@ -438,11 +373,9 @@ fn probe_all(
                 ri.push(pi);
             }
         });
-        if let Some(gov) = gov {
-            // Memory charging from the worker itself: the partial's
-            // index buffers are this morsel's materialized state.
-            gov.charge_mem(8 * li.len() as u64);
-        }
+        // Memory charging from the worker itself: the partial's index
+        // buffers are this morsel's materialized state.
+        gov.charge_mem(8 * li.len() as u64);
         Ok(ProbePartial {
             li,
             ri,
@@ -477,28 +410,15 @@ fn probe_all(
     }
 }
 
-/// The single hash-join kernel behind [`natural_join`], [`theta_join`],
-/// and the physical `HashJoin` operator. Matching is index-based: the
-/// probe emits `(build, probe)` row-index pairs and the output columns
-/// are gathered wholesale — no per-row tuple assembly.
-pub fn hash_join_core(
-    l: &Relation,
-    r: &Relation,
-    l_keys: &[usize],
-    r_keys: &[usize],
-    mode: HashJoinMode,
-    residual: Option<&Expr>,
-    schema: Schema,
-) -> Result<(Relation, JoinStats)> {
-    hash_join_governed(l, r, l_keys, r_keys, mode, residual, schema, None)
-}
-
-/// [`hash_join_core`] with a governor wired into the probe workers: the
-/// build is sequential (it is the shared table), the probe fans out
-/// over morsels, and every worker runs governance checks and charges
-/// its local match buffers.
+/// The single hash-join kernel behind [`natural_join`] and the
+/// `HashJoin` operator of [`crate::physical::join_rel`]. Matching is
+/// index-based: the probe emits `(build, probe)` row-index pairs and the
+/// output columns are gathered wholesale — no per-row tuple assembly.
+/// The build is sequential (it is the shared table), the probe fans out
+/// over morsels, and every worker checks `gov` and charges its local
+/// match buffers.
 #[allow(clippy::too_many_arguments)]
-pub fn hash_join_governed(
+pub fn hash_join(
     l: &Relation,
     r: &Relation,
     l_keys: &[usize],
@@ -506,7 +426,7 @@ pub fn hash_join_governed(
     mode: HashJoinMode,
     residual: Option<&Expr>,
     schema: Schema,
-    gov: Option<&QueryGovernor>,
+    gov: &QueryGovernor,
 ) -> Result<(Relation, JoinStats)> {
     gsj_faults::fault_point("relational.hash_join", gsj_faults::FaultClass::Critical)?;
     match mode {
@@ -532,7 +452,7 @@ pub fn hash_join_governed(
             let (li, ri, stats) = probe_all(&table, r, r_keys, l.len(), false, gov)?;
             let joined = Relation::gather_concat(l, &li, r, &ri, None, schema)?;
             let out = match residual {
-                Some(pred) => filter_inner(joined, pred, gov)?,
+                Some(pred) => filter(joined, pred, gov)?,
                 None => joined,
             };
             Ok((out, stats))
@@ -543,25 +463,17 @@ pub fn hash_join_governed(
 /// The nested-loop kernel: every pair, filtered by `pred` over the
 /// concatenated schema. Genuinely non-equi predicates only — stays
 /// row-at-a-time because `pred` may raise per-row errors.
-pub fn nested_loop_core(
+///
+/// Outer chunks are governed and morsel-parallel: each worker owns a
+/// contiguous slice of left rows and scans the full right side; partials
+/// concatenate in chunk order, so the output (and any per-row predicate
+/// error) matches the sequential l-major loop.
+pub fn nested_loop(
     l: &Relation,
     r: &Relation,
     pred: &Expr,
     schema: Schema,
-) -> Result<Relation> {
-    nested_loop_governed(l, r, pred, schema, None)
-}
-
-/// [`nested_loop_core`] with governed, morsel-parallel outer chunks.
-/// Each worker owns a contiguous slice of left rows and scans the full
-/// right side; partials concatenate in chunk order, so the output (and
-/// any per-row predicate error) matches the sequential l-major loop.
-pub fn nested_loop_governed(
-    l: &Relation,
-    r: &Relation,
-    pred: &Expr,
-    schema: Schema,
-    gov: Option<&QueryGovernor>,
+    gov: &QueryGovernor,
 ) -> Result<Relation> {
     // The pair space is l.len() * r.len(); chunk the outer side so each
     // morsel covers roughly `morsel_rows` pairs.
@@ -572,9 +484,7 @@ pub fn nested_loop_governed(
         1
     };
     let scan_chunk = |range: Range<usize>| -> Result<RowsPartial> {
-        if let Some(gov) = gov {
-            gov.check("relational.nested_loop")?;
-        }
+        gov.check("relational.nested_loop")?;
         let mut out = Vec::new();
         for lt in &l.tuples()[range] {
             for rt in r.tuples() {
@@ -584,9 +494,7 @@ pub fn nested_loop_governed(
                 }
             }
         }
-        if let Some(gov) = gov {
-            gov.charge_mem(out.len() as u64 * 16);
-        }
+        gov.charge_mem(out.len() as u64 * 16);
         Ok(RowsPartial(out))
     };
     let rows = if workers <= 1 {
@@ -629,10 +537,10 @@ pub(crate) fn concat_schema(l: &Relation, r: &Relation, sep: &str, what: &str) -
 }
 
 /// Natural-join key positions (left, right) and merged output schema.
-pub(crate) type NaturalJoinParts = (Vec<usize>, Vec<usize>, Schema);
+type NaturalJoinParts = (Vec<usize>, Vec<usize>, Schema);
 
 /// The merged-output schema of a natural join, plus the key positions.
-pub(crate) fn natural_join_parts(l: &Relation, r: &Relation) -> Result<Option<NaturalJoinParts>> {
+fn natural_join_parts(l: &Relation, r: &Relation) -> Result<Option<NaturalJoinParts>> {
     let common = l.schema().common_attrs(r.schema());
     if common.is_empty() {
         return Ok(None);
@@ -658,21 +566,12 @@ pub(crate) fn natural_join_parts(l: &Relation, r: &Relation) -> Result<Option<Na
     Ok(Some((l_keys, r_keys, schema)))
 }
 
-/// Natural hash join on all common attribute names. NULL keys never match
-/// (SQL semantics).
-pub fn natural_join(l: &Relation, r: &Relation) -> Result<Relation> {
-    natural_join_governed(l, r, None)
-}
-
-/// [`natural_join`] with a governor wired into the probe workers.
-pub fn natural_join_governed(
-    l: &Relation,
-    r: &Relation,
-    gov: Option<&QueryGovernor>,
-) -> Result<Relation> {
+/// Natural hash join on all common attribute names (a product when there
+/// are none). NULL keys never match (SQL semantics).
+pub fn natural_join(l: &Relation, r: &Relation, gov: &QueryGovernor) -> Result<Relation> {
     match natural_join_parts(l, r)? {
         None => product(l, r),
-        Some((l_keys, r_keys, schema)) => Ok(hash_join_governed(
+        Some((l_keys, r_keys, schema)) => Ok(hash_join(
             l,
             r,
             &l_keys,
@@ -699,28 +598,6 @@ pub fn product(l: &Relation, r: &Relation) -> Result<Relation> {
         }
     }
     Relation::gather_concat(l, &li, r, &ri, None, schema)
-}
-
-/// Theta join. Equi-conjuncts whose two column sides resolve on opposite
-/// inputs become hash keys; the full predicate is still verified on each
-/// candidate pair.
-pub fn theta_join(l: &Relation, r: &Relation, pred: &Expr) -> Result<Relation> {
-    let schema = concat_schema(l, r, "_tj_", "theta join")?;
-    let (l_keys, r_keys) = equi_positions(pred, l.schema(), r.schema());
-    if l_keys.is_empty() {
-        nested_loop_core(l, r, pred, schema)
-    } else {
-        Ok(hash_join_core(
-            l,
-            r,
-            &l_keys,
-            &r_keys,
-            HashJoinMode::Equi,
-            Some(pred),
-            schema,
-        )?
-        .0)
-    }
 }
 
 /// True when `pred` can be evaluated as a column mask: comparisons and
@@ -847,22 +724,11 @@ fn eval_mask(pred: &Expr, rel: &Relation, range: Range<usize>) -> Result<Vec<boo
     }
 }
 
-/// σ_pred kernel.
-pub(crate) fn filter(rel: Relation, pred: &Expr) -> Result<Relation> {
-    filter_gov(rel, pred, None)
-}
-
-/// σ_pred kernel with a governor wired into the morsel workers.
-pub(crate) fn filter_gov(
-    rel: Relation,
-    pred: &Expr,
-    gov: Option<&QueryGovernor>,
-) -> Result<Relation> {
-    gsj_faults::fault_point("relational.filter", gsj_faults::FaultClass::Critical)?;
-    filter_inner(rel, pred, gov)
-}
-
-fn filter_inner(rel: Relation, pred: &Expr, gov: Option<&QueryGovernor>) -> Result<Relation> {
+/// σ_pred kernel, with the governor wired into the morsel workers. Also
+/// the residual check of an equi [`hash_join`]; the `relational.filter`
+/// fault site belongs to the operator ([`crate::physical::filter_rel`]),
+/// not to this shared kernel.
+pub(crate) fn filter(rel: Relation, pred: &Expr, gov: &QueryGovernor) -> Result<Relation> {
     // The row path never evaluates predicates over zero rows; keep that
     // (a dangling column name in a pred must not error on empty input).
     if rel.is_empty() {
@@ -871,9 +737,7 @@ fn filter_inner(rel: Relation, pred: &Expr, gov: Option<&QueryGovernor>) -> Resu
     let workers = par_workers(rel.len());
     if mask_vectorizable(pred) {
         let mask_morsel = |range: Range<usize>| -> Result<IdxPartial> {
-            if let Some(gov) = gov {
-                gov.check("relational.filter")?;
-            }
+            gov.check("relational.filter")?;
             let base = range.start;
             let mask = eval_mask(pred, &rel, range)?;
             let idx: Vec<u32> = mask
@@ -881,9 +745,7 @@ fn filter_inner(rel: Relation, pred: &Expr, gov: Option<&QueryGovernor>) -> Resu
                 .enumerate()
                 .filter_map(|(i, &b)| b.then_some((base + i) as u32))
                 .collect();
-            if let Some(gov) = gov {
-                gov.charge_mem(4 * idx.len() as u64);
-            }
+            gov.charge_mem(4 * idx.len() as u64);
             Ok(IdxPartial(idx))
         };
         let idx = if workers <= 1 {
@@ -906,9 +768,7 @@ fn filter_inner(rel: Relation, pred: &Expr, gov: Option<&QueryGovernor>) -> Resu
     // sequential scan would have hit first.
     let schema = rel.schema().clone();
     let row_morsel = |range: Range<usize>| -> Result<IdxPartial> {
-        if let Some(gov) = gov {
-            gov.check("relational.filter")?;
-        }
+        gov.check("relational.filter")?;
         let base = range.start;
         let mut idx: Vec<u32> = Vec::new();
         for (i, t) in rel.tuples()[range].iter().enumerate() {
@@ -916,9 +776,7 @@ fn filter_inner(rel: Relation, pred: &Expr, gov: Option<&QueryGovernor>) -> Resu
                 idx.push((base + i) as u32);
             }
         }
-        if let Some(gov) = gov {
-            gov.charge_mem(4 * idx.len() as u64);
-        }
+        gov.charge_mem(4 * idx.len() as u64);
         Ok(IdxPartial(idx))
     };
     let idx = if workers <= 1 {
@@ -931,79 +789,6 @@ fn filter_inner(rel: Relation, pred: &Expr, gov: Option<&QueryGovernor>) -> Resu
         }
     };
     Ok(rel.gather(&idx))
-}
-
-/// π_cols kernel (bag projection with name resolution). Columns are
-/// shared by `Arc` — projection copies no data.
-pub(crate) fn project(rel: &Relation, cols: &[String]) -> Result<Relation> {
-    let positions: Vec<usize> = cols
-        .iter()
-        .map(|c| Expr::resolve_column(rel.schema(), c))
-        .collect::<Result<_>>()?;
-    let out_attrs: Vec<String> = positions
-        .iter()
-        .map(|&i| rel.schema().attrs()[i].clone())
-        .collect();
-    let schema = Schema::new(rel.schema().name().to_string(), out_attrs)?;
-    let cols = positions
-        .iter()
-        .map(|&i| rel.columns()[i].clone())
-        .collect();
-    Relation::from_shared_columns(schema, cols, rel.len())
-}
-
-/// Bag-union kernel (arity-checked, keeps the left schema).
-pub(crate) fn union(l: Relation, r: Relation) -> Result<Relation> {
-    if l.schema().arity() != r.schema().arity() {
-        return Err(GsjError::Schema(format!(
-            "union arity mismatch: {} vs {}",
-            l.schema().arity(),
-            r.schema().arity()
-        )));
-    }
-    let mut out = l;
-    out.append_rows(&r)?;
-    Ok(out)
-}
-
-/// Bag-difference kernel `l − r`.
-pub(crate) fn difference(l: Relation, r: &Relation) -> Result<Relation> {
-    if l.schema().arity() != r.schema().arity() {
-        return Err(GsjError::Schema(format!(
-            "difference arity mismatch: {} vs {}",
-            l.schema().arity(),
-            r.schema().arity()
-        )));
-    }
-    let idx: Vec<u32> = {
-        let mut exclude: FxHashSet<Vec<CellRef>> = FxHashSet::default();
-        for j in 0..r.len() {
-            exclude.insert(r.columns().iter().map(|c| c.cell(j)).collect());
-        }
-        (0..l.len())
-            .filter(|&i| {
-                let row: Vec<CellRef> = l.columns().iter().map(|c| c.cell(i)).collect();
-                !exclude.contains(&row)
-            })
-            .map(|i| i as u32)
-            .collect()
-    };
-    Ok(l.gather(&idx))
-}
-
-/// Duplicate-elimination kernel (first occurrence wins).
-pub(crate) fn distinct(rel: Relation) -> Relation {
-    let idx: Vec<u32> = {
-        let mut seen: FxHashSet<Vec<CellRef>> = FxHashSet::default();
-        (0..rel.len())
-            .filter(|&i| seen.insert(rel.columns().iter().map(|c| c.cell(i)).collect()))
-            .map(|i| i as u32)
-            .collect()
-    };
-    if idx.len() == rel.len() {
-        return rel;
-    }
-    rel.gather(&idx)
 }
 
 /// Stable sort kernel: sorts row indices on the key cells, then gathers
@@ -1085,19 +870,16 @@ impl<'a> Mergeable for GroupPartial<'a> {
 /// Grouping + aggregation kernel. Rows are bucketed into group ids on
 /// borrowed key cells (first-seen group order), then each aggregate
 /// folds its column's slice of every group directly.
-pub fn aggregate(rel: &Relation, group_by: &[String], aggs: &[AggSpec]) -> Result<Relation> {
-    aggregate_gov(rel, group_by, aggs, None)
-}
-
-/// [`aggregate`] with governed, morsel-parallel bucketing: each worker
-/// buckets a contiguous morsel, partials merge in morsel order (which
-/// preserves sequential first-seen group order and increasing row
-/// order), then the fold over each group's rows runs once.
-pub fn aggregate_gov(
+///
+/// Bucketing is governed and morsel-parallel: each worker buckets a
+/// contiguous morsel, partials merge in morsel order (which preserves
+/// sequential first-seen group order and increasing row order), then the
+/// fold over each group's rows runs once.
+pub fn aggregate(
     rel: &Relation,
     group_by: &[String],
     aggs: &[AggSpec],
-    gov: Option<&QueryGovernor>,
+    gov: &QueryGovernor,
 ) -> Result<Relation> {
     let group_pos: Vec<usize> = group_by
         .iter()
@@ -1123,17 +905,13 @@ pub fn aggregate_gov(
 
     // Group ids on borrowed keys; ids are assigned in first-seen order.
     let bucket_morsel = |range: Range<usize>| -> Result<GroupPartial<'_>> {
-        if let Some(gov) = gov {
-            gov.check("relational.aggregate")?;
-        }
+        gov.check("relational.aggregate")?;
         let mut part = GroupPartial::new();
         for i in range {
             let key: Vec<CellRef> = group_pos.iter().map(|&p| rel.col(p).cell(i)).collect();
             part.bucket(key, i as u32);
         }
-        if let Some(gov) = gov {
-            gov.charge_mem(part.rows.iter().map(|r| 4 * r.len() as u64).sum());
-        }
+        gov.charge_mem(part.rows.iter().map(|r| 4 * r.len() as u64).sum());
         Ok(part)
     };
     let workers = par_workers(rel.len());
@@ -1244,10 +1022,12 @@ fn eval_agg_col(func: AggFunc, col: Option<&Column>, rows: &[u32]) -> Value {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::physical::{join_rel, ExecContext};
 
-    fn db() -> Database {
+    /// Four customers; shared with the operator tests in `physical`.
+    pub(crate) fn customer() -> Relation {
         let mut customer =
             Relation::empty(Schema::of("customer", &["cid", "name", "credit", "bal"]));
         for (cid, name, credit, bal) in [
@@ -1265,34 +1045,44 @@ mod tests {
                 ])
                 .unwrap();
         }
+        customer
+    }
+
+    /// Three orders of two of the customers.
+    pub(crate) fn orders() -> Relation {
         let mut orders = Relation::empty(Schema::of("orders", &["cid", "pid"]));
         for (cid, pid) in [("cid01", "fd1"), ("cid02", "fd2"), ("cid02", "fd3")] {
             orders
                 .push_values(vec![Value::str(cid), Value::str(pid)])
                 .unwrap();
         }
-        let mut db = Database::new();
-        db.insert(customer);
-        db.insert(orders);
-        db
+        orders
+    }
+
+    fn free() -> QueryGovernor {
+        QueryGovernor::unlimited()
+    }
+
+    /// The join operator over two materialized inputs; returns the
+    /// relation and the label that names the chosen algorithm.
+    fn theta(l: &Relation, r: &Relation, pred: &Expr) -> Result<(Relation, String)> {
+        let mut ctx = ExecContext::new();
+        let out = join_rel(l, r, pred, "t", &mut ctx)?;
+        Ok((out, ctx.ops()[0].label.clone()))
     }
 
     #[test]
     fn select_project() {
-        let db = db();
-        let plan = LogicalPlan::scan("customer")
-            .select(Expr::col_eq("credit", "good"))
-            .project(&["cid"]);
-        let r = execute(&plan, &db).unwrap();
+        let good = filter(customer(), &Expr::col_eq("credit", "good"), &free()).unwrap();
+        let r = good.project(&[0], vec!["cid".into()]).unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(r.schema().attrs(), &["cid".to_string()]);
+        assert_eq!(r.column("cid").unwrap(), good.column("cid").unwrap());
     }
 
     #[test]
     fn natural_join_matches_on_common_attr() {
-        let db = db();
-        let plan = LogicalPlan::scan("customer").natural_join(LogicalPlan::scan("orders"));
-        let r = execute(&plan, &db).unwrap();
+        let r = natural_join(&customer(), &orders(), &free()).unwrap();
         assert_eq!(r.len(), 3);
         // cid appears once.
         assert_eq!(
@@ -1314,7 +1104,7 @@ mod tests {
         let mut r = Relation::empty(Schema::of("r", &["k", "b"]));
         r.push_values(vec![Value::Null, Value::Int(3)]).unwrap();
         r.push_values(vec![Value::str("x"), Value::Int(4)]).unwrap();
-        let j = natural_join(&l, &r).unwrap();
+        let j = natural_join(&l, &r, &free()).unwrap();
         assert_eq!(j.len(), 1);
     }
 
@@ -1327,13 +1117,13 @@ mod tests {
         let mut r = Relation::empty(Schema::of("r", &["k", "b"]));
         r.push_values(vec![Value::Int(1), Value::str("z")]).unwrap();
         r.push_values(vec![Value::Null, Value::str("w")]).unwrap();
-        assert_eq!(natural_join(&l, &r).unwrap().len(), 1);
+        assert_eq!(natural_join(&l, &r, &free()).unwrap().len(), 1);
         // Cross-typed keys (Int vs Float) take the general cell path
         // and still match by numeric value.
         let mut f = Relation::empty(Schema::of("r", &["k", "b"]));
         f.push_values(vec![Value::Float(1.0), Value::str("f")])
             .unwrap();
-        assert_eq!(natural_join(&l, &f).unwrap().len(), 1);
+        assert_eq!(natural_join(&l, &f, &free()).unwrap().len(), 1);
     }
 
     #[test]
@@ -1343,81 +1133,58 @@ mod tests {
         l.push_values(vec![Value::Int(2)]).unwrap();
         let mut r = Relation::empty(Schema::of("r", &["b"]));
         r.push_values(vec![Value::Int(3)]).unwrap();
-        let j = natural_join(&l, &r).unwrap();
+        let j = natural_join(&l, &r, &free()).unwrap();
         assert_eq!(j.len(), 2);
         assert_eq!(j.schema().attrs(), &["a".to_string(), "b".to_string()]);
     }
 
     #[test]
     fn theta_join_with_equi_and_residual() {
-        let db = db();
         // Self-join customers with the same name but different ids
         // (Q2-style pattern).
-        let plan = LogicalPlan::scan("customer").qualify("T1").theta_join(
-            LogicalPlan::scan("customer").qualify("T2"),
-            Expr::cmp(CmpOp::Eq, Expr::col("T1.name"), Expr::col("T2.name")).and(Expr::cmp(
-                CmpOp::Ne,
-                Expr::col("T1.cid"),
-                Expr::col("T2.cid"),
-            )),
-        );
-        let r = execute(&plan, &db).unwrap();
+        let pred = Expr::cmp(CmpOp::Eq, Expr::col("T1.name"), Expr::col("T2.name")).and(Expr::cmp(
+            CmpOp::Ne,
+            Expr::col("T1.cid"),
+            Expr::col("T2.cid"),
+        ));
+        let (r, label) = theta(
+            &customer().qualified("T1"),
+            &customer().qualified("T2"),
+            &pred,
+        )
+        .unwrap();
         // Bob(cid01)×Bob(cid02) both orders.
         assert_eq!(r.len(), 2);
+        assert!(label.starts_with("HashJoin("), "{label}");
     }
 
     #[test]
     fn theta_join_nested_loop_for_non_equi() {
-        let db = db();
-        let plan = LogicalPlan::scan("customer").qualify("T1").theta_join(
-            LogicalPlan::scan("customer").qualify("T2"),
-            Expr::cmp(CmpOp::Lt, Expr::col("T1.bal"), Expr::col("T2.bal")),
-        );
-        let r = execute(&plan, &db).unwrap();
+        let pred = Expr::cmp(CmpOp::Lt, Expr::col("T1.bal"), Expr::col("T2.bal"));
+        let (r, label) = theta(
+            &customer().qualified("T1"),
+            &customer().qualified("T2"),
+            &pred,
+        )
+        .unwrap();
         // Pairs with strictly increasing balances: 50<100<110<500 → 6 pairs.
         assert_eq!(r.len(), 6);
-    }
-
-    #[test]
-    fn union_difference_distinct() {
-        let db = db();
-        let good = LogicalPlan::scan("customer")
-            .select(Expr::col_eq("credit", "good"))
-            .project(&["name"]);
-        let fair = LogicalPlan::scan("customer")
-            .select(Expr::col_eq("credit", "fair"))
-            .project(&["name"]);
-        let union = LogicalPlan::Union {
-            left: Box::new(good.clone()),
-            right: Box::new(fair.clone()),
-        };
-        assert_eq!(execute(&union, &db).unwrap().len(), 4);
-        let distinct = LogicalPlan::Distinct {
-            input: Box::new(union),
-        };
-        // Names: Bob, Guy, Bob, Ada → distinct {Bob, Guy, Ada}.
-        assert_eq!(execute(&distinct, &db).unwrap().len(), 3);
-        let diff = LogicalPlan::Difference {
-            left: Box::new(good),
-            right: Box::new(fair),
-        };
-        // good names {Bob, Guy} minus fair names {Bob, Ada} = {Guy}.
-        assert_eq!(execute(&diff, &db).unwrap().len(), 1);
+        assert!(label.starts_with("NestedLoopJoin("), "{label}");
     }
 
     #[test]
     fn aggregate_group_by() {
-        let db = db();
-        let plan = LogicalPlan::Aggregate {
-            input: Box::new(LogicalPlan::scan("customer")),
-            group_by: vec!["credit".into()],
-            aggs: vec![
+        let r = aggregate(
+            &customer(),
+            &["credit".into()],
+            &[
                 AggSpec::count_star("n"),
                 AggSpec::new(AggFunc::Sum, "bal", "total"),
                 AggSpec::new(AggFunc::Max, "bal", "biggest"),
             ],
-        };
-        let r = execute(&plan, &db).unwrap();
+            &free(),
+        )
+        .unwrap();
         assert_eq!(r.len(), 2);
         let fair_row = r
             .tuples()
@@ -1431,18 +1198,17 @@ mod tests {
 
     #[test]
     fn global_aggregate_on_empty_input() {
-        let db = db();
-        let plan = LogicalPlan::Aggregate {
-            input: Box::new(
-                LogicalPlan::scan("customer").select(Expr::col_eq("credit", "excellent")),
-            ),
-            group_by: vec![],
-            aggs: vec![
+        let none = filter(customer(), &Expr::col_eq("credit", "excellent"), &free()).unwrap();
+        let r = aggregate(
+            &none,
+            &[],
+            &[
                 AggSpec::count_star("n"),
                 AggSpec::new(AggFunc::Avg, "bal", "avg"),
             ],
-        };
-        let r = execute(&plan, &db).unwrap();
+            &free(),
+        )
+        .unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.tuples()[0].get(0), &Value::Int(0));
         assert!(r.tuples()[0].get(1).is_null());
@@ -1450,16 +1216,7 @@ mod tests {
 
     #[test]
     fn sort_and_limit() {
-        let db = db();
-        let plan = LogicalPlan::Limit {
-            input: Box::new(LogicalPlan::Sort {
-                input: Box::new(LogicalPlan::scan("customer")),
-                by: vec!["bal".into()],
-                desc: true,
-            }),
-            n: 2,
-        };
-        let r = execute(&plan, &db).unwrap();
+        let r = sort(customer(), &["bal".into()], true).unwrap().head(2);
         assert_eq!(r.len(), 2);
         assert_eq!(r.tuples()[0].get(3), &Value::Int(500));
         assert_eq!(r.tuples()[1].get(3), &Value::Int(110));
@@ -1467,31 +1224,18 @@ mod tests {
 
     #[test]
     fn qualify_then_unqualified_filter() {
-        let db = db();
-        let plan = LogicalPlan::scan("customer")
-            .qualify("T")
-            .select(Expr::col_eq("credit", "good"));
-        assert_eq!(execute(&plan, &db).unwrap().len(), 2);
+        let t = customer().qualified("T");
+        let r = filter(t, &Expr::col_eq("credit", "good"), &free()).unwrap();
+        assert_eq!(r.len(), 2);
     }
 
     #[test]
     fn product_rejects_duplicate_names() {
-        let db = db();
-        let plan = LogicalPlan::scan("customer").natural_join(LogicalPlan::scan("customer"));
         // Natural self-join on all attrs is fine (it's an intersection)...
-        assert!(execute(&plan, &db).is_ok());
+        assert!(natural_join(&customer(), &customer(), &free()).is_ok());
         // ...but an unqualified theta self-join must be rejected.
-        let bad = LogicalPlan::scan("customer")
-            .theta_join(LogicalPlan::scan("customer"), Expr::lit(true));
-        assert!(execute(&bad, &db).is_err());
-    }
-
-    #[test]
-    fn hash_key_rejects_null_and_borrows() {
-        let t = Tuple::new(vec![Value::Int(1), Value::Null, Value::str("x")]);
-        assert!(hash_key(&t, &[0, 2]).is_some());
-        assert!(hash_key(&t, &[0, 1]).is_none());
-        assert!(hash_key(&t, &[]).is_some());
+        assert!(theta(&customer(), &customer(), &Expr::lit(true)).is_err());
+        assert!(product(&customer(), &customer()).is_err());
     }
 
     #[test]
@@ -1508,14 +1252,13 @@ mod tests {
 
     #[test]
     fn vectorized_filter_matches_row_semantics() {
-        let db = db();
         // Vectorizable: Cmp over Col/Lit with And/Or/Not/IsNull.
         let pred = Expr::cmp(CmpOp::Ge, Expr::col("bal"), Expr::lit(100i64))
             .and(Expr::Not(Box::new(Expr::col_eq("credit", "fair"))));
-        let plan = LogicalPlan::scan("customer").select(pred.clone());
-        let fast = execute(&plan, &db).unwrap();
-        assert_eq!(fast.len(), 1); // only cid02
-                                   // Equivalent row-path predicate (Bin forces the fallback).
+        assert!(mask_vectorizable(&pred));
+        let fast = filter(customer(), &pred, &free()).unwrap();
+        assert_eq!(fast.len(), 1, "only cid02");
+        // Equivalent row-path predicate (Bin forces the fallback).
         let slow_pred = Expr::cmp(
             CmpOp::Ge,
             Expr::Bin(
@@ -1526,32 +1269,27 @@ mod tests {
             Expr::lit(100i64),
         )
         .and(Expr::Not(Box::new(Expr::col_eq("credit", "fair"))));
-        let slow = execute(&LogicalPlan::scan("customer").select(slow_pred), &db).unwrap();
+        assert!(!mask_vectorizable(&slow_pred));
+        let slow = filter(customer(), &slow_pred, &free()).unwrap();
         assert_eq!(fast.tuples(), slow.tuples());
     }
 
     #[test]
     fn short_circuit_hides_bad_right_branch() {
-        let db = db();
         // Left of And is all-false, so the dangling column on the right
         // must never be resolved (row-path parity).
         let pred = Expr::col_eq("credit", "excellent").and(Expr::col_eq("no_such_col", "x"));
-        let plan = LogicalPlan::scan("customer").select(pred);
-        let r = execute(&plan, &db).unwrap();
-        assert_eq!(r.len(), 0);
+        assert_eq!(filter(customer(), &pred, &free()).unwrap().len(), 0);
         // With a satisfiable left branch the right branch IS resolved
         // and must error.
         let pred = Expr::col_eq("credit", "good").and(Expr::col_eq("no_such_col", "x"));
-        assert!(execute(&LogicalPlan::scan("customer").select(pred), &db).is_err());
+        assert!(filter(customer(), &pred, &free()).is_err());
     }
 
     #[test]
     fn filter_on_empty_input_skips_evaluation() {
         let empty = Relation::empty(Schema::of("e", &["a"]));
-        let mut db = Database::new();
-        db.insert(empty);
         let pred = Expr::col_eq("no_such_col", "x");
-        let r = execute(&LogicalPlan::scan("e").select(pred), &db).unwrap();
-        assert!(r.is_empty());
+        assert!(filter(empty, &pred, &free()).unwrap().is_empty());
     }
 }

@@ -35,7 +35,7 @@ pub enum BinOp {
     Div,
 }
 
-/// Aggregate functions for `Aggregate` plans and gSQL select lists.
+/// Aggregate functions of the aggregation kernel and gSQL select lists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
     /// `count(col)` — non-null count; `count(*)` is `Count` on any column
@@ -61,6 +61,37 @@ impl fmt::Display for AggFunc {
             AggFunc::Max => "max",
         };
         write!(f, "{s}")
+    }
+}
+
+/// One aggregate of a grouping: function, input column, output name.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AggSpec {
+    /// The function.
+    pub func: AggFunc,
+    /// Input column; `"*"` with [`AggFunc::Count`] counts rows.
+    pub col: String,
+    /// Output attribute name.
+    pub alias: String,
+}
+
+impl AggSpec {
+    /// `count(*) as alias`.
+    pub fn count_star(alias: impl Into<String>) -> Self {
+        AggSpec {
+            func: AggFunc::Count,
+            col: "*".into(),
+            alias: alias.into(),
+        }
+    }
+
+    /// `func(col) as alias`.
+    pub fn new(func: AggFunc, col: impl Into<String>, alias: impl Into<String>) -> Self {
+        AggSpec {
+            func,
+            col: col.into(),
+            alias: alias.into(),
+        }
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! The relational substrate: a small in-memory engine playing the role
 //! PostgreSQL plays in the paper (Section IV deploys semantic joins "atop
-//! PostgreSQL"; our gSQL rewriter emits [`plan::LogicalPlan`]s that this
-//! engine executes).
+//! PostgreSQL"). It has no query language and no plan tree of its own:
+//! gSQL's `QueryPlan` (in `gsj-core`) is the one plan, and it runs by
+//! calling the operators of [`physical`] over materialized relations.
 //!
 //! - [`schema`] / [`mod@tuple`] / [`relation`]: databases `D = (D1, ..., Dn)`
 //!   of relations over schemas `R(A1, ..., Ak)`, each tuple carrying a
@@ -12,34 +13,28 @@
 //!   validity bitmaps behind [`relation::Relation`]; the `Vec<Tuple>`
 //!   row view is a lazy compatibility cache.
 //! - [`expr`]: scalar expressions and predicates with SQL-style
-//!   null-rejecting comparisons.
-//! - [`plan`] / [`exec`]: logical plans (select/project/join/aggregate/
-//!   set ops) with hash-based natural and equi joins.
-//! - [`physical`]: the physical operator layer — [`physical::lower`]
-//!   turns logical plans into explicit [`physical::PhysicalPlan`] trees
-//!   (hash vs nested-loop join chosen at plan time) executed with
-//!   per-operator counters in a [`physical::ExecContext`].
-//! - [`catalog`]: the named-relation database handed to the executor.
+//!   null-rejecting comparisons, and aggregate specifications.
+//! - [`exec`]: the vectorized, morsel-parallel, governed kernels — hash
+//!   and nested-loop joins, filter, sort, grouping + aggregation.
+//! - [`physical`]: the instrumented operators (`join_rel`, `filter_rel`,
+//!   `aggregate_rel`, `sort_rel`, `limit_rel`) that wrap one kernel each
+//!   with governance checks and per-operator counters in a
+//!   [`physical::ExecContext`]; hash vs nested-loop join is chosen here.
+//! - [`catalog`]: the named-relation database.
 
 pub mod catalog;
 pub mod column;
 pub mod exec;
 pub mod expr;
 pub mod physical;
-pub mod plan;
 pub mod relation;
 pub mod schema;
 pub mod tuple;
 
 pub use catalog::Database;
 pub use column::{Bitmap, CellRef, Column};
-pub use exec::execute;
-pub use expr::{AggFunc, BinOp, CmpOp, Expr};
-pub use physical::{
-    approx_rel_bytes, execute_physical, execute_with_stats, lower, ExecContext, OpStats,
-    PhysicalPlan,
-};
-pub use plan::{AggSpec, JoinKind, LogicalPlan};
+pub use expr::{AggFunc, AggSpec, BinOp, CmpOp, Expr};
+pub use physical::{approx_rel_bytes, ExecContext, OpStats};
 pub use relation::Relation;
 pub use schema::Schema;
 pub use tuple::Tuple;

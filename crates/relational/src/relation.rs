@@ -278,6 +278,15 @@ impl Relation {
         }
     }
 
+    /// `π`: the columns at `positions`, in that order, under `names`
+    /// (positions may repeat; names must be distinct). Shares the
+    /// columns — no data is copied.
+    pub fn project(&self, positions: &[usize], names: Vec<String>) -> Result<Relation> {
+        let schema = Schema::new(self.schema.name().to_string(), names)?;
+        let cols = positions.iter().map(|&i| self.cols[i].clone()).collect();
+        Relation::from_shared_columns(schema, cols, self.len)
+    }
+
     /// Take the tuples out (consuming accessor for row-oriented
     /// consumers; materializes the row view if nothing cached it yet).
     pub fn into_parts(mut self) -> (Schema, Vec<Tuple>) {

@@ -67,16 +67,7 @@ fn main() {
     println!("\nq1: {q1}\n");
     let result = engine.run(q1, Strategy::Optimized).expect("q1");
     println!("{} conflicting same-disease pairs found", result.len());
-    let preview = gsj_relational::LogicalPlan::Values(result.clone());
-    let preview = gsj_relational::execute(
-        &gsj_relational::LogicalPlan::Limit {
-            input: Box::new(preview),
-            n: 10,
-        },
-        &engine.db,
-    )
-    .unwrap();
-    println!("{}", preview.to_table());
+    println!("{}", result.head(10).to_table());
 
     // Sanity: verify against ground truth — each reported pair really
     // shares a disease in the generator's hidden table.

@@ -52,19 +52,12 @@ fn main() {
     let q2 = "select topic, keyword, count(*) as authors \
               from fakenews e-join topicKG <topic, keyword> as T";
     println!("\nq2: {q2}\n");
-    let result = engine.run(q2, Strategy::Optimized).expect("q2");
-    let sorted = gsj_relational::execute(
-        &gsj_relational::LogicalPlan::Limit {
-            input: Box::new(gsj_relational::LogicalPlan::Sort {
-                input: Box::new(gsj_relational::LogicalPlan::Values(result.clone())),
-                by: vec!["authors".into()],
-                desc: true,
-            }),
-            n: 12,
-        },
-        &engine.db,
-    )
-    .unwrap();
+    let sorted = engine
+        .run(
+            &format!("{q2} order by authors desc limit 12"),
+            Strategy::Optimized,
+        )
+        .expect("q2");
     println!("top (topic, keyword) themes among fake-news authors:");
     println!("{}", sorted.to_table());
 

@@ -180,11 +180,11 @@ fn drive_all(f: &Fixture) -> Vec<(&'static str, Result<usize>)> {
         "graph.walk",
         build_corpus_governed(&f.col.graph, &WalkConfig::default(), &gov).map(|c| c.len()),
     ));
-    // Direct relational kernel drives: a filter via a Select plan and a
-    // hash natural join, so the `relational.*` sites stay reachable even
-    // when the engine answers queries from profile caches.
+    // Direct relational drives: the filter operator and a hash natural
+    // join, so the `relational.*` sites stay reachable even when the
+    // engine answers queries from profile caches.
     {
-        use gsj_relational::{CmpOp, Expr, LogicalPlan, Relation, Schema};
+        use gsj_relational::{CmpOp, ExecContext, Expr, Relation, Schema};
         let mut rel = Relation::empty(Schema::of("chaos_rel", &["id", "w"]));
         for i in 0..4i64 {
             rel.push_values(vec![
@@ -193,14 +193,16 @@ fn drive_all(f: &Fixture) -> Vec<(&'static str, Result<usize>)> {
             ])
             .unwrap();
         }
-        let db = gsj_relational::Database::new();
-        let plan = LogicalPlan::Select {
-            input: Box::new(LogicalPlan::Values(rel.clone())),
-            pred: Expr::cmp(CmpOp::Ge, Expr::col("w"), Expr::lit(20i64)),
-        };
+        let pred = Expr::cmp(CmpOp::Ge, Expr::col("w"), Expr::lit(20i64));
         out.push((
             "relational.filter",
-            gsj_relational::execute(&plan, &db).map(|r| r.len()),
+            gsj_relational::physical::filter_rel(
+                rel.clone(),
+                &pred,
+                "Filter",
+                &mut ExecContext::new(),
+            )
+            .map(|r| r.len()),
         ));
         let mut other = Relation::empty(Schema::of("chaos_other", &["id", "tag"]));
         other
@@ -208,7 +210,7 @@ fn drive_all(f: &Fixture) -> Vec<(&'static str, Result<usize>)> {
             .unwrap();
         out.push((
             "relational.hash_join",
-            gsj_relational::exec::natural_join(&rel, &other).map(|r| r.len()),
+            gsj_relational::exec::natural_join(&rel, &other, &gov).map(|r| r.len()),
         ));
         // The same join with the pool engaged (two workers, two-row
         // morsels over the four-row probe side) so the parallel-only
@@ -218,7 +220,7 @@ fn drive_all(f: &Fixture) -> Vec<(&'static str, Result<usize>)> {
             "relational.parallel",
             gsj_common::pool::with_threads(2, || {
                 gsj_common::pool::with_morsel_rows(2, || {
-                    gsj_relational::exec::natural_join(&rel, &other)
+                    gsj_relational::exec::natural_join(&rel, &other, &gov)
                 })
             })
             .map(|r| r.len()),
@@ -375,6 +377,7 @@ fn panicking_pool_worker_is_contained_not_a_hang() {
     let _guard = gsj_faults::exclusive();
     use gsj_common::pool;
     use gsj_relational::{Relation, Schema};
+    let gov = QueryGovernor::unlimited();
     let mut rel = Relation::empty(Schema::of("pw_rel", &["id", "w"]));
     for i in 0..64i64 {
         rel.push_values(vec![gsj_common::Value::Int(i), gsj_common::Value::Int(i)])
@@ -387,7 +390,7 @@ fn panicking_pool_worker_is_contained_not_a_hang() {
     with_spec("pool.worker:panic,p=1", || {
         let r = catch_unwind(AssertUnwindSafe(|| {
             pool::with_threads(4, || {
-                pool::with_morsel_rows(4, || gsj_relational::exec::natural_join(&rel, &other))
+                pool::with_morsel_rows(4, || gsj_relational::exec::natural_join(&rel, &other, &gov))
             })
         }))
         .expect("worker panic must not escape the pool barrier");
@@ -400,7 +403,7 @@ fn panicking_pool_worker_is_contained_not_a_hang() {
     // With the spec cleared the same parallel join runs clean, so the
     // pool itself (not the injection) was never the failure.
     let clean = pool::with_threads(4, || {
-        pool::with_morsel_rows(4, || gsj_relational::exec::natural_join(&rel, &other))
+        pool::with_morsel_rows(4, || gsj_relational::exec::natural_join(&rel, &other, &gov))
     })
     .unwrap();
     assert_eq!(clean.len(), 1);

@@ -12,9 +12,9 @@ use gsj_common::{pool, GsjError, QueryGovernor, Value};
 use gsj_graph::random_walk::{build_corpus, WalkConfig};
 use gsj_graph::traversal::{k_hop_distances, k_hop_set, within_k_hops};
 use gsj_graph::{LabeledGraph, VertexId};
-use gsj_relational::exec::{aggregate, natural_join, natural_join_governed};
-use gsj_relational::plan::AggSpec;
-use gsj_relational::{execute, AggFunc, CmpOp, Database, Expr, LogicalPlan, Relation, Schema};
+use gsj_relational::exec::{aggregate, natural_join};
+use gsj_relational::physical::filter_rel;
+use gsj_relational::{AggFunc, AggSpec, CmpOp, ExecContext, Expr, Relation, Schema};
 use proptest::prelude::*;
 
 /// Run `f` with the pool pinned to `threads` workers and two-row
@@ -54,9 +54,10 @@ proptest! {
     ) {
         let l = relation("l", &["k", "a"], &left);
         let r = relation("r", &["k", "b"], &right);
-        let seq = at(1, || natural_join(&l, &r)).unwrap();
+        let gov = QueryGovernor::unlimited();
+        let seq = at(1, || natural_join(&l, &r, &gov)).unwrap();
         for threads in [2, 8] {
-            let par = at(threads, || natural_join(&l, &r)).unwrap();
+            let par = at(threads, || natural_join(&l, &r, &gov)).unwrap();
             prop_assert_eq!(&seq, &par, "join diverged at {} workers", threads);
         }
     }
@@ -73,34 +74,34 @@ proptest! {
             AggSpec::new(AggFunc::Sum, "a", "total"),
             AggSpec::new(AggFunc::Min, "a", "low"),
         ];
-        let seq = at(1, || aggregate(&rel, &["k".into()], &aggs)).unwrap();
+        let gov = QueryGovernor::unlimited();
+        let seq = at(1, || aggregate(&rel, &["k".into()], &aggs, &gov)).unwrap();
         for threads in [2, 8] {
-            let par = at(threads, || aggregate(&rel, &["k".into()], &aggs)).unwrap();
+            let par = at(threads, || aggregate(&rel, &["k".into()], &aggs, &gov)).unwrap();
             prop_assert_eq!(&seq, &par, "aggregate diverged at {} workers", threads);
         }
     }
 
     /// Filter (both the vectorized mask kernel and the row-at-a-time
-    /// fallback) through the logical plan path, morsel-parallel.
+    /// fallback) through the filter operator, morsel-parallel.
     #[test]
     fn parallel_filter_equals_sequential(
         rows in prop::collection::vec((0i64..6, -20i64..20), 0..32),
         threshold in -20i64..20,
     ) {
         use gsj_relational::BinOp;
-        let mut db = Database::new();
-        db.insert(relation("t", &["k", "a"], &rows));
-        let vectorized = LogicalPlan::scan("t")
-            .select(Expr::cmp(CmpOp::Ge, Expr::col("a"), Expr::lit(threshold)));
-        let row_path = LogicalPlan::scan("t").select(Expr::cmp(
+        let rel = relation("t", &["k", "a"], &rows);
+        let vectorized = Expr::cmp(CmpOp::Ge, Expr::col("a"), Expr::lit(threshold));
+        let row_path = Expr::cmp(
             CmpOp::Ge,
             Expr::Bin(BinOp::Add, Box::new(Expr::col("a")), Box::new(Expr::lit(0i64))),
             Expr::lit(threshold),
-        ));
-        for plan in [&vectorized, &row_path] {
-            let seq = at(1, || execute(plan, &db)).unwrap();
+        );
+        for pred in [&vectorized, &row_path] {
+            let run = || filter_rel(rel.clone(), pred, "Filter", &mut ExecContext::new());
+            let seq = at(1, run).unwrap();
             for threads in [2, 8] {
-                let par = at(threads, || execute(plan, &db)).unwrap();
+                let par = at(threads, run).unwrap();
                 prop_assert_eq!(&seq, &par, "filter diverged at {} workers", threads);
             }
         }
@@ -179,7 +180,7 @@ fn cross_thread_cancel_trips_parallel_probe() {
             }
             g2.cancel();
         });
-        pool::with_threads(2, || natural_join_governed(&l, &r, Some(&gov)))
+        pool::with_threads(2, || natural_join(&l, &r, &gov))
     });
     assert!(
         matches!(res, Err(GsjError::Cancelled)),

@@ -1,39 +1,15 @@
-//! Property tests: lowering a logical plan to the physical operator
-//! layer and executing it must produce exactly the relation the logical
-//! interpreter produces — same schema, same multiset of tuples — for
-//! arbitrary databases and plans.
+//! Property tests: the relational operators agree with an independent
+//! reference for arbitrary inputs — the hash-join path with the
+//! nested-loop kernel, the natural join with an equi join plus a
+//! projection, and filter / nested loop / aggregation with naive folds
+//! written here over the row view.
 
-use gsj_common::{FxHashMap, Value};
-use gsj_relational::physical::execute_with_stats;
-use gsj_relational::plan::AggSpec;
-use gsj_relational::{
-    execute, AggFunc, CmpOp, Database, Expr, LogicalPlan, Relation, Schema, Tuple,
-};
+use gsj_common::{QueryGovernor, Value};
+use gsj_relational::exec::{natural_join, nested_loop};
+use gsj_relational::physical::{aggregate_rel, filter_rel, join_rel, limit_rel, sort_rel};
+use gsj_relational::{AggFunc, AggSpec, BinOp, CmpOp, ExecContext, Expr, Relation, Schema, Tuple};
 use proptest::prelude::*;
-
-/// Multiset view of a relation's tuples.
-fn counts(rel: &Relation) -> FxHashMap<Tuple, usize> {
-    let mut m: FxHashMap<Tuple, usize> = FxHashMap::default();
-    for t in rel.tuples() {
-        *m.entry(t.clone()).or_default() += 1;
-    }
-    m
-}
-
-/// Logical interpreter and physical executor agree on schema and tuple
-/// multiset (and, as implemented, on tuple order too).
-fn assert_equivalent(plan: &LogicalPlan, db: &Database) {
-    let expected = execute(plan, db).expect("logical execution");
-    let (got, ctx) = execute_with_stats(plan, db).expect("physical execution");
-    assert_eq!(
-        expected.schema().attrs(),
-        got.schema().attrs(),
-        "schema mismatch"
-    );
-    assert_eq!(counts(&expected), counts(&got), "tuple multiset mismatch");
-    assert_eq!(expected, got, "row order mismatch");
-    assert!(!ctx.ops().is_empty(), "no operators recorded");
-}
+use std::collections::BTreeMap;
 
 fn relation(name: &str, attrs: &[&str], rows: &[Vec<Value>]) -> Relation {
     let mut r = Relation::empty(Schema::of(name, attrs));
@@ -54,160 +30,288 @@ fn keyed_rows(data: &[(i64, i64)]) -> Vec<Vec<Value>> {
         .collect()
 }
 
-fn db_two_tables(left: &[(i64, i64)], right: &[(i64, i64)]) -> Database {
-    let mut db = Database::new();
-    db.insert(relation("l", &["k", "a"], &keyed_rows(left)));
-    db.insert(relation("r", &["k", "b"], &keyed_rows(right)));
-    db
+fn two_tables(left: &[(i64, i64)], right: &[(i64, i64)]) -> (Relation, Relation) {
+    (
+        relation("l", &["k", "a"], &keyed_rows(left)),
+        relation("r", &["k", "b"], &keyed_rows(right)),
+    )
+}
+
+/// The `i64` behind an `Int` cell; `None` for NULL.
+fn int(v: &Value) -> Option<i64> {
+    match v {
+        Value::Int(i) => Some(*i),
+        _ => None,
+    }
+}
+
+/// The rows in sorted order — multiset comparison.
+fn sorted_rows(rel: &Relation) -> Vec<Vec<Value>> {
+    let mut rows: Vec<Vec<Value>> = rel.tuples().iter().map(|t| t.values().to_vec()).collect();
+    rows.sort();
+    rows
+}
+
+/// Row-at-a-time reference filter.
+fn naive_filter(rel: &Relation, keep: impl Fn(&Tuple) -> bool) -> Vec<Tuple> {
+    rel.tuples().iter().filter(|t| keep(t)).cloned().collect()
+}
+
+/// Reference grouping on column 0 in first-seen order: per group, the
+/// non-NULL values of column `val`.
+fn naive_groups(rel: &Relation, val: usize) -> Vec<(Value, usize, Vec<i64>)> {
+    let mut groups: Vec<(Value, usize, Vec<i64>)> = Vec::new();
+    for t in rel.tuples() {
+        let key = t.get(0);
+        let slot = match groups.iter().position(|(k, ..)| k == key) {
+            Some(i) => i,
+            None => {
+                groups.push((key.clone(), 0, Vec::new()));
+                groups.len() - 1
+            }
+        };
+        groups[slot].1 += 1;
+        groups[slot].2.extend(int(t.get(val)));
+    }
+    groups
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Scan → filter → project.
+    /// Filter then project against a row-at-a-time reference.
     #[test]
     fn select_project_equivalent(
         rows in prop::collection::vec((0i64..6, -20i64..20), 0..24),
         threshold in -20i64..20,
     ) {
-        let db = db_two_tables(&rows, &[]);
-        let plan = LogicalPlan::scan("l")
-            .select(Expr::cmp(CmpOp::Ge, Expr::col("a"), Expr::lit(threshold)))
-            .project(&["a"]);
-        assert_equivalent(&plan, &db);
+        let (l, _) = two_tables(&rows, &[]);
+        let mut ctx = ExecContext::new();
+        let pred = Expr::cmp(CmpOp::Ge, Expr::col("a"), Expr::lit(threshold));
+        let got = filter_rel(l.clone(), &pred, "Filter", &mut ctx)
+            .unwrap()
+            .project(&[1], vec!["a".into()])
+            .unwrap();
+        let expected: Vec<Tuple> = naive_filter(&l, |t| int(t.get(1)).unwrap() >= threshold)
+            .iter()
+            .map(|t| t.project(&[1]))
+            .collect();
+        prop_assert_eq!(got.schema().attrs(), &["a".to_string()]);
+        prop_assert_eq!(got.tuples(), &expected[..]);
+        prop_assert_eq!(ctx.ops()[0].rows_out, expected.len());
     }
 
-    /// Natural join lowers to a hash join (or a product when schemas are
-    /// disjoint) with identical results.
+    /// The natural join is the equi join on the common attribute with the
+    /// right copy of it projected away — same rows, as a multiset (the
+    /// natural join builds on the smaller side, so emit order differs).
     #[test]
     fn natural_join_equivalent(
         left in prop::collection::vec((0i64..6, -20i64..20), 0..24),
         right in prop::collection::vec((0i64..6, -20i64..20), 0..24),
     ) {
-        let db = db_two_tables(&left, &right);
-        let plan = LogicalPlan::scan("l").natural_join(LogicalPlan::scan("r"));
-        assert_equivalent(&plan, &db);
+        let (l, r) = two_tables(&left, &right);
+        let natural = natural_join(&l, &r, &QueryGovernor::unlimited()).unwrap();
+        let equi = join_rel(
+            &l.qualified("L"),
+            &r.qualified("R"),
+            &Expr::cmp(CmpOp::Eq, Expr::col("L.k"), Expr::col("R.k")),
+            "l ⋈ r",
+            &mut ExecContext::new(),
+        )
+        .unwrap()
+        .project(&[0, 1, 3], vec!["k".into(), "a".into(), "b".into()])
+        .unwrap();
+        prop_assert_eq!(natural.schema().attrs(), equi.schema().attrs());
+        prop_assert_eq!(sorted_rows(&natural), sorted_rows(&equi));
     }
 
-    /// Theta join with a minable equi-conjunct plus a residual predicate.
+    /// An equi conjunct plus a residual: the hash path `join_rel` picks
+    /// returns the rows the nested-loop kernel returns for the same
+    /// predicate. Each emits pairs in a fixed order of its own — the loop
+    /// left-major, the hash probe right-major — so the two are compared
+    /// as multisets and the hash order against a right-major double loop.
     #[test]
     fn equi_theta_join_equivalent(
         left in prop::collection::vec((0i64..6, -20i64..20), 0..20),
         right in prop::collection::vec((0i64..6, -20i64..20), 0..20),
     ) {
-        let db = db_two_tables(&left, &right);
+        let (l, r) = two_tables(&left, &right);
+        let (l, r) = (l.qualified("L"), r.qualified("R"));
         let pred = Expr::cmp(CmpOp::Eq, Expr::col("L.k"), Expr::col("R.k"))
             .and(Expr::cmp(CmpOp::Lt, Expr::col("L.a"), Expr::col("R.b")));
-        let plan = LogicalPlan::scan("l")
-            .qualify("L")
-            .theta_join(LogicalPlan::scan("r").qualify("R"), pred);
-        assert_equivalent(&plan, &db);
+        let mut ctx = ExecContext::new();
+        let hashed = join_rel(&l, &r, &pred, "l ⋈ r", &mut ctx).unwrap();
+        prop_assert!(ctx.ops()[0].label.starts_with("HashJoin("));
+        let looped = nested_loop(
+            &l,
+            &r,
+            &pred,
+            hashed.schema().clone(),
+            &QueryGovernor::unlimited(),
+        )
+        .unwrap();
+        prop_assert_eq!(sorted_rows(&hashed), sorted_rows(&looped));
+        let mut right_major = Vec::new();
+        for rt in r.tuples() {
+            for lt in l.tuples() {
+                let joined = lt.concat(rt);
+                if pred.holds(hashed.schema(), &joined).unwrap() {
+                    right_major.push(joined);
+                }
+            }
+        }
+        prop_assert_eq!(hashed.tuples(), &right_major[..]);
     }
 
-    /// Non-equi theta join falls back to a nested loop with identical
-    /// results.
+    /// A non-equi predicate takes the nested loop; compare with the
+    /// double loop written here, row for row (left-major order).
     #[test]
     fn non_equi_theta_join_equivalent(
         left in prop::collection::vec((0i64..6, -20i64..20), 0..16),
         right in prop::collection::vec((0i64..6, -20i64..20), 0..16),
     ) {
-        let db = db_two_tables(&left, &right);
+        let (l, r) = two_tables(&left, &right);
+        let (l, r) = (l.qualified("L"), r.qualified("R"));
         let pred = Expr::cmp(CmpOp::Gt, Expr::col("L.a"), Expr::col("R.b"));
-        let plan = LogicalPlan::scan("l")
-            .qualify("L")
-            .theta_join(LogicalPlan::scan("r").qualify("R"), pred);
-        assert_equivalent(&plan, &db);
+        let mut ctx = ExecContext::new();
+        let got = join_rel(&l, &r, &pred, "l ⋈ r", &mut ctx).unwrap();
+        prop_assert!(ctx.ops()[0].label.starts_with("NestedLoopJoin("));
+        let mut expected = Vec::new();
+        for lt in l.tuples() {
+            for rt in r.tuples() {
+                if int(lt.get(1)).unwrap() > int(rt.get(1)).unwrap() {
+                    expected.push(lt.concat(rt));
+                }
+            }
+        }
+        prop_assert_eq!(got.tuples(), &expected[..]);
     }
 
-    /// Aggregation over a join, then sort and limit.
+    /// Grouped aggregation over a join, then sort and limit, against a
+    /// naive fold: count(*), sum and min per key, keys ascending.
     #[test]
     fn aggregate_sort_limit_equivalent(
         left in prop::collection::vec((0i64..6, -20i64..20), 0..24),
         right in prop::collection::vec((0i64..6, -20i64..20), 0..24),
         n in 0usize..8,
     ) {
-        let db = db_two_tables(&left, &right);
-        let plan = LogicalPlan::Limit {
-            input: Box::new(LogicalPlan::Sort {
-                input: Box::new(LogicalPlan::Aggregate {
-                    input: Box::new(
-                        LogicalPlan::scan("l").natural_join(LogicalPlan::scan("r")),
-                    ),
-                    group_by: vec!["k".into()],
-                    aggs: vec![
-                        AggSpec::count_star("n"),
-                        AggSpec::new(AggFunc::Sum, "a", "total"),
-                        AggSpec::new(AggFunc::Min, "b", "low"),
-                    ],
-                }),
-                by: vec!["k".into()],
-                desc: false,
-            }),
-            n,
-        };
-        assert_equivalent(&plan, &db);
+        let (l, r) = two_tables(&left, &right);
+        let joined = natural_join(&l, &r, &QueryGovernor::unlimited()).unwrap();
+        let mut ctx = ExecContext::new();
+        let aggs = [
+            AggSpec::count_star("n"),
+            AggSpec::new(AggFunc::Sum, "a", "total"),
+            AggSpec::new(AggFunc::Min, "b", "low"),
+        ];
+        let by = ["k".to_string()];
+        let agg = aggregate_rel(&joined, &by, &aggs, "Aggregate", &mut ctx).unwrap();
+        let sorted = sort_rel(agg, &by, false, "Sort(k)", &mut ctx).unwrap();
+        let got = limit_rel(sorted, n, "Limit", &mut ctx).unwrap();
+        prop_assert_eq!(ctx.ops().len(), 3);
+
+        // Reference: joined rows are (k, a, b) with k never NULL.
+        let mut groups: BTreeMap<i64, (i64, i64, i64)> = BTreeMap::new();
+        for t in joined.tuples() {
+            let (k, a, b) = (
+                int(t.get(0)).unwrap(),
+                int(t.get(1)).unwrap(),
+                int(t.get(2)).unwrap(),
+            );
+            let g = groups.entry(k).or_insert((0, 0, i64::MAX));
+            *g = (g.0 + 1, g.1 + a, g.2.min(b));
+        }
+        let expected: Vec<Tuple> = groups
+            .into_iter()
+            .take(n)
+            .map(|(k, (cnt, total, low))| {
+                Tuple::new(vec![
+                    Value::Int(k),
+                    Value::Int(cnt),
+                    Value::Int(total),
+                    Value::Int(low),
+                ])
+            })
+            .collect();
+        prop_assert_eq!(got.schema().attrs(), &["k", "n", "total", "low"]);
+        prop_assert_eq!(got.tuples(), &expected[..]);
     }
 
-    /// Union, difference, and distinct.
+    /// Grouping on a key that can be NULL keeps first-seen group order
+    /// and folds count(col) / max over the non-NULL cells.
     #[test]
-    fn set_ops_equivalent(
-        left in prop::collection::vec((0i64..6, -4i64..4), 0..20),
-        right in prop::collection::vec((0i64..6, -4i64..4), 0..20),
+    fn grouped_aggregate_matches_naive_fold(
+        rows in prop::collection::vec((0i64..6, -20i64..20), 0..24),
     ) {
-        let db = db_two_tables(&left, &right);
-        let l = LogicalPlan::scan("l");
-        let r = LogicalPlan::scan("r");
-        let union = LogicalPlan::Distinct {
-            input: Box::new(LogicalPlan::Union {
-                left: Box::new(l.clone()),
-                right: Box::new(r.clone()),
-            }),
-        };
-        assert_equivalent(&union, &db);
-        let diff = LogicalPlan::Difference {
-            left: Box::new(l),
-            right: Box::new(r),
-        };
-        assert_equivalent(&diff, &db);
+        let (l, _) = two_tables(&rows, &[]);
+        let aggs = [
+            AggSpec::count_star("n"),
+            AggSpec::new(AggFunc::Count, "k", "keys"),
+            AggSpec::new(AggFunc::Max, "a", "high"),
+        ];
+        let got = aggregate_rel(
+            &l,
+            &["k".to_string()],
+            &aggs,
+            "Aggregate",
+            &mut ExecContext::new(),
+        )
+        .unwrap();
+        let expected: Vec<Tuple> = naive_groups(&l, 1)
+            .into_iter()
+            .map(|(key, count, vals)| {
+                let keys = if key.is_null() { 0 } else { count as i64 };
+                Tuple::new(vec![
+                    key,
+                    Value::Int(count as i64),
+                    Value::Int(keys),
+                    Value::Int(*vals.iter().max().unwrap()),
+                ])
+            })
+            .collect();
+        prop_assert_eq!(got.tuples(), &expected[..]);
     }
 
-    /// Round-tripping every input relation through the row view
-    /// (`into_parts` → `Relation::new`) rebuilds the columnar storage from
-    /// tuples — and both executors still produce identical results on the
-    /// rebuilt database.
+    /// Rebuilding every input through the row view (`into_parts` →
+    /// `Relation::new`) rebuilds the columnar storage from tuples — and
+    /// join + filter still produce identical results on the rebuilt
+    /// inputs.
     #[test]
     fn row_round_trip_preserves_equivalence(
         left in prop::collection::vec((0i64..6, -20i64..20), 0..20),
         right in prop::collection::vec((0i64..6, -20i64..20), 0..20),
     ) {
-        let db = db_two_tables(&left, &right);
-        let mut rebuilt = Database::new();
-        for name in ["l", "r"] {
-            let (schema, tuples) = db.get(name).unwrap().clone().into_parts();
-            rebuilt.insert(Relation::new(schema, tuples).unwrap());
-        }
-        let plan = LogicalPlan::scan("l")
-            .natural_join(LogicalPlan::scan("r"))
-            .select(Expr::cmp(CmpOp::Lt, Expr::col("a"), Expr::col("b")));
-        assert_equivalent(&plan, &rebuilt);
-        assert_eq!(
-            execute(&plan, &db).unwrap(),
-            execute(&plan, &rebuilt).unwrap(),
-            "rebuilt database changed the result"
+        let (l, r) = two_tables(&left, &right);
+        let rebuild = |rel: &Relation| {
+            let (schema, tuples) = rel.clone().into_parts();
+            Relation::new(schema, tuples).unwrap()
+        };
+        let run = |l: &Relation, r: &Relation| {
+            let joined = natural_join(l, r, &QueryGovernor::unlimited()).unwrap();
+            filter_rel(
+                joined,
+                &Expr::cmp(CmpOp::Lt, Expr::col("a"), Expr::col("b")),
+                "Filter",
+                &mut ExecContext::new(),
+            )
+            .unwrap()
+        };
+        prop_assert_eq!(
+            run(&l, &r),
+            run(&rebuild(&l), &rebuild(&r)),
+            "rebuilt inputs changed the result"
         );
     }
 
     /// The vectorized filter path (a bare comparison the mask kernel
     /// accepts) and the row-at-a-time fallback (the same comparison routed
     /// through an arithmetic expression, which the mask kernel rejects)
-    /// select exactly the same rows in both executors.
+    /// select exactly the rows the reference filter selects.
     #[test]
     fn vectorized_filter_matches_row_fallback(
         rows in prop::collection::vec((0i64..6, -20i64..20), 0..24),
         threshold in -20i64..20,
     ) {
-        use gsj_relational::BinOp;
-        let db = db_two_tables(&rows, &[]);
+        let (l, _) = two_tables(&rows, &[]);
         let vectorized = Expr::cmp(CmpOp::Ge, Expr::col("a"), Expr::lit(threshold));
         let row_path = Expr::cmp(
             CmpOp::Ge,
@@ -218,37 +322,47 @@ proptest! {
             ),
             Expr::lit(threshold),
         );
-        let pv = LogicalPlan::scan("l").select(vectorized);
-        let pr = LogicalPlan::scan("l").select(row_path);
-        assert_equivalent(&pv, &db);
-        assert_equivalent(&pr, &db);
-        assert_eq!(
-            execute(&pv, &db).unwrap(),
-            execute(&pr, &db).unwrap(),
-            "mask kernel and row fallback disagree"
-        );
+        let run = |pred: &Expr| {
+            filter_rel(l.clone(), pred, "Filter", &mut ExecContext::new()).unwrap()
+        };
+        let (fast, slow) = (run(&vectorized), run(&row_path));
+        prop_assert_eq!(&fast, &slow, "mask kernel and row fallback disagree");
+        let expected = naive_filter(&l, |t| int(t.get(1)).unwrap() >= threshold);
+        prop_assert_eq!(fast.tuples(), &expected[..]);
     }
 
-    /// Global aggregate (no GROUP BY) over a filtered scan, including the
-    /// empty-input one-row case.
+    /// Global aggregate (no GROUP BY) over a filtered input against a
+    /// naive fold, including the empty-input one-row case.
     #[test]
     fn global_aggregate_equivalent(
         rows in prop::collection::vec((0i64..6, -20i64..20), 0..16),
         threshold in -25i64..25,
     ) {
-        let db = db_two_tables(&rows, &[]);
-        let plan = LogicalPlan::Aggregate {
-            input: Box::new(
-                LogicalPlan::scan("l")
-                    .select(Expr::cmp(CmpOp::Lt, Expr::col("a"), Expr::lit(threshold))),
-            ),
-            group_by: vec![],
-            aggs: vec![
-                AggSpec::count_star("n"),
-                AggSpec::new(AggFunc::Avg, "a", "avg"),
-                AggSpec::new(AggFunc::Max, "a", "high"),
-            ],
+        let (l, _) = two_tables(&rows, &[]);
+        let mut ctx = ExecContext::new();
+        let kept = filter_rel(
+            l,
+            &Expr::cmp(CmpOp::Lt, Expr::col("a"), Expr::lit(threshold)),
+            "Filter",
+            &mut ctx,
+        )
+        .unwrap();
+        let aggs = [
+            AggSpec::count_star("n"),
+            AggSpec::new(AggFunc::Avg, "a", "avg"),
+            AggSpec::new(AggFunc::Max, "a", "high"),
+        ];
+        let got = aggregate_rel(&kept, &[], &aggs, "Aggregate", &mut ctx).unwrap();
+        let vals: Vec<i64> = rows.iter().map(|&(_, a)| a).filter(|&a| a < threshold).collect();
+        let expected = if vals.is_empty() {
+            vec![Value::Int(0), Value::Null, Value::Null]
+        } else {
+            vec![
+                Value::Int(vals.len() as i64),
+                Value::Float(vals.iter().sum::<i64>() as f64 / vals.len() as f64),
+                Value::Int(*vals.iter().max().unwrap()),
+            ]
         };
-        assert_equivalent(&plan, &db);
+        prop_assert_eq!(got.tuples(), &[Tuple::new(expected)][..]);
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-crate property-based tests: invariants that must hold for
 //! arbitrary inputs, checked with proptest.
 
-use gsj_common::Value;
+use gsj_common::{QueryGovernor, Value};
 use gsj_graph::{LabeledGraph, Path, VertexId};
 use gsj_relational::exec::natural_join;
 use gsj_relational::{Relation, Schema};
@@ -26,8 +26,9 @@ proptest! {
     ) {
         let ra = small_relation("a", a);
         let rb = small_relation("b", b);
-        let ab = natural_join(&ra, &rb).unwrap();
-        let ba = natural_join(&rb, &ra).unwrap();
+        let gov = QueryGovernor::unlimited();
+        let ab = natural_join(&ra, &rb, &gov).unwrap();
+        let ba = natural_join(&rb, &ra, &gov).unwrap();
         prop_assert_eq!(ab.len(), ba.len());
     }
 
@@ -38,7 +39,8 @@ proptest! {
     ) {
         let ra = small_relation("a", a);
         let rb = small_relation("b", vec![]);
-        prop_assert_eq!(natural_join(&ra, &rb).unwrap().len(), 0);
+        let gov = QueryGovernor::unlimited();
+        prop_assert_eq!(natural_join(&ra, &rb, &gov).unwrap().len(), 0);
     }
 
     /// k-hop connectivity is monotone in k.
