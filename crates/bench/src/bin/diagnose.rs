@@ -106,7 +106,7 @@ fn sample(r: &gsj_relational::Relation, n: usize) -> String {
     let mut out = String::new();
     out.push_str(&r.schema().attrs().join(" | "));
     out.push('\n');
-    for t in r.tuples().iter().take(n) {
+    for t in r.rows().take(n) {
         let cells: Vec<String> = t.values().iter().map(|v| v.to_string()).collect();
         out.push_str(&cells.join(" | "));
         out.push('\n');

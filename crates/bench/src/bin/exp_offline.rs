@@ -18,9 +18,8 @@ use gsj_relational::Relation;
 /// Rendered byte size of a relation (same measure as
 /// `GraphProfile::materialized_bytes`).
 fn rel_bytes(r: &Relation) -> usize {
-    r.tuples()
-        .iter()
-        .flat_map(|t| t.values().iter())
+    r.rows()
+        .flat_map(|t| t.into_values())
         .map(|v| v.to_string().len())
         .sum()
 }

@@ -67,7 +67,7 @@ pub fn result_f1(approx: &Relation, exact: &Relation) -> f64 {
     use std::collections::HashMap;
     let keyed = |r: &Relation| -> HashMap<String, usize> {
         let mut m = HashMap::new();
-        for t in r.tuples() {
+        for t in r.rows() {
             let key: Vec<String> = t.values().iter().map(|v| v.to_string()).collect();
             *m.entry(key.join("\u{1}")).or_insert(0) += 1;
         }

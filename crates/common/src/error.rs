@@ -50,6 +50,18 @@ pub enum GsjError {
     Internal(String),
 }
 
+/// The message carried by a caught panic (`catch_unwind`'s payload), so
+/// every containment boundary words a contained panic the same way.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
+    }
+}
+
 impl GsjError {
     /// Would retrying the same operation plausibly succeed?
     ///

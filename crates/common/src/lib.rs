@@ -30,7 +30,7 @@ pub mod retry;
 pub mod symbol;
 pub mod value;
 
-pub use error::{GsjError, Result};
+pub use error::{panic_message, GsjError, Result};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use governor::{GovernorBuilder, QueryGovernor};
 pub use pool::Mergeable;

@@ -16,7 +16,7 @@
 //! tasks run inline on the calling thread: the exact legacy sequential
 //! path, no scope, no channels.
 
-use crate::error::{GsjError, Result};
+use crate::error::{panic_message, GsjError, Result};
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -226,16 +226,6 @@ where
         total.merge(p);
     }
     Ok(Some(total))
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "non-string panic payload"
-    }
 }
 
 #[cfg(test)]

@@ -175,7 +175,7 @@ mod tests {
         let (g, pid1, disc, word) = setting();
         let rel = extract_relation(&g, [pid1], &disc, &word, |_| Vec::new()).unwrap();
         assert_eq!(rel.len(), 1);
-        let row = &rel.tuples()[0];
+        let row = rel.row(0);
         assert_eq!(row.get(0), &Value::Int(pid1.0 as i64));
         assert_eq!(row.get(1), &Value::str("UK"));
         assert_eq!(row.get(2), &Value::str("company1"));
@@ -187,8 +187,8 @@ mod tests {
         // Remove the cached 2-hop path: "loc" has no conforming path.
         disc.paths.get_mut(&pid1).unwrap().truncate(1);
         let rel = extract_relation(&g, [pid1], &disc, &word, |_| Vec::new()).unwrap();
-        assert!(rel.tuples()[0].get(1).is_null());
-        assert_eq!(rel.tuples()[0].get(2), &Value::str("company1"));
+        assert!(rel.value_at(0, 1).is_null());
+        assert_eq!(rel.value_at(0, 2), Value::str("company1"));
     }
 
     #[test]
@@ -203,7 +203,7 @@ mod tests {
         let (g, pid1, mut disc, word) = setting();
         let cached = disc.paths.remove(&pid1).unwrap();
         let rel = extract_relation(&g, [pid1], &disc, &word, move |_| cached.clone()).unwrap();
-        assert_eq!(rel.tuples()[0].get(1), &Value::str("UK"));
+        assert_eq!(rel.value_at(0, 1), Value::str("UK"));
     }
 
     #[test]
@@ -247,6 +247,6 @@ mod tests {
             word_dim: 64,
         };
         let rel = extract_relation(&g, [e], &disc, &word, |_| Vec::new()).unwrap();
-        assert_eq!(rel.tuples()[0].get(1), &Value::str("location value"));
+        assert_eq!(rel.value_at(0, 1), Value::str("location value"));
     }
 }

@@ -276,12 +276,10 @@ impl GsqlEngine {
             Ok((rel, ctx))
         };
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            Err(GsjError::Internal(format!("panic in gsql.query: {msg}")))
+            Err(GsjError::Internal(format!(
+                "panic in gsql.query: {}",
+                gsj_common::panic_message(&*payload)
+            )))
         })
     }
 
@@ -894,8 +892,8 @@ mod tests {
         assert!(e.is_well_behaved(&parsed));
         let r = e.run(q, Strategy::Optimized).unwrap();
         assert_eq!(r.len(), 1);
-        assert_eq!(r.tuples()[0].get(0), &Value::str("medium"));
-        assert_eq!(r.tuples()[0].get(1), &Value::str("company1"));
+        assert_eq!(r.value_at(0, 0), Value::str("medium"));
+        assert_eq!(r.value_at(0, 1), Value::str("company1"));
     }
 
     #[test]
@@ -907,7 +905,7 @@ mod tests {
         let base = e.run(q, Strategy::Baseline).unwrap();
         assert_eq!(opt.len(), 1);
         assert_eq!(base.len(), 1);
-        assert_eq!(opt.tuples()[0].get(0), base.tuples()[0].get(0));
+        assert_eq!(opt.value_at(0, 0), base.value_at(0, 0));
     }
 
     #[test]
@@ -919,7 +917,7 @@ mod tests {
                  where T1.pid = fd1 and T1.company = T2.company and T2.pid <> fd1";
         let r = e.run(q, Strategy::Optimized).unwrap();
         assert_eq!(r.len(), 1);
-        assert_eq!(r.tuples()[0].get(1), &Value::str("fd2"));
+        assert_eq!(r.value_at(0, 1), Value::str("fd2"));
     }
 
     #[test]
@@ -973,7 +971,7 @@ mod tests {
 
     /// Sorted rendered rows: the row multiset of a relation.
     fn row_multiset(rel: &Relation) -> Vec<String> {
-        let mut rows: Vec<String> = rel.tuples().iter().map(|t| format!("{t:?}")).collect();
+        let mut rows: Vec<String> = rel.rows().map(|t| format!("{t:?}")).collect();
         rows.sort();
         rows
     }
@@ -1104,6 +1102,64 @@ mod tests {
     }
 
     #[test]
+    fn link_join_strategies_agree_when_their_resolutions_agree() {
+        // Give `Gs` a typed relation whose ER resolution is, by
+        // construction, the vertex HER matched: one `(vid, name)` row per
+        // customer. Then online HER, pre-matched f(D,G) and ER all resolve
+        // alike, and the three l-join implementations share one kernel.
+        let mut e = engine();
+        let mut person = Relation::empty(Schema::of("g_person", &["vid", "name"]));
+        let customer = e.db.get("customer").unwrap();
+        let matches = &e
+            .profile("Gs")
+            .unwrap()
+            .extraction("customer")
+            .unwrap()
+            .matches;
+        for t in customer.rows() {
+            let v = matches.vertex_of(t.get(0)).expect("every customer matched");
+            person
+                .push_values(vec![Value::Int(v.0 as i64), t.get(1).clone()])
+                .unwrap();
+        }
+        let typed = crate::typed::TypedRelation {
+            ty: "person".into(),
+            discovery: crate::discover::Discovery {
+                clusters: vec![],
+                schema: person.schema().clone(),
+                refined: vec![],
+                paths: Default::default(),
+                keyword_embs: vec![],
+                total_paths: 0,
+                word_dim: 0,
+            },
+            relation: person,
+        };
+        e.profile_mut("Gs").unwrap().typed = crate::heuristic::typed_store(vec![typed]);
+        for q in [
+            "select * from customer l-join <Gs> customer as customerB",
+            "select * from customer l-join <Gs> customer as customerB \
+             where customer.cid = cid02 and customerB.credit = good",
+        ] {
+            let parsed = e.parse(q).unwrap();
+            let run = |strategy| {
+                let (rel, ctx) = e.run_query_stats(&parsed, strategy).unwrap();
+                assert!(
+                    !ctx.ops().iter().any(|o| o.label.contains("[degraded")),
+                    "{strategy:?} degraded: {}",
+                    ctx.render()
+                );
+                rel.rows().collect::<Vec<_>>()
+            };
+            let base = run(Strategy::Baseline);
+            assert!(!base.is_empty());
+            // Same kernel, same row order — not merely the same multiset.
+            assert_eq!(run(Strategy::Optimized), base);
+            assert_eq!(run(Strategy::Heuristic), base);
+        }
+    }
+
+    #[test]
     fn heuristic_strategy_answers_without_her_rext() {
         let e = engine();
         let q = "select pname, company from product e-join G <company> as T \
@@ -1133,7 +1189,7 @@ mod tests {
         let r = e.run(q, Strategy::Optimized).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.schema().attrs(), &["credit".to_string(), "n".to_string()]);
-        assert_eq!(r.tuples()[0].get(1), &Value::Int(2));
+        assert_eq!(r.value_at(0, 1), Value::Int(2));
     }
 
     #[test]
@@ -1159,7 +1215,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.len(), 1);
-        assert_eq!(r.tuples()[0].get(0), &Value::str("Bob Brown"));
+        assert_eq!(r.value_at(0, 0), Value::str("Bob Brown"));
     }
 
     #[test]
@@ -1190,15 +1246,15 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.len(), 2);
-        assert_eq!(r.tuples()[0].get(1), &Value::Int(500_000));
-        assert_eq!(r.tuples()[1].get(1), &Value::Int(110_000));
+        assert_eq!(r.value_at(0, 1), Value::Int(500_000));
+        assert_eq!(r.value_at(1, 1), Value::Int(110_000));
         let asc = e
             .run(
                 "select cid from customer order by cid limit 1",
                 Strategy::Optimized,
             )
             .unwrap();
-        assert_eq!(asc.tuples()[0].get(0), &Value::str("cid01"));
+        assert_eq!(asc.value_at(0, 0), Value::str("cid01"));
     }
 
     #[test]
@@ -1211,7 +1267,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.len(), 2);
-        assert!(r.tuples()[0].get(1).as_int() >= r.tuples()[1].get(1).as_int());
+        assert!(r.value_at(0, 1).as_int() >= r.value_at(1, 1).as_int());
         // A selected column outside GROUP BY is rejected.
         let bad = e.run(
             "select name, count(*) as n from customer group by credit",
@@ -1223,9 +1279,8 @@ mod tests {
     #[test]
     fn select_list_aliases_name_the_output_columns() {
         let e = engine();
-        let rows = |r: &Relation| -> Vec<Vec<Value>> {
-            r.tuples().iter().map(|t| t.values().to_vec()).collect()
-        };
+        let rows =
+            |r: &Relation| -> Vec<Vec<Value>> { r.rows().map(|t| t.into_values()).collect() };
         // Plain projection: reordered, renamed, and one column twice.
         let (r, ctx) = e
             .run_query_stats(

@@ -13,10 +13,10 @@
 use super::exec::{GsqlEngine, Strategy};
 use super::plan::{EJoinPlan, LJoinPlan};
 use crate::join::enrichment::enrichment_join_precomputed_governed;
-use crate::join::{enrichment_join, link_join};
+use crate::join::link::resolve_ids;
+use crate::join::{enrichment_join, link_join, link_join_resolved};
 use gsj_common::{GsjError, QueryGovernor, Result};
-use gsj_graph::VertexId;
-use gsj_relational::{Relation, Schema};
+use gsj_relational::Relation;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How an enrichment join will be answered.
@@ -62,7 +62,8 @@ impl EJoinImpl {
 /// How a link join will be answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LJoinImpl {
-    /// Conceptual baseline: HER matching + bidirectional BFS per pair.
+    /// Conceptual baseline: HER matching at query time, then a
+    /// throw-away reachability index over the matched vertices.
     Online,
     /// Pre-matched `f(D,G)` vertices probed in the pre-computed `g_L`
     /// reachability index.
@@ -75,7 +76,7 @@ impl LJoinImpl {
     /// The `EXPLAIN` description.
     pub fn describe(self) -> &'static str {
         match self {
-            LJoinImpl::Online => "online HER + bidirectional BFS",
+            LJoinImpl::Online => "online HER + per-source k-hop reachability",
             LJoinImpl::Cached => "pre-matched f(D,G) + pre-computed g_L reachability index",
             LJoinImpl::Heuristic => "heuristic: ER to gτ(G) + connectivity",
         }
@@ -147,17 +148,6 @@ pub struct JoinOutcome {
     pub degraded: bool,
 }
 
-/// Convert a caught panic payload into a typed internal error so residual
-/// panics in a join implementation degrade like any other retryable fault.
-fn panic_to_error(site: &str, payload: Box<dyn std::any::Any + Send>) -> GsjError {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into());
-    GsjError::Internal(format!("panic in {site}: {msg}"))
-}
-
 /// Record one strategy degradation: metric + trace event.
 fn note_fallback(site: &str, from: &str, to: &str, err: &GsjError) {
     FALLBACKS.inc();
@@ -199,23 +189,21 @@ fn ljoin_chain(imp: LJoinImpl) -> Vec<LJoinImpl> {
     }
 }
 
-/// Execute a planned enrichment join over an evaluated source relation,
-/// degrading along [`ejoin_chain`] on retryable failures (injected faults,
-/// panics, resource exhaustion). Governance errors — cancellation,
-/// deadline — always propagate: a query past its deadline must not retry
-/// its way to a slower implementation.
-pub(super) fn eval_ejoin(
-    e: &GsqlEngine,
-    p: &EJoinPlan,
-    rel: &Relation,
+/// Run a degradation chain: try each implementation in order, degrading
+/// to the next on retryable failures (injected faults, panics, resource
+/// exhaustion). Governance errors — cancellation, deadline — always
+/// propagate: a query past its deadline must not retry its way to a
+/// slower implementation. `site` names the fault site and the fallback
+/// events; `span` is the caller's open `site` span.
+fn run_chain<I: Copy>(
+    site: &'static str,
+    mut span: gsj_obs::SpanGuard,
+    chain: &[I],
+    tag: impl Fn(I) -> &'static str,
+    run: impl Fn(I) -> Result<Relation>,
     gov: &QueryGovernor,
 ) -> Result<JoinOutcome> {
-    let mut span = gsj_obs::span("gsql.ejoin");
-    span.field("impl", p.imp.tag())
-        .field("graph", &p.graph)
-        .field("base", &p.base);
-    gov.check("gsql.ejoin")?;
-    let chain = ejoin_chain(e, p.imp, &p.graph);
+    gov.check(site)?;
     let mut degraded = false;
     for (i, &imp) in chain.iter().enumerate() {
         let last = i + 1 == chain.len();
@@ -226,29 +214,56 @@ pub(super) fn eval_ejoin(
         // error-mode one instead of escaping to the query boundary.
         let res = catch_unwind(AssertUnwindSafe(|| {
             if !last {
-                gsj_faults::fault_point("gsql.ejoin", gsj_faults::FaultClass::Recoverable)?;
+                gsj_faults::fault_point(site, gsj_faults::FaultClass::Recoverable)?;
             }
-            run_ejoin_impl(e, p, rel, imp, gov)
+            run(imp)
         }))
-        .unwrap_or_else(|payload| Err(panic_to_error("gsql.ejoin", payload)));
+        .unwrap_or_else(|payload| {
+            Err(GsjError::Internal(format!(
+                "panic in {site}: {}",
+                gsj_common::panic_message(&*payload)
+            )))
+        });
         match res {
             Ok(out) => {
-                span.field("used", imp.tag()).field("degraded", degraded);
+                span.field("used", tag(imp)).field("degraded", degraded);
                 gov.charge_mem(gsj_relational::approx_rel_bytes(&out));
                 return Ok(JoinOutcome {
                     rel: out,
-                    used: imp.tag(),
+                    used: tag(imp),
                     degraded,
                 });
             }
             Err(err) if !last && err.retryable() => {
-                note_fallback("gsql.ejoin", imp.tag(), chain[i + 1].tag(), &err);
+                note_fallback(site, tag(imp), tag(chain[i + 1]), &err);
                 degraded = true;
             }
             Err(err) => return Err(err),
         }
     }
-    Err(GsjError::Internal("empty ejoin fallback chain".into()))
+    Err(GsjError::Internal(format!("empty {site} fallback chain")))
+}
+
+/// Execute a planned enrichment join over an evaluated source relation,
+/// degrading along [`ejoin_chain`] (see [`run_chain`]).
+pub(super) fn eval_ejoin(
+    e: &GsqlEngine,
+    p: &EJoinPlan,
+    rel: &Relation,
+    gov: &QueryGovernor,
+) -> Result<JoinOutcome> {
+    let mut span = gsj_obs::span("gsql.ejoin");
+    span.field("impl", p.imp.tag())
+        .field("graph", &p.graph)
+        .field("base", &p.base);
+    run_chain(
+        "gsql.ejoin",
+        span,
+        &ejoin_chain(e, p.imp, &p.graph),
+        EJoinImpl::tag,
+        |imp| run_ejoin_impl(e, p, rel, imp, gov),
+        gov,
+    )
 }
 
 /// One enrichment-join implementation, ungoverned by the chain (the chain
@@ -307,8 +322,7 @@ fn run_ejoin_impl(
 }
 
 /// Execute a planned link join over its two evaluated (and already
-/// qualified) sides, degrading along [`ljoin_chain`] exactly as
-/// [`eval_ejoin`] does.
+/// qualified) sides, degrading along [`ljoin_chain`] (see [`run_chain`]).
 pub(super) fn eval_ljoin(
     e: &GsqlEngine,
     p: &LJoinPlan,
@@ -320,38 +334,14 @@ pub(super) fn eval_ljoin(
     span.field("impl", p.imp.tag())
         .field("graph", &p.graph)
         .field("k", e.k);
-    gov.check("gsql.ljoin")?;
-    let chain = ljoin_chain(p.imp);
-    let mut degraded = false;
-    for (i, &imp) in chain.iter().enumerate() {
-        let last = i + 1 == chain.len();
-        // Armed only on non-final attempts; inside the catch_unwind so a
-        // panic-mode fault degrades like an error-mode one (see eval_ejoin).
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            if !last {
-                gsj_faults::fault_point("gsql.ljoin", gsj_faults::FaultClass::Recoverable)?;
-            }
-            run_ljoin_impl(e, p, lrel, rrel, imp, gov)
-        }))
-        .unwrap_or_else(|payload| Err(panic_to_error("gsql.ljoin", payload)));
-        match res {
-            Ok(out) => {
-                span.field("used", imp.tag()).field("degraded", degraded);
-                gov.charge_mem(gsj_relational::approx_rel_bytes(&out));
-                return Ok(JoinOutcome {
-                    rel: out,
-                    used: imp.tag(),
-                    degraded,
-                });
-            }
-            Err(err) if !last && err.retryable() => {
-                note_fallback("gsql.ljoin", imp.tag(), chain[i + 1].tag(), &err);
-                degraded = true;
-            }
-            Err(err) => return Err(err),
-        }
-    }
-    Err(GsjError::Internal("empty ljoin fallback chain".into()))
+    run_chain(
+        "gsql.ljoin",
+        span,
+        &ljoin_chain(p.imp),
+        LJoinImpl::tag,
+        |imp| run_ljoin_impl(e, p, lrel, rrel, imp, gov),
+        gov,
+    )
 }
 
 /// One link-join implementation (see [`run_ejoin_impl`]).
@@ -397,23 +387,15 @@ fn run_ljoin_impl(
                 }
             };
             gsj_obs::event("gsql.gl_cache", &[("hit", &hit), ("rows", &index.pairs())]);
-            // Resolve each side's id column to vertices once, probe the
-            // index, and gather each output column once.
-            let resolve = |rel: &Relation, id: &str, base: &str| -> Result<Vec<Option<VertexId>>> {
-                let pos = rel.schema().require(id)?;
-                let matches = &profile.extraction(base)?.matches;
-                Ok((0..rel.len())
-                    .map(|i| matches.vertex_of(&rel.value_at(i, pos)))
-                    .collect())
-            };
-            let (li, ri) = index.probe(
-                &resolve(lrel, &lid, &p.lbase)?,
-                &resolve(rrel, &rid, &p.rbase)?,
-            );
-            let mut attrs = lrel.schema().attrs().to_vec();
-            attrs.extend(rrel.schema().attrs().iter().cloned());
-            let schema = Schema::new(format!("{}_lj_{}", p.lalias, p.ralias), attrs)?;
-            Relation::gather_concat(lrel, &li, rrel, &ri, None, schema)
+            link_join_resolved(
+                lrel,
+                &resolve_ids(lrel, &lid, &profile.extraction(&p.lbase)?.matches)?,
+                rrel,
+                &resolve_ids(rrel, &rid, &profile.extraction(&p.rbase)?.matches)?,
+                &index,
+                format!("{}_lj_{}", p.lalias, p.ralias),
+                gov,
+            )
         }
         LJoinImpl::Heuristic => {
             let profile = e

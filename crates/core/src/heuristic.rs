@@ -7,11 +7,13 @@
 //! point is to fetch `A`); (2) tuple-level ER matches `S` against
 //! `gτ(G)`; (3) the join is emitted with the ER matching as join
 //! condition. Link joins ride the same machinery: ER resolves each side
-//! to vertices, connectivity does the rest.
+//! to vertices, and the link-join kernel of [`crate::join::link`] (index
+//! the resolved vertices, probe, gather) does the rest. Both joins emit
+//! by matched row-index pairs and one columnar gather.
 
+use crate::join::link::link_join_unindexed;
 use crate::typed::TypedRelation;
-use gsj_common::{FxHashMap, GsjError, QueryGovernor, Result, Value};
-use gsj_graph::traversal::within_k_hops_governed;
+use gsj_common::{FxHashMap, GsjError, QueryGovernor, Result};
 use gsj_graph::{LabeledGraph, VertexId};
 use gsj_her::relation_er::{match_relations, ErConfig};
 use gsj_relational::{Relation, Schema};
@@ -88,26 +90,18 @@ pub fn heuristic_enrichment(
         .collect();
     attrs.extend(kept.iter().map(|k| (*k).clone()));
     let schema = Schema::new(format!("{}_hj", s.schema().name()), attrs)?;
-    let vid_pos = g_tau.relation.schema().require("vid")?;
-    let kept_pos: Vec<usize> = kept
-        .iter()
-        .map(|k| g_tau.relation.schema().require(k))
-        .collect::<Result<_>>()?;
-    let mut out = Relation::empty(schema);
-    for (i, j) in pairs {
-        let mut row = s.tuples()[i].values().to_vec();
-        let t = &g_tau.relation.tuples()[j];
-        row.push(t.get(vid_pos).clone());
-        row.extend(kept_pos.iter().map(|&p| t.get(p).clone()));
-        out.push_values(row)?;
+    let mut kept_pos = vec![g_tau.relation.schema().require("vid")?];
+    for k in kept {
+        kept_pos.push(g_tau.relation.schema().require(k)?);
     }
-    Ok(out)
+    let (si, ti): (Vec<u32>, Vec<u32>) = pairs.iter().map(|&(i, j)| (i as u32, j as u32)).unzip();
+    Relation::gather_concat(s, &si, &g_tau.relation, &ti, Some(&kept_pos), schema)
 }
 
 /// Heuristic link join: resolve each side's rows to vertices through ER
-/// against the most relevant typed relation, then test k-hop
-/// connectivity. Schemas must have disjoint attribute names. The pairwise
-/// BFS loop observes the governor (strided).
+/// against the most relevant typed relation, then join the rows whose
+/// vertices are within `k` hops. Schemas must have disjoint attribute
+/// names. The per-source expansions observe the governor.
 #[allow(clippy::too_many_arguments)]
 pub fn heuristic_link(
     s1: &Relation,
@@ -126,47 +120,14 @@ pub fn heuristic_link(
         let pairs = match_relations(s, &g_tau.relation, id, Some("vid"), er_cfg)?;
         let mut vids = vec![None; s.len()];
         for (i, j) in pairs {
-            let v = g_tau.relation.tuples()[j]
-                .get(vid_pos)
-                .as_int()
-                .unwrap_or(-1);
-            if v >= 0 {
-                vids[i] = Some(VertexId(v as u32));
-            }
+            vids[i] = VertexId::from_value(&g_tau.relation.value_at(j, vid_pos));
         }
         Ok(vids)
     };
     let v1 = resolve(s1, id1)?;
     let v2 = resolve(s2, id2)?;
-    let mut attrs = s1.schema().attrs().to_vec();
-    attrs.extend(s2.schema().attrs().iter().cloned());
-    let schema = Schema::new(
-        format!("{}_hlj_{}", s1.schema().name(), s2.schema().name()),
-        attrs,
-    )?;
-    let mut out = Relation::empty(schema);
-    let mut memo: FxHashMap<(VertexId, VertexId), bool> = FxHashMap::default();
-    for (t1, ov1) in s1.tuples().iter().zip(&v1) {
-        let Some(a) = ov1 else { continue };
-        for (t2, ov2) in s2.tuples().iter().zip(&v2) {
-            let Some(b) = ov2 else { continue };
-            gov.check_coarse("join.link")?;
-            let key = if a <= b { (*a, *b) } else { (*b, *a) };
-            let connected = match memo.get(&key) {
-                Some(&c) => c,
-                None => {
-                    let c = within_k_hops_governed(g, *a, *b, k, gov)?;
-                    memo.insert(key, c);
-                    c
-                }
-            };
-            if connected {
-                out.push(t1.concat(t2))?;
-            }
-        }
-    }
-    gov.charge_rows(out.len() as u64);
-    Ok(out)
+    let name = format!("{}_hlj_{}", s1.schema().name(), s2.schema().name());
+    link_join_unindexed(s1, &v1, s2, &v2, g, k, name, gov)
 }
 
 /// Helper for building typed stores in tests and the engine: index typed
@@ -175,16 +136,11 @@ pub fn typed_store(relations: Vec<TypedRelation>) -> FxHashMap<String, TypedRela
     relations.into_iter().map(|t| (t.ty.clone(), t)).collect()
 }
 
-/// Read a `vid` cell back into a [`VertexId`].
-pub fn vid_of(v: &Value) -> Option<VertexId> {
-    v.as_int().and_then(|i| u32::try_from(i).ok()).map(VertexId)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::discover::Discovery;
-    use gsj_relational::Schema;
+    use gsj_common::Value;
 
     fn mk_typed(ty: &str, attrs: &[&str], rows: Vec<Vec<Value>>) -> TypedRelation {
         let mut rel = Relation::empty(Schema::of(&format!("g_{ty}"), attrs));
@@ -256,7 +212,7 @@ mod tests {
         .unwrap();
         assert_eq!(r.len(), 1);
         let pos = r.schema().require("company").unwrap();
-        assert_eq!(r.tuples()[0].get(pos), &Value::str("company2"));
+        assert_eq!(r.value_at(0, pos), Value::str("company2"));
     }
 
     #[test]
@@ -289,14 +245,11 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn heuristic_link_uses_er_plus_connectivity() {
-        // Graph: vid4 (product RainForest) within 1 hop of vid2 (Beta).
+    /// Graph of five vertices with vid4 (RainForest) one hop from vid2
+    /// (Beta), and a one-row relation per side naming each product.
+    fn link_setting() -> (LabeledGraph, Relation, Relation) {
         let mut g = LabeledGraph::new();
-        let mut ids = Vec::new();
-        for i in 0..5 {
-            ids.push(g.add_vertex(&format!("v{i}")));
-        }
+        let ids: Vec<VertexId> = (0..5).map(|i| g.add_vertex(&format!("v{i}"))).collect();
         g.add_edge(ids[4], "rel", ids[2]);
         let mut s1 = Relation::empty(Schema::of("a", &["a.pid", "a.name"]));
         s1.push_values(vec![Value::str("x"), Value::str("RainForest")])
@@ -304,33 +257,69 @@ mod tests {
         let mut s2 = Relation::empty(Schema::of("b", &["b.pid", "b.name"]));
         s2.push_values(vec![Value::str("y"), Value::str("Beta")])
             .unwrap();
+        (g, s1, s2)
+    }
+
+    fn link(
+        typed: &FxHashMap<String, TypedRelation>,
+        k: usize,
+        gov: &QueryGovernor,
+    ) -> Result<Relation> {
+        let (g, s1, s2) = link_setting();
+        let er = ErConfig::default();
+        heuristic_link(
+            &s1,
+            Some("a.pid"),
+            &s2,
+            Some("b.pid"),
+            typed,
+            &g,
+            k,
+            &er,
+            gov,
+        )
+    }
+
+    #[test]
+    fn heuristic_link_uses_er_plus_connectivity() {
         let gov = QueryGovernor::unlimited();
-        let r = heuristic_link(
-            &s1,
-            Some("a.pid"),
-            &s2,
-            Some("b.pid"),
-            &store(),
-            &g,
-            1,
-            &ErConfig::default(),
-            &gov,
-        )
-        .unwrap();
+        let r = link(&store(), 1, &gov).unwrap();
         assert_eq!(r.len(), 1);
+        assert_eq!(r.schema().attrs(), &["a.pid", "a.name", "b.pid", "b.name"]);
         // k = 0 disconnects them.
-        let r0 = heuristic_link(
-            &s1,
-            Some("a.pid"),
-            &s2,
-            Some("b.pid"),
-            &store(),
-            &g,
-            0,
-            &ErConfig::default(),
-            &gov,
-        )
-        .unwrap();
-        assert!(r0.is_empty());
+        assert!(link(&store(), 0, &gov).unwrap().is_empty());
+    }
+
+    #[test]
+    fn out_of_range_vid_resolves_to_no_vertex() {
+        // Beta's `vid` narrows to 2 under an unchecked `as u32` — a live
+        // vertex one hop from RainForest. Checked, it is no vertex at all.
+        let wrapped = (1i64 << 32) + 2;
+        assert_eq!(VertexId::from_value(&Value::Int(wrapped)), None);
+        assert_eq!(VertexId::from_value(&Value::Int(-1)), None);
+        let typed = typed_store(vec![mk_typed(
+            "product",
+            &["vid", "name"],
+            vec![
+                vec![Value::Int(4), Value::str("RainForest")],
+                vec![Value::Int(wrapped), Value::str("Beta")],
+            ],
+        )]);
+        let r = link(&typed, 1, &QueryGovernor::unlimited()).unwrap();
+        assert!(r.is_empty(), "joined through VertexId(2): {}", r.to_table());
+    }
+
+    #[test]
+    fn stopped_governor_stops_heuristic_link() {
+        let cancelled = QueryGovernor::unlimited();
+        cancelled.cancel();
+        assert_eq!(link(&store(), 1, &cancelled), Err(GsjError::Cancelled));
+        let expired = QueryGovernor::builder()
+            .deadline_at(std::time::Instant::now() - std::time::Duration::from_millis(1))
+            .build();
+        assert!(matches!(
+            link(&store(), 1, &expired),
+            Err(GsjError::DeadlineExceeded(_))
+        ));
     }
 }

@@ -17,12 +17,13 @@
 use crate::discover::{select_attributes, Discovery};
 use crate::extract::{extract_values, LabelEmbCache};
 use crate::rext::Rext;
-use gsj_common::{FxHashMap, FxHashSet, Result, RetryPolicy, Value};
+use gsj_common::{FxHashSet, Result, RetryPolicy, Value};
 use gsj_graph::update::UpdateReport;
 use gsj_graph::{LabeledGraph, VertexId};
 use gsj_her::{her_match_local, HerConfig, MatchRelation};
-use gsj_relational::{Relation, Schema};
+use gsj_relational::{Column, Relation, Schema};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The maintained state: discovery, HER matches and the extracted `D_G`.
 #[derive(Debug, Clone)]
@@ -184,21 +185,19 @@ pub fn inc_update_graph(
     // --- Re-run HER locally: tuples that were unmatched, or whose match
     // died, or whose matched vertex sits near an update.
     let id_pos = s.schema().require(&her_cfg.id_attr)?;
-    let mut redo_rows = Vec::new();
-    for t in s.tuples() {
-        let tid = t.get(id_pos);
-        let redo = match prev.matches.vertex_of(tid) {
+    let redo_idx: Vec<u32> = (0..s.len())
+        .filter(|&r| match prev.matches.vertex_of(&s.value_at(r, id_pos)) {
             None => true,
             Some(v) => !g.is_live(v) || her_zone.contains(&v) || affected_zone.contains(&v),
-        };
-        if redo {
-            redo_rows.push(t.clone());
-        }
-    }
+        })
+        .map(|r| r as u32)
+        .collect();
+    let redo = s.gather(&redo_idx);
+    let redo_tids: FxHashSet<Value> = redo.column(&her_cfg.id_attr)?.into_iter().collect();
     let rerun_matches = retried(&policy, "incext.her_redo", || {
         let mut span = gsj_obs::span("incext.her_redo");
-        span.field("redo_rows", redo_rows.len());
-        if redo_rows.is_empty() {
+        span.field("redo_rows", redo.len());
+        if redo.is_empty() {
             Ok(MatchRelation::new())
         } else {
             // Localized HER: candidates are the vertices whose vicinity an
@@ -206,17 +205,10 @@ pub fn inc_update_graph(
             // matches (so an unchanged match can be re-confirmed).
             let mut candidates: FxHashSet<VertexId> = her_zone.clone();
             candidates.extend(affected_zone.iter().copied());
-            let id_pos2 = id_pos;
-            for t in &redo_rows {
-                if let Some(v) = prev.matches.vertex_of(t.get(id_pos2)) {
-                    candidates.insert(v);
-                }
-            }
-            let sub = Relation::new(s.schema().clone(), redo_rows.clone())?;
-            her_match_local(g, &sub, her_cfg, candidates)
+            candidates.extend(redo_tids.iter().filter_map(|t| prev.matches.vertex_of(t)));
+            her_match_local(g, &redo, her_cfg, candidates)
         }
     })?;
-    let redo_tids: FxHashSet<Value> = redo_rows.iter().map(|t| t.get(id_pos).clone()).collect();
 
     // --- Merge into the new match relation.
     let mut new_matches = MatchRelation::new();
@@ -246,17 +238,19 @@ pub fn inc_update_graph(
         }
     }
 
-    // --- Rebuild D_G: keep untouched rows, re-extract V_Δ.
+    // --- Patch D_G: one gather of the untouched rows, then append the
+    // re-extracted V_Δ. A `vid` cell that is no vertex keeps no row.
     let matched_now: FxHashSet<VertexId> = new_matches.vertices().collect();
     let vid_pos = prev.dg.schema().require("vid")?;
-    let mut dg = Relation::empty(prev.dg.schema().clone());
-    for row in prev.dg.tuples() {
-        let vid = VertexId(row.get(vid_pos).as_int().unwrap_or(-1) as u32);
-        if !matched_now.contains(&vid) || v_delta.contains(&vid) || !g.is_live(vid) {
-            continue;
-        }
-        dg.push(row.clone())?;
-    }
+    let kept: Vec<u32> = (0..prev.dg.len())
+        .filter(|&r| {
+            VertexId::from_value(&prev.dg.value_at(r, vid_pos)).is_some_and(|vid| {
+                matched_now.contains(&vid) && !v_delta.contains(&vid) && g.is_live(vid)
+            })
+        })
+        .map(|r| r as u32)
+        .collect();
+    let mut dg = prev.dg.gather(&kept);
     let mut ordered: Vec<VertexId> = v_delta
         .iter()
         .copied()
@@ -268,9 +262,7 @@ pub fn inc_update_graph(
         span.field("vertices", ordered.len());
         rext.extract_vertices(g, &ordered, &prev.discovery)
     })?;
-    for row in fresh.tuples() {
-        dg.push(row.clone())?;
-    }
+    dg.append_rows(&fresh)?;
 
     // --- Refresh the path cache for the re-extracted vertices.
     let mut discovery = prev.discovery.clone();
@@ -336,39 +328,37 @@ pub fn inc_update_keywords(
     discovery.schema = schema.clone();
     discovery.keyword_embs = keyword_embs;
 
-    // Rebuild D_G: copy surviving columns, extract only new ones.
+    // Rebuild D_G column by column: surviving attributes share the old
+    // column, new ones are extracted per row from the cached paths (a
+    // `vid` cell that is no vertex has none), the rest are NULL.
     let old_schema: &Schema = prev.dg.schema();
     let vid_pos = old_schema.require("vid")?;
-    let mut dg = Relation::empty(schema.clone());
+    let n = prev.dg.len();
+    let row_paths: Vec<&[gsj_graph::Path]> = (0..n)
+        .map(|r| {
+            VertexId::from_value(&prev.dg.value_at(r, vid_pos))
+                .and_then(|vid| prev.discovery.paths.get(&vid))
+                .map_or(&[][..], Vec::as_slice)
+        })
+        .collect();
     let mut cache = LabelEmbCache::default();
-    for row in prev.dg.tuples() {
-        let vid_val = row.get(vid_pos).clone();
-        let vid = VertexId(vid_val.as_int().unwrap_or(-1) as u32);
-        let empty: Vec<gsj_graph::Path> = Vec::new();
-        let paths = prev.discovery.paths.get(&vid).unwrap_or(&empty);
-        // Values for new attributes, computed per-cluster.
-        let mut new_vals: FxHashMap<&str, Value> = FxHashMap::default();
-        for cluster in &discovery.clusters {
-            if old_schema.contains(&cluster.attr) {
-                continue;
-            }
+    let mut cols = vec![prev.dg.columns()[vid_pos].clone()];
+    for attr in schema.attrs().iter().skip(1) {
+        cols.push(if let Some(i) = old_schema.position(attr) {
+            prev.dg.columns()[i].clone()
+        } else if let Some(cluster) = discovery.clusters.iter().rfind(|c| &c.attr == attr) {
             let single = Discovery {
                 clusters: vec![cluster.clone()],
                 ..discovery.clone()
             };
-            let vals = extract_values(g, paths, &single, word, &mut cache);
-            new_vals.insert(cluster.attr.as_str(), vals[0].clone());
-        }
-        let mut out_row = vec![vid_val];
-        for attr in schema.attrs().iter().skip(1) {
-            if let Some(i) = old_schema.position(attr) {
-                out_row.push(row.get(i).clone());
-            } else {
-                out_row.push(new_vals.remove(attr.as_str()).unwrap_or(Value::Null));
-            }
-        }
-        dg.push_values(out_row)?;
+            Arc::new(Column::from_values(row_paths.iter().map(|paths| {
+                extract_values(g, paths, &single, word, &mut cache).swap_remove(0)
+            })))
+        } else {
+            Arc::new(Column::null(n))
+        });
     }
+    let dg = Relation::from_shared_columns(schema, cols, n)?;
 
     Ok(Extraction {
         discovery,

@@ -164,11 +164,7 @@ mod tests {
         assert!(r.schema().contains("risk"));
         assert!(r.schema().contains("vid"));
         assert!(r.schema().contains("loc"));
-        let fd1 = r
-            .tuples()
-            .iter()
-            .find(|t| t.get(0) == &Value::str("fd1"))
-            .unwrap();
+        let fd1 = r.rows().find(|t| t.get(0) == &Value::str("fd1")).unwrap();
         let loc_pos = r.schema().position("loc").unwrap();
         assert_eq!(fd1.get(loc_pos), &Value::str("UK"));
     }
@@ -208,6 +204,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.len(), 2);
         let pos = r.schema().position("nonexistent").unwrap();
-        assert!(r.tuples().iter().all(|t| t.get(pos) == &Value::Null));
+        assert!((0..r.len()).all(|i| r.col(pos).is_null(i)));
     }
 }

@@ -1,18 +1,26 @@
 //! Link joins `S1 ⋈_G S2`: join tuples whose matching vertices are within
-//! `k` hops of each other in `G` (Section II-B) — checked online by
-//! bidirectional BFS per pair, or probed in the pre-computed connectivity
-//! relation `g_L` ([`LinkIndex`], Section IV-A).
+//! `k` hops of each other in `G` (Section II-B).
+//!
+//! Every link join is the same three steps over the connectivity
+//! relation `g_L` of Section IV-A, held as a [`LinkIndex`]: resolve both
+//! id columns to vertices, [`LinkIndex::probe`] for the connected row
+//! pairs, gather the output columns once ([`link_join_resolved`]). The
+//! implementations differ only in where the vertices and the index come
+//! from: the baseline matches by HER and indexes the vertices it matched
+//! at query time, the optimized path reads `f(D,G)` and probes the
+//! profile's resident index, the heuristic path resolves by ER against
+//! `gτ(G)`. No path tests pairs one BFS at a time.
 
-use gsj_common::{pool, FxHashMap, QueryGovernor, Result};
-use gsj_graph::traversal::{k_hop_set_governed, within_k_hops_governed};
+use gsj_common::{QueryGovernor, Result};
+use gsj_graph::traversal::k_hop_set_governed;
 use gsj_graph::{LabeledGraph, VertexId};
 use gsj_her::{her_match, HerConfig, MatchRelation};
 use gsj_relational::{Column, Relation, Schema};
 use std::sync::Arc;
 
-/// The conceptual-level link join: HER on both sides, then pairwise
-/// bidirectional BFS. Input schemas must have disjoint attribute names
-/// (qualify aliases first, as the gSQL rewriter does).
+/// The conceptual-level link join: HER on both sides, then connectivity
+/// of the matched vertices. Input schemas must have disjoint attribute
+/// names (qualify aliases first, as the gSQL rewriter does).
 #[allow(clippy::too_many_arguments)]
 pub fn link_join(
     s1: &Relation,
@@ -44,9 +52,9 @@ pub fn link_join(
     link_join_with_matches(s1, id1, &m1, s2, id2, &m2, g, k, gov)
 }
 
-/// Link join over precomputed match relations (the optimized path that
-/// avoids calling HER online). The pairwise BFS loop is governed: each
-/// memoized connectivity probe observes the governor (strided).
+/// Link join over given match relations, with no resident `g_L`: the
+/// index is built over exactly the vertices the two sides matched, under
+/// the query's governor.
 #[allow(clippy::too_many_arguments)]
 pub fn link_join_with_matches(
     s1: &Relation,
@@ -61,109 +69,68 @@ pub fn link_join_with_matches(
 ) -> Result<Relation> {
     let mut span = gsj_obs::span("join.link");
     gsj_faults::fault_point("join.link", gsj_faults::FaultClass::Critical)?;
-    let id1_pos = s1.schema().require(id1)?;
-    let id2_pos = s2.schema().require(id2)?;
-    let mut attrs = s1.schema().attrs().to_vec();
-    attrs.extend(s2.schema().attrs().iter().cloned());
-    let schema = Schema::new(
-        format!("{}_lj_{}", s1.schema().name(), s2.schema().name()),
-        attrs,
-    )?;
-    // Resolve each side's id column to vertices once, straight off the id
-    // column — the old per-pair `vertex_of` lookup re-resolved the probe
-    // side for every outer row.
-    let resolve = |rel: &Relation, pos: usize, m: &MatchRelation| -> Vec<Option<VertexId>> {
-        (0..rel.len())
-            .map(|i| m.vertex_of(&rel.value_at(i, pos)))
-            .collect()
-    };
-    let v1s = resolve(s1, id1_pos, m1);
-    let v2s = resolve(s2, id2_pos, m2);
-    // Pairwise BFS, memoized per distinct vertex pair and fanned out
-    // over outer-row chunks (DESIGN.md §13). Each worker keeps its own
-    // memo (sharing one would serialize the probes); chunk partials
-    // concatenate in order, so the output is the sequential outer-major
-    // pair order.
-    let scan_chunk = |range: std::ops::Range<usize>| -> Result<(Vec<u32>, Vec<u32>, usize)> {
-        let mut memo: FxHashMap<(VertexId, VertexId), bool> = FxHashMap::default();
-        let mut li: Vec<u32> = Vec::new();
-        let mut ri: Vec<u32> = Vec::new();
-        for i in range {
-            let Some(v1) = v1s[i] else { continue };
-            for (j, v2) in v2s.iter().enumerate() {
-                let Some(v2) = *v2 else { continue };
-                gov.check_coarse("join.link")?;
-                let key = if v1 <= v2 { (v1, v2) } else { (v2, v1) };
-                let connected = match memo.get(&key) {
-                    Some(&c) => c,
-                    None => {
-                        let c = within_k_hops_governed(g, v1, v2, k, gov)?;
-                        memo.insert(key, c);
-                        c
-                    }
-                };
-                if connected {
-                    li.push(i as u32);
-                    ri.push(j as u32);
-                }
-            }
-        }
-        Ok((li, ri, memo.len()))
-    };
-    let (li, ri, pairs_checked) = par_pair_scan(v1s.len(), v2s.len(), gov, scan_chunk)?;
-    // One columnar gather per output column instead of a push per pair.
-    let out = Relation::gather_concat(s1, &li, s2, &ri, None, schema)?;
-    gov.charge_rows(out.len() as u64);
-    span.field("k", k)
-        .field("pairs_checked", pairs_checked)
-        .field("rows_out", out.len());
+    let v1s = resolve_ids(s1, id1, m1)?;
+    let v2s = resolve_ids(s2, id2, m2)?;
+    let name = format!("{}_lj_{}", s1.schema().name(), s2.schema().name());
+    let out = link_join_unindexed(s1, &v1s, s2, &v2s, g, k, name, gov)?;
+    span.field("k", k).field("rows_out", out.len());
     Ok(out)
 }
 
-/// Run a governed pair scan over `n_outer × n_inner` candidates,
-/// chunking the outer side across the worker pool when the pair space
-/// is large. Workers pin their nested kernels to one thread so a
-/// parallel pair loop never multiplies into parallel BFS frontiers.
-/// Returns concatenated (left, right) index partials in chunk order
-/// plus the summed per-chunk memo sizes.
-fn par_pair_scan(
-    n_outer: usize,
-    n_inner: usize,
+/// Resolve an id column to vertices through a match relation, one lookup
+/// per row (`None` for unmatched rows).
+pub(crate) fn resolve_ids(
+    rel: &Relation,
+    id: &str,
+    m: &MatchRelation,
+) -> Result<Vec<Option<VertexId>>> {
+    let pos = rel.schema().require(id)?;
+    Ok((0..rel.len())
+        .map(|i| m.vertex_of(&rel.value_at(i, pos)))
+        .collect())
+}
+
+/// [`link_join_resolved`] for callers without a resident index: build one
+/// over the distinct vertices the two sides resolved to, then probe it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn link_join_unindexed(
+    s1: &Relation,
+    v1s: &[Option<VertexId>],
+    s2: &Relation,
+    v2s: &[Option<VertexId>],
+    g: &LabeledGraph,
+    k: usize,
+    name: String,
     gov: &QueryGovernor,
-    scan_chunk: impl Fn(std::ops::Range<usize>) -> Result<(Vec<u32>, Vec<u32>, usize)> + Sync,
-) -> Result<(Vec<u32>, Vec<u32>, usize)> {
-    let pairs = n_outer.saturating_mul(n_inner);
-    let workers = if pool::gsj_threads() > 1 && n_outer > 1 && pairs >= 64.min(pool::morsel_rows())
-    {
-        pool::gsj_threads()
-    } else {
-        1
-    };
-    if workers <= 1 {
-        return scan_chunk(0..n_outer);
-    }
-    let chunk = n_outer.div_ceil(workers * 4).max(1);
-    let mut ranges = Vec::new();
-    let mut s = 0;
-    while s < n_outer {
-        let e = (s + chunk).min(n_outer);
-        ranges.push(s..e);
-        s = e;
-    }
-    let parts = pool::run_tasks(workers, ranges.len(), |i| {
-        gsj_faults::fault_point("pool.worker", gsj_faults::FaultClass::Critical)?;
-        pool::with_threads(1, || scan_chunk(ranges[i].clone()))
-    })?;
-    let mut li = Vec::new();
-    let mut ri = Vec::new();
-    let mut checked = 0;
-    for (l, r, c) in parts {
-        li.extend(l);
-        ri.extend(r);
-        checked += c;
-    }
+) -> Result<Relation> {
+    let matched =
+        |vs: &[Option<VertexId>]| -> Vec<VertexId> { vs.iter().flatten().copied().collect() };
+    let index = LinkIndex::build(g, &matched(v1s), &matched(v2s), k, gov)?;
+    link_join_resolved(s1, v1s, s2, v2s, &index, name, gov)
+}
+
+/// The link-join kernel every implementation ends in: given each side's
+/// rows resolved to vertices (`None` = unmatched, drops out) and a
+/// reachability index covering them, emit `s1 ++ s2` for every connected
+/// row pair — left-major, right rows ascending — by one probe and one
+/// columnar gather. Schemas must have disjoint attribute names.
+pub fn link_join_resolved(
+    s1: &Relation,
+    v1s: &[Option<VertexId>],
+    s2: &Relation,
+    v2s: &[Option<VertexId>],
+    index: &LinkIndex,
+    name: String,
+    gov: &QueryGovernor,
+) -> Result<Relation> {
+    let mut attrs = s1.schema().attrs().to_vec();
+    attrs.extend(s2.schema().attrs().iter().cloned());
+    let schema = Schema::new(name, attrs)?;
+    let (li, ri) = index.probe(v1s, v2s);
     gov.charge_mem(8 * li.len() as u64);
-    Ok((li, ri, checked))
+    let out = Relation::gather_concat(s1, &li, s2, &ri, None, schema)?;
+    gov.charge_rows(out.len() as u64);
+    Ok(out)
 }
 
 /// The members of `among`, in `among`'s order, within `k` hops of

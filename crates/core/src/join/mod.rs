@@ -6,4 +6,6 @@ pub mod enrichment;
 pub mod link;
 
 pub use enrichment::{enrichment_join, enrichment_join_precomputed};
-pub use link::{connectivity_relation, link_join, link_join_with_matches, LinkIndex};
+pub use link::{
+    connectivity_relation, link_join, link_join_resolved, link_join_with_matches, LinkIndex,
+};

@@ -198,8 +198,7 @@ impl GraphProfile {
     /// materialized relations, 16 bytes per HER match, and the real
     /// bytes of every `g_L` index.
     pub fn materialized_bytes(&self) -> usize {
-        // Cell by cell off the columns: `Relation::tuples()` would
-        // materialize (and keep) a row copy of everything counted.
+        // Cell by cell off the columns: no row is materialized.
         let rel_bytes = |r: &Relation| -> usize {
             r.columns()
                 .iter()
@@ -356,11 +355,8 @@ mod tests {
         )
         .unwrap();
         let by_rows = |r: &Relation| -> usize {
-            r.clone()
-                .into_parts()
-                .1
-                .iter()
-                .flat_map(|t| t.values().iter())
+            r.rows()
+                .flat_map(|t| t.into_values())
                 .map(|v| v.to_string().len())
                 .sum()
         };

@@ -93,32 +93,36 @@ pub fn f_measure(
         .map(|(_, t)| truth.schema().require(t))
         .collect::<Result<_>>()?;
 
-    let mut truth_by_key: FxHashMap<&Value, &gsj_relational::Tuple> = FxHashMap::default();
-    for t in truth.tuples() {
-        truth_by_key.insert(t.get(tk), t);
+    // key → truth row (later rows override, as a map insert does).
+    let mut truth_by_key: FxHashMap<Value, usize> = FxHashMap::default();
+    for r in 0..truth.len() {
+        truth_by_key.insert(truth.value_at(r, tk), r);
     }
 
     let mut correct = 0usize;
     let mut predicted_nonnull = 0usize;
-    for p in predicted.tuples() {
-        let truth_row = truth_by_key.get(p.get(pk));
+    for r in 0..predicted.len() {
+        let truth_row = truth_by_key.get(&predicted.value_at(r, pk));
         for (pp, tp) in pred_pos.iter().zip(&truth_pos) {
-            let pv = p.get(*pp);
+            let pv = predicted.value_at(r, *pp);
             if pv.is_null() {
                 continue;
             }
             predicted_nonnull += 1;
-            if let Some(t) = truth_row {
-                if values_match(pv, t.get(*tp)) {
+            if let Some(&t) = truth_row {
+                if values_match(&pv, &truth.value_at(t, *tp)) {
                     correct += 1;
                 }
             }
         }
     }
-    let expected: usize = truth
-        .tuples()
+    let expected: usize = truth_pos
         .iter()
-        .map(|t| truth_pos.iter().filter(|&&i| !t.get(i).is_null()).count())
+        .map(|&i| {
+            (0..truth.len())
+                .filter(|&r| !truth.col(i).is_null(r))
+                .count()
+        })
         .sum();
     Ok(FMeasure::from_counts(correct, predicted_nonnull, expected))
 }

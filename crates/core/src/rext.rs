@@ -313,23 +313,20 @@ impl Rext {
         let id_pos = s.schema().require(id_attr)?;
         // tid → tuple index.
         let mut by_tid: FxHashMap<Value, usize> = FxHashMap::default();
-        for (i, t) in s.tuples().iter().enumerate() {
-            by_tid.insert(t.get(id_pos).clone(), i);
+        for i in 0..s.len() {
+            by_tid.insert(s.value_at(i, id_pos), i);
         }
         let mut out = TupleAttrEmbs::default();
         for (tid, vid) in matches.pairs() {
             let Some(&row) = by_tid.get(tid) else {
                 continue;
             };
-            let embs: Vec<Option<Vec<f32>>> = s.tuples()[row]
-                .values()
-                .iter()
-                .enumerate()
-                .map(|(i, v)| {
+            let embs: Vec<Option<Vec<f32>>> = (0..s.schema().arity())
+                .map(|i| {
                     if i == id_pos {
                         return None;
                     }
-                    value_text(v).map(|text| self.word.embed(&text))
+                    value_text(&s.value_at(row, i)).map(|text| self.word.embed(&text))
                 })
                 .collect();
             out.insert(*vid, embs);
@@ -564,8 +561,8 @@ mod tests {
         let partial = rext.extract_vertices(&g, &vids, &disc).unwrap();
         // Same rows (order may differ) — fresh selection is deterministic
         // and the graph is unchanged.
-        let mut a: Vec<_> = full.tuples().to_vec();
-        let mut b: Vec<_> = partial.tuples().to_vec();
+        let mut a: Vec<_> = full.rows().collect();
+        let mut b: Vec<_> = partial.rows().collect();
         a.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
         b.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
         assert_eq!(a, b);

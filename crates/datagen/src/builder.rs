@@ -412,7 +412,7 @@ mod tests {
         // entity vertex via `made_by`.
         let made_by = c.graph.symbols().get("made_by").unwrap();
         for (i, ev) in c.entity_vertices.iter().enumerate() {
-            let truth_maker = c.truth.tuples()[i].get(1);
+            let truth_maker = c.truth.value_at(i, 1);
             if truth_maker.is_null() {
                 continue;
             }

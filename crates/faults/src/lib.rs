@@ -4,7 +4,7 @@
 //! (DESIGN.md §11). Execution stages that already carry a `gsj-obs` span
 //! also carry a *fault point*: a named site where an error, a panic or a
 //! delay can be injected under test. Sites are named after their span
-//! labels (`her.match`, `graph.bfs`, `gsql.ejoin`, `incext.re_extract`,
+//! labels (`her.match`, `graph.khop`, `gsql.ejoin`, `incext.re_extract`,
 //! ...) so a chaos run's injections line up with its trace.
 //!
 //! ## Enabling
@@ -20,7 +20,7 @@
 //!
 //! ```text
 //! GSJ_FAULTS="all:p=0.05,seed=42"             # 5% errors at recoverable sites
-//! GSJ_FAULTS="graph.bfs:error,p=0.5,seed=7"   # 50% errors in BFS only
+//! GSJ_FAULTS="graph.khop:error,p=0.5,seed=7"   # 50% errors in BFS only
 //! GSJ_FAULTS="gsql.ejoin:panic,after=2"       # panic on the 3rd e-join
 //! GSJ_FAULTS="her.match:delay=25ms"           # slow HER down
 //! GSJ_FAULTS="all+critical:record"            # register sites, inject nothing
@@ -447,7 +447,7 @@ mod tests {
     #[test]
     fn parse_full_grammar() {
         let spec =
-            FaultSpec::parse("all:p=0.05,seed=42; graph.bfs:panic,after=3 ; her.match:delay=25ms")
+            FaultSpec::parse("all:p=0.05,seed=42; graph.khop:panic,after=3 ; her.match:delay=25ms")
                 .unwrap();
         assert_eq!(spec.clauses.len(), 3);
         assert_eq!(spec.clauses[0].target, FaultTarget::AllRecoverable);
@@ -458,7 +458,7 @@ mod tests {
         );
         assert_eq!(
             spec.clauses[1].target,
-            FaultTarget::Site("graph.bfs".into())
+            FaultTarget::Site("graph.khop".into())
         );
         assert_eq!(spec.clauses[1].action, FaultAction::Panic);
         assert_eq!(spec.clauses[1].after, 3);

@@ -1,6 +1,6 @@
 //! The labeled graph store.
 
-use gsj_common::{FxHashMap, Symbol, SymbolTable};
+use gsj_common::{FxHashMap, Symbol, SymbolTable, Value};
 use std::fmt;
 
 /// A vertex identifier: an index into the graph's vertex arrays.
@@ -12,6 +12,13 @@ impl VertexId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// Read a `vid` cell back into a vertex id. Checked: a non-integer,
+    /// negative or ≥ 2³² cell is no vertex — never narrowed onto a
+    /// different, possibly live one.
+    pub fn from_value(v: &Value) -> Option<VertexId> {
+        v.as_int().and_then(|i| u32::try_from(i).ok()).map(VertexId)
     }
 }
 

@@ -9,8 +9,8 @@
 //!   labels and O(1) amortized edge insertion.
 //! - [`Path`] / [`PathPattern`]: simple undirected paths and their edge-label
 //!   patterns, with the `M(ρ, p)` matching predicate of Section III.
-//! - [`traversal`]: k-hop BFS neighborhoods and the bidirectional BFS used
-//!   by link joins.
+//! - [`traversal`]: the k-hop BFS neighborhoods link joins expand per
+//!   source, and the pairwise bidirectional BFS kept as their reference.
 //! - [`random_walk`]: corpus generation for training the path language
 //!   model `Mρ`.
 //! - [`update`]: the `ΔG` batch-update machinery consumed by IncExt.

@@ -4,13 +4,14 @@
 //! hops of each other; IncExt (Section III-B) collects all matched vertices
 //! within `k` hops of an update. Both run on the *undirected* view of `G`.
 //!
-//! Each traversal comes in two forms: the classic infallible API
-//! ([`k_hop_set`], [`within_k_hops`], ...) and a `_governed` variant that
-//! takes a [`QueryGovernor`] — the governed form checks cancellation /
-//! deadline inside the frontier loop (strided, so the overhead is one
-//! `fetch_add` per pop) and carries a fault-injection point
-//! (`graph.khop` / `graph.bfs`, see DESIGN.md §11). The classic form is
-//! a zero-cost wrapper that skips both.
+//! The k-hop ball comes in two forms: the classic infallible
+//! [`k_hop_set`] and [`k_hop_set_governed`], which takes a
+//! [`QueryGovernor`] — the governed form checks cancellation / deadline
+//! inside the frontier loop (strided, so the overhead is one `fetch_add`
+//! per pop) and carries the `graph.khop` fault-injection point (see
+//! DESIGN.md §11). The classic form is a zero-cost wrapper that skips
+//! both. The pairwise [`within_k_hops`] is ungoverned only: it is the
+//! reference link joins are checked against, not a path they run.
 
 use crate::graph::{LabeledGraph, VertexId};
 use gsj_common::{pool, FxHashMap, FxHashSet, QueryGovernor, Result};
@@ -61,13 +62,12 @@ fn expand_level(
     frontier: &[VertexId],
     is_seen: &(dyn Fn(&VertexId) -> bool + Sync),
     gov: Option<&QueryGovernor>,
-    stage: &'static str,
 ) -> Result<Vec<VertexId>> {
     let scan = |chunk: &[VertexId]| -> Result<Vec<VertexId>> {
         let mut out = Vec::new();
         for &w in chunk {
             if let Some(gov) = gov {
-                gov.check_coarse(stage)?;
+                gov.check_coarse("graph.khop")?;
             }
             for (e, _) in g.incident(w) {
                 if !is_seen(&e.to) {
@@ -130,7 +130,7 @@ fn k_hop_set_impl(
         if frontier.is_empty() {
             break;
         }
-        let candidates = expand_level(g, &frontier, &|v| seen.contains(v), gov, "graph.khop")?;
+        let candidates = expand_level(g, &frontier, &|v| seen.contains(v), gov)?;
         frontier.clear();
         for v in candidates {
             if seen.insert(v) {
@@ -143,93 +143,25 @@ fn k_hop_set_impl(
     Ok(seen)
 }
 
-/// Distances (≤ k) from `start` to every vertex in its k-hop ball.
-pub fn k_hop_distances(g: &LabeledGraph, start: VertexId, k: usize) -> FxHashMap<VertexId, usize> {
-    k_hop_distances_impl(g, start, k, None).expect(UNGOVERNED)
-}
-
-/// [`k_hop_distances`] under a governor.
-pub fn k_hop_distances_governed(
-    g: &LabeledGraph,
-    start: VertexId,
-    k: usize,
-    gov: &QueryGovernor,
-) -> Result<FxHashMap<VertexId, usize>> {
-    k_hop_distances_impl(g, start, k, Some(gov))
-}
-
-fn k_hop_distances_impl(
-    g: &LabeledGraph,
-    start: VertexId,
-    k: usize,
-    gov: Option<&QueryGovernor>,
-) -> Result<FxHashMap<VertexId, usize>> {
-    if gov.is_some() {
-        fault_point("graph.khop", FaultClass::Critical)?;
-    }
-    let mut dist: FxHashMap<VertexId, usize> = FxHashMap::default();
-    if !g.is_live(start) {
-        return Ok(dist);
-    }
-    dist.insert(start, 0);
-    let mut frontier = vec![start];
-    for depth in 1..=k {
-        if frontier.is_empty() {
-            break;
-        }
-        let candidates = expand_level(g, &frontier, &|v| dist.contains_key(v), gov, "graph.khop")?;
-        frontier.clear();
-        for v in candidates {
-            if let std::collections::hash_map::Entry::Vacant(slot) = dist.entry(v) {
-                slot.insert(depth);
-                frontier.push(v);
-            }
-        }
-    }
-    Ok(dist)
-}
-
 /// Bidirectional BFS: are `u` and `v` connected within `k` undirected hops?
 ///
 /// This is the join condition of the link join `S1 ⋈G S2` (Section IV-A's
 /// "check their pairwise distance via a bi-directional BFS search").
+///
+/// Ungoverned: no engine path probes pairs any more (link joins expand
+/// per source through [`k_hop_set_governed`]); this stays as the
+/// reference the per-source index is tested and benchmarked against.
 pub fn within_k_hops(g: &LabeledGraph, u: VertexId, v: VertexId, k: usize) -> bool {
-    within_k_hops_impl(g, u, v, k, None).expect(UNGOVERNED)
-}
-
-/// [`within_k_hops`] under a governor: each frontier expansion observes
-/// cancellation and deadline, so even an adversarial high-degree probe
-/// stops within one stride of the verdict.
-pub fn within_k_hops_governed(
-    g: &LabeledGraph,
-    u: VertexId,
-    v: VertexId,
-    k: usize,
-    gov: &QueryGovernor,
-) -> Result<bool> {
-    within_k_hops_impl(g, u, v, k, Some(gov))
-}
-
-fn within_k_hops_impl(
-    g: &LabeledGraph,
-    u: VertexId,
-    v: VertexId,
-    k: usize,
-    gov: Option<&QueryGovernor>,
-) -> Result<bool> {
-    if gov.is_some() {
-        fault_point("graph.bfs", FaultClass::Critical)?;
-    }
     BFS_CALLS.inc();
     if !g.is_live(u) || !g.is_live(v) {
-        return Ok(false);
+        return false;
     }
     if u == v {
         BFS_HITS.inc();
-        return Ok(true);
+        return true;
     }
     if k == 0 {
-        return Ok(false);
+        return false;
     }
     // Expand alternately from both ends; meet in the middle.
     let mut from_u: FxHashMap<VertexId, usize> = FxHashMap::default();
@@ -255,7 +187,8 @@ fn within_k_hops_impl(
         // frontier — fans out over a frozen view of `mine`; the merge
         // below replays the sequential skip/hit/insert decisions, so
         // the verdict is identical to the inline loop's.
-        let candidates = expand_level(g, frontier, &|x| mine.contains_key(x), gov, "graph.bfs")?;
+        let candidates =
+            expand_level(g, frontier, &|x| mine.contains_key(x), None).expect(UNGOVERNED);
         let mut next = Vec::new();
         for x in candidates {
             if mine.contains_key(&x) {
@@ -265,7 +198,7 @@ fn within_k_hops_impl(
                 if depth + other_d <= k {
                     BFS_HITS.inc();
                     BFS_VISITED.add((mine.len() + theirs.len()) as u64);
-                    return Ok(true);
+                    return true;
                 }
             }
             mine.insert(x, depth);
@@ -274,7 +207,7 @@ fn within_k_hops_impl(
         *frontier = next;
     }
     BFS_VISITED.add((from_u.len() + from_v.len()) as u64);
-    Ok(false)
+    false
 }
 
 #[cfg(test)]
@@ -301,15 +234,6 @@ mod tests {
         assert_eq!(ball.len(), 5);
         assert!(ball.contains(&vs[0]) && ball.contains(&vs[4]));
         assert!(!ball.contains(&vs[5]));
-    }
-
-    #[test]
-    fn k_hop_distances_are_exact() {
-        let (g, vs) = chain(4);
-        let d = k_hop_distances(&g, vs[0], 3);
-        assert_eq!(d[&vs[0]], 0);
-        assert_eq!(d[&vs[3]], 3);
-        assert!(!d.contains_key(&vs[4]));
     }
 
     #[test]
@@ -370,10 +294,7 @@ mod tests {
                 let u = vs[rng.random_range(0..n)];
                 let v = vs[rng.random_range(0..n)];
                 let k = rng.random_range(0..5);
-                let expect = k_hop_distances(&g, u, k)
-                    .get(&v)
-                    .map(|&d| d <= k)
-                    .unwrap_or(false);
+                let expect = k_hop_set(&g, u, k).contains(&v);
                 assert_eq!(within_k_hops(&g, u, v, k), expect, "u={u} v={v} k={k}");
             }
         }
@@ -386,14 +307,6 @@ mod tests {
         assert_eq!(
             k_hop_set_governed(&g, vs[2], 2, &gov).unwrap(),
             k_hop_set(&g, vs[2], 2)
-        );
-        assert_eq!(
-            k_hop_distances_governed(&g, vs[0], 3, &gov).unwrap(),
-            k_hop_distances(&g, vs[0], 3)
-        );
-        assert_eq!(
-            within_k_hops_governed(&g, vs[0], vs[3], 3, &gov).unwrap(),
-            within_k_hops(&g, vs[0], vs[3], 3)
         );
     }
 
@@ -413,22 +326,18 @@ mod tests {
             k_hop_set_governed(&g, vs[0], 50, &gov),
             Err(GsjError::Cancelled)
         );
-        assert_eq!(
-            within_k_hops_governed(&g, vs[0], vs[200], 100, &gov),
-            Err(GsjError::Cancelled)
-        );
     }
 
     #[test]
     fn governed_traversals_inject_faults() {
         let _x = gsj_faults::exclusive();
-        gsj_faults::set_spec(Some("graph.bfs:error")).unwrap();
+        gsj_faults::set_spec(Some("graph.khop:error")).unwrap();
         let (g, vs) = chain(3);
         let gov = QueryGovernor::unlimited();
-        let err = within_k_hops_governed(&g, vs[0], vs[1], 2, &gov).unwrap_err();
+        let err = k_hop_set_governed(&g, vs[0], 2, &gov).unwrap_err();
         assert!(matches!(err, GsjError::Internal(_)), "{err}");
         // The classic wrapper carries no fault point.
-        assert!(within_k_hops(&g, vs[0], vs[1], 2));
+        assert_eq!(k_hop_set(&g, vs[0], 2).len(), 3);
         gsj_faults::set_spec(None).unwrap();
     }
 }

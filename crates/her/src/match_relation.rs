@@ -90,7 +90,7 @@ mod tests {
         let m = MatchRelation::from_pairs(vec![(Value::str("fd1"), VertexId(3))]);
         let r = m.to_relation("f_product", "pid");
         assert_eq!(r.schema().attrs(), &["pid".to_string(), "vid".to_string()]);
-        assert_eq!(r.tuples()[0].get(1), &Value::Int(3));
+        assert_eq!(r.value_at(0, 1), Value::Int(3));
     }
 
     #[test]

@@ -128,15 +128,15 @@ fn her_match_indexed(
     let id_pos = s.schema().require(&cfg.id_attr)?;
     let _ = g;
     let mut matches = MatchRelation::new();
-    for t in s.tuples() {
+    for row in 0..s.len() {
         // Normalized attribute values (id excluded — ids are local to D).
         let mut values: Vec<(String, FxHashSet<String>)> = Vec::new();
         let mut query_tokens: Vec<String> = Vec::new();
-        for (i, v) in t.values().iter().enumerate() {
+        for i in 0..s.schema().arity() {
             if i == id_pos {
                 continue;
             }
-            if let Some(text) = value_text(v) {
+            if let Some(text) = value_text(&s.value_at(row, i)) {
                 let toks: FxHashSet<String> = tokens(&text).into_iter().collect();
                 query_tokens.extend(toks.iter().cloned());
                 values.push((text, toks));
@@ -161,7 +161,7 @@ fn her_match_indexed(
             }
         }
         if let Some((_, v)) = best {
-            matches.push(t.get(id_pos).clone(), v);
+            matches.push(s.value_at(row, id_pos), v);
         }
     }
     TUPLES.add(s.len() as u64);

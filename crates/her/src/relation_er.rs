@@ -27,13 +27,10 @@ impl Default for ErConfig {
 }
 
 fn tuple_tokens(rel: &Relation, row: usize, skip: Option<usize>) -> FxHashSet<String> {
-    rel.tuples()[row]
-        .values()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| Some(*i) != skip)
-        .filter_map(|(_, v)| value_text(v))
-        .flat_map(|t| tokens(&t).into_iter().collect::<Vec<_>>())
+    (0..rel.schema().arity())
+        .filter(|i| Some(*i) != skip)
+        .filter_map(|i| value_text(&rel.value_at(row, i)))
+        .flat_map(|t| tokens(&t))
         .collect()
 }
 

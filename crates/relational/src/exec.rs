@@ -483,11 +483,14 @@ pub fn nested_loop(
     } else {
         1
     };
+    // The inner side is walked once per outer row: materialize it once.
+    let inner: Vec<Tuple> = r.rows().collect();
     let scan_chunk = |range: Range<usize>| -> Result<RowsPartial> {
         gov.check("relational.nested_loop")?;
         let mut out = Vec::new();
-        for lt in &l.tuples()[range] {
-            for rt in r.tuples() {
+        for i in range {
+            let lt = l.row(i);
+            for rt in &inner {
                 let joined = lt.concat(rt);
                 if pred.holds(&schema, &joined)? {
                     out.push(joined);
@@ -769,11 +772,10 @@ pub(crate) fn filter(rel: Relation, pred: &Expr, gov: &QueryGovernor) -> Result<
     let schema = rel.schema().clone();
     let row_morsel = |range: Range<usize>| -> Result<IdxPartial> {
         gov.check("relational.filter")?;
-        let base = range.start;
         let mut idx: Vec<u32> = Vec::new();
-        for (i, t) in rel.tuples()[range].iter().enumerate() {
-            if pred.holds(&schema, t)? {
-                idx.push((base + i) as u32);
+        for i in range {
+            if pred.holds(&schema, &rel.row(i))? {
+                idx.push(i as u32);
             }
         }
         gov.charge_mem(4 * idx.len() as u64);
@@ -1186,11 +1188,7 @@ pub(crate) mod tests {
         )
         .unwrap();
         assert_eq!(r.len(), 2);
-        let fair_row = r
-            .tuples()
-            .iter()
-            .find(|t| t.get(0) == &Value::str("fair"))
-            .unwrap();
+        let fair_row = r.rows().find(|t| t.get(0) == &Value::str("fair")).unwrap();
         assert_eq!(fair_row.get(1), &Value::Int(2));
         assert_eq!(fair_row.get(2), &Value::Int(600));
         assert_eq!(fair_row.get(3), &Value::Int(500));
@@ -1210,16 +1208,16 @@ pub(crate) mod tests {
         )
         .unwrap();
         assert_eq!(r.len(), 1);
-        assert_eq!(r.tuples()[0].get(0), &Value::Int(0));
-        assert!(r.tuples()[0].get(1).is_null());
+        assert_eq!(r.value_at(0, 0), Value::Int(0));
+        assert!(r.value_at(0, 1).is_null());
     }
 
     #[test]
     fn sort_and_limit() {
         let r = sort(customer(), &["bal".into()], true).unwrap().head(2);
         assert_eq!(r.len(), 2);
-        assert_eq!(r.tuples()[0].get(3), &Value::Int(500));
-        assert_eq!(r.tuples()[1].get(3), &Value::Int(110));
+        assert_eq!(r.value_at(0, 3), Value::Int(500));
+        assert_eq!(r.value_at(1, 3), Value::Int(110));
     }
 
     #[test]
@@ -1271,7 +1269,7 @@ pub(crate) mod tests {
         .and(Expr::Not(Box::new(Expr::col_eq("credit", "fair"))));
         assert!(!mask_vectorizable(&slow_pred));
         let slow = filter(customer(), &slow_pred, &free()).unwrap();
-        assert_eq!(fast.tuples(), slow.tuples());
+        assert_eq!(fast, slow);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   of relations over schemas `R(A1, ..., Ak)`, each tuple carrying a
 //!   tuple id (primary key) per Codd's entity reading (Section II-A).
 //! - [`column`]: the columnar storage layer — typed column vectors with
-//!   validity bitmaps behind [`relation::Relation`]; the `Vec<Tuple>`
-//!   row view is a lazy compatibility cache.
+//!   validity bitmaps, the only storage behind [`relation::Relation`]
+//!   (a [`Tuple`] is materialized on demand and never kept).
 //! - [`expr`]: scalar expressions and predicates with SQL-style
 //!   null-rejecting comparisons, and aggregate specifications.
 //! - [`exec`]: the vectorized, morsel-parallel, governed kernels — hash

@@ -1,11 +1,13 @@
 //! Relations: a schema plus a bag of tuples, stored columnar.
 //!
-//! Storage is one [`Column`] per attribute (typed vectors + validity
-//! bitmaps, see [`crate::column`]); the row-oriented `Vec<Tuple>` view
-//! that the rest of the engine was written against is kept as a lazy
-//! compatibility cache: [`Relation::tuples`] materializes it on first
-//! use and any mutation invalidates it. Vectorized kernels bypass the
-//! cache entirely and work on the columns.
+//! A relation *is* its columns: one [`Column`] per attribute (typed
+//! vectors + validity bitmaps, see [`crate::column`]) behind an `Arc`,
+//! plus a row count — there is no second, row-oriented copy. Kernels
+//! read cells ([`Relation::col`] + [`Column::cell`]) and materialize
+//! output by index vectors + [`Relation::gather`] /
+//! [`Relation::gather_concat`]; consumers that want a whole row ask for
+//! it ([`Relation::row`], [`Relation::rows`]) and get a fresh [`Tuple`]
+//! that the relation does not keep.
 
 use crate::column::Column;
 use crate::schema::Schema;
@@ -13,10 +15,9 @@ use crate::tuple::Tuple;
 use gsj_common::{GsjError, Result, Value};
 use std::fmt;
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 /// A relation instance (bag semantics, like SQL).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,
     /// One column per schema attribute. `Arc` so projections, aliasing
@@ -25,19 +26,6 @@ pub struct Relation {
     /// Row count (columns are kept equal-length invariantly; an arity-0
     /// schema still needs an explicit count).
     len: usize,
-    /// Lazily materialized row view for `tuples()`/`into_parts()`.
-    row_cache: OnceLock<Vec<Tuple>>,
-}
-
-impl Clone for Relation {
-    fn clone(&self) -> Self {
-        Relation {
-            schema: self.schema.clone(),
-            cols: self.cols.clone(),
-            len: self.len,
-            row_cache: OnceLock::new(),
-        }
-    }
 }
 
 impl PartialEq for Relation {
@@ -62,7 +50,6 @@ impl Relation {
             schema,
             cols,
             len: 0,
-            row_cache: OnceLock::new(),
         }
     }
 
@@ -88,7 +75,6 @@ impl Relation {
             schema,
             cols: builders.into_iter().map(Arc::new).collect(),
             len,
-            row_cache: OnceLock::new(),
         })
     }
 
@@ -109,12 +95,7 @@ impl Relation {
                 bad.len()
             )));
         }
-        Ok(Relation {
-            schema,
-            cols,
-            len,
-            row_cache: OnceLock::new(),
-        })
+        Ok(Relation { schema, cols, len })
     }
 
     /// The schema.
@@ -137,16 +118,14 @@ impl Relation {
         self.cols[col].value(row)
     }
 
-    /// Row `i` materialized as a tuple (does not populate the cache).
+    /// Row `i` materialized as a tuple.
     pub fn row(&self, i: usize) -> Tuple {
         Tuple::new(self.cols.iter().map(|c| c.value(i)).collect())
     }
 
-    /// The tuples, as the classic row view. Materialized lazily on
-    /// first call and cached until the relation is mutated.
-    pub fn tuples(&self) -> &[Tuple] {
-        self.row_cache
-            .get_or_init(|| (0..self.len).map(|i| self.row(i)).collect())
+    /// Every row in order, each materialized on demand; nothing is kept.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = Tuple> + '_ {
+        (0..self.len).map(move |i| self.row(i))
     }
 
     /// Number of tuples.
@@ -169,7 +148,6 @@ impl Relation {
                 self.schema.arity()
             )));
         }
-        self.row_cache.take();
         for (c, v) in self.cols.iter_mut().zip(t.into_values()) {
             Arc::make_mut(c).push(v);
         }
@@ -196,7 +174,6 @@ impl Relation {
         if other.is_empty() {
             return Ok(());
         }
-        self.row_cache.take();
         if self.is_empty() {
             self.cols = other.cols.clone();
         } else {
@@ -215,7 +192,6 @@ impl Relation {
             schema: self.schema.clone(),
             cols: self.cols.iter().map(|c| Arc::new(c.gather(idx))).collect(),
             len: idx.len(),
-            row_cache: OnceLock::new(),
         }
     }
 
@@ -274,7 +250,6 @@ impl Relation {
             schema: self.schema.qualify(alias),
             cols: self.cols.clone(),
             len: self.len,
-            row_cache: OnceLock::new(),
         }
     }
 
@@ -287,18 +262,9 @@ impl Relation {
         Relation::from_shared_columns(schema, cols, self.len)
     }
 
-    /// Take the tuples out (consuming accessor for row-oriented
-    /// consumers; materializes the row view if nothing cached it yet).
-    pub fn into_parts(mut self) -> (Schema, Vec<Tuple>) {
-        let tuples = match self.row_cache.take() {
-            Some(t) => t,
-            None => (0..self.len).map(|i| self.row(i)).collect(),
-        };
-        (self.schema, tuples)
-    }
-
-    /// Approximate heap bytes held by the column payloads — the real
-    /// number the governor's memory budget charges.
+    /// Approximate heap bytes held by the column payloads — the whole
+    /// footprint of the relation, and the number the governor's memory
+    /// budget charges.
     pub fn approx_bytes(&self) -> u64 {
         self.cols.iter().map(|c| c.approx_bytes()).sum()
     }
@@ -510,9 +476,9 @@ mod tests {
             .unwrap();
         let parsed = Relation::from_csv("t", &r.to_csv()).unwrap();
         assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed.tuples()[0].get(1), &Value::str("a,b"));
-        assert!(parsed.tuples()[1].get(1).is_null());
-        assert_eq!(parsed.tuples()[0].get(2), &Value::Float(0.5));
+        assert_eq!(parsed.value_at(0, 1), Value::str("a,b"));
+        assert!(parsed.col(1).is_null(1));
+        assert_eq!(parsed.value_at(0, 2), Value::Float(0.5));
     }
 
     #[test]
@@ -531,13 +497,15 @@ mod tests {
     }
 
     #[test]
-    fn tuple_view_invalidates_on_push() {
+    fn push_is_visible_to_the_next_rows_read() {
         let mut r = product();
-        assert_eq!(r.tuples().len(), 2);
+        assert_eq!(r.rows().len(), 2);
         r.push_values(vec![Value::str("fd3"), Value::str("low")])
             .unwrap();
-        assert_eq!(r.tuples().len(), 3);
-        assert_eq!(r.tuples()[2].get(0), &Value::str("fd3"));
+        assert_eq!(r.rows().len(), 3);
+        assert_eq!(r.rows().last().unwrap().get(0), &Value::str("fd3"));
+        r.append_rows(&product()).unwrap();
+        assert_eq!(r.rows().nth(4).unwrap(), product().row(1));
     }
 
     #[test]
@@ -548,8 +516,7 @@ mod tests {
         r.push_values(vec![Value::Null, Value::Null]).unwrap();
         assert_eq!(r.col(0).repr_name(), "mixed");
         assert_eq!(r.col(1).repr_name(), "null");
-        let (schema, tuples) = r.clone().into_parts();
-        let back = Relation::new(schema, tuples).unwrap();
+        let back = Relation::new(r.schema().clone(), r.rows().collect()).unwrap();
         assert_eq!(back, r);
     }
 
@@ -558,11 +525,11 @@ mod tests {
         let r = product();
         let g = r.gather(&[1, 0, 1]);
         assert_eq!(g.len(), 3);
-        assert_eq!(g.tuples()[0].get(0), &Value::str("fd2"));
-        assert_eq!(g.tuples()[1].get(0), &Value::str("fd1"));
+        assert_eq!(g.value_at(0, 0), Value::str("fd2"));
+        assert_eq!(g.value_at(1, 0), Value::str("fd1"));
         let h = r.head(1);
         assert_eq!(h.len(), 1);
-        assert_eq!(h.tuples()[0].get(1), &Value::str("medium"));
+        assert_eq!(h.value_at(0, 1), Value::str("medium"));
     }
 
     #[test]
@@ -571,7 +538,7 @@ mod tests {
         let b = product();
         a.append_rows(&b).unwrap();
         assert_eq!(a.len(), 4);
-        assert_eq!(a.tuples()[3].get(0), &Value::str("fd2"));
+        assert_eq!(a.value_at(3, 0), Value::str("fd2"));
     }
 
     #[test]

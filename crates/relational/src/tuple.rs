@@ -8,10 +8,10 @@ use gsj_common::Value;
 /// stay cache-friendly and the executor can move tuples without
 /// indirection. String cells are `Arc<str>` (see [`gsj_common::Value`])
 /// so cloning a wide tuple during a join is cheap. The cell vector is
-/// private: now that [`crate::relation::Relation`] stores columns and
-/// serves tuples as a compatibility view, direct mutation of a tuple
-/// could silently diverge from the columnar truth — go through
-/// [`Tuple::new`]/[`Tuple::into_values`] instead.
+/// private: a tuple read off a [`crate::relation::Relation`] is a copy
+/// of one row of its columns, so mutating it would change nothing in
+/// the relation — go through [`Tuple::new`]/[`Tuple::into_values`]
+/// instead.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Tuple(Vec<Value>);
 

@@ -1,9 +1,9 @@
 //! Property tests for the columnar ↔ row-view round trip.
 //!
-//! `Relation` stores typed column vectors with validity bitmaps; the
-//! `Vec<Tuple>` view is a lazy compatibility cache. These properties pin
-//! the contract: any sequence of rows — homogeneous, mixed-type, or
-//! null-riddled — survives `Relation::new` → `tuples()`/`into_parts` →
+//! `Relation` stores typed column vectors with validity bitmaps and
+//! nothing else; rows are materialized on demand by `rows()`. These
+//! properties pin the contract: any sequence of rows — homogeneous,
+//! mixed-type, or null-riddled — survives `Relation::new` → `rows()` →
 //! `Relation::new` unchanged, and `Value::Null` maps exactly onto the
 //! validity bitmap.
 
@@ -79,7 +79,7 @@ fn schema(arity: usize) -> Schema {
 
 proptest! {
     /// Typed columns with interleaved nulls: rows → columns → rows is the
-    /// identity, and `into_parts` gives the rows back unchanged.
+    /// identity, in both directions.
     #[test]
     fn typed_columns_round_trip(
         rows in 0usize..24,
@@ -95,12 +95,11 @@ proptest! {
         let tuples = grid_to_tuples(&cols, rows);
         let rel = Relation::new(schema(arity), tuples.clone()).unwrap();
         prop_assert_eq!(rel.len(), rows);
-        prop_assert_eq!(rel.tuples(), tuples.as_slice());
-        // And back out again — the reverse direction.
-        let (s, back) = rel.into_parts();
-        prop_assert_eq!(back.as_slice(), tuples.as_slice());
-        let rel2 = Relation::new(s, back).unwrap();
-        prop_assert_eq!(rel2.tuples(), tuples.as_slice());
+        let back: Vec<Tuple> = rel.rows().collect();
+        prop_assert_eq!(&back, &tuples);
+        // And back in again — the reverse direction.
+        let rel2 = Relation::new(rel.schema().clone(), back).unwrap();
+        prop_assert_eq!(rel2.rows().collect::<Vec<_>>(), tuples);
     }
 
     /// Heterogeneous per-cell types (the `Mixed` fallback) round trip
@@ -121,7 +120,7 @@ proptest! {
             .collect();
         let tuples = grid_to_tuples(&cols, rows);
         let rel = Relation::new(schema(arity), tuples.clone()).unwrap();
-        prop_assert_eq!(rel.tuples(), tuples.as_slice());
+        prop_assert_eq!(&rel.rows().collect::<Vec<_>>(), &tuples);
         for (r, t) in tuples.iter().enumerate() {
             for c in 0..arity {
                 // Bit-level float preservation, stricter than Value eq.
@@ -159,9 +158,8 @@ proptest! {
     }
 
     /// Building a relation row-by-row with `push` yields the same relation
-    /// (cell-wise equality) and the same row view as bulk construction,
-    /// even when reads interleave with writes so the row cache is
-    /// repeatedly materialized and invalidated.
+    /// (cell-wise equality) and the same rows as bulk construction, and
+    /// every push is visible to the very next read.
     #[test]
     fn push_matches_bulk_construction(
         rows in 0usize..24,
@@ -177,12 +175,13 @@ proptest! {
         let tuples = grid_to_tuples(&cols, rows);
         let bulk = Relation::new(schema(arity), tuples.clone()).unwrap();
         let mut incremental = Relation::empty(schema(arity));
-        for t in &tuples {
-            // Interleave reads so the row cache gets invalidated mid-build.
-            let _ = incremental.tuples();
+        for (i, t) in tuples.iter().enumerate() {
+            // Interleave reads with writes: each read sees exactly the
+            // rows pushed so far.
+            prop_assert_eq!(incremental.rows().collect::<Vec<_>>(), &tuples[..i]);
             incremental.push(t.clone()).unwrap();
         }
         prop_assert_eq!(&incremental, &bulk);
-        prop_assert_eq!(incremental.tuples(), bulk.tuples());
+        prop_assert_eq!(incremental.rows().collect::<Vec<_>>(), tuples);
     }
 }

@@ -74,13 +74,12 @@ fn main() {
     let truth_disease = |cas: &str| -> Option<String> {
         let pos = col.truth.schema().position("disease")?;
         col.truth
-            .tuples()
-            .iter()
+            .rows()
             .find(|t| t.get(0).as_str() == Some(cas))
             .and_then(|t| t.get(pos).as_str().map(str::to_string))
     };
     let mut verified = 0usize;
-    for t in result.tuples() {
+    for t in result.rows() {
         let (a, b) = (t.get(0).as_str().unwrap(), t.get(1).as_str().unwrap());
         if truth_disease(a).is_some() && truth_disease(a) == truth_disease(b) {
             verified += 1;

@@ -62,7 +62,8 @@ fn main() {
     println!("{}", sorted.to_table());
 
     // Drill-down: authors of the most common topic, per country.
-    if let Some(top_topic) = sorted.tuples().first().and_then(|t| t.get(0).as_str()) {
+    let top = sorted.rows().next();
+    if let Some(top_topic) = top.as_ref().and_then(|t| t.get(0).as_str()) {
         let q = format!(
             "select country, count(*) as n from fakenews e-join topicKG <topic> as T \
              where T.topic = '{top_topic}'"

@@ -37,7 +37,6 @@ use std::sync::Arc;
 /// if this list and reality drift apart.
 const SITES: &[&str] = &[
     "graph.khop",
-    "graph.bfs",
     "graph.random_walk",
     "her.match",
     "rext.discover",

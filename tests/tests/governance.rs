@@ -11,7 +11,7 @@ use gsj_core::typed::TypedConfig;
 use gsj_datagen::queries::workload;
 use gsj_datagen::Collection;
 use gsj_graph::random_walk::{build_corpus_governed, WalkConfig};
-use gsj_graph::traversal::{k_hop_set, k_hop_set_governed, within_k_hops_governed};
+use gsj_graph::traversal::{k_hop_set, k_hop_set_governed};
 use gsj_graph::LabeledGraph;
 use gsj_tests::{fast_rext_config, tiny};
 use std::sync::{Arc, OnceLock};
@@ -83,15 +83,6 @@ fn khop_bfs_observes_expired_deadline() {
 }
 
 #[test]
-fn bidirectional_bfs_observes_cancellation() {
-    let (g, vs) = chain(400);
-    let gov = QueryGovernor::unlimited();
-    gov.cancel();
-    let err = within_k_hops_governed(&g, vs[0], vs[399], 399, &gov).unwrap_err();
-    assert_eq!(err, GsjError::Cancelled);
-}
-
-#[test]
 fn random_walk_corpus_observes_expired_deadline() {
     let (g, _) = chain(300);
     let cfg = WalkConfig::default();
@@ -112,7 +103,7 @@ fn gsql_query_observes_expired_deadline() {
 #[test]
 fn gsql_link_join_observes_deadline_in_bfs_loop() {
     // A deadline that expires *during* execution: ample for planning, far
-    // too short for the online HER + pairwise-BFS link join. The error
+    // too short for the online HER + k-hop-expansion link join. The error
     // must be the typed governance error, never a panic or a hang.
     let col = tiny("Celebrity");
     let engine = engine_for(&col);

@@ -96,8 +96,8 @@ fn baseline_and_optimized_agree_on_static_enrichment() {
     let base = engine.run(&q.text, Strategy::Baseline).unwrap();
     assert_eq!(opt.len(), base.len(), "{}", q.name);
     // Cell-level agreement on the id and first keyword columns.
-    let mut opt_rows: Vec<String> = opt.tuples().iter().map(|t| format!("{t:?}")).collect();
-    let mut base_rows: Vec<String> = base.tuples().iter().map(|t| format!("{t:?}")).collect();
+    let mut opt_rows: Vec<String> = opt.rows().map(|t| format!("{t:?}")).collect();
+    let mut base_rows: Vec<String> = base.rows().map(|t| format!("{t:?}")).collect();
     opt_rows.sort();
     base_rows.sort();
     assert_eq!(opt_rows, base_rows);
@@ -147,8 +147,7 @@ fn q1_of_the_paper_round_trips() {
         ]
     );
     // The director matches ground truth.
-    let truth_director = col.truth.tuples()[0].get(1).clone();
-    assert_eq!(r.tuples()[0].get(1), &truth_director);
+    assert_eq!(r.value_at(0, 1), col.truth.value_at(0, 1));
 }
 
 #[test]
@@ -158,10 +157,8 @@ fn aggregation_query_counts_by_extracted_attribute() {
     let q = "select efficacy, count(*) as n from drug e-join G <efficacy> as T";
     let r = engine.run(q, Strategy::Optimized).unwrap();
     assert!(!r.is_empty());
-    let total: i64 = r
-        .tuples()
-        .iter()
-        .map(|t| t.get(1).as_int().unwrap_or(0))
+    let total: i64 = (0..r.len())
+        .map(|i| r.value_at(i, 1).as_int().unwrap_or(0))
         .sum();
     assert_eq!(total as usize, col.entity_relation().len());
 }

@@ -35,8 +35,7 @@ fn initial_extraction(col: &gsj_datagen::Collection, rext: &Rext) -> Extraction 
 /// Sort rows for order-insensitive comparison.
 fn sorted_rows(r: &Relation) -> Vec<Vec<String>> {
     let mut rows: Vec<Vec<String>> = r
-        .tuples()
-        .iter()
+        .rows()
         .map(|t| t.values().iter().map(|v| v.to_string()).collect())
         .collect();
     rows.sort();

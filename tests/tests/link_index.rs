@@ -1,23 +1,29 @@
 //! Link joins over the shared `g_L` reachability index with selections
 //! pushed below the join: the pushed-down plan must return what the
-//! un-pushed one does, the index must agree with per-pair BFS, and one
+//! un-pushed one does, the index and the link joins built on it must
+//! agree with per-pair BFS, and one
 //! index per `(graph, lbase, rbase, k)` must serve every selection until
 //! IncExt commits a new extraction.
 
-use gsj_common::{pool, QueryGovernor};
+use gsj_common::{pool, FxHashMap, QueryGovernor, Value};
+use gsj_core::discover::Discovery;
 use gsj_core::gsql::exec::{GsqlEngine, Strategy};
+use gsj_core::heuristic::{heuristic_link, typed_store};
 use gsj_core::incext::inc_update_graph;
-use gsj_core::join::{connectivity_relation, LinkIndex};
+use gsj_core::join::{connectivity_relation, link_join_with_matches, LinkIndex};
 use gsj_core::profile::GraphProfile;
 use gsj_core::rext::Rext;
+use gsj_core::typed::TypedRelation;
 use gsj_datagen::queries::workload;
 use gsj_datagen::updates::balanced_updates;
 use gsj_datagen::Collection;
 use gsj_graph::traversal::within_k_hops;
 use gsj_graph::update::apply_updates;
 use gsj_graph::{GraphUpdate, LabeledGraph, VertexId};
+use gsj_her::relation_er::ErConfig;
+use gsj_her::MatchRelation;
 use gsj_relational::physical::{filter_rel, ExecContext};
-use gsj_relational::Relation;
+use gsj_relational::{Relation, Schema};
 use gsj_tests::{counter, fast_rext_config, tiny};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -47,7 +53,7 @@ fn engine_for(col: &Collection) -> (GsqlEngine, Arc<Rext>) {
 
 /// Sorted rendered rows: the row multiset of a relation.
 fn row_multiset(rel: &Relation) -> Vec<String> {
-    let mut rows: Vec<String> = rel.tuples().iter().map(|t| format!("{t:?}")).collect();
+    let mut rows: Vec<String> = rel.rows().map(|t| format!("{t:?}")).collect();
     rows.sort();
     rows
 }
@@ -239,16 +245,65 @@ fn connectivity_by_pair_bfs(
     rows
 }
 
+/// One row `(id, name)` per entry of `rows`, the id being the row number
+/// and the name that of the row's vertex (`nobody` for an unmatched row);
+/// plus the match relation id → vertex over the matched rows.
+fn resolved_side(alias: &str, rows: &[Option<VertexId>]) -> (Relation, MatchRelation) {
+    let attrs = vec![format!("{alias}.id"), format!("{alias}.name")];
+    let mut rel = Relation::empty(Schema::new(alias.to_string(), attrs).unwrap());
+    let mut matches = MatchRelation::new();
+    for (i, v) in rows.iter().enumerate() {
+        let name = v.map_or("nobody".to_string(), |v| format!("vx{}", v.0));
+        rel.push_values(vec![Value::Int(i as i64), Value::str(name)])
+            .unwrap();
+        if let Some(v) = v {
+            matches.push(Value::Int(i as i64), *v);
+        }
+    }
+    (rel, matches)
+}
+
+/// A typed store on which tuple ER is the identity of [`resolved_side`]:
+/// one `(vid, name)` row per vertex, dead ones included.
+fn identity_typed_store(vs: &[VertexId]) -> FxHashMap<String, TypedRelation> {
+    let mut relation = Relation::empty(Schema::of("g_thing", &["vid", "name"]));
+    for v in vs {
+        relation
+            .push_values(vec![
+                Value::Int(v.0 as i64),
+                Value::str(format!("vx{}", v.0)),
+            ])
+            .unwrap();
+    }
+    typed_store(vec![TypedRelation {
+        ty: "thing".into(),
+        discovery: Discovery {
+            clusters: vec![],
+            schema: relation.schema().clone(),
+            refined: vec![],
+            paths: Default::default(),
+            keyword_embs: vec![],
+            total_paths: 0,
+            word_dim: 0,
+        },
+        relation,
+    }])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Index membership ≡ `within_k_hops`, and `connectivity_relation` ≡
-    /// its per-pair definition, on random graphs with a dead vertex.
+    /// Index membership ≡ `within_k_hops`, `connectivity_relation` ≡ its
+    /// per-pair definition, and both index-building link joins ≡ the
+    /// per-pair double loop — same rows in the same left-major,
+    /// right-ascending order — on random graphs with a dead vertex,
+    /// duplicate vertices and unmatched rows on both sides.
     #[test]
     fn link_index_agrees_with_pairwise_bfs(
         edges in prop::collection::vec((0u32..14, 0u32..14), 0..40),
-        left in prop::collection::vec(0u32..14, 0..10),
-        right in prop::collection::vec(0u32..14, 0..10),
+        // 14 and 15 = a row no vertex matches.
+        left in prop::collection::vec(0u32..16, 0..10),
+        right in prop::collection::vec(0u32..16, 0..10),
         // 14 = no dead vertex.
         dead in 0u32..15,
         k in 0usize..4,
@@ -261,8 +316,12 @@ proptest! {
         if let Some(&d) = vs.get(dead as usize) {
             apply_updates(&mut g, &[GraphUpdate::RemoveVertex(d)]);
         }
-        let left: Vec<VertexId> = left.into_iter().map(|i| vs[i as usize]).collect();
-        let right: Vec<VertexId> = right.into_iter().map(|i| vs[i as usize]).collect();
+        let left_rows: Vec<Option<VertexId>> =
+            left.into_iter().map(|i| vs.get(i as usize).copied()).collect();
+        let right_rows: Vec<Option<VertexId>> =
+            right.into_iter().map(|i| vs.get(i as usize).copied()).collect();
+        let left: Vec<VertexId> = left_rows.iter().flatten().copied().collect();
+        let right: Vec<VertexId> = right_rows.iter().flatten().copied().collect();
         let gov = QueryGovernor::unlimited();
 
         let index = LinkIndex::build(&g, &left, &right, k, &gov).unwrap();
@@ -282,5 +341,34 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(rows, connectivity_by_pair_bfs(&g, &left, &right, k));
+
+        let (s1, m1) = resolved_side("a", &left_rows);
+        let (s2, m2) = resolved_side("b", &right_rows);
+        let mut expected = Vec::new();
+        for (i, u) in left_rows.iter().enumerate() {
+            for (j, v) in right_rows.iter().enumerate() {
+                if let (Some(u), Some(v)) = (u, v) {
+                    if within_k_hops(&g, *u, *v, k) {
+                        expected.push(s1.row(i).concat(&s2.row(j)));
+                    }
+                }
+            }
+        }
+        let online =
+            link_join_with_matches(&s1, "a.id", &m1, &s2, "b.id", &m2, &g, k, &gov).unwrap();
+        prop_assert_eq!(&online.rows().collect::<Vec<_>>(), &expected);
+        let heuristic = heuristic_link(
+            &s1,
+            Some("a.id"),
+            &s2,
+            Some("b.id"),
+            &identity_typed_store(&vs),
+            &g,
+            k,
+            &ErConfig::default(),
+            &gov,
+        )
+        .unwrap();
+        prop_assert_eq!(&heuristic.rows().collect::<Vec<_>>(), &expected);
     }
 }

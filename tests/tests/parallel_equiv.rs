@@ -10,7 +10,7 @@
 
 use gsj_common::{pool, GsjError, QueryGovernor, Value};
 use gsj_graph::random_walk::{build_corpus, WalkConfig};
-use gsj_graph::traversal::{k_hop_distances, k_hop_set, within_k_hops};
+use gsj_graph::traversal::{k_hop_set, within_k_hops};
 use gsj_graph::{LabeledGraph, VertexId};
 use gsj_relational::exec::{aggregate, natural_join};
 use gsj_relational::physical::filter_rel;
@@ -108,7 +108,7 @@ proptest! {
     }
 
     /// Level-synchronous parallel BFS visits exactly the sequential
-    /// frontier sets, distances, and reachability verdicts.
+    /// frontier sets and reaches the same reachability verdicts.
     #[test]
     fn parallel_bfs_equals_sequential(
         edges in prop::collection::vec((0u8..12, 0u8..12), 0..40),
@@ -119,11 +119,9 @@ proptest! {
         let (g, vs) = graph(&edges);
         let (s, t) = (vs[start as usize], vs[target as usize]);
         let seq_set = at(1, || k_hop_set(&g, s, k));
-        let seq_dist = at(1, || k_hop_distances(&g, s, k));
         let seq_within = at(1, || within_k_hops(&g, s, t, k));
         for threads in [2, 8] {
             prop_assert_eq!(&seq_set, &at(threads, || k_hop_set(&g, s, k)));
-            prop_assert_eq!(&seq_dist, &at(threads, || k_hop_distances(&g, s, k)));
             prop_assert_eq!(seq_within, at(threads, || within_k_hops(&g, s, t, k)));
         }
     }

@@ -2,7 +2,7 @@
 //! reference for arbitrary inputs — the hash-join path with the
 //! nested-loop kernel, the natural join with an equi join plus a
 //! projection, and filter / nested loop / aggregation with naive folds
-//! written here over the row view.
+//! written here over materialized rows.
 
 use gsj_common::{QueryGovernor, Value};
 use gsj_relational::exec::{natural_join, nested_loop};
@@ -47,21 +47,26 @@ fn int(v: &Value) -> Option<i64> {
 
 /// The rows in sorted order — multiset comparison.
 fn sorted_rows(rel: &Relation) -> Vec<Vec<Value>> {
-    let mut rows: Vec<Vec<Value>> = rel.tuples().iter().map(|t| t.values().to_vec()).collect();
+    let mut rows: Vec<Vec<Value>> = rel.rows().map(Tuple::into_values).collect();
     rows.sort();
     rows
 }
 
+/// The rows in relation order.
+fn rows_of(rel: &Relation) -> Vec<Tuple> {
+    rel.rows().collect()
+}
+
 /// Row-at-a-time reference filter.
 fn naive_filter(rel: &Relation, keep: impl Fn(&Tuple) -> bool) -> Vec<Tuple> {
-    rel.tuples().iter().filter(|t| keep(t)).cloned().collect()
+    rel.rows().filter(|t| keep(t)).collect()
 }
 
 /// Reference grouping on column 0 in first-seen order: per group, the
 /// non-NULL values of column `val`.
 fn naive_groups(rel: &Relation, val: usize) -> Vec<(Value, usize, Vec<i64>)> {
     let mut groups: Vec<(Value, usize, Vec<i64>)> = Vec::new();
-    for t in rel.tuples() {
+    for t in rel.rows() {
         let key = t.get(0);
         let slot = match groups.iter().position(|(k, ..)| k == key) {
             Some(i) => i,
@@ -97,8 +102,8 @@ proptest! {
             .map(|t| t.project(&[1]))
             .collect();
         prop_assert_eq!(got.schema().attrs(), &["a".to_string()]);
-        prop_assert_eq!(got.tuples(), &expected[..]);
         prop_assert_eq!(ctx.ops()[0].rows_out, expected.len());
+        prop_assert_eq!(rows_of(&got), expected);
     }
 
     /// The natural join is the equi join on the common attribute with the
@@ -152,15 +157,16 @@ proptest! {
         .unwrap();
         prop_assert_eq!(sorted_rows(&hashed), sorted_rows(&looped));
         let mut right_major = Vec::new();
-        for rt in r.tuples() {
-            for lt in l.tuples() {
+        let (lrows, rrows) = (rows_of(&l), rows_of(&r));
+        for rt in &rrows {
+            for lt in &lrows {
                 let joined = lt.concat(rt);
                 if pred.holds(hashed.schema(), &joined).unwrap() {
                     right_major.push(joined);
                 }
             }
         }
-        prop_assert_eq!(hashed.tuples(), &right_major[..]);
+        prop_assert_eq!(rows_of(&hashed), right_major);
     }
 
     /// A non-equi predicate takes the nested loop; compare with the
@@ -177,14 +183,15 @@ proptest! {
         let got = join_rel(&l, &r, &pred, "l ⋈ r", &mut ctx).unwrap();
         prop_assert!(ctx.ops()[0].label.starts_with("NestedLoopJoin("));
         let mut expected = Vec::new();
-        for lt in l.tuples() {
-            for rt in r.tuples() {
+        let (lrows, rrows) = (rows_of(&l), rows_of(&r));
+        for lt in &lrows {
+            for rt in &rrows {
                 if int(lt.get(1)).unwrap() > int(rt.get(1)).unwrap() {
                     expected.push(lt.concat(rt));
                 }
             }
         }
-        prop_assert_eq!(got.tuples(), &expected[..]);
+        prop_assert_eq!(rows_of(&got), expected);
     }
 
     /// Grouped aggregation over a join, then sort and limit, against a
@@ -211,7 +218,7 @@ proptest! {
 
         // Reference: joined rows are (k, a, b) with k never NULL.
         let mut groups: BTreeMap<i64, (i64, i64, i64)> = BTreeMap::new();
-        for t in joined.tuples() {
+        for t in joined.rows() {
             let (k, a, b) = (
                 int(t.get(0)).unwrap(),
                 int(t.get(1)).unwrap(),
@@ -233,7 +240,7 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(got.schema().attrs(), &["k", "n", "total", "low"]);
-        prop_assert_eq!(got.tuples(), &expected[..]);
+        prop_assert_eq!(rows_of(&got), expected);
     }
 
     /// Grouping on a key that can be NULL keeps first-seen group order
@@ -268,10 +275,10 @@ proptest! {
                 ])
             })
             .collect();
-        prop_assert_eq!(got.tuples(), &expected[..]);
+        prop_assert_eq!(rows_of(&got), expected);
     }
 
-    /// Rebuilding every input through the row view (`into_parts` →
+    /// Rebuilding every input through its rows (`rows()` →
     /// `Relation::new`) rebuilds the columnar storage from tuples — and
     /// join + filter still produce identical results on the rebuilt
     /// inputs.
@@ -282,8 +289,7 @@ proptest! {
     ) {
         let (l, r) = two_tables(&left, &right);
         let rebuild = |rel: &Relation| {
-            let (schema, tuples) = rel.clone().into_parts();
-            Relation::new(schema, tuples).unwrap()
+            Relation::new(rel.schema().clone(), rows_of(rel)).unwrap()
         };
         let run = |l: &Relation, r: &Relation| {
             let joined = natural_join(l, r, &QueryGovernor::unlimited()).unwrap();
@@ -328,7 +334,7 @@ proptest! {
         let (fast, slow) = (run(&vectorized), run(&row_path));
         prop_assert_eq!(&fast, &slow, "mask kernel and row fallback disagree");
         let expected = naive_filter(&l, |t| int(t.get(1)).unwrap() >= threshold);
-        prop_assert_eq!(fast.tuples(), &expected[..]);
+        prop_assert_eq!(rows_of(&fast), expected);
     }
 
     /// Global aggregate (no GROUP BY) over a filtered input against a
@@ -363,6 +369,6 @@ proptest! {
                 Value::Int(*vals.iter().max().unwrap()),
             ]
         };
-        prop_assert_eq!(got.tuples(), &[Tuple::new(expected)][..]);
+        prop_assert_eq!(rows_of(&got), vec![Tuple::new(expected)]);
     }
 }
