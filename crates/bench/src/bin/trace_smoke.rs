@@ -20,6 +20,12 @@ fn main() {
     let kw = &col.spec.reference_keywords()[0];
     let query = format!("select * from {} e-join G <{}> as T", col.spec.rel_name, kw);
     let rel = engine.run(&query, Strategy::Optimized).expect("query runs");
+    // A per-query capture in between must leave the process-wide trace
+    // as it found it: the labels asserted below were collected before it.
+    let parsed = engine.parse(&query).expect("query parses");
+    engine
+        .explain_analyze(&parsed, Strategy::Optimized)
+        .expect("explain analyze runs");
     gsj_obs::set_tracing(false);
 
     let spans = gsj_obs::take_spans();

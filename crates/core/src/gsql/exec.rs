@@ -14,16 +14,24 @@
 //!
 //! The work happens in two sibling modules: [`super::plan`] turns the
 //! AST into a [`super::plan::QueryPlan`] with semantic joins as
-//! first-class physical operators and executes it with per-operator
-//! counters; [`super::strategies`] holds the strategy → implementation
-//! rewrites. This module keeps the engine state and the public
-//! `run` / `run_query` / `explain` surface, and adds
-//! [`GsqlEngine::explain_analyze`] for counter-annotated plans.
+//! first-class physical operators, executes it with per-operator
+//! counters and prints it (`EXPLAIN` is the plan, rendered);
+//! [`super::strategies`] holds the strategy → implementation rewrites.
+//!
+//! This module keeps the engine state and the public surface. There is
+//! one way to run a query: every entry point — [`GsqlEngine::run`],
+//! [`GsqlEngine::run_query`], [`GsqlEngine::run_query_stats`],
+//! [`GsqlEngine::run_recorded`], [`GsqlEngine::explain_analyze`] — is a
+//! few lines over one private function that parses (when handed text),
+//! mints the query's ids, holds the panic boundary, plans, executes,
+//! captures the span tree when asked to, and leaves the flight-recorder
+//! record. The entry points differ only in what they hand in (text or
+//! AST, a governor or none, a [`TraceOpt`]) and in which part of the
+//! [`QueryRun`] they hand back.
 
-use super::analyze::{is_well_behaved, source_base};
+use super::analyze::is_well_behaved;
 use super::ast::{FromItem, Projection, Query, Source};
 use super::parser::parse_query;
-use super::strategies;
 use crate::profile::GraphProfile;
 use crate::rext::Rext;
 use gsj_common::{FxHashMap, GsjError, QueryGovernor, Result};
@@ -31,8 +39,10 @@ use gsj_graph::LabeledGraph;
 use gsj_her::relation_er::ErConfig;
 use gsj_her::HerConfig;
 use gsj_obs::recorder::{self, PhaseStat, QueryRecord};
+use gsj_obs::SpanRecord;
 use gsj_relational::physical::ExecContext;
 use gsj_relational::{Database, Relation, Schema};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -79,8 +89,9 @@ pub enum TraceOpt {
     Force,
 }
 
-/// The outcome of [`GsqlEngine::run_recorded`]: the query result plus
-/// the identifiers of the flight-recorder record it left behind.
+/// The outcome of one query: its result, the identifiers of the
+/// flight-recorder record it left behind, and — when it was traced —
+/// what it takes to render it.
 #[derive(Debug)]
 pub struct QueryRun {
     /// The result relation and per-operator counters, or the error.
@@ -90,8 +101,63 @@ pub struct QueryRun {
     /// Wire trace id (16 hex chars), present on every run — it only
     /// resolves to a span tree when the query was traced.
     pub trace_id: String,
-    /// `{"trace_id": ..., "spans": [...]}` JSON document, when traced.
-    pub spans_json: Option<String>,
+    /// The `EXPLAIN` text of the plan that ran. Rendered for traced runs
+    /// and the slow tail only; absent too when the query failed before
+    /// it had a plan.
+    pub plan: Option<String>,
+    /// The query's span tree when it was traced: the stage spans its
+    /// thread recorded plus one synthetic span per physical operator,
+    /// sorted by start time.
+    pub spans: Option<Vec<SpanRecord>>,
+}
+
+impl QueryRun {
+    /// The `{"trace_id": ..., "spans": [...]}` JSON document of a traced
+    /// run (the wire `trace: 1` body and the record's `trace` field).
+    pub fn spans_json(&self) -> Option<String> {
+        self.spans.as_ref().map(|spans| {
+            format!(
+                "{{\"trace_id\":\"{}\",\"spans\":{}}}",
+                gsj_obs::escape_json(&self.trace_id),
+                gsj_obs::spans_json(spans)
+            )
+        })
+    }
+
+    /// The plan followed, for a query that succeeded, by its row count
+    /// and operator table.
+    fn report(&self) -> Option<String> {
+        let mut out = self.plan.clone()?;
+        if let Ok((rel, ctx)) = &self.result {
+            out.push_str(&format!("result: {} row(s)\n\n{}", rel.len(), ctx.render()));
+        }
+        Some(out)
+    }
+
+    /// `EXPLAIN ANALYZE` as a rendering of a traced run: the plan, the
+    /// row count, the per-operator counters — rows in/out, build/probe
+    /// sizes for hash joins, wall time — and one tree that holds the
+    /// physical operators and the pipeline stage spans (HER, RExt, BFS,
+    /// joins) together. The query's error if it failed.
+    pub fn explain_analyze(&self) -> Result<String> {
+        if let Err(e) = &self.result {
+            return Err(e.clone());
+        }
+        Ok(format!(
+            "{}\ntrace:\n{}",
+            self.report().unwrap_or_default(),
+            gsj_obs::render_tree(self.spans.as_deref().unwrap_or_default())
+        ))
+    }
+}
+
+/// What an entry point hands the one execution path.
+#[derive(Clone, Copy)]
+enum QueryInput<'a> {
+    /// gSQL text, still to be parsed; recorded verbatim.
+    Text(&'a str),
+    /// An already-parsed query; recorded as [`summarize_query`] has it.
+    Parsed(&'a Query),
 }
 
 /// The gSQL query engine: a relational catalog, registered graphs, and the
@@ -192,19 +258,9 @@ impl GsqlEngine {
 
     /// Parse and execute.
     pub fn run(&self, text: &str, strategy: Strategy) -> Result<Relation> {
-        let q = self.parse(text)?;
-        self.run_query(&q, strategy)
-    }
-
-    /// Parse and execute under a governor (deadline / budgets / cancel).
-    pub fn run_governed(
-        &self,
-        text: &str,
-        strategy: Strategy,
-        gov: &QueryGovernor,
-    ) -> Result<Relation> {
-        let q = self.parse(text)?;
-        Ok(self.run_query_stats_governed(&q, strategy, gov)?.0)
+        let gov = QueryGovernor::unlimited();
+        let run = self.execute(QueryInput::Text(text), strategy, &gov, TraceOpt::Off);
+        Ok(run.result?.0)
     }
 
     /// Execute a parsed query.
@@ -219,76 +275,18 @@ impl GsqlEngine {
         q: &Query,
         strategy: Strategy,
     ) -> Result<(Relation, ExecContext)> {
-        self.run_query_stats_governed(q, strategy, &QueryGovernor::unlimited())
+        let gov = QueryGovernor::unlimited();
+        self.execute(QueryInput::Parsed(q), strategy, &gov, TraceOpt::Off)
+            .result
     }
 
-    /// [`GsqlEngine::run_query_stats`] under an explicit governor. This is
-    /// the engine's outermost failure boundary: any panic that escapes the
-    /// per-join recovery in [`super::strategies`] is caught here and
-    /// converted to [`GsjError::Internal`], so callers always see a typed
-    /// result, never an unwind. Every call — success or failure — leaves
-    /// one [`QueryRecord`] in the flight recorder.
-    pub fn run_query_stats_governed(
-        &self,
-        q: &Query,
-        strategy: Strategy,
-        gov: &QueryGovernor,
-    ) -> Result<(Relation, ExecContext)> {
-        let (id, trace_id) = recorder::begin_query();
-        let faults_before = gsj_faults::injected_total();
-        let started = Instant::now();
-        let result = self.run_stats_raw(q, strategy, gov, Some(&trace_id));
-        self.emit_record(RecordParts {
-            id,
-            trace_id,
-            text: None,
-            q: Some(q),
-            strategy,
-            gov,
-            result: &result,
-            wall_ns: elapsed_ns(started),
-            fault_hits: gsj_faults::injected_total().saturating_sub(faults_before),
-            trace_json: None,
-        });
-        result
-    }
-
-    /// The uninstrumented execution core: plan, execute, catch panics.
-    /// Callers own record emission and span capture.
-    fn run_stats_raw(
-        &self,
-        q: &Query,
-        strategy: Strategy,
-        gov: &QueryGovernor,
-        trace_id: Option<&str>,
-    ) -> Result<(Relation, ExecContext)> {
-        let run = || {
-            let mut span = gsj_obs::span("gsql.query");
-            span.field("strategy", format!("{strategy:?}"));
-            if let Some(t) = trace_id {
-                span.field("trace_id", t);
-            }
-            gov.check("gsql.query")?;
-            let plan = self.plan_query(q, strategy)?;
-            let mut ctx = ExecContext::with_governor(gov.clone());
-            let rel = self.execute_plan(&plan, &mut ctx)?;
-            span.field("rows", rel.len());
-            Ok((rel, ctx))
-        };
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
-            Err(GsjError::Internal(format!(
-                "panic in gsql.query: {}",
-                gsj_common::panic_message(&*payload)
-            )))
-        })
-    }
-
-    /// Parse and execute under a governor, leaving a flight-recorder
-    /// record that carries the *original* query text, and optionally a
-    /// captured span tree. This is the server's entry point: `trace`
-    /// comes from the wire `trace: 1` header ([`TraceOpt::Force`]) or
-    /// defaults to [`TraceOpt::Auto`] so `GSJ_TRACE=sample:p` sampling
-    /// applies to served traffic.
+    /// Parse and execute under a governor (deadline / budgets / cancel),
+    /// leaving a flight-recorder record that carries the *original*
+    /// query text, and optionally a captured span tree. This is the
+    /// server's entry point: `trace` comes from the wire `trace: 1` /
+    /// `explain: analyze` headers ([`TraceOpt::Force`]) or defaults to
+    /// [`TraceOpt::Auto`] so `GSJ_TRACE=sample:p` sampling applies to
+    /// served traffic.
     pub fn run_recorded(
         &self,
         text: &str,
@@ -296,362 +294,141 @@ impl GsqlEngine {
         gov: &QueryGovernor,
         trace: TraceOpt,
     ) -> QueryRun {
-        let (id, trace_id) = recorder::begin_query();
-        let faults_before = gsj_faults::injected_total();
-        let started = Instant::now();
-        let q = match self.parse(text) {
-            Ok(q) => q,
-            Err(e) => {
-                let result = Err(e);
-                self.emit_record(RecordParts {
-                    id,
-                    trace_id: trace_id.clone(),
-                    text: Some(text),
-                    q: None,
-                    strategy,
-                    gov,
-                    result: &result,
-                    wall_ns: elapsed_ns(started),
-                    fault_hits: 0,
-                    trace_json: None,
-                });
-                return QueryRun {
-                    result,
-                    query_id: id,
-                    trace_id,
-                    spans_json: None,
-                };
-            }
-        };
-        let want_trace = match trace {
-            TraceOpt::Off => false,
-            TraceOpt::Force => true,
-            TraceOpt::Auto => gsj_obs::should_trace_query(),
-        };
-        let (result, spans_json) = if want_trace {
-            let (result, spans) = self.capture_query_spans(&q, strategy, gov, &trace_id);
-            let doc = format!(
-                "{{\"trace_id\":\"{}\",\"spans\":{}}}",
-                gsj_obs::escape_json(&trace_id),
-                gsj_obs::spans_json(&spans)
-            );
-            (result, Some(doc))
-        } else {
-            (self.run_stats_raw(&q, strategy, gov, Some(&trace_id)), None)
-        };
-        self.emit_record(RecordParts {
-            id,
-            trace_id: trace_id.clone(),
-            text: Some(text),
-            q: Some(&q),
-            strategy,
-            gov,
-            result: &result,
-            wall_ns: elapsed_ns(started),
-            fault_hits: gsj_faults::injected_total().saturating_sub(faults_before),
-            trace_json: spans_json.clone(),
-        });
-        QueryRun {
-            result,
-            query_id: id,
-            trace_id,
-            spans_json,
+        self.execute(QueryInput::Text(text), strategy, gov, trace)
+    }
+
+    /// `EXPLAIN ANALYZE`: execute the query under `strategy` with its
+    /// span tree captured, and render the run
+    /// ([`QueryRun::explain_analyze`]).
+    pub fn explain_analyze(&self, q: &Query, strategy: Strategy) -> Result<String> {
+        let gov = QueryGovernor::unlimited();
+        self.execute(QueryInput::Parsed(q), strategy, &gov, TraceOpt::Force)
+            .explain_analyze()
+    }
+
+    /// An EXPLAIN-style description of how the query would be executed
+    /// under `strategy` — the [`super::plan::QueryPlan`], rendered: per
+    /// semantic join, the traced base relation and the implementation
+    /// chosen (static/dynamic rewrite over pre-extracted relations,
+    /// heuristic join, or online HER + RExt). A query the planner
+    /// rejects is described by the planner's error.
+    pub fn explain(&self, q: &Query, strategy: Strategy) -> String {
+        match self.plan_query(q, strategy) {
+            Ok(plan) => self.render_plan(&plan),
+            Err(e) => format!("{e}\n"),
         }
     }
 
-    /// Run `q` with span collection forced on, returning the result and
-    /// this query's span tree (stage spans merged with synthetic spans
-    /// bridged from the physical-operator counters, sorted by start
-    /// time). Serialized against other capture regions.
-    fn capture_query_spans(
+    /// The one way a query runs, start to record. This is the engine's
+    /// outermost failure boundary: any panic that escapes the per-join
+    /// recovery in [`super::strategies`] is caught here and converted to
+    /// [`GsjError::Internal`], so callers always see a typed result,
+    /// never an unwind. Every call — success or failure, a parse failure
+    /// included — leaves one [`QueryRecord`] in the flight recorder.
+    fn execute(
         &self,
-        q: &Query,
+        input: QueryInput<'_>,
         strategy: Strategy,
         gov: &QueryGovernor,
-        trace_id: &str,
-    ) -> (Result<(Relation, ExecContext)>, Vec<gsj_obs::SpanRecord>) {
-        use gsj_obs::SpanRecord;
-        // Force span collection for this query only, serialized against
-        // other exclusive trace regions so drains don't interleave.
-        let _region = gsj_obs::exclusive_region();
-        let was = gsj_obs::trace_mode();
-        gsj_obs::set_tracing(true);
-        let _ = gsj_obs::take_spans(); // discard stale spans
-        let watermark = gsj_obs::next_span_id();
-        let result = self.run_stats_raw(q, strategy, gov, Some(trace_id));
-        gsj_obs::set_trace_mode(was);
-        let drained = gsj_obs::take_spans();
-
-        // Keep this query's spans: those opened on this thread after the
-        // watermark, plus anything transitively parented under them
-        // (other threads may record concurrently while the toggle is on).
-        let me = gsj_obs::current_thread_ordinal();
-        let mut keep: std::collections::HashSet<u64> = drained
-            .iter()
-            .filter(|s| s.thread == me && s.id > watermark)
-            .map(|s| s.id)
-            .collect();
-        loop {
-            let before = keep.len();
-            for s in &drained {
-                if let Some(p) = s.parent {
-                    if keep.contains(&p) {
-                        keep.insert(s.id);
-                    }
-                }
-            }
-            if keep.len() == before {
-                break;
-            }
-        }
-        let mut spans: Vec<SpanRecord> = drained
-            .into_iter()
-            .filter(|s| keep.contains(&s.id))
-            .collect();
-
-        // Bridge the physical-operator stats into the same tree: each op
-        // becomes a synthetic span, parented by its operator parent or,
-        // for top-level ops, by the query root span.
-        if let Ok((_, ctx)) = &result {
-            let root = spans
-                .iter()
-                .find(|s| s.label == "gsql.query")
-                .map(|s| (s.id, s.thread));
-            let ids: Vec<u64> = ctx.ops().iter().map(|_| gsj_obs::next_span_id()).collect();
-            for (i, op) in ctx.ops().iter().enumerate() {
-                let mut fields = vec![
-                    ("rows_in".to_string(), op.rows_in.to_string()),
-                    ("rows_out".to_string(), op.rows_out.to_string()),
-                ];
-                if let Some(b) = op.build_rows {
-                    fields.push(("build_rows".to_string(), b.to_string()));
-                }
-                if let Some(p) = op.probe_rows {
-                    fields.push(("probe_rows".to_string(), p.to_string()));
-                }
-                spans.push(SpanRecord {
-                    id: ids[i],
-                    parent: op.parent.map(|p| ids[p]).or(root.map(|(id, _)| id)),
-                    label: op.label.clone(),
-                    fields,
-                    start_ns: op.start_ns,
-                    dur_ns: op.nanos.min(u64::MAX as u128) as u64,
-                    thread: root.map(|(_, t)| t).unwrap_or(0),
-                });
-            }
-        }
-        spans.sort_by_key(|s| (s.start_ns, s.id));
-        (result, spans)
-    }
-
-    /// Build and push this query's [`QueryRecord`]. Failure verdicts
-    /// carry the typed error code; the slow tail additionally captures
-    /// an explain + counter report so `/debug/slow` can show the full
-    /// plan without re-running anything.
-    fn emit_record(&self, parts: RecordParts<'_>) {
-        if !recorder::recorder_enabled() {
-            return;
-        }
-        let RecordParts {
-            id,
-            trace_id,
-            text,
-            q,
-            strategy,
-            gov,
-            result,
-            wall_ns,
-            fault_hits,
-            trace_json,
-        } = parts;
-        let text_owned = match text {
-            Some(t) => t.to_string(),
-            None => q.map(summarize_query).unwrap_or_default(),
+        trace: TraceOpt,
+    ) -> QueryRun {
+        let (query_id, trace_id) = recorder::begin_query();
+        let faults_before = gsj_faults::injected_total();
+        let started = Instant::now();
+        let parsed = match input {
+            QueryInput::Text(text) => parse_query(text).map(Cow::Owned),
+            QueryInput::Parsed(q) => Ok(Cow::Borrowed(q)),
         };
-        let (verdict, rows_out, degraded, phases) = match result {
+        let traced = parsed.is_ok()
+            && match trace {
+                TraceOpt::Off => false,
+                TraceOpt::Force => true,
+                TraceOpt::Auto => gsj_obs::should_trace_query(),
+            };
+
+        // The plan that ran outlives the run: it is what gets rendered.
+        let mut plan = None;
+        let mut body = || {
+            let q = parsed.as_deref().map_err(GsjError::clone)?;
+            let run = || {
+                let mut span = gsj_obs::span("gsql.query");
+                span.field("strategy", format_args!("{strategy:?}"));
+                span.field("trace_id", &trace_id);
+                gov.check("gsql.query")?;
+                let plan = plan.insert(self.plan_query(q, strategy)?);
+                let mut ctx = ExecContext::with_governor(gov.clone());
+                let rel = self.execute_plan(plan, &mut ctx)?;
+                span.field("rows", rel.len());
+                Ok((rel, ctx))
+            };
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+                Err(GsjError::Internal(format!(
+                    "panic in gsql.query: {}",
+                    gsj_common::panic_message(&*payload)
+                )))
+            })
+        };
+        let (result, spans) = if traced {
+            // Stage spans of this thread, then the operators bridged
+            // into the same tree.
+            let (result, mut spans) = gsj_obs::capture(body);
+            if let Ok((_, ctx)) = &result {
+                let ops = op_spans(ctx, &spans);
+                spans.extend(ops);
+            }
+            spans.sort_by_key(|s| (s.start_ns, s.id));
+            (result, Some(spans))
+        } else {
+            (body(), None)
+        };
+
+        let wall_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let slow = wall_ns >= recorder::slow_threshold_ns();
+        let plan = plan.filter(|_| traced || slow);
+        let run = QueryRun {
+            result,
+            query_id,
+            trace_id,
+            plan: plan.map(|plan| self.render_plan(&plan)),
+            spans,
+        };
+        if !recorder::recorder_enabled() {
+            return run;
+        }
+        // Failure verdicts carry the typed error code; the slow tail
+        // keeps the plan and counter report so `/debug/slow` can show
+        // them without re-running anything.
+        let text = match input {
+            QueryInput::Text(text) => Cow::Borrowed(text),
+            QueryInput::Parsed(q) => Cow::Owned(summarize_query(q)),
+        };
+        let (verdict, rows_out, degraded, phases) = match &run.result {
             Ok((rel, ctx)) => {
                 let degraded = ctx.ops().iter().any(|o| o.label.contains("[degraded"));
-                let phases: Vec<PhaseStat> = ctx
-                    .ops()
-                    .iter()
-                    .filter(|o| o.parent.is_none())
-                    .take(recorder::MAX_PHASES)
-                    .map(|o| PhaseStat {
-                        label: o.label.clone(),
-                        rows_in: o.rows_in as u64,
-                        rows_out: o.rows_out as u64,
-                        dur_ns: o.nanos.min(u64::MAX as u128) as u64,
-                    })
-                    .collect();
-                ("ok".to_string(), rel.len() as u64, degraded, phases)
+                ("ok".to_string(), rel.len() as u64, degraded, phases_of(ctx))
             }
             Err(e) => (e.code().to_string(), 0, false, Vec::new()),
         };
-        let slow_explain = if wall_ns >= recorder::slow_threshold_ns() {
-            q.map(|q| {
-                let mut report = self.explain(q, strategy);
-                if let Ok((rel, ctx)) = result {
-                    report.push_str(&format!("result: {} row(s)\n\n", rel.len()));
-                    report.push_str(&ctx.render());
-                }
-                report
-            })
-        } else {
-            None
-        };
         recorder::record(QueryRecord {
-            id,
-            trace_id,
+            id: query_id,
+            trace_id: run.trace_id.clone(),
             start_ns: gsj_obs::now_ns().saturating_sub(wall_ns),
-            text_hash: recorder::text_hash(&text_owned),
-            text: recorder::truncate_text(&text_owned),
+            text_hash: recorder::text_hash(&text),
+            text: recorder::truncate_text(&text),
             strategy: format!("{strategy:?}"),
             degraded,
             verdict,
-            fault_hits,
+            fault_hits: gsj_faults::injected_total().saturating_sub(faults_before),
             wall_ns,
             rows_out,
             rows_charged: gov.rows_charged(),
             mem_charged: gov.mem_charged(),
             workers: gsj_common::pool::gsj_threads() as u64,
             phases,
-            slow_explain,
-            trace_json,
+            slow_explain: if slow { run.report() } else { None },
+            trace_json: run.spans_json(),
         });
-    }
-
-    /// An EXPLAIN-style description of how the query would be executed
-    /// under `strategy`: per semantic join, the traced base relation,
-    /// keyword coverage by `A_R`, and the implementation chosen
-    /// (static/dynamic rewrite over pre-extracted relations, heuristic
-    /// join, or online HER + RExt).
-    pub fn explain(&self, q: &Query, strategy: Strategy) -> String {
-        let mut out = String::new();
-        self.explain_query(q, strategy, 0, &mut out);
-        out
-    }
-
-    /// `EXPLAIN ANALYZE`: actually execute the query under `strategy` and
-    /// append the per-operator counters — rows in/out, build/probe sizes
-    /// for hash joins, and wall time — to the plan description, followed
-    /// by one unified trace tree that merges the physical-operator stats
-    /// with the pipeline stage spans (HER, RExt, BFS, joins) collected
-    /// while the query ran.
-    pub fn explain_analyze(&self, q: &Query, strategy: Strategy) -> Result<String> {
-        self.explain_analyze_governed(q, strategy, &QueryGovernor::unlimited())
-    }
-
-    /// [`GsqlEngine::explain_analyze`] under an explicit governor, so a
-    /// served `EXPLAIN ANALYZE` request still honours its deadline,
-    /// budgets and disconnect cancellation. Leaves a traced
-    /// [`QueryRecord`] like any other query ([`recorder::last_recorded`]
-    /// exposes its ids to the caller).
-    pub fn explain_analyze_governed(
-        &self,
-        q: &Query,
-        strategy: Strategy,
-        gov: &QueryGovernor,
-    ) -> Result<String> {
-        let (id, trace_id) = recorder::begin_query();
-        let faults_before = gsj_faults::injected_total();
-        let started = Instant::now();
-        let (result, spans) = self.capture_query_spans(q, strategy, gov, &trace_id);
-        let doc = format!(
-            "{{\"trace_id\":\"{}\",\"spans\":{}}}",
-            gsj_obs::escape_json(&trace_id),
-            gsj_obs::spans_json(&spans)
-        );
-        self.emit_record(RecordParts {
-            id,
-            trace_id,
-            text: None,
-            q: Some(q),
-            strategy,
-            gov,
-            result: &result,
-            wall_ns: elapsed_ns(started),
-            fault_hits: gsj_faults::injected_total().saturating_sub(faults_before),
-            trace_json: Some(doc),
-        });
-        let (rel, ctx) = result?;
-        Ok(format!(
-            "{}result: {} row(s)\n\n{}\ntrace:\n{}",
-            self.explain(q, strategy),
-            rel.len(),
-            ctx.render(),
-            gsj_obs::render_tree(&spans)
-        ))
-    }
-
-    fn explain_query(&self, q: &Query, strategy: Strategy, depth: usize, out: &mut String) {
-        use std::fmt::Write as _;
-        let pad = "  ".repeat(depth);
-        for item in &q.from {
-            match item {
-                FromItem::Plain { source, alias } => match source {
-                    Source::Base(name) => {
-                        let _ = writeln!(
-                            out,
-                            "{pad}scan {name}{}",
-                            alias
-                                .as_deref()
-                                .map(|a| format!(" as {a}"))
-                                .unwrap_or_default()
-                        );
-                    }
-                    Source::Sub(sub) => {
-                        let _ = writeln!(out, "{pad}subquery:");
-                        self.explain_query(sub, strategy, depth + 1, out);
-                    }
-                },
-                FromItem::EJoin {
-                    source,
-                    graph,
-                    keywords,
-                    ..
-                } => {
-                    let base = source_base(source, &self.id_attrs);
-                    let how = strategies::choose_ejoin(
-                        self,
-                        strategy,
-                        base.as_deref(),
-                        graph,
-                        keywords,
-                        matches!(source, Source::Base(_)),
-                    )
-                    .describe();
-                    let _ = writeln!(
-                        out,
-                        "{pad}e-join {graph}<{}> over {} — {how}",
-                        keywords.join(", "),
-                        base.as_deref().unwrap_or("<untraceable>"),
-                    );
-                    if let Source::Sub(sub) = source {
-                        self.explain_query(sub, strategy, depth + 1, out);
-                    }
-                }
-                FromItem::LJoin {
-                    left, graph, right, ..
-                } => {
-                    let lbase = source_base(left, &self.id_attrs);
-                    let rbase = source_base(right, &self.id_attrs);
-                    let how = strategies::choose_ljoin(strategy).describe();
-                    let _ = writeln!(
-                        out,
-                        "{pad}l-join <{graph}> {} × {} (k = {}) — {how}",
-                        lbase.as_deref().unwrap_or("<untraceable>"),
-                        rbase.as_deref().unwrap_or("<untraceable>"),
-                        self.k,
-                    );
-                }
-            }
-        }
-        let pad2 = "  ".repeat(depth);
-        let _ = writeln!(
-            out,
-            "{pad2}well-behaved: {}",
-            is_well_behaved(q, &self.profiles, &self.id_attrs)
-        );
+        run
     }
 
     /// The id attribute *as present in* a source's output schema.
@@ -679,25 +456,48 @@ impl GsqlEngine {
     }
 }
 
-/// Everything [`GsqlEngine::emit_record`] needs to build a
-/// [`QueryRecord`] (bundled so the emission sites stay readable).
-struct RecordParts<'a> {
-    id: u64,
-    trace_id: String,
-    /// The original query text when the entry point had it.
-    text: Option<&'a str>,
-    /// The parsed query, absent only when parsing itself failed.
-    q: Option<&'a Query>,
-    strategy: Strategy,
-    gov: &'a QueryGovernor,
-    result: &'a Result<(Relation, ExecContext)>,
-    wall_ns: u64,
-    fault_hits: u64,
-    trace_json: Option<String>,
+/// The root operators as the record's phases.
+fn phases_of(ctx: &ExecContext) -> Vec<PhaseStat> {
+    let roots = ctx.ops().iter().filter(|o| o.parent.is_none());
+    roots
+        .take(recorder::MAX_PHASES)
+        .map(|o| PhaseStat {
+            label: o.label.clone(),
+            rows_in: o.rows_in as u64,
+            rows_out: o.rows_out as u64,
+            dur_ns: o.nanos.min(u64::MAX as u128) as u64,
+        })
+        .collect()
 }
 
-fn elapsed_ns(started: Instant) -> u64 {
-    started.elapsed().as_nanos().min(u64::MAX as u128) as u64
+/// The physical-operator counters as synthetic spans, so they sit in one
+/// tree with the stage spans: each is parented by its operator parent
+/// or, for root operators, by the `gsql.query` span among `stage_spans`.
+fn op_spans(ctx: &ExecContext, stage_spans: &[SpanRecord]) -> Vec<SpanRecord> {
+    let root = stage_spans.iter().find(|s| s.label == "gsql.query");
+    let ids: Vec<u64> = ctx.ops().iter().map(|_| gsj_obs::next_span_id()).collect();
+    let count = |key: &str, n: usize| (key.to_string(), n.to_string());
+    ctx.ops()
+        .iter()
+        .zip(&ids)
+        .map(|(op, &id)| SpanRecord {
+            id,
+            parent: op.parent.map(|p| ids[p]).or(root.map(|r| r.id)),
+            label: op.label.clone(),
+            fields: [
+                Some(count("rows_in", op.rows_in)),
+                Some(count("rows_out", op.rows_out)),
+                op.build_rows.map(|n| count("build_rows", n)),
+                op.probe_rows.map(|n| count("probe_rows", n)),
+            ]
+            .into_iter()
+            .flatten()
+            .collect(),
+            start_ns: op.start_ns,
+            dur_ns: op.nanos.min(u64::MAX as u128) as u64,
+            thread: root.map_or(0, |r| r.thread),
+        })
+        .collect()
 }
 
 /// Reconstruct a compact one-line text for a parsed [`Query`] — used
@@ -1343,6 +1143,39 @@ mod tests {
     }
 
     #[test]
+    fn explain_indents_a_sub_plan_under_the_item_that_runs_it() {
+        let e = engine();
+        let q = e
+            .parse(
+                "select p.pid, s.cid from product as p, \
+                 (select customer.cid as cid from customer l-join <Gs> customer as b) as s, \
+                 (select pid, risk from product) e-join G <company> as T",
+            )
+            .unwrap();
+        assert_eq!(
+            e.explain(&q, Strategy::Optimized),
+            "scan product as p\n\
+             subquery:\n\
+             \x20 l-join <Gs> customer × customer (k = 2) — \
+             pre-matched f(D,G) + pre-computed g_L reachability index\n\
+             \x20 well-behaved: true\n\
+             e-join G<company> over product — dynamic rewrite: Q ⋈ f(D,G) ⋈ h(D,G)\n\
+             \x20 scan product\n\
+             \x20 well-behaved: true\n\
+             well-behaved: true\n"
+        );
+        // What the planner rejects is described by its error.
+        let q = e
+            .parse(
+                "select * from (select p.pid, c.cid from product as p, customer as c) \
+                 l-join <Gs> customer as b",
+            )
+            .unwrap();
+        let plan = e.explain(&q, Strategy::Optimized);
+        assert!(plan.contains("not traceable"), "{plan}");
+    }
+
+    #[test]
     fn explain_baseline_names_online_method() {
         let e = engine();
         let q = e
@@ -1537,7 +1370,7 @@ mod tests {
             TraceOpt::Force,
         );
         run.result.as_ref().expect("query succeeds");
-        let doc = gsj_obs::parse_json(run.spans_json.as_deref().expect("forced trace"))
+        let doc = gsj_obs::parse_json(&run.spans_json().expect("forced trace"))
             .expect("span document parses");
         assert_eq!(
             doc.get("trace_id").unwrap().as_str(),
@@ -1561,7 +1394,7 @@ mod tests {
             &QueryGovernor::unlimited(),
             TraceOpt::Off,
         );
-        assert!(run2.spans_json.is_none());
+        assert!(run2.spans.is_none() && run2.spans_json().is_none());
         assert!(recorder::find_by_trace(&run2.trace_id).is_some());
     }
 

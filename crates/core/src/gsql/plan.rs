@@ -9,7 +9,8 @@
 //! ([`gsj_relational::physical`]), so every operator — scans, semantic
 //! joins, pushed-down filters, the left-to-right theta-join fold,
 //! aggregation, sort, limit — records rows in/out and wall time into an
-//! [`ExecContext`] for `EXPLAIN ANALYZE`.
+//! [`ExecContext`] for `EXPLAIN ANALYZE`. `EXPLAIN` itself is
+//! [`GsqlEngine::render_plan`]: the same [`QueryPlan`], printed.
 //!
 //! WHERE is bound *before* any link join runs: a link join's output
 //! schema is the concatenation of its two qualified sides, so the full
@@ -22,13 +23,14 @@
 //! Enrichment joins are *not* pushed below: `EJoinImpl::Online` discovers
 //! its extraction scheme from the input relation.
 
-use super::analyze::source_base;
+use super::analyze::{is_well_behaved, source_base};
 use super::ast::{FromItem, Projection, Query, Source};
 use super::exec::{GsqlEngine, Strategy};
 use super::strategies::{self, EJoinImpl, LJoinImpl};
 use gsj_common::{GsjError, Result, Value};
 use gsj_relational::physical::{self, ExecContext};
 use gsj_relational::{AggSpec, Expr, Relation, Schema};
+use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// A planned query: the original AST plus one physical item per FROM
@@ -232,7 +234,7 @@ impl GsqlEngine {
                 let imp = strategies::choose_ejoin(
                     self,
                     strategy,
-                    Some(&base),
+                    &base,
                     graph,
                     keywords,
                     matches!(source, Source::Base(_)),
@@ -280,6 +282,60 @@ impl GsqlEngine {
                 }))
             }
         }
+    }
+
+    /// The `EXPLAIN` text of a plan: one line per FROM item — the traced
+    /// base relation and the implementation the strategy rewrite chose —
+    /// with sub-plans indented under the item that evaluates them, then
+    /// the well-behaved verdict of that query level. (A link join's
+    /// sides are named by their traced bases only.)
+    pub(super) fn render_plan(&self, plan: &QueryPlan) -> String {
+        let mut out = String::new();
+        self.render_plan_at(plan, 0, &mut out);
+        out
+    }
+
+    fn render_plan_at(&self, plan: &QueryPlan, depth: usize, out: &mut String) {
+        let pad = "  ".repeat(depth);
+        for item in &plan.items {
+            let (line, sub) = match item {
+                ItemPlan::Plain { source, name } => match source {
+                    SourcePlan::Base(base) if base == name => (format!("scan {base}"), None),
+                    SourcePlan::Base(base) => (format!("scan {base} as {name}"), None),
+                    SourcePlan::Sub(sub) => ("subquery:".to_string(), Some(sub)),
+                },
+                ItemPlan::EJoin(p) => (
+                    format!(
+                        "e-join {}<{}> over {} — {}",
+                        p.graph,
+                        p.keywords.join(", "),
+                        p.base,
+                        p.imp.describe()
+                    ),
+                    match &p.source {
+                        SourcePlan::Base(_) => None,
+                        SourcePlan::Sub(sub) => Some(sub),
+                    },
+                ),
+                ItemPlan::LJoin(p) => (
+                    format!(
+                        "l-join <{}> {} × {} (k = {}) — {}",
+                        p.graph,
+                        p.lbase,
+                        p.rbase,
+                        self.k,
+                        p.imp.describe()
+                    ),
+                    None,
+                ),
+            };
+            let _ = writeln!(out, "{pad}{line}");
+            if let Some(sub) = sub {
+                self.render_plan_at(sub, depth + 1, out);
+            }
+        }
+        let verdict = is_well_behaved(&plan.query, &self.profiles, &self.id_attrs);
+        let _ = writeln!(out, "{pad}well-behaved: {verdict}");
     }
 
     fn eval_source_plan(&self, sp: &SourcePlan, ctx: &mut ExecContext) -> Result<Relation> {

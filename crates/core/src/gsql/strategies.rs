@@ -3,8 +3,9 @@
 //! [`choose_ejoin`] / [`choose_ljoin`] map an execution [`Strategy`] plus
 //! the well-behavedness evidence (keyword coverage by `A_R`, base vs
 //! sub-query source) to a concrete implementation — [`EJoinImpl`] /
-//! [`LJoinImpl`] — recorded in the query plan. `EXPLAIN` prints the same
-//! [`EJoinImpl::describe`] strings, so what the plan says is what runs.
+//! [`LJoinImpl`] — recorded in the query plan. The planner is their only
+//! caller: `EXPLAIN` prints the plan's [`EJoinImpl::describe`] strings,
+//! so what it says is what runs.
 //!
 //! The implementations themselves ([`eval_ejoin`], [`eval_ljoin`]) wrap
 //! the semantic-join machinery in [`crate::join`] and
@@ -93,12 +94,12 @@ impl LJoinImpl {
 }
 
 /// Rewrite an enrichment join to its implementation under `strategy`.
-/// `base` is the traced base relation (None when untraceable) and
-/// `source_is_base` distinguishes static from dynamic rewrites.
+/// `base` is the traced base relation and `source_is_base`
+/// distinguishes static from dynamic rewrites.
 pub fn choose_ejoin(
     engine: &GsqlEngine,
     strategy: Strategy,
-    base: Option<&str>,
+    base: &str,
     graph: &str,
     keywords: &[String],
     source_is_base: bool,
@@ -107,10 +108,8 @@ pub fn choose_ejoin(
         Strategy::Baseline => EJoinImpl::Online,
         Strategy::Heuristic => EJoinImpl::Heuristic { fallback: false },
         Strategy::Optimized => {
-            let covered = base
-                .and_then(|b| engine.profiles.get(graph).map(|p| p.covers(b, keywords)))
-                .unwrap_or(false);
-            if covered {
+            let profile = engine.profiles.get(graph);
+            if profile.is_some_and(|p| p.covers(base, keywords)) {
                 if source_is_base {
                     EJoinImpl::Static
                 } else {

@@ -37,8 +37,7 @@ pub use metrics::{
 };
 pub use recorder::{PhaseStat, QueryRecord};
 pub use trace::{
-    current_thread_ordinal, dropped_spans, event, exclusive_region, format_ns, next_span_id,
-    now_ns, ns_since_epoch, parse_trace_env, reload_trace_env, render_tree, set_trace_mode,
-    set_tracing, should_trace_query, span, span_forced, take_spans, trace_mode, tracing_enabled,
-    SpanGuard, SpanRecord, TraceMode,
+    capture, dropped_spans, event, format_ns, next_span_id, now_ns, ns_since_epoch,
+    parse_trace_env, render_tree, set_trace_mode, set_tracing, should_trace_query, span,
+    take_spans, trace_mode, tracing_enabled, SpanGuard, SpanRecord, TraceMode,
 };

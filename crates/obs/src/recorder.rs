@@ -31,7 +31,6 @@
 use crate::export::escape_json;
 use crate::metrics::LazyCounter;
 use parking_lot::Mutex;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Shard count for the record ring (power of two, matches `id % N`).
@@ -71,13 +70,6 @@ static SHARDS: [Mutex<Shard>; RECORDER_SHARDS] = [const {
         next: 0,
     })
 }; RECORDER_SHARDS];
-
-thread_local! {
-    /// `(query id, trace id)` of the record most recently pushed from
-    /// this thread — lets a server thread attach the trace id to its
-    /// response even when the engine entry point doesn't return it.
-    static LAST_RECORDED: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
-}
 
 /// One executed phase (a top-level physical operator) of a query.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -211,8 +203,6 @@ pub fn record(rec: QueryRecord) {
     if !recorder_enabled() {
         return;
     }
-    let trace_bits = u64::from_str_radix(&rec.trace_id, 16).unwrap_or(0);
-    LAST_RECORDED.with(|l| l.set(Some((rec.id, trace_bits))));
     let shard = (rec.id as usize) % RECORDER_SHARDS;
     {
         let mut guard = SHARDS[shard].lock();
@@ -226,12 +216,6 @@ pub fn record(rec: QueryRecord) {
         }
     }
     RECORDED_TOTAL.inc();
-}
-
-/// `(query id, trace id hex)` of the record most recently pushed from
-/// the calling thread, if any.
-pub fn last_recorded() -> Option<(u64, String)> {
-    LAST_RECORDED.with(|l| l.get().map(|(id, bits)| (id, trace_id_hex(bits))))
 }
 
 /// The newest `limit` records, newest first.

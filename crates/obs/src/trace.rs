@@ -15,20 +15,29 @@
 //! off, `sample:<p>` (e.g. `sample:0.01`) enables per-query
 //! probabilistic sampling, anything else enables collection
 //! process-wide. The mode is **runtime-overridable**: [`set_tracing`] /
-//! [`set_trace_mode`] change it at any point, and [`reload_trace_env`]
-//! re-reads `GSJ_TRACE` (the env variable is no longer latched at first
-//! use).
+//! [`set_trace_mode`] change it at any point.
+//!
+//! Tracing *one* piece of work is [`capture`]: spans the calling thread
+//! opens inside it are live whatever the process-wide mode says and land
+//! in the capture's own buffer, not in the global collector. Nothing
+//! process-wide is touched, so concurrent captures neither wait on each
+//! other nor see each other's spans, and a `GSJ_TRACE=1` run keeps what
+//! it had collected. Spans that *other* threads open on the work's behalf
+//! (pool workers) are outside the capture: they follow the global mode,
+//! as they always have — a worker starts with an empty span stack, so
+//! nothing it records could have attached under the captured tree anyway.
 //!
 //! In `Sample` mode, span collection stays globally off; callers that
 //! own a query boundary ask [`should_trace_query`] whether *this* query
-//! won the coin flip, and if so force collection for its duration (see
+//! won the coin flip, and if so run it inside a [`capture`] (see
 //! `GsqlEngine::run_recorded`).
 //!
-//! The collector is bounded ([`MAX_SPANS_PER_SHARD`] per shard): once a
-//! shard fills, further spans on threads hashing to it are counted in
-//! [`dropped_spans`] — and surfaced in the metrics registry as
-//! `gsj_obs_trace_dropped_spans_total` — instead of buffered, so a
-//! forgotten `GSJ_TRACE=1` cannot grow memory without bound.
+//! The collector is bounded ([`MAX_SPANS_PER_SHARD`] per shard, and the
+//! same per capture buffer): once a shard fills, further spans on
+//! threads hashing to it are counted in [`dropped_spans`] — and surfaced
+//! in the metrics registry as `gsj_obs_trace_dropped_spans_total` —
+//! instead of buffered, so a forgotten `GSJ_TRACE=1` cannot grow memory
+//! without bound.
 
 use crate::metrics::LazyCounter;
 use parking_lot::Mutex;
@@ -61,13 +70,13 @@ static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 static SHARDS: [Mutex<Vec<SpanRecord>>; NSHARDS] = [const { Mutex::new(Vec::new()) }; NSHARDS];
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-/// Serializes exclusive trace regions (see [`exclusive_region`]).
-static REGION: Mutex<()> = Mutex::new(());
 
 thread_local! {
     /// Ids of the spans currently open on this thread, innermost last.
     static STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
     static THREAD_ID: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
+    /// The buffer of the [`capture`] running on this thread, if any.
+    static CAPTURE: RefCell<Option<Vec<SpanRecord>>> = const { RefCell::new(None) };
 }
 
 /// The process-wide trace epoch: all `start_ns` values are offsets from
@@ -129,9 +138,8 @@ fn store_mode(mode: TraceMode) {
     MODE.store(tag, Ordering::Relaxed);
 }
 
-/// The current mode, lazily seeded from `GSJ_TRACE` on first use. Unlike
-/// the old once-latched read, later [`set_trace_mode`] /
-/// [`reload_trace_env`] calls always win.
+/// The current mode, lazily seeded from `GSJ_TRACE` on first use; later
+/// [`set_trace_mode`] calls always win.
 pub fn trace_mode() -> TraceMode {
     match MODE.load(Ordering::Relaxed) {
         MODE_UNINIT => {
@@ -148,15 +156,6 @@ pub fn trace_mode() -> TraceMode {
 /// Set the mode at runtime (overrides whatever `GSJ_TRACE` said).
 pub fn set_trace_mode(mode: TraceMode) {
     store_mode(mode);
-}
-
-/// Re-read `GSJ_TRACE` and adopt whatever it says now. Returns the
-/// adopted mode. This is the runtime override hook for operators who
-/// flip the variable on a live process (e.g. via a debug shell).
-pub fn reload_trace_env() -> TraceMode {
-    let mode = parse_trace_env(std::env::var("GSJ_TRACE").ok().as_deref());
-    store_mode(mode);
-    mode
 }
 
 /// Is span collection currently on for every span?
@@ -185,8 +184,8 @@ fn splitmix64_mix(mut z: u64) -> u64 {
 
 /// Should the query starting now be traced? `On` → always, `Off` →
 /// never, `Sample(p)` → a decorrelated counter-based coin flip that
-/// approves a `p` fraction of calls. Callers that win force collection
-/// for the query's duration (see `GsqlEngine::run_recorded`).
+/// approves a `p` fraction of calls. Callers that win run the query
+/// inside a [`capture`] (see `GsqlEngine::run_recorded`).
 pub fn should_trace_query() -> bool {
     match trace_mode() {
         TraceMode::Off => false,
@@ -219,12 +218,6 @@ static DROPPED_METRIC: LazyCounter = LazyCounter::new("gsj_obs_trace_dropped_spa
 /// from non-span sources, e.g. physical-operator stats).
 pub fn next_span_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// The calling thread's ordinal as recorded in [`SpanRecord::thread`]
-/// (lets consumers filter a drained collector down to their own spans).
-pub fn current_thread_ordinal() -> u64 {
-    THREAD_ID.with(|t| *t)
 }
 
 /// One finished (or synthetic) span.
@@ -302,31 +295,64 @@ impl Drop for SpanGuard {
     }
 }
 
+/// File a finished span: in this thread's [`capture`] buffer when one is
+/// running, in the global collector otherwise.
 fn push_record(rec: SpanRecord) {
-    let shard = (rec.thread as usize) % NSHARDS;
-    let mut guard = SHARDS[shard].lock();
-    if guard.len() >= MAX_SPANS_PER_SHARD {
-        drop(guard); // never hold the shard lock across the registry lock
+    fn push_bounded(buf: &mut Vec<SpanRecord>, rec: SpanRecord) -> bool {
+        let room = buf.len() < MAX_SPANS_PER_SHARD;
+        if room {
+            buf.push(rec);
+        }
+        room
+    }
+    // The shard lock is released before the registry lock is taken.
+    let kept = CAPTURE.with(|c| match c.borrow_mut().as_mut() {
+        Some(buf) => push_bounded(buf, rec),
+        None => push_bounded(&mut SHARDS[(rec.thread as usize) % NSHARDS].lock(), rec),
+    });
+    if !kept {
         DROPPED.fetch_add(1, Ordering::Relaxed);
         DROPPED_METRIC.inc();
-        return;
     }
-    guard.push(rec);
 }
 
-/// Open a span. Returns an inert guard (near-zero cost) when tracing is
-/// disabled.
+/// Are spans live on this thread — collection on process-wide, or a
+/// [`capture`] running here?
+#[inline]
+fn collecting() -> bool {
+    tracing_enabled() || CAPTURE.with(|c| c.borrow().is_some())
+}
+
+/// Run `f`, returning what it returned and the spans (and events) this
+/// thread recorded meanwhile, in completion order. Inside `f` the calling
+/// thread's spans are live regardless of [`trace_mode`] and go to the
+/// capture's buffer instead of the global collector; no other thread and
+/// no process-wide state is affected. A capture nested in `f` keeps its
+/// own spans to itself.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
+    /// Puts the enclosing capture's buffer back, also when `f` unwinds.
+    struct Restore(Option<Vec<SpanRecord>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CAPTURE.set(self.0.take());
+        }
+    }
+    let _outer = Restore(CAPTURE.replace(Some(Vec::new())));
+    let out = f();
+    (out, CAPTURE.take().unwrap_or_default())
+}
+
+/// Open a span. Returns an inert guard (near-zero cost) when neither
+/// process-wide collection nor a [`capture`] on this thread is on.
 #[inline]
 pub fn span(label: &str) -> SpanGuard {
-    if !tracing_enabled() {
+    if !collecting() {
         return SpanGuard { inner: None };
     }
-    span_forced(label)
+    open_span(label)
 }
 
-/// Open a span regardless of the global toggle (the exporter tests and
-/// `explain_analyze` force collection for their own region).
-pub fn span_forced(label: &str) -> SpanGuard {
+fn open_span(label: &str) -> SpanGuard {
     let id = next_span_id();
     let parent = STACK.with(|s| {
         let mut s = s.borrow_mut();
@@ -348,9 +374,9 @@ pub fn span_forced(label: &str) -> SpanGuard {
 }
 
 /// Record a point-in-time event (a zero-duration span) with fields.
-/// No-op when tracing is disabled.
+/// No-op when [`span`] would be inert.
 pub fn event(label: &str, fields: &[(&str, &dyn std::fmt::Display)]) {
-    if !tracing_enabled() {
+    if !collecting() {
         return;
     }
     let parent = STACK.with(|s| s.borrow().last().copied());
@@ -376,13 +402,6 @@ pub fn take_spans() -> Vec<SpanRecord> {
     }
     out.sort_by_key(|s| (s.start_ns, s.id));
     out
-}
-
-/// Hold this guard to keep other exclusive regions (e.g. concurrent
-/// `explain_analyze` calls) from draining the collector mid-flight.
-/// Spans recorded outside any region are still collected globally.
-pub fn exclusive_region() -> parking_lot::MutexGuard<'static, ()> {
-    REGION.lock()
 }
 
 /// Format nanoseconds human-readably (same scheme as `EXPLAIN ANALYZE`).
@@ -446,9 +465,15 @@ pub fn render_tree(spans: &[SpanRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
-    // The collector is global; tests that drain it serialize on the
-    // region lock so they never steal each other's spans.
+    /// The collector and the mode are global; tests that drain or flip
+    /// them serialize here so they never steal each other's spans.
+    static GLOBAL: Mutex<()> = Mutex::new(());
+
+    fn exclusive_region() -> parking_lot::MutexGuard<'static, ()> {
+        GLOBAL.lock()
+    }
 
     #[test]
     fn disabled_guard_is_inert() {
@@ -521,6 +546,55 @@ mod tests {
             assert_eq!(p.thread, s.thread);
             assert!(p.label.ends_with(".parent"));
         }
+    }
+
+    #[test]
+    fn capture_sees_exactly_the_calling_threads_spans() {
+        let _r = exclusive_region();
+        let was = trace_mode();
+        // What a `GSJ_TRACE=1` run had collected before the capture.
+        set_tracing(true);
+        let _ = take_spans();
+        drop(span("collected.before"));
+        set_trace_mode(TraceMode::Sample(0.5));
+        // A second thread opens spans throughout the capture: the
+        // capture does not end before it has seen 100 of its attempts.
+        let (attempts, stop) = (AtomicU64::new(0), AtomicBool::new(false));
+        let (opened_elsewhere, mine) = std::thread::scope(|scope| {
+            let other = scope.spawn(|| {
+                let mut live = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    live += u64::from(span("other.thread").id().is_some());
+                    attempts.fetch_add(1, Ordering::Relaxed);
+                }
+                live
+            });
+            let ((), mine) = capture(|| {
+                let outer = span("mine.outer");
+                assert!(outer.id().is_some(), "live although the mode is not On");
+                drop(span("mine.inner"));
+                event("mine.tick", &[]);
+                let seen = attempts.load(Ordering::Relaxed);
+                while attempts.load(Ordering::Relaxed) < seen + 100 {
+                    std::thread::yield_now();
+                }
+            });
+            stop.store(true, Ordering::Relaxed);
+            (other.join().unwrap(), mine)
+        });
+        let labels: Vec<&str> = mine.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, ["mine.inner", "mine.tick", "mine.outer"]);
+        assert_eq!(mine[0].parent, Some(mine[2].id));
+        assert_eq!(opened_elsewhere, 0, "the capture turned no other thread on");
+        assert_eq!(trace_mode(), TraceMode::Sample(0.5), "mode untouched");
+        assert!(span("after").id().is_none(), "the capture ended with `f`");
+        let global: Vec<String> = take_spans().into_iter().map(|s| s.label).collect();
+        assert_eq!(
+            global,
+            ["collected.before"],
+            "earlier trace kept, nothing leaked"
+        );
+        set_trace_mode(was);
     }
 
     #[test]

@@ -174,9 +174,12 @@ impl ExecContext {
         depth
     }
 
-    /// Total wall time across all recorded operators.
+    /// Total wall time of the root operators. An operator's time covers
+    /// its children's, so summing every operator would count a nested
+    /// plan once per level.
     pub fn total_nanos(&self) -> u128 {
-        self.ops.iter().map(|o| o.nanos).sum()
+        let roots = self.ops.iter().filter(|o| o.parent.is_none());
+        roots.map(|o| o.nanos).sum()
     }
 
     /// Render the counters as an aligned text table (the body of
@@ -187,6 +190,7 @@ impl ExecContext {
             "{:<44} {:>9} {:>9} {:>9} {:>9} {:>12}\n",
             "operator", "rows_in", "rows_out", "build", "probe", "time"
         ));
+        let fmt_time = |n: u128| gsj_obs::format_ns(n.min(u64::MAX as u128) as u64);
         for (i, op) in self.ops.iter().enumerate() {
             let fmt_opt = |v: Option<usize>| match v {
                 Some(n) => n.to_string(),
@@ -200,26 +204,14 @@ impl ExecContext {
                 op.rows_out,
                 fmt_opt(op.build_rows),
                 fmt_opt(op.probe_rows),
-                format_nanos(op.nanos),
+                fmt_time(op.nanos),
             ));
         }
         out.push_str(&format!(
             "total operator time: {}",
-            format_nanos(self.total_nanos())
+            fmt_time(self.total_nanos())
         ));
         out
-    }
-}
-
-fn format_nanos(n: u128) -> String {
-    if n >= 1_000_000_000 {
-        format!("{:.2}s", n as f64 / 1e9)
-    } else if n >= 1_000_000 {
-        format!("{:.2}ms", n as f64 / 1e6)
-    } else if n >= 1_000 {
-        format!("{:.2}µs", n as f64 / 1e3)
-    } else {
-        format!("{n}ns")
     }
 }
 
@@ -445,6 +437,16 @@ mod tests {
         );
         assert_eq!(ctx.depth(0), 0);
         assert_eq!(ctx.depth(5), 1);
+        // The sub-query's time already covers its children's: the total
+        // counts the root once, however deep the plan under it.
+        assert_eq!(ctx.total_nanos(), ctx.ops()[0].nanos);
+        record_external("Limit(1)", 2, 1, t0, &mut ctx);
+        assert_eq!(ctx.ops()[6].parent, None);
+        assert_eq!(
+            ctx.total_nanos(),
+            ctx.ops()[0].nanos + ctx.ops()[6].nanos,
+            "a second root adds its own time"
+        );
         // Render indents children under their parent.
         let rendered = ctx.render();
         assert!(rendered.contains("\nSubquery(as s)"), "{rendered}");

@@ -7,8 +7,9 @@
 //! 3. a governance rejection (zero deadline → `DeadlineExceeded`),
 //! 4. an admission shed (saturate sessions + queue → `ResourceExhausted`),
 //! 5. a wire-traced query (`trace: 1` → span-tree body + `trace-id`
-//!    header) cross-checked against the `/debug/queries`, `/debug/slow`
-//!    and `/debug/trace/<id>` introspection routes,
+//!    header) and an `explain: analyze` one, cross-checked against the
+//!    `/debug/queries`, `/debug/slow` and `/debug/trace/<id>`
+//!    introspection routes,
 //! 6. a `/metrics` scrape that parses as Prometheus text (including the
 //!    derived latency percentile gauges), plus `/healthz`,
 //! 7. graceful shutdown (`SHUTDOWN` verb → child exits 0).
@@ -188,6 +189,19 @@ fn main() {
     let plain = c.query(&queries[0]).expect("plain query");
     let plain_tid = plain.trace_id.expect("plain reply lacks trace-id");
     assert!(!plain.body.contains("\"spans\""), "plain body must be CSV");
+    // EXPLAIN ANALYZE is the same run rendered as text, under an id of
+    // its own.
+    let opts = QueryOpts {
+        explain_analyze: true,
+        ..QueryOpts::default()
+    };
+    let explained = c.query_with(&queries[0], &opts).expect("explain analyze");
+    let explain_tid = explained.trace_id.expect("explain reply lacks trace-id");
+    assert!(
+        explained.body.contains("\ntrace:\ngsql.query"),
+        "explain body lacks the trace tree: {}",
+        explained.body
+    );
     drop(c);
 
     let recent = http_get(metrics_addr, "/debug/queries").expect("GET /debug/queries");
@@ -209,6 +223,20 @@ fn main() {
     assert!(
         by_id.contains(&format!("\"trace_id\":\"{tid}\"")) && by_id.contains("\"trace\""),
         "/debug/trace/{tid} lacks the record or its span tree: {by_id}"
+    );
+    // One id → one tree on every route: the explain request's id
+    // resolves to a record with the text as sent and its span tree.
+    let by_id = http_get(metrics_addr, &format!("/debug/trace/{explain_tid}"))
+        .expect("GET /debug/trace/<explain id>");
+    let rec = gsj_obs::parse_json(&by_id).expect("record JSON");
+    assert_eq!(
+        rec.get("text").and_then(|t| t.as_str()),
+        Some(queries[0].as_str()),
+        "explain record lacks the original text: {by_id}"
+    );
+    assert!(
+        by_id.contains("\"trace\"") && by_id.contains("gsql.query"),
+        "/debug/trace/{explain_tid} lacks the span tree: {by_id}"
     );
     assert!(
         http_get(metrics_addr, "/debug/trace/ffffffffffffffff").is_err(),

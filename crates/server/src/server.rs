@@ -45,7 +45,6 @@ use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use gsj_common::{GsjError, QueryGovernor, Result};
 use gsj_core::gsql::exec::{GsqlEngine, Strategy, TraceOpt};
 use gsj_faults::{fault_point, FaultClass};
-use gsj_obs::recorder;
 use gsj_obs::{LazyCounter, LazyGauge, LazyHistogram};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -454,10 +453,11 @@ fn parse_u64_header(req: &Request, name: &str) -> Result<Option<u64>> {
 ///
 /// Every served query runs through [`GsqlEngine::run_recorded`], so it
 /// leaves a flight-recorder record and gets a trace id, echoed in the
-/// `trace-id` response header (on error frames too). A `trace: 1`
-/// request header forces span capture and swaps the CSV body for the
-/// JSON span-tree document; without the header, `GSJ_TRACE=sample:p`
-/// sampling applies.
+/// `trace-id` response header (on error frames too, a body that does
+/// not parse included). A `trace: 1` request header forces span capture
+/// and swaps the CSV body for the JSON span-tree document; `explain:
+/// analyze` forces it too and swaps the body for the EXPLAIN ANALYZE
+/// text; without either, `GSJ_TRACE=sample:p` sampling applies.
 fn run_query(
     req: &Request,
     stream: &TcpStream,
@@ -489,35 +489,22 @@ fn run_query(
     let done = Arc::new(AtomicBool::new(false));
     spawn_disconnect_watcher(stream, gov.clone(), done.clone());
 
+    // One call whatever the body: CSV, the span-tree document (`trace:
+    // 1`) or the EXPLAIN ANALYZE text are three renderings of one run.
     let start = Instant::now();
-    // `(body, rows)` on success; the trace id is attached either way.
-    let (outcome, trace_id): (Result<(String, Option<u64>)>, Option<String>) = if explain {
-        let res = engine
-            .parse(&req.body)
-            .and_then(|q| engine.explain_analyze_governed(&q, strategy, &gov))
-            .map(|text| (text, None));
-        // explain_analyze_governed records like any query; pick the
-        // trace id off this thread's last record.
-        (res, recorder::last_recorded().map(|(_, tid)| tid))
+    let trace = if explain || wire_trace {
+        TraceOpt::Force
     } else {
-        let trace = if wire_trace {
-            TraceOpt::Force
-        } else {
-            TraceOpt::Auto
-        };
-        let run = engine.run_recorded(&req.body, strategy, &gov, trace);
-        let res = run.result.map(|(rel, _ctx)| {
-            if wire_trace {
-                // The span tree is the response body the client asked for.
-                let doc = run
-                    .spans_json
-                    .unwrap_or_else(|| "{\"spans\":[]}".to_string());
-                (doc, Some(rel.len() as u64))
-            } else {
-                (rel.to_csv(), Some(rel.len() as u64))
-            }
-        });
-        (res, Some(run.trace_id))
+        TraceOpt::Auto
+    };
+    let run = engine.run_recorded(&req.body, strategy, &gov, trace);
+    // `(body, rows)` on success; the trace id is attached either way.
+    let outcome: Result<(String, Option<u64>)> = if explain {
+        run.explain_analyze().map(|text| (text, None))
+    } else {
+        let doc = wire_trace.then(|| run.spans_json()).flatten();
+        run.result
+            .map(|(rel, _ctx)| (doc.unwrap_or_else(|| rel.to_csv()), Some(rel.len() as u64)))
     };
     let elapsed = start.elapsed();
 
@@ -528,7 +515,7 @@ fn run_query(
     LATENCY.observe_ns(elapsed.as_nanos() as u64);
     update_latency_gauges();
 
-    let mut resp = match outcome {
+    let resp = match outcome {
         Ok((body, rows)) => {
             let mut r = Response::success(body).with_header("elapsed-us", elapsed.as_micros());
             if let Some(n) = rows {
@@ -538,10 +525,7 @@ fn run_query(
         }
         Err(e) => Response::failure(&e),
     };
-    if let Some(tid) = trace_id {
-        resp = resp.with_header("trace-id", tid);
-    }
-    Ok(resp)
+    Ok(resp.with_header("trace-id", run.trace_id))
 }
 
 /// Watch the socket while a query runs. The client is expected to be

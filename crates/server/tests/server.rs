@@ -350,6 +350,40 @@ fn explain_analyze_returns_the_unified_trace() {
     handle.shutdown();
 }
 
+/// An `explain: analyze` request whose body does not parse is a query
+/// like any other: it gets a trace id of its own — not the id of
+/// whatever the session served last — and leaves a `Parse` record that
+/// carries the text as sent.
+#[test]
+fn unparsable_explain_gets_its_own_trace_id_and_record() {
+    let (col, _) = fixture();
+    let handle = start(1, 2);
+    let metrics = MetricsServer::start("127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut ask = |req: Request| {
+        write_frame(&mut stream, &req.encode()).unwrap();
+        read_payload(&mut stream)
+    };
+    let good = ask(Request::query(workload(col)[0].text.as_str()));
+    assert!(good.ok);
+    let bad_text = "select ((( nonsense";
+    let bad = ask(Request::query(bad_text).with_header("explain", "analyze"));
+    assert!(!bad.ok);
+    let (first, second) = (
+        good.header("trace-id").expect("trace-id on success"),
+        bad.header("trace-id").expect("trace-id on the error frame"),
+    );
+    assert_ne!(first, second, "the error frame reused the last query's id");
+    assert!(matches!(bad.clone().into_result(), Err(GsjError::Parse(_))));
+
+    let rec = http_get(metrics.addr(), &format!("/debug/trace/{second}")).unwrap();
+    let rec = gsj_obs::parse_json(&rec).unwrap();
+    assert_eq!(rec.get("verdict").unwrap().as_str(), Some("Parse"));
+    assert_eq!(rec.get("text").unwrap().as_str(), Some(bad_text));
+    metrics.shutdown();
+    handle.shutdown();
+}
+
 #[test]
 fn metrics_endpoint_serves_parseable_prometheus_text() {
     let (col, _) = fixture();

@@ -4,7 +4,7 @@
 //! random-walk corpus generation (DESIGN.md §11).
 
 use gsj_common::{GsjError, QueryGovernor};
-use gsj_core::gsql::exec::{GsqlEngine, Strategy};
+use gsj_core::gsql::exec::{GsqlEngine, Strategy, TraceOpt};
 use gsj_core::profile::GraphProfile;
 use gsj_core::rext::Rext;
 use gsj_core::typed::TypedConfig;
@@ -95,7 +95,8 @@ fn gsql_query_observes_expired_deadline() {
     let (col, engine) = movie();
     let q = &workload(col)[0];
     let err = engine
-        .run_governed(&q.text, Strategy::Optimized, &expired())
+        .run_recorded(&q.text, Strategy::Optimized, &expired(), TraceOpt::Off)
+        .result
         .unwrap_err();
     assert!(matches!(err, GsjError::DeadlineExceeded(_)), "{err:?}");
 }
@@ -114,7 +115,8 @@ fn gsql_link_join_observes_deadline_in_bfs_loop() {
     // Let the deadline lapse so even the first stage check trips.
     std::thread::sleep(Duration::from_millis(2));
     let err = engine
-        .run_governed(&q.text, Strategy::Baseline, &gov)
+        .run_recorded(&q.text, Strategy::Baseline, &gov, TraceOpt::Off)
+        .result
         .unwrap_err();
     assert!(matches!(err, GsjError::DeadlineExceeded(_)), "{err:?}");
 }
@@ -126,7 +128,8 @@ fn gsql_query_observes_cancellation() {
     let gov = QueryGovernor::unlimited();
     gov.cancel();
     let err = engine
-        .run_governed(&q.text, Strategy::Optimized, &gov)
+        .run_recorded(&q.text, Strategy::Optimized, &gov, TraceOpt::Off)
+        .result
         .unwrap_err();
     assert_eq!(err, GsjError::Cancelled);
 }
@@ -137,7 +140,8 @@ fn row_budget_exhaustion_is_typed() {
     let q = &workload(col)[0];
     let gov = QueryGovernor::builder().row_budget(1).build();
     let err = engine
-        .run_governed(&q.text, Strategy::Optimized, &gov)
+        .run_recorded(&q.text, Strategy::Optimized, &gov, TraceOpt::Off)
+        .result
         .unwrap_err();
     assert!(matches!(err, GsjError::ResourceExhausted(_)), "{err:?}");
     assert!(err.retryable());
@@ -149,8 +153,10 @@ fn unlimited_governor_matches_ungoverned_run() {
     let (col, engine) = movie();
     let q = &workload(col)[0];
     let plain = engine.run(&q.text, Strategy::Optimized).unwrap();
-    let governed = engine
-        .run_governed(&q.text, Strategy::Optimized, &QueryGovernor::unlimited())
+    let gov = QueryGovernor::unlimited();
+    let (governed, _) = engine
+        .run_recorded(&q.text, Strategy::Optimized, &gov, TraceOpt::Off)
+        .result
         .unwrap();
     assert_eq!(plain, governed);
 }
@@ -164,8 +170,9 @@ fn generous_budgets_do_not_interfere() {
         .row_budget(10_000_000)
         .mem_budget(1 << 32)
         .build();
-    let rel = engine
-        .run_governed(&q.text, Strategy::Optimized, &gov)
+    let (rel, _) = engine
+        .run_recorded(&q.text, Strategy::Optimized, &gov, TraceOpt::Off)
+        .result
         .unwrap();
     assert_eq!(rel, engine.run(&q.text, Strategy::Optimized).unwrap());
     // The governed run accounted for the rows it produced.

@@ -118,3 +118,68 @@ fn concurrent_queries_each_leave_one_intact_record() {
     }
     assert_eq!(seen, ids.len(), "every query must leave exactly one record");
 }
+
+/// One way to run a query, so one record per call whichever entry point
+/// made it: the record's ids are the ones the call returned (where it
+/// returns them), it carries the text the entry point had, and it holds
+/// a span tree exactly when the call asked for one.
+#[test]
+fn every_entry_point_leaves_exactly_one_record() {
+    let (col, engine) = movie();
+    let text = format!("select {} from {}", col.spec.id_attr, col.spec.rel_name);
+    let q = engine.parse(&text).unwrap();
+    let summary = gsj_core::gsql::summarize_query(&q);
+    let gov = QueryGovernor::unlimited();
+    let strategy = Strategy::Optimized;
+    let recorded = |trace| {
+        let run = engine.run_recorded(&text, strategy, &gov, trace);
+        run.result.as_ref().expect("run_recorded");
+        assert_eq!(run.spans.is_some(), trace == TraceOpt::Force);
+        Some((run.query_id, run.trace_id))
+    };
+    type Ids = Option<(u64, String)>;
+    // (entry point, recorded text, traced, the call).
+    let cases: [(&str, &str, bool, &dyn Fn() -> Ids); 6] = [
+        ("run", &text, false, &|| {
+            engine.run(&text, strategy).map(|_| None).unwrap()
+        }),
+        ("run_query", &summary, false, &|| {
+            engine.run_query(&q, strategy).map(|_| None).unwrap()
+        }),
+        ("run_query_stats", &summary, false, &|| {
+            engine.run_query_stats(&q, strategy).map(|_| None).unwrap()
+        }),
+        ("run_recorded(Off)", &text, false, &|| {
+            recorded(TraceOpt::Off)
+        }),
+        ("run_recorded(Force)", &text, true, &|| {
+            recorded(TraceOpt::Force)
+        }),
+        ("explain_analyze", &summary, true, &|| {
+            engine.explain_analyze(&q, strategy).map(|_| None).unwrap()
+        }),
+    ];
+    for (entry, text, traced, call) in cases {
+        // Other tests record concurrently: this call's records are the
+        // ones with its text inside its id window.
+        let before = recorder::next_query_id();
+        let returned = call();
+        let after = recorder::next_query_id();
+        let mine: Vec<_> = recorder::recent(recorder::RECORDER_CAPACITY)
+            .into_iter()
+            .filter(|r| before < r.id && r.id < after && r.text == text)
+            .collect();
+        assert_eq!(mine.len(), 1, "{entry}: {mine:?}");
+        let rec = &mine[0];
+        assert_eq!(rec.verdict, "ok", "{entry}");
+        assert_eq!(rec.trace_json.is_some(), traced, "{entry}");
+        assert_eq!(
+            rec.trace_id,
+            recorder::trace_id_hex(recorder::trace_id_bits(rec.id)),
+            "{entry}"
+        );
+        if let Some((id, trace_id)) = returned {
+            assert_eq!((rec.id, &rec.trace_id), (id, &trace_id), "{entry}");
+        }
+    }
+}
