@@ -13,8 +13,39 @@ fn points(n: usize, dim: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
+/// The shape pattern discovery calls K-means with (Celebrity, Scale 40,
+/// one category selected): ≈ 700 vertex-path vectors of 256 + 100
+/// dimensions, 12 clusters, and — paths sharing an end label and a
+/// pattern embed identically — only ≈ 45 % of the vectors distinct.
+fn discovery_shape() -> Vec<Vec<f32>> {
+    let distinct = points(317, 356);
+    let mut rng = SmallRng::seed_from_u64(8);
+    (0..701)
+        .map(|i| match distinct.get(i) {
+            Some(p) => p.clone(),
+            None => distinct[rng.random_range(0..distinct.len())].clone(),
+        })
+        .collect()
+}
+
 fn bench_kmeans(c: &mut Criterion) {
     let mut group = c.benchmark_group("kmeans");
+    group.bench_with_input(
+        BenchmarkId::new("discovery_h12", 701),
+        &discovery_shape(),
+        |b, d| {
+            b.iter(|| {
+                kmeans(
+                    d,
+                    &KmeansConfig {
+                        k: 12,
+                        threads: 1,
+                        ..KmeansConfig::default()
+                    },
+                )
+            })
+        },
+    );
     for &n in &[500usize, 2000] {
         let data = points(n, 200);
         group.bench_with_input(BenchmarkId::new("serial_h30", n), &data, |b, d| {

@@ -59,18 +59,33 @@ fn main() {
         "matched: {}; affected matched: {affected_matched}",
         matched.len()
     );
-    let (_, inc_secs) = timed(|| {
-        inc_update_graph(
-            &prep.rext,
-            &g,
-            col.entity_relation(),
-            &col.her_config(),
-            &initial,
-            &report,
-        )
-        .unwrap()
+    let ((_, inc_secs), spans) = gsj_obs::capture(|| {
+        timed(|| {
+            inc_update_graph(
+                &prep.rext,
+                &g,
+                col.entity_relation(),
+                &col.her_config(),
+                &initial,
+                &report,
+            )
+            .unwrap()
+        })
     });
     println!("inc total: {inc_secs:.3}s");
+    // Where the update went: IncExt's own phases and the HER call inside
+    // `incext.her_redo`, in completion order.
+    for s in &spans {
+        if s.label.starts_with("incext.") || s.label == "her.match" {
+            let fields: Vec<String> = s.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            println!(
+                "  {:<22} {:>9.3} ms  {}",
+                s.label,
+                s.dur_ns as f64 / 1e6,
+                fields.join(" ")
+            );
+        }
+    }
     let (_, her_secs) = timed(|| her_match(&g, col.entity_relation(), &col.her_config()).unwrap());
     let (_, disc_secs) = timed(|| {
         prep.rext

@@ -1,6 +1,6 @@
 //! k-means++ centroid seeding.
 
-use gsj_nn::vector::sq_dist;
+use crate::lanes::{Distinct, LaneMatrix};
 use rand::rngs::SmallRng;
 use rand::RngExt;
 
@@ -10,15 +10,32 @@ use rand::RngExt;
 ///
 /// Returns fewer than `k` centroids only if `points.len() < k`.
 pub fn kmeanspp(points: &[Vec<f32>], k: usize, rng: &mut SmallRng) -> Vec<Vec<f32>> {
+    kmeanspp_distinct(points, &Distinct::of(points), k, rng)
+}
+
+/// [`kmeanspp`] given the grouping of `points` by bit-identity: the D²
+/// column is kept per group and refreshed with the lane kernel, while the
+/// sampling still walks all points in order, so the draw is the same.
+pub(crate) fn kmeanspp_distinct(
+    points: &[Vec<f32>],
+    distinct: &Distinct<'_>,
+    k: usize,
+    rng: &mut SmallRng,
+) -> Vec<Vec<f32>> {
     if points.is_empty() || k == 0 {
         return Vec::new();
     }
     let k = k.min(points.len());
+    // `(p − c)²` and `(c − p)²` are the same float, so the points can be
+    // the stored side of the kernel and the newest centroid the probe.
+    let reps = LaneMatrix::new(distinct.reps.iter().copied(), points[0].len());
+    let d2_of = |d2: &[f32], i: usize| d2[distinct.group_of[i] as usize] as f64;
     let mut centroids: Vec<Vec<f32>> = Vec::with_capacity(k);
     centroids.push(points[rng.random_range(0..points.len())].clone());
-    let mut d2: Vec<f32> = points.iter().map(|p| sq_dist(p, &centroids[0])).collect();
+    let (mut d2, mut fresh) = (Vec::new(), Vec::new());
+    reps.sq_dists(&centroids[0], &mut d2);
     while centroids.len() < k {
-        let total: f64 = d2.iter().map(|&d| d as f64).sum();
+        let total: f64 = (0..points.len()).map(|i| d2_of(&d2, i)).sum();
         let next = if total <= 0.0 {
             // All points coincide with existing centroids; fall back to
             // uniform choice so we still return k centroids.
@@ -26,8 +43,8 @@ pub fn kmeanspp(points: &[Vec<f32>], k: usize, rng: &mut SmallRng) -> Vec<Vec<f3
         } else {
             let mut target = rng.random_range(0.0..total);
             let mut chosen = points.len() - 1;
-            for (i, &d) in d2.iter().enumerate() {
-                target -= d as f64;
+            for i in 0..points.len() {
+                target -= d2_of(&d2, i);
                 if target <= 0.0 {
                     chosen = i;
                     break;
@@ -36,9 +53,9 @@ pub fn kmeanspp(points: &[Vec<f32>], k: usize, rng: &mut SmallRng) -> Vec<Vec<f3
             chosen
         };
         centroids.push(points[next].clone());
-        let newest = centroids.last().expect("just pushed");
-        for (i, p) in points.iter().enumerate() {
-            d2[i] = d2[i].min(sq_dist(p, newest));
+        reps.sq_dists(&points[next], &mut fresh);
+        for (d, &f) in d2.iter_mut().zip(&fresh) {
+            *d = d.min(f);
         }
     }
     centroids

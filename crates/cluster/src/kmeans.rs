@@ -1,7 +1,7 @@
 //! Lloyd's algorithm with parallel assignment.
 
-use crate::init::kmeanspp;
-use gsj_nn::vector::sq_dist;
+use crate::init::kmeanspp_distinct;
+use crate::lanes::{Distinct, LaneMatrix};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -58,22 +58,22 @@ impl Clustering {
     }
 }
 
-fn assign_chunk(points: &[Vec<f32>], centroids: &[Vec<f32>], out: &mut [usize]) -> f64 {
-    let mut inertia = 0.0f64;
-    for (p, slot) in points.iter().zip(out.iter_mut()) {
+/// Nearest centroid (first strict minimum) and its squared distance, for
+/// each of `points`.
+fn assign_chunk(points: &[&[f32]], centroids: &LaneMatrix, out: &mut [(usize, f32)]) {
+    let mut dists = Vec::new();
+    for (p, slot) in points.iter().zip(out) {
+        centroids.sq_dists(p, &mut dists);
         let mut best = 0usize;
         let mut best_d = f32::INFINITY;
-        for (c, centroid) in centroids.iter().enumerate() {
-            let d = sq_dist(p, centroid);
+        for (c, &d) in dists.iter().enumerate() {
             if d < best_d {
                 best_d = d;
                 best = c;
             }
         }
-        *slot = best;
-        inertia += best_d as f64;
+        *slot = (best, best_d);
     }
-    inertia
 }
 
 /// Run K-means over `points`.
@@ -94,8 +94,15 @@ pub fn kmeans(points: &[Vec<f32>], cfg: &KmeansConfig) -> Clustering {
     }
     let dim = points[0].len();
     debug_assert!(points.iter().all(|p| p.len() == dim));
+    // A point's nearest centroid depends on its coordinates alone, so
+    // bit-identical points (paths sharing an end label and a pattern) are
+    // assigned once.
+    let distinct = Distinct::of(points);
+    let reps = &distinct.reps;
+    span.field("distinct_points", reps.len());
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut centroids = kmeanspp(points, cfg.k, &mut rng);
+    let mut centroids = kmeanspp_distinct(points, &distinct, cfg.k, &mut rng);
+    let mut nearest = vec![(0usize, 0.0f32); reps.len()];
     let mut assignments = vec![0usize; points.len()];
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism()
@@ -104,32 +111,51 @@ pub fn kmeans(points: &[Vec<f32>], cfg: &KmeansConfig) -> Clustering {
     } else {
         cfg.threads
     };
+    // The inertia is summed per worker-sized run of points and then
+    // across runs — the association the threaded assignment step has
+    // always had. It decides the stopping iteration, so it keeps its bits
+    // at every `threads`.
+    let inertia_run = if threads > 1 && points.len() >= 4 * threads {
+        points.len().div_ceil(threads)
+    } else {
+        points.len()
+    };
     let mut prev_inertia = f64::INFINITY;
     let mut iterations = 0usize;
     let mut inertia = 0.0f64;
 
     for iter in 0..cfg.max_iters {
         iterations = iter + 1;
-        // Assignment step (parallel).
-        inertia = if threads > 1 && points.len() >= 4 * threads {
-            let chunk = points.len().div_ceil(threads);
-            let point_chunks: Vec<&[Vec<f32>]> = points.chunks(chunk).collect();
-            let mut assign_chunks: Vec<&mut [usize]> = assignments.chunks_mut(chunk).collect();
-            let centroids_ref = &centroids;
+        // Assignment step (parallel over the distinct points).
+        let matrix = LaneMatrix::new(centroids.iter().map(Vec::as_slice), dim);
+        if threads > 1 && reps.len() >= 4 * threads {
+            let chunk = reps.len().div_ceil(threads);
+            let matrix = &matrix;
             crossbeam::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for (pts, asg) in point_chunks.into_iter().zip(assign_chunks.drain(..)) {
-                    handles.push(s.spawn(move |_| assign_chunk(pts, centroids_ref, asg)));
+                let handles: Vec<_> = reps
+                    .chunks(chunk)
+                    .zip(nearest.chunks_mut(chunk))
+                    .map(|(pts, out)| s.spawn(move |_| assign_chunk(pts, matrix, out)))
+                    .collect();
+                for h in handles {
+                    h.join().expect("kmeans worker panicked");
                 }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("kmeans worker panicked"))
-                    .sum()
             })
-            .expect("kmeans scope panicked")
+            .expect("kmeans scope panicked");
         } else {
-            assign_chunk(points, &centroids, &mut assignments)
-        };
+            assign_chunk(reps, &matrix, &mut nearest);
+        }
+        for (a, &g) in assignments.iter_mut().zip(&distinct.group_of) {
+            *a = nearest[g as usize].0;
+        }
+        inertia = distinct
+            .group_of
+            .chunks(inertia_run)
+            .map(|run| {
+                run.iter()
+                    .fold(0.0f64, |sum, &g| sum + nearest[g as usize].1 as f64)
+            })
+            .sum();
 
         // Update step.
         let mut sums = vec![vec![0.0f32; dim]; centroids.len()];

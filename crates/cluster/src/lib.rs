@@ -10,6 +10,9 @@
 
 pub mod init;
 pub mod kmeans;
+mod lanes;
 pub mod metrics;
+#[cfg(test)]
+mod reference;
 
 pub use kmeans::{kmeans, Clustering, KmeansConfig};

@@ -73,9 +73,37 @@ impl Hasher for FxHasher {
     }
 }
 
+/// The distinct keys in order of first occurrence, and each item's index
+/// into them. Callers use it to compute a pure function once per distinct
+/// input and expand the results afterwards; because the order is that of
+/// first occurrence, what they compute does not depend on how the work is
+/// later split across workers.
+pub fn first_occurrences<K: Eq + std::hash::Hash + Copy>(
+    keys: impl Iterator<Item = K>,
+) -> (Vec<K>, Vec<u32>) {
+    let mut index: FxHashMap<K, u32> = FxHashMap::default();
+    let mut distinct = Vec::new();
+    let of = keys
+        .map(|k| {
+            *index.entry(k).or_insert_with(|| {
+                distinct.push(k);
+                (distinct.len() - 1) as u32
+            })
+        })
+        .collect();
+    (distinct, of)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn first_occurrences_index_the_distinct_keys() {
+        let (distinct, of) = first_occurrences(["b", "a", "b", "c", "a"].into_iter());
+        assert_eq!(distinct, ["b", "a", "c"]);
+        assert_eq!(of, [0, 1, 0, 2, 1]);
+    }
     use std::hash::{BuildHasher, Hash};
 
     fn hash_of<T: Hash>(v: &T) -> u64 {

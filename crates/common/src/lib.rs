@@ -31,7 +31,7 @@ pub mod symbol;
 pub mod value;
 
 pub use error::{panic_message, GsjError, Result};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{first_occurrences, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use governor::{GovernorBuilder, QueryGovernor};
 pub use pool::Mergeable;
 pub use retry::RetryPolicy;

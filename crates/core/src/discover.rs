@@ -174,10 +174,9 @@ pub fn filter_link_clusters(
         .collect()
 }
 
-/// Build the match set `W_i` for one refined cluster: every selected path
-/// conforming to one of the cluster's patterns contributes its start
-/// vertex and *naming embedding* — the word embedding of the path's edge
-/// labels together with its end label.
+/// The *naming embeddings* of a path list — the word embedding of each
+/// path's end label together with its last edge label — stored once per
+/// distinct (end label, last edge label) pair.
 ///
 /// The paper's formula embeds the end label alone, relying on pretrained
 /// GloVe to place values near concept words (`UK` near `location`). Our
@@ -185,19 +184,26 @@ pub fn filter_link_clusters(
 /// concept signal instead — which is the paper's own motivating example:
 /// "to retrieve UK from G as the country of company1, one need to select
 /// semantically close regloc". See DESIGN.md §2.
-pub fn build_w_entries(
-    cluster: &[PathPattern],
-    paths: &[Path],
-    name_embs: &[Vec<f32>],
-) -> Vec<WEntry> {
+#[derive(Debug, Clone, Default)]
+pub struct NameEmbs {
+    /// The distinct naming embeddings, in order of first occurrence.
+    pub embs: Vec<Vec<f32>>,
+    /// Path index → index into `embs`.
+    pub of: Vec<u32>,
+}
+
+/// Build the match set `W_i` for one refined cluster: every selected path
+/// conforming to one of the cluster's patterns contributes its start
+/// vertex and the index of its naming embedding.
+pub fn build_w_entries(cluster: &[PathPattern], paths: &[Path], name_of: &[u32]) -> Vec<WEntry> {
     let pattern_set: std::collections::HashSet<&PathPattern> = cluster.iter().collect();
     paths
         .iter()
-        .zip(name_embs)
+        .zip(name_of)
         .filter(|(p, _)| pattern_set.contains(&p.pattern()))
-        .map(|(p, x)| WEntry {
+        .map(|(p, &name)| WEntry {
             start: p.start(),
-            end_emb: x.clone(),
+            name,
         })
         .collect()
 }
@@ -216,7 +222,7 @@ pub const MIN_KEYWORD_AFFINITY: f64 = 0.10;
 pub fn select_attributes(
     refined: &[Vec<PathPattern>],
     paths: &[Path],
-    name_embs: &[Vec<f32>],
+    names: &NameEmbs,
     tuple_attr_embs: &TupleAttrEmbs,
     keywords: &[(String, Vec<f32>)],
     m: usize,
@@ -227,11 +233,11 @@ pub fn select_attributes(
     let total = paths.len();
     let mut scored: Vec<(usize, RankResult)> = Vec::new();
     for (idx, cluster) in refined.iter().enumerate() {
-        let entries = build_w_entries(cluster, paths, name_embs);
+        let entries = build_w_entries(cluster, paths, &names.of);
         if entries.is_empty() {
             continue;
         }
-        let r = rank_cluster_full(&entries, total, tuple_attr_embs, keywords);
+        let r = rank_cluster_full(&entries, &names.embs, total, tuple_attr_embs, keywords);
         scored.push((idx, r));
     }
 
@@ -368,11 +374,10 @@ mod tests {
     fn w_entries_only_from_conforming_paths() {
         let t = SymbolTable::new();
         let paths = vec![mk_path(&t, 0, &["a"]), mk_path(&t, 1, &["b"])];
-        let name_embs = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
-        let cluster = vec![paths[0].pattern()];
-        let w = build_w_entries(&cluster, &paths, &name_embs);
+        let cluster = vec![paths[1].pattern()];
+        let w = build_w_entries(&cluster, &paths, &[7, 9]);
         assert_eq!(w.len(), 1);
-        assert_eq!(w[0].start, VertexId(0));
-        assert_eq!(w[0].end_emb, vec![1.0, 0.0]);
+        assert_eq!(w[0].start, VertexId(1));
+        assert_eq!(w[0].name, 9);
     }
 }

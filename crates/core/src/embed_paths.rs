@@ -6,13 +6,77 @@
 //! edge labels, each half L2-normalized first (the paper performs "L2
 //! normalization before vector concatenation"). With the default models
 //! this is the paper's 200-dimensional vertex-path representation.
+//!
+//! Both halves are pure functions of few distinct inputs — hundreds of
+//! selected paths end on far fewer distinct labels and follow a few dozen
+//! distinct label sequences — so each half is embedded once per distinct
+//! input and the per-path vectors are assembled by concatenation.
 
+use crate::extract::LabelEmbCache;
+use crate::rext::parallel_map;
+use gsj_common::{first_occurrences, Symbol};
 use gsj_graph::{LabeledGraph, Path};
 use gsj_nn::lm::SequenceEmbedder;
 use gsj_nn::WordEmbedder;
 
-/// Embed one path's end-label + label-sequence pair.
-pub fn embed_pair(
+/// The label of the vertex a selected path ends on.
+pub(crate) fn end_label(g: &LabeledGraph, path: &Path) -> Symbol {
+    g.vertex_label(path.end())
+        .expect("selected paths end on live vertices")
+}
+
+/// The feature vectors of a batch of paths, in path order.
+pub(crate) struct PairFeatures {
+    pub features: Vec<Vec<f32>>,
+    /// Distinct end labels embedded with `Me`.
+    pub distinct_labels: usize,
+    /// Distinct label sequences embedded with `Mρ`.
+    pub distinct_patterns: usize,
+}
+
+/// Embed every path's end-label + label-sequence pair. `me` keeps the raw
+/// end-label embeddings for the ranking step that follows.
+pub(crate) fn embed_paths(
+    g: &LabeledGraph,
+    paths: &[Path],
+    word: &dyn WordEmbedder,
+    seq: &dyn SequenceEmbedder,
+    me: &mut LabelEmbCache,
+    threads: usize,
+) -> PairFeatures {
+    // Both distinct sets are fixed before any parallel work, so what is
+    // embedded, and in which order, does not depend on `threads`.
+    let (labels, label_of) = first_occurrences(paths.iter().map(|p| end_label(g, p)));
+    let (patterns, pattern_of) = first_occurrences(paths.iter().map(Path::labels));
+    me.fill(g.symbols(), word, labels.iter().copied(), threads);
+    let x_labels: Vec<Vec<f32>> = labels
+        .iter()
+        .map(|&l| {
+            let mut x = me.get(l).to_vec();
+            gsj_nn::vector::l2_normalize(&mut x);
+            x
+        })
+        .collect();
+    let x_paths: Vec<Vec<f32>> = parallel_map(&patterns, threads, |labels| {
+        let mut x = seq.embed_symbols(labels);
+        gsj_nn::vector::l2_normalize(&mut x);
+        x
+    });
+    PairFeatures {
+        features: label_of
+            .iter()
+            .zip(&pattern_of)
+            .map(|(&l, &p)| gsj_nn::vector::concat(&x_labels[l as usize], &x_paths[p as usize]))
+            .collect(),
+        distinct_labels: labels.len(),
+        distinct_patterns: patterns.len(),
+    }
+}
+
+/// One path embedded on its own — what [`embed_paths`] did for every path
+/// before it shared work between them; the tests hold it to these bits.
+#[cfg(test)]
+fn embed_pair(
     g: &LabeledGraph,
     path: &Path,
     word: &dyn WordEmbedder,
@@ -24,16 +88,6 @@ pub fn embed_pair(
     let mut x_path = seq.embed_symbols(path.labels());
     gsj_nn::vector::l2_normalize(&mut x_path);
     gsj_nn::vector::concat(&x_label, &x_path)
-}
-
-/// Embed a batch of paths, one feature vector per path, preserving order.
-pub fn embed_pairs(
-    g: &LabeledGraph,
-    paths: &[Path],
-    word: &dyn WordEmbedder,
-    seq: &dyn SequenceEmbedder,
-) -> Vec<Vec<f32>> {
-    paths.iter().map(|p| embed_pair(g, p, word, seq)).collect()
 }
 
 #[cfg(test)]
@@ -86,7 +140,24 @@ mod tests {
         let (g, paths, lm) = setting();
         assert!(paths.len() >= 2, "need a 1-hop and a 2-hop path");
         let word = HashEmbedder::new(10);
-        let xs = embed_pairs(&g, &paths, &word, &lm);
+        let xs = embed_paths(&g, &paths, &word, &lm, &mut Default::default(), 1).features;
         assert_ne!(xs[0], xs[1]);
+    }
+
+    #[test]
+    fn batch_equals_one_path_at_a_time_at_any_thread_count() {
+        let (g, mut paths, lm) = setting();
+        // Repeat the paths so labels and sequences recur and the batch is
+        // long enough to be split across workers.
+        paths = paths.iter().cycle().take(12).cloned().collect();
+        let word = HashEmbedder::new(10);
+        let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 4] {
+            let batch = embed_paths(&g, &paths, &word, &lm, &mut Default::default(), threads);
+            assert_eq!((batch.distinct_labels, batch.distinct_patterns), (2, 2));
+            for (p, x) in paths.iter().zip(&batch.features) {
+                assert_eq!(bits(x), bits(&embed_pair(&g, p, &word, &lm)));
+            }
+        }
     }
 }

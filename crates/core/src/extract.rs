@@ -8,25 +8,53 @@
 //! end label becomes `θ_j`, or NULL when no path conforms.
 
 use crate::discover::Discovery;
-use gsj_common::{FxHashMap, FxHashSet, Result, Value};
+use crate::embed_paths::end_label;
+use crate::rext::parallel_map;
+use gsj_common::{first_occurrences, FxHashMap, FxHashSet, Result, Symbol, SymbolTable, Value};
 use gsj_graph::{LabeledGraph, Path, VertexId};
 use gsj_nn::vector::cosine;
 use gsj_nn::WordEmbedder;
 use gsj_relational::Relation;
+use std::sync::Arc;
 
-/// A memo of end-label embeddings so repeated labels (countries, genres,
-/// types...) are embedded once.
+/// The memo of `Me` over graph labels — vertex or edge, keyed by symbol —
+/// so a repeated label (countries, genres, types...) is embedded once.
+/// One lives for the length of a discovery or an extraction call.
 #[derive(Default)]
 pub struct LabelEmbCache {
-    map: FxHashMap<String, Vec<f32>>,
+    map: FxHashMap<Symbol, Vec<f32>>,
 }
 
 impl LabelEmbCache {
     /// Embed through the cache.
-    pub fn embed(&mut self, word: &dyn WordEmbedder, label: &str) -> &[f32] {
+    pub fn embed(
+        &mut self,
+        symbols: &SymbolTable,
+        word: &dyn WordEmbedder,
+        label: Symbol,
+    ) -> &[f32] {
         self.map
-            .entry(label.to_string())
-            .or_insert_with(|| word.embed(label))
+            .entry(label)
+            .or_insert_with(|| word.embed(&symbols.resolve(label)))
+    }
+
+    /// Embed those of `labels` not cached yet, each once, on `threads`
+    /// workers.
+    pub(crate) fn fill(
+        &mut self,
+        symbols: &SymbolTable,
+        word: &dyn WordEmbedder,
+        labels: impl Iterator<Item = Symbol>,
+        threads: usize,
+    ) {
+        let (missing, _) = first_occurrences(labels.filter(|l| !self.map.contains_key(l)));
+        let embs = parallel_map(&missing, threads, |&l| word.embed(&symbols.resolve(l)));
+        self.map.extend(missing.into_iter().zip(embs));
+    }
+
+    /// The embedding of a label [`fill`](Self::fill)ed or embedded before.
+    pub(crate) fn get(&self, label: Symbol) -> &[f32] {
+        &self.map[&label]
     }
 }
 
@@ -49,14 +77,14 @@ pub fn extract_values(
             // ties prefer the *shorter* path — the entity's own property
             // over the same-shaped property of a neighbor reached through
             // an extra hop — then break lexicographically.
-            let mut best: Option<(f32, usize, String)> = None;
+            let mut best: Option<(f32, usize, Arc<str>)> = None;
             for p in paths {
                 if !pattern_set.contains(&p.pattern()) {
                     continue;
                 }
-                let label = g.vertex_label_str(p.end()).to_string();
-                let emb = cache.embed(word, &label);
-                let sim = cosine(emb, &cluster.attr_emb);
+                let end = end_label(g, p);
+                let sim = cosine(cache.embed(g.symbols(), word, end), &cluster.attr_emb);
+                let label = g.symbols().resolve(end);
                 let better = match &best {
                     None => true,
                     Some((bs, bl, blabel)) => {
@@ -70,7 +98,7 @@ pub fn extract_values(
                 }
             }
             match best {
-                Some((_, _, label)) => Value::str(label),
+                Some((_, _, label)) => Value::Str(label),
                 None => Value::Null,
             }
         })
@@ -83,11 +111,15 @@ pub fn extract_values(
 ///
 /// `fresh_paths` supplies paths for vertices absent from the discovery
 /// cache (IncExt's newly matched vertices); it is handed the vertex id.
+/// With `reuse_cached` off it supplies them for *every* vertex: IncExt
+/// re-extracts vertices whose vicinity changed after discovery, so what
+/// the cache holds for them is stale.
 pub fn extract_relation<F>(
     g: &LabeledGraph,
     matched_vertices: impl IntoIterator<Item = VertexId>,
     discovery: &Discovery,
     word: &dyn WordEmbedder,
+    reuse_cached: bool,
     mut fresh_paths: F,
 ) -> Result<Relation>
 where
@@ -101,7 +133,7 @@ where
             continue;
         }
         let owned;
-        let paths: &[Path] = match discovery.paths.get(&v) {
+        let paths: &[Path] = match discovery.paths.get(&v).filter(|_| reuse_cached) {
             Some(cached) => cached,
             None => {
                 owned = fresh_paths(v);
@@ -173,7 +205,7 @@ mod tests {
     #[test]
     fn extracts_values_per_cluster() {
         let (g, pid1, disc, word) = setting();
-        let rel = extract_relation(&g, [pid1], &disc, &word, |_| Vec::new()).unwrap();
+        let rel = extract_relation(&g, [pid1], &disc, &word, true, |_| Vec::new()).unwrap();
         assert_eq!(rel.len(), 1);
         let row = rel.row(0);
         assert_eq!(row.get(0), &Value::Int(pid1.0 as i64));
@@ -186,7 +218,7 @@ mod tests {
         let (g, pid1, mut disc, word) = setting();
         // Remove the cached 2-hop path: "loc" has no conforming path.
         disc.paths.get_mut(&pid1).unwrap().truncate(1);
-        let rel = extract_relation(&g, [pid1], &disc, &word, |_| Vec::new()).unwrap();
+        let rel = extract_relation(&g, [pid1], &disc, &word, true, |_| Vec::new()).unwrap();
         assert!(rel.value_at(0, 1).is_null());
         assert_eq!(rel.value_at(0, 2), Value::str("company1"));
     }
@@ -194,7 +226,8 @@ mod tests {
     #[test]
     fn duplicate_vertices_extract_once() {
         let (g, pid1, disc, word) = setting();
-        let rel = extract_relation(&g, [pid1, pid1, pid1], &disc, &word, |_| Vec::new()).unwrap();
+        let rel =
+            extract_relation(&g, [pid1, pid1, pid1], &disc, &word, true, |_| Vec::new()).unwrap();
         assert_eq!(rel.len(), 1);
     }
 
@@ -202,15 +235,23 @@ mod tests {
     fn fresh_paths_used_for_uncached_vertices() {
         let (g, pid1, mut disc, word) = setting();
         let cached = disc.paths.remove(&pid1).unwrap();
-        let rel = extract_relation(&g, [pid1], &disc, &word, move |_| cached.clone()).unwrap();
+        let rel =
+            extract_relation(&g, [pid1], &disc, &word, true, move |_| cached.clone()).unwrap();
         assert_eq!(rel.value_at(0, 1), Value::str("UK"));
+    }
+
+    #[test]
+    fn cache_is_bypassed_on_request() {
+        let (g, pid1, disc, word) = setting();
+        let rel = extract_relation(&g, [pid1], &disc, &word, false, |_| Vec::new()).unwrap();
+        assert!(rel.value_at(0, 1).is_null() && rel.value_at(0, 2).is_null());
     }
 
     #[test]
     fn dead_vertices_are_skipped() {
         let (mut g, pid1, disc, word) = setting();
         g.remove_vertex(pid1);
-        let rel = extract_relation(&g, [pid1], &disc, &word, |_| Vec::new()).unwrap();
+        let rel = extract_relation(&g, [pid1], &disc, &word, true, |_| Vec::new()).unwrap();
         assert!(rel.is_empty());
     }
 
@@ -246,7 +287,7 @@ mod tests {
             total_paths: 2,
             word_dim: 64,
         };
-        let rel = extract_relation(&g, [e], &disc, &word, |_| Vec::new()).unwrap();
+        let rel = extract_relation(&g, [e], &disc, &word, true, |_| Vec::new()).unwrap();
         assert_eq!(rel.value_at(0, 1), Value::str("location value"));
     }
 }

@@ -264,7 +264,8 @@ pub fn inc_update_graph(
     })?;
     dg.append_rows(&fresh)?;
 
-    // --- Refresh the path cache for the re-extracted vertices.
+    // --- Refresh the path cache for the re-extracted vertices (the one
+    // copy of the discovery an update makes).
     let mut discovery = prev.discovery.clone();
     for v in &v_delta {
         discovery.paths.remove(v);
@@ -296,10 +297,8 @@ pub fn inc_update_keywords(
         flat.extend(prev.discovery.paths[v].iter().cloned());
     }
     let word = rext.word_embedder();
-    let name_embs: Vec<Vec<f32>> = flat
-        .iter()
-        .map(|p| crate::rext::naming_embedding(g, p, word))
-        .collect();
+    let mut cache = LabelEmbCache::default();
+    let names = crate::rext::naming_embeddings(g, &flat, word, &mut cache, rext.config().threads);
 
     let keyword_embs: Vec<(String, Vec<f32>)> = new_keywords
         .iter()
@@ -316,7 +315,7 @@ pub fn inc_update_keywords(
     let (clusters, schema) = select_attributes(
         &prev.discovery.refined,
         &flat,
-        &name_embs,
+        &names,
         &tuple_attr_embs,
         &keyword_embs,
         m,
@@ -341,7 +340,6 @@ pub fn inc_update_keywords(
                 .map_or(&[][..], Vec::as_slice)
         })
         .collect();
-    let mut cache = LabelEmbCache::default();
     let mut cols = vec![prev.dg.columns()[vid_pos].clone()];
     for attr in schema.attrs().iter().skip(1) {
         cols.push(if let Some(i) = old_schema.position(attr) {

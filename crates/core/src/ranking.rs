@@ -15,13 +15,14 @@ use gsj_graph::VertexId;
 use gsj_nn::vector::cosine;
 
 /// One matching-path record of `W_i`: the start (entity) vertex and the
-/// embedding of the end vertex's label.
-#[derive(Debug, Clone)]
+/// path's naming embedding `x_{L(ρ.v_l)}`, as an index into the distinct
+/// naming embeddings of the path set (many paths share one).
+#[derive(Debug, Clone, Copy)]
 pub struct WEntry {
     /// The matched entity vertex `v_j` the path starts from.
     pub start: VertexId,
-    /// Word embedding of the end label `L(ρ.v_l)`.
-    pub end_emb: Vec<f32>,
+    /// Index of the path's naming embedding.
+    pub name: u32,
 }
 
 /// Per-vertex embeddings of the matched tuple's attribute values
@@ -53,25 +54,16 @@ impl RankResult {
     }
 }
 
-/// Score one cluster's match set and return `(r(W_i), argmax keyword)`.
+/// Score one cluster's match set `entries`, whose naming embeddings are
+/// `names[entry.name]`.
 ///
 /// `total_paths` is `|P|`; `keywords` are `(name, embedding)` pairs; an
 /// empty `tuple_attr_embs` (extraction without reference tuples,
 /// Section III-A) zeroes the second term, and empty `keywords` zero the
 /// third.
-pub fn rank_cluster(
-    entries: &[WEntry],
-    total_paths: usize,
-    tuple_attr_embs: &TupleAttrEmbs,
-    keywords: &[(String, Vec<f32>)],
-) -> (f64, Option<usize>) {
-    let r = rank_cluster_full(entries, total_paths, tuple_attr_embs, keywords);
-    (r.score, r.best_keyword)
-}
-
-/// [`rank_cluster`] returning the decomposed [`RankResult`].
 pub fn rank_cluster_full(
     entries: &[WEntry],
+    names: &[Vec<f32>],
     total_paths: usize,
     tuple_attr_embs: &TupleAttrEmbs,
     keywords: &[(String, Vec<f32>)],
@@ -94,20 +86,28 @@ pub fn rank_cluster_full(
         let mut sum = 0.0f64;
         for e in entries {
             if let Some(Some(attr_emb)) = tuple_attr_embs.get(&e.start).map(|v| &v[phi]) {
-                sum += cosine(&e.end_emb, attr_emb) as f64;
+                sum += cosine(&names[e.name as usize], attr_emb) as f64;
             }
         }
         overlap = overlap.max(sum / entries.len() as f64);
     }
 
     // Third term: similarity to user keywords (max over ε, with argmax).
+    // The cosine is taken once per distinct naming embedding; the sum
+    // still runs over the entries in order.
     let mut kw_means = Vec::with_capacity(keywords.len());
     let mut interest = 0.0f64;
     let mut best_kw = None;
+    let mut cos_of_name: Vec<Option<f32>> = Vec::new();
     for (eps, (_, kw_emb)) in keywords.iter().enumerate() {
+        cos_of_name.clear();
+        cos_of_name.resize(names.len(), None);
         let sum: f64 = entries
             .iter()
-            .map(|e| cosine(&e.end_emb, kw_emb) as f64)
+            .map(|e| {
+                let n = e.name as usize;
+                *cos_of_name[n].get_or_insert_with(|| cosine(&names[n], kw_emb)) as f64
+            })
             .sum();
         let mean = sum / entries.len() as f64;
         kw_means.push(mean);
@@ -131,22 +131,47 @@ mod tests {
     use super::*;
     use gsj_nn::{HashEmbedder, WordEmbedder};
 
-    fn entry(start: u32, label: &str, emb: &HashEmbedder) -> WEntry {
-        WEntry {
-            start: VertexId(start),
-            end_emb: emb.embed(label),
-        }
+    /// One entry per `(start, label)`, each with a naming embedding of
+    /// its own.
+    fn entries(items: &[(u32, &str)], emb: &HashEmbedder) -> (Vec<WEntry>, Vec<Vec<f32>>) {
+        let names = items.iter().map(|(_, label)| emb.embed(label)).collect();
+        let entries = items
+            .iter()
+            .enumerate()
+            .map(|(i, &(start, _))| WEntry {
+                start: VertexId(start),
+                name: i as u32,
+            })
+            .collect();
+        (entries, names)
+    }
+
+    fn rank(
+        items: &[(u32, &str)],
+        emb: &HashEmbedder,
+        total_paths: usize,
+        tuple_attr_embs: &TupleAttrEmbs,
+        keywords: &[(String, Vec<f32>)],
+    ) -> (f64, Option<usize>) {
+        let (entries, names) = entries(items, emb);
+        let r = rank_cluster_full(&entries, &names, total_paths, tuple_attr_embs, keywords);
+        (r.score, r.best_keyword)
     }
 
     #[test]
     fn keyword_similarity_raises_score_and_names_attribute() {
         let emb = HashEmbedder::new(64);
-        let entries = vec![entry(0, "UK", &emb), entry(1, "US", &emb)];
         let keywords = vec![
             ("company".to_string(), emb.embed("company")),
             ("loc".to_string(), emb.embed("UK US location")),
         ];
-        let (score, kw) = rank_cluster(&entries, 10, &FxHashMap::default(), &keywords);
+        let (score, kw) = rank(
+            &[(0, "UK"), (1, "US")],
+            &emb,
+            10,
+            &FxHashMap::default(),
+            &keywords,
+        );
         assert!(score.is_finite());
         assert_eq!(kw, Some(1), "the loc-ish keyword must win");
     }
@@ -155,13 +180,12 @@ mod tests {
     fn overlap_with_existing_attributes_lowers_score() {
         let emb = HashEmbedder::new(64);
         // End labels identical to an existing attribute value → penalized.
-        let entries = vec![entry(0, "Funds", &emb)];
         let mut dup: TupleAttrEmbs = FxHashMap::default();
         dup.insert(VertexId(0), vec![Some(emb.embed("Funds"))]);
         let fresh: TupleAttrEmbs = FxHashMap::default();
         let kws = vec![("type".to_string(), emb.embed("type"))];
-        let (with_dup, _) = rank_cluster(&entries, 10, &dup, &kws);
-        let (without, _) = rank_cluster(&entries, 10, &fresh, &kws);
+        let (with_dup, _) = rank(&[(0, "Funds")], &emb, 10, &dup, &kws);
+        let (without, _) = rank(&[(0, "Funds")], &emb, 10, &fresh, &kws);
         assert!(
             with_dup < without,
             "duplicate info must rank lower: {with_dup} vs {without}"
@@ -171,17 +195,17 @@ mod tests {
     #[test]
     fn coverage_term_prefers_bigger_clusters() {
         let emb = HashEmbedder::new(64);
-        let small = vec![entry(0, "x", &emb)];
-        let big: Vec<WEntry> = (0..5).map(|i| entry(i, "x", &emb)).collect();
+        let big: Vec<(u32, &str)> = (0..5).map(|i| (i, "x")).collect();
         let none: TupleAttrEmbs = FxHashMap::default();
-        let (s_small, _) = rank_cluster(&small, 10, &none, &[]);
-        let (s_big, _) = rank_cluster(&big, 10, &none, &[]);
+        let (s_small, _) = rank(&[(0, "x")], &emb, 10, &none, &[]);
+        let (s_big, _) = rank(&big, &emb, 10, &none, &[]);
         assert!(s_big > s_small);
     }
 
     #[test]
     fn empty_cluster_is_unrankable() {
-        let (score, kw) = rank_cluster(&[], 10, &FxHashMap::default(), &[]);
+        let emb = HashEmbedder::new(16);
+        let (score, kw) = rank(&[], &emb, 10, &FxHashMap::default(), &[]);
         assert_eq!(score, f64::NEG_INFINITY);
         assert_eq!(kw, None);
     }
@@ -189,8 +213,37 @@ mod tests {
     #[test]
     fn no_keywords_means_no_attribute_name() {
         let emb = HashEmbedder::new(16);
-        let entries = vec![entry(0, "x", &emb)];
-        let (_, kw) = rank_cluster(&entries, 5, &FxHashMap::default(), &[]);
+        let (_, kw) = rank(&[(0, "x")], &emb, 5, &FxHashMap::default(), &[]);
         assert_eq!(kw, None);
+    }
+
+    #[test]
+    fn shared_naming_embeddings_rank_like_private_copies() {
+        // Five paths over two distinct names: indexing the shared
+        // embeddings gives the bits that five private copies give.
+        let emb = HashEmbedder::new(32);
+        let items = [(0, "UK"), (1, "US"), (2, "UK"), (3, "UK"), (4, "US")];
+        let keywords = vec![
+            ("loc".to_string(), emb.embed("UK location")),
+            ("x".to_string(), emb.embed("US")),
+        ];
+        let mut attrs: TupleAttrEmbs = FxHashMap::default();
+        attrs.insert(VertexId(2), vec![None, Some(emb.embed("UK"))]);
+        let (private, private_names) = entries(&items, &emb);
+        let shared_names = vec![emb.embed("UK"), emb.embed("US")];
+        let shared: Vec<WEntry> = items
+            .iter()
+            .map(|&(start, label)| WEntry {
+                start: VertexId(start),
+                name: (label == "US") as u32,
+            })
+            .collect();
+        let a = rank_cluster_full(&private, &private_names, 9, &attrs, &keywords);
+        let b = rank_cluster_full(&shared, &shared_names, 9, &attrs, &keywords);
+        assert_eq!(a.score.to_bits(), b.score.to_bits());
+        assert_eq!(a.overlap.to_bits(), b.overlap.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.kw_means), bits(&b.kw_means));
+        assert_eq!(a.best_keyword, b.best_keyword);
     }
 }

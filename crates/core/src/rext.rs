@@ -3,11 +3,14 @@
 //! Section III-A (see Fig. 4's workflow diagram).
 
 use crate::config::{EmbedKind, PathKind, RExtConfig, SeqKind};
-use crate::discover::{inject_cluster_noise, refine_patterns, select_attributes, Discovery};
-use crate::extract::extract_relation;
+use crate::discover::{
+    inject_cluster_noise, refine_patterns, select_attributes, Discovery, NameEmbs,
+};
+use crate::embed_paths::{embed_paths, end_label};
+use crate::extract::{extract_relation, LabelEmbCache};
 use crate::ranking::TupleAttrEmbs;
 use gsj_cluster::{kmeans, KmeansConfig};
-use gsj_common::{FxHashMap, Result, Value};
+use gsj_common::{first_occurrences, FxHashMap, Result, Value};
 use gsj_graph::random_walk::{build_corpus_governed, WalkConfig};
 use gsj_graph::{LabeledGraph, Path, VertexId};
 use gsj_her::normalize::value_text;
@@ -215,16 +218,18 @@ impl Rext {
             (paths_map, flat)
         };
 
-        // (2) Vertex-path pair vectorization, in parallel.
+        // (2) Vertex-path pair vectorization: one embedding per distinct
+        // end label and per distinct label sequence, in parallel. `me`
+        // carries the end-label embeddings on to the ranking step.
         let word = self.word.as_ref();
-        let seq = self.seq.as_ref();
+        let mut me = LabelEmbCache::default();
         let features: Vec<Vec<f32>> = {
             let mut span = gsj_obs::span("rext.embed");
-            let features: Vec<Vec<f32>> = parallel_map(&flat, self.cfg.threads, |p| {
-                crate::embed_paths::embed_pair(g, p, word, seq)
-            });
-            span.field("pairs", features.len());
-            features
+            let pairs = embed_paths(g, &flat, word, self.seq.as_ref(), &mut me, self.cfg.threads);
+            span.field("pairs", pairs.features.len())
+                .field("distinct_labels", pairs.distinct_labels)
+                .field("distinct_patterns", pairs.distinct_patterns);
+            pairs.features
         };
         let word_dim = self.word.dim();
 
@@ -243,6 +248,8 @@ impl Rext {
             )
             .assignments
         };
+        // Nothing else reads the per-path vectors.
+        drop(features);
         if let Some((frac, seed)) = cluster_noise {
             inject_cluster_noise(&mut assignments, self.cfg.h, frac, seed);
         }
@@ -262,11 +269,11 @@ impl Rext {
         };
 
         // (4) Ranking and attribute selection. Naming embeddings combine
-        // the path's edge labels with its end label (see
-        // `discover::build_w_entries` for the rationale).
+        // the path's last edge label with its end label (see
+        // `discover::NameEmbs` for the rationale).
         let mut rank_span = gsj_obs::span("rext.rank");
-        let name_embs: Vec<Vec<f32>> =
-            parallel_map(&flat, self.cfg.threads, |p| naming_embedding(g, p, word));
+        let names = naming_embeddings(g, &flat, word, &mut me, self.cfg.threads);
+        rank_span.field("distinct_names", names.embs.len());
         let keyword_embs: Vec<(String, Vec<f32>)> = keywords
             .iter()
             .map(|k| (k.clone(), self.word.embed(k)))
@@ -278,7 +285,7 @@ impl Rext {
         let (clusters, schema) = select_attributes(
             &refined,
             &flat,
-            &name_embs,
+            &names,
             &tuple_attr_embs,
             &keyword_embs,
             self.cfg.m.min(keywords.len().max(1)),
@@ -343,9 +350,14 @@ impl Rext {
     ) -> Result<Relation> {
         let mut span = gsj_obs::span("rext.extract");
         gsj_faults::fault_point("rext.extract", gsj_faults::FaultClass::Critical)?;
-        let out = extract_relation(g, matches.vertices(), discovery, self.word.as_ref(), |v| {
-            self.select_paths(g, v)
-        })?;
+        let out = extract_relation(
+            g,
+            matches.vertices(),
+            discovery,
+            self.word.as_ref(),
+            true,
+            |v| self.select_paths(g, v),
+        )?;
         EXTRACTED_ROWS.add(out.len() as u64);
         span.field("rows", out.len());
         Ok(out)
@@ -363,15 +375,12 @@ impl Rext {
         // Bypass the discovery cache entirely: these vertices' vicinities
         // changed.
         let mut span = gsj_obs::span("rext.extract");
-        let mut stripped = discovery.clone();
-        for v in vertices {
-            stripped.paths.remove(v);
-        }
         let out = extract_relation(
             g,
             vertices.iter().copied(),
-            &stripped,
+            discovery,
             self.word.as_ref(),
+            false,
             |v| self.select_paths(g, v),
         )?;
         EXTRACTED_ROWS.add(out.len() as u64);
@@ -380,9 +389,10 @@ impl Rext {
     }
 }
 
-/// The naming embedding of a path: word embedding of the end vertex's
-/// label (double weight) plus the last edge label, L2-normalized. Used by
-/// the ranking function's keyword and overlap terms.
+/// The naming embeddings of `paths`: per distinct (end label, last edge
+/// label), the word embedding of the end label (double weight) plus that
+/// of the last edge label, L2-normalized. Used by the ranking function's
+/// keyword and overlap terms.
 ///
 /// The paper's formula embeds the end label alone, relying on pretrained
 /// GloVe to place values near concept words (`UK` near `location`). Our
@@ -393,15 +403,35 @@ impl Rext {
 /// attribute is named by where its paths end, and including earlier hops
 /// would let `treats_symptom` tokens hijack the `disease` cluster one hop
 /// further down the chain.
-pub(crate) fn naming_embedding(g: &LabeledGraph, path: &Path, word: &dyn WordEmbedder) -> Vec<f32> {
-    let mut emb = word.embed(&g.vertex_label_str(path.end()));
-    gsj_nn::vector::scale(&mut emb, 2.0);
-    if let Some(&last) = path.labels().last() {
-        let edge_emb = word.embed(&g.symbols().resolve(last));
-        gsj_nn::vector::add_assign(&mut emb, &edge_emb);
-    }
-    gsj_nn::vector::l2_normalize(&mut emb);
-    emb
+pub(crate) fn naming_embeddings(
+    g: &LabeledGraph,
+    paths: &[Path],
+    word: &dyn WordEmbedder,
+    me: &mut LabelEmbCache,
+    threads: usize,
+) -> NameEmbs {
+    let (keys, of) = first_occurrences(
+        paths
+            .iter()
+            .map(|p| (end_label(g, p), p.labels().last().copied())),
+    );
+    let labels = keys
+        .iter()
+        .flat_map(|&(end, last)| last.into_iter().chain([end]));
+    me.fill(g.symbols(), word, labels, threads);
+    let embs = keys
+        .iter()
+        .map(|&(end, last)| {
+            let mut emb = me.get(end).to_vec();
+            gsj_nn::vector::scale(&mut emb, 2.0);
+            if let Some(last) = last {
+                gsj_nn::vector::add_assign(&mut emb, me.get(last));
+            }
+            gsj_nn::vector::l2_normalize(&mut emb);
+            emb
+        })
+        .collect();
+    NameEmbs { embs, of }
 }
 
 /// Crate-internal access to [`Rext::tuple_attr_embeddings`] (used by
@@ -566,6 +596,69 @@ mod tests {
         a.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
         b.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn extract_vertices_follows_the_graph_not_the_cache() {
+        let (mut g, s, matches) = setting();
+        let rext = Rext::train(&g, quick_cfg(PathKind::Random)).unwrap();
+        let disc = rext
+            .discover(
+                &g,
+                &matches,
+                Some((&s, "pid")),
+                &["loc".to_string(), "company".to_string()],
+                "h_p",
+            )
+            .unwrap();
+        let loc = disc.schema.position("loc").expect("`loc` selected");
+        let pid0 = matches.vertices().next().unwrap();
+        // Cut company0 off its country after discovery: pid0's cached
+        // paths still reach "UK", the graph no longer does.
+        let company0 = g.out_edges(pid0)[1].to;
+        let regloc = g.symbols().get("regloc").unwrap();
+        let uk = g.out_edges(company0)[0].to;
+        assert!(g.remove_edge_sym(company0, regloc, uk));
+        assert!(disc.paths[&pid0].iter().any(|p| p.end() == uk));
+
+        let stale = rext.extract(&g, &matches, &disc).unwrap();
+        assert_eq!(stale.value_at(0, loc), Value::str("UK"));
+        let fresh = rext.extract_vertices(&g, &[pid0], &disc).unwrap();
+        assert_eq!(fresh.len(), 1);
+        assert!(fresh.value_at(0, loc).is_null(), "{:?}", fresh.row(0));
+    }
+
+    #[test]
+    fn naming_embeddings_equal_one_path_at_a_time() {
+        /// The naming embedding of one path on its own, as it was taken
+        /// for every path before they were shared.
+        fn naming_embedding(g: &LabeledGraph, path: &Path, word: &dyn WordEmbedder) -> Vec<f32> {
+            let mut emb = word.embed(&g.vertex_label_str(path.end()));
+            gsj_nn::vector::scale(&mut emb, 2.0);
+            if let Some(&last) = path.labels().last() {
+                let edge_emb = word.embed(&g.symbols().resolve(last));
+                gsj_nn::vector::add_assign(&mut emb, &edge_emb);
+            }
+            gsj_nn::vector::l2_normalize(&mut emb);
+            emb
+        }
+        let (g, _, matches) = setting();
+        let word = HashEmbedder::new(48);
+        let mut paths = vec![Path::new(matches.vertices().next().unwrap())]; // no edge at all
+        for v in matches.vertices() {
+            paths.extend(crate::path_select::select_paths_random(&g, v, 3, 1));
+        }
+        for threads in [1, 4] {
+            let names = naming_embeddings(&g, &paths, &word, &mut Default::default(), threads);
+            assert!(names.embs.len() < paths.len(), "type labels repeat");
+            for (p, &n) in paths.iter().zip(&names.of) {
+                let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&names.embs[n as usize]),
+                    bits(&naming_embedding(&g, p, &word))
+                );
+            }
+        }
     }
 
     #[test]

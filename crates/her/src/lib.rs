@@ -12,10 +12,13 @@
 //! 1. [`normalize`]: lower-cased token sets of attribute values and labels;
 //! 2. [`blocking`]: schema-agnostic token blocking from vertex *vicinities*
 //!    (own label + neighbor labels within a hop bound) — a tuple's
-//!    candidates are the union of its tokens' blocks;
+//!    candidates are the union of its tokens' blocks; labels and tokens
+//!    are interned to `u32` ids and every vicinity set is precomputed
+//!    when the index is built;
 //! 3. [`matcher`]: scoring by the fraction of tuple attributes whose value
 //!    is found (exactly or by token-Jaccard) in the candidate's vicinity,
-//!    with an acceptance threshold.
+//!    with an acceptance threshold — integer merges over the index's
+//!    sorted id sets.
 //!
 //! [`noise`] deliberately corrupts a match relation to study cascading HER
 //! error (Exp-2(c), Fig 5(g)); [`relation_er`] is the tuple-vs-tuple ER
@@ -26,6 +29,8 @@ pub mod match_relation;
 pub mod matcher;
 pub mod noise;
 pub mod normalize;
+#[cfg(test)]
+mod reference;
 pub mod relation_er;
 pub mod similarity;
 

@@ -1,10 +1,9 @@
 //! The HER matcher: tuples of a relation against vertices of a graph.
 
-use crate::blocking::BlockIndex;
+use crate::blocking::{BlockIndex, QueryValue, Vicinity};
 use crate::match_relation::MatchRelation;
-use crate::normalize::{tokens, value_text};
-use crate::similarity::{containment, jaccard};
-use gsj_common::{FxHashSet, Result};
+use crate::normalize::value_text;
+use gsj_common::Result;
 use gsj_graph::{LabeledGraph, VertexId};
 use gsj_relational::Relation;
 
@@ -49,34 +48,23 @@ impl HerConfig {
 
 /// Score one tuple against one vertex vicinity: the fraction of the
 /// tuple's non-null, non-id attribute values found in the vicinity either
-/// exactly, by token containment, or by token Jaccard above the fuzzy
-/// threshold.
-fn score_tuple(
-    values: &[(String, FxHashSet<String>)],
-    vicinity: &FxHashSet<String>,
-    vicinity_tokens: &FxHashSet<String>,
-    fuzzy: f64,
-) -> f64 {
+/// exactly, by token containment, or by token Jaccard with some one label
+/// above the fuzzy threshold.
+fn score_tuple(values: &[QueryValue], vicinity: &Vicinity<'_>, fuzzy: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    let mut hits = 0usize;
-    for (text, toks) in values {
-        if vicinity.contains(text) {
-            hits += 1;
-            continue;
-        }
-        if !toks.is_empty() && containment(toks, vicinity_tokens) >= 0.99 {
-            hits += 1;
-            continue;
-        }
-        if vicinity.iter().any(|label| {
-            let lt: FxHashSet<String> = tokens(label).into_iter().collect();
-            jaccard(toks, &lt) >= fuzzy
-        }) {
-            hits += 1;
-        }
-    }
+    let hits = values
+        .iter()
+        .filter(|val| {
+            val.label
+                .is_some_and(|l| vicinity.labels.binary_search(&l).is_ok())
+                || val.containment(vicinity.tokens) >= 0.99
+                || vicinity
+                    .label_token_sets()
+                    .any(|label| val.jaccard(label) >= fuzzy)
+        })
+        .count();
     hits as f64 / values.len() as f64
 }
 
@@ -85,6 +73,11 @@ fn score_tuple(
 /// For each tuple: block on its value tokens, score every candidate
 /// vertex's vicinity, and accept the best candidate scoring at least
 /// `min_score` (ties broken by lower vertex id, deterministically).
+///
+/// The block index lives for this call only: once scoring reads
+/// precomputed id sets, building it is a small share of the match
+/// (DESIGN.md §8), and an index that outlived the call would have to
+/// follow every `ΔG`.
 pub fn her_match(g: &LabeledGraph, s: &Relation, cfg: &HerConfig) -> Result<MatchRelation> {
     let index = {
         let mut span = gsj_obs::span("her.block_index");
@@ -92,7 +85,7 @@ pub fn her_match(g: &LabeledGraph, s: &Relation, cfg: &HerConfig) -> Result<Matc
         span.field("hops", cfg.hops);
         index
     };
-    her_match_indexed(g, s, cfg, &index)
+    her_match_indexed(s, cfg, &index)
 }
 
 /// [`her_match`] over a restricted candidate vertex set: the block index
@@ -106,15 +99,10 @@ pub fn her_match_local(
     candidates: impl IntoIterator<Item = VertexId>,
 ) -> Result<MatchRelation> {
     let index = BlockIndex::build_over(g, candidates, cfg.hops, cfg.max_block);
-    her_match_indexed(g, s, cfg, &index)
+    her_match_indexed(s, cfg, &index)
 }
 
-fn her_match_indexed(
-    g: &LabeledGraph,
-    s: &Relation,
-    cfg: &HerConfig,
-    index: &BlockIndex,
-) -> Result<MatchRelation> {
+fn her_match_indexed(s: &Relation, cfg: &HerConfig, index: &BlockIndex) -> Result<MatchRelation> {
     static TUPLES: gsj_obs::LazyCounter = gsj_obs::LazyCounter::new("gsj_her_tuples_total");
     static SCORED: gsj_obs::LazyCounter =
         gsj_obs::LazyCounter::new("gsj_her_candidates_scored_total");
@@ -126,34 +114,25 @@ fn her_match_indexed(
     gsj_faults::fault_point("her.match", gsj_faults::FaultClass::Critical)?;
     let mut scored = 0u64;
     let id_pos = s.schema().require(&cfg.id_attr)?;
-    let _ = g;
     let mut matches = MatchRelation::new();
     for row in 0..s.len() {
-        // Normalized attribute values (id excluded — ids are local to D).
-        let mut values: Vec<(String, FxHashSet<String>)> = Vec::new();
-        let mut query_tokens: Vec<String> = Vec::new();
-        for i in 0..s.schema().arity() {
-            if i == id_pos {
-                continue;
-            }
-            if let Some(text) = value_text(&s.value_at(row, i)) {
-                let toks: FxHashSet<String> = tokens(&text).into_iter().collect();
-                query_tokens.extend(toks.iter().cloned());
-                values.push((text, toks));
-            }
-        }
+        // Normalized attribute values (id excluded — ids are local to D),
+        // tokenised and resolved against the index once per tuple.
+        let values: Vec<QueryValue> = (0..s.schema().arity())
+            .filter(|&i| i != id_pos)
+            .filter_map(|i| value_text(&s.value_at(row, i)))
+            .map(|text| index.query_value(&text))
+            .collect();
         if values.is_empty() {
             continue;
         }
         let mut best: Option<(f64, VertexId)> = None;
-        for v in index.candidates(&query_tokens) {
+        for v in index.candidates(&values) {
             scored += 1;
-            let vicinity = &index.vicinity[&v];
-            let vicinity_tokens: FxHashSet<String> =
-                vicinity.iter().flat_map(|l| tokens(l)).collect();
-            let score = score_tuple(&values, vicinity, &vicinity_tokens, cfg.fuzzy_threshold);
+            let vicinity = index.vicinity(v).expect("candidates are indexed");
+            let score = score_tuple(&values, &vicinity, cfg.fuzzy_threshold);
             let better = match best {
-                None => score >= cfg.min_score,
+                None => true,
                 Some((bs, bv)) => score > bs || (score == bs && v < bv),
             };
             if better && score >= cfg.min_score {
@@ -169,6 +148,7 @@ fn her_match_indexed(
     MATCHED.add(matches.len() as u64);
     span.field("tuples", s.len())
         .field("scored", scored)
+        .field("index_vertices", index.vertex_count())
         .field("matched", matches.len());
     Ok(matches)
 }

@@ -16,13 +16,6 @@ pub fn jaccard(a: &FxHashSet<String>, b: &FxHashSet<String>) -> f64 {
     }
 }
 
-/// Jaccard over slices (convenience; builds sets).
-pub fn jaccard_slices(a: &[String], b: &[String]) -> f64 {
-    let sa: FxHashSet<String> = a.iter().cloned().collect();
-    let sb: FxHashSet<String> = b.iter().cloned().collect();
-    jaccard(&sa, &sb)
-}
-
 /// Containment: |a ∩ b| / |a| — how much of `a` is covered by `b`.
 /// Useful when a tuple value is a fragment of a longer vertex label.
 pub fn containment(a: &FxHashSet<String>, b: &FxHashSet<String>) -> f64 {
@@ -55,13 +48,5 @@ mod tests {
         assert_eq!(containment(&a, &b), 1.0);
         assert!((containment(&b, &a) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(containment(&set(&[]), &b), 0.0);
-    }
-
-    #[test]
-    fn slice_helper_agrees() {
-        assert_eq!(
-            jaccard_slices(&["x".into(), "y".into()], &["y".into(), "x".into()]),
-            1.0
-        );
     }
 }

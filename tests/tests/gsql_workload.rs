@@ -162,3 +162,86 @@ fn aggregation_query_counts_by_extracted_attribute() {
         .sum();
     assert_eq!(total as usize, col.entity_relation().len());
 }
+
+/// Row count and FNV-1a hash of the sorted rows of every workload query
+/// under `Strategy::Baseline` (HER, pattern discovery and extraction at
+/// query time), as returned at the commit before those three were
+/// rewritten to compute per distinct input (issue 19). That rewrite
+/// claims to preserve every output bit; a change to the HER matcher, the
+/// path embedding, K-means or the ranking that moves a row here did not.
+const BASELINE_ROWS: &[(&str, usize, u64)] = &[
+    ("Drugs-q1", 1, 0x9cff8bd9abdbccda),
+    ("Drugs-q2", 31, 0x0a189243286ed1b3),
+    ("Drugs-q3", 8, 0x2528ee3481b146c8),
+    ("Drugs-q4", 9, 0x5d087b65dd4b5174),
+    ("Drugs-q5", 5, 0x7c3a823b8ae3740a),
+    ("Drugs-q6", 39, 0x77706725eaf9721c),
+    ("FakeNews-q1", 1, 0xd17d12406de7b52d),
+    ("FakeNews-q2", 107, 0xdc18fbf813258c6b),
+    ("FakeNews-q3", 12, 0x502634156f06125b),
+    ("FakeNews-q4", 13, 0x2cbbdefbdb0f3916),
+    ("FakeNews-q5", 11, 0x712c0f6a6fc6158f),
+    ("FakeNews-q6", 119, 0xa5c02ba7cbc70bbd),
+    ("Movie-q1", 1, 0x0a951e5f68637550),
+    ("Movie-q2", 195, 0x7f0a68cd0efc45ed),
+    ("Movie-q3", 4, 0x33eddf4017f291e4),
+    ("Movie-q4", 29, 0xa35f662613ae7e34),
+    ("Movie-q5", 48, 0xbffb115c54a0342a),
+    ("Movie-q6", 199, 0x88545f84ec4122e4),
+    ("MovKB-q1", 1, 0x7159a32b4a3fa574),
+    ("MovKB-q2", 196, 0x5faa09901412650c),
+    ("MovKB-q3", 3, 0x7d0aebaec99aeeb1),
+    ("MovKB-q4", 26, 0xd37b2e88f121c735),
+    ("MovKB-q5", 48, 0x8aa75384e6395302),
+    ("MovKB-q6", 199, 0xaabecf2f53692b4b),
+    ("Paper-q1", 1, 0xd64880d1ce471b54),
+    ("Paper-q2", 157, 0x2496c1c8efa74d79),
+    ("Paper-q3", 2, 0xe788718593aba129),
+    ("Paper-q4", 10, 0x3938dc99055a76f2),
+    ("Paper-q5", 40, 0x11cd06f0c4ff7278),
+    ("Paper-q6", 159, 0xb9802deb7706efb9),
+    ("Celebrity-q1", 1, 0x0bdbffbbe77a87b0),
+    ("Celebrity-q2", 70, 0x3dbb178f585a2856),
+    ("Celebrity-q3", 9, 0xcc265187ceff8d9e),
+    ("Celebrity-q4", 43, 0xabca605656bc833d),
+    ("Celebrity-q5", 9, 0x9618c0c5b7122936),
+    ("Celebrity-q6", 79, 0x67f376ec98cfa747),
+];
+
+fn fingerprint(rel: &gsj_relational::Relation) -> (usize, u64) {
+    let mut rows: Vec<String> = rel.rows().map(|t| format!("{t:?}")).collect();
+    rows.sort();
+    let hash = rows
+        .iter()
+        .flat_map(|r| r.bytes().chain([b'\n']))
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    (rows.len(), hash)
+}
+
+#[test]
+fn baseline_strategy_returns_the_recorded_row_multisets() {
+    let mut actual: Vec<(String, usize, u64)> = Vec::new();
+    for name in gsj_datagen::collections::ALL {
+        let col = tiny(name);
+        let engine = engine_for(&col);
+        for q in workload(&col) {
+            let rel = engine.run(&q.text, Strategy::Baseline).unwrap();
+            let (rows, hash) = fingerprint(&rel);
+            actual.push((q.name, rows, hash));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(name, rows, hash)| format!("    ({name:?}, {rows}, {hash:#018x}),\n"))
+        .collect();
+    assert_eq!(actual.len(), 36);
+    assert!(
+        actual
+            .iter()
+            .map(|(n, r, h)| (n.as_str(), *r, *h))
+            .eq(BASELINE_ROWS.iter().copied()),
+        "Baseline rows moved; this run returned:\n{table}"
+    );
+}
