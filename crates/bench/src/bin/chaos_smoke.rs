@@ -8,12 +8,13 @@
 //! The spec comes from `GSJ_FAULTS` when set (as the CI job does), else
 //! defaults to `all:p=0.05,seed=42`.
 
-use gsj_bench::engine_for;
 use gsj_core::config::RExtConfig;
 use gsj_core::gsql::exec::Strategy;
+use gsj_core::rext::Rext;
 use gsj_datagen::collections;
 use gsj_datagen::queries::workload;
 use gsj_datagen::Scale;
+use std::sync::Arc;
 
 fn main() {
     let spec = std::env::var("GSJ_FAULTS").unwrap_or_else(|_| "all:p=0.05,seed=42".into());
@@ -21,7 +22,8 @@ fn main() {
     // Build the collection and engine *before* arming faults so offline
     // preparation (HER training, profile build) is deterministic.
     let col = collections::build(collections::ALL[0], Scale(12), 5).expect("collection");
-    let (engine, _prep_secs) = engine_for(&col, RExtConfig::standard());
+    let rext = Rext::train(&col.graph, RExtConfig::standard()).expect("training");
+    let engine = col.engine(Arc::new(rext)).expect("profile");
 
     gsj_faults::set_spec(Some(&spec)).expect("GSJ_FAULTS parses");
     let mut failures: Vec<String> = Vec::new();

@@ -4,11 +4,12 @@
 //! the expected pipeline stage labels are present. Exits non-zero on
 //! any failure so CI catches trace regressions.
 
-use gsj_bench::engine_for;
 use gsj_core::config::RExtConfig;
 use gsj_core::gsql::exec::Strategy;
+use gsj_core::rext::Rext;
 use gsj_datagen::collections;
 use gsj_datagen::Scale;
+use std::sync::Arc;
 
 fn main() {
     // This binary exists to verify the trace pipeline: always collect.
@@ -16,7 +17,8 @@ fn main() {
     gsj_obs::set_tracing(true);
 
     let col = collections::build(collections::ALL[0], Scale(12), 5).expect("collection");
-    let (engine, _prep_secs) = engine_for(&col, RExtConfig::standard());
+    let rext = Rext::train(&col.graph, RExtConfig::standard()).expect("training");
+    let engine = col.engine(Arc::new(rext)).expect("profile");
     let kw = &col.spec.reference_keywords()[0];
     let query = format!("select * from {} e-join G <{}> as T", col.spec.rel_name, kw);
     let rel = engine.run(&query, Strategy::Optimized).expect("query runs");

@@ -1,14 +1,9 @@
 //! Shared experiment machinery beyond the recover protocol: variant lists,
-//! engine construction, result-set comparison, and scale handling.
+//! result-set comparison, and scale handling.
 
 use gsj_core::config::RExtConfig;
-use gsj_core::gsql::exec::GsqlEngine;
-use gsj_core::profile::GraphProfile;
-use gsj_core::rext::Rext;
-use gsj_core::typed::TypedConfig;
-use gsj_datagen::{Collection, Scale};
+use gsj_datagen::Scale;
 use gsj_relational::Relation;
-use std::sync::Arc;
 
 /// The six method variants of Exp-2(b) / Exp-3(III), in the paper's
 /// legend order.
@@ -23,42 +18,16 @@ pub fn variants() -> Vec<(&'static str, RExtConfig)> {
     ]
 }
 
-/// The benchmark scale: `GSJ_SCALE` env var or the given default.
-pub fn scale_from_env(default: usize) -> Scale {
+/// The scale of a run when `GSJ_SCALE` is not set — the scale of the
+/// committed `experiment_results.txt`.
+const DEFAULT_SCALE: Scale = Scale(40);
+
+/// The scale of this run: the `GSJ_SCALE` env var, else [`DEFAULT_SCALE`].
+pub fn scale_from_env() -> Scale {
     std::env::var("GSJ_SCALE")
         .ok()
         .and_then(|s| s.parse().ok())
-        .map(Scale)
-        .unwrap_or(Scale(default))
-}
-
-/// Build a fully-provisioned gSQL engine for a collection: trained RExt,
-/// offline profile (including typed relations), registered graph `G`.
-/// Returns the engine and the offline preparation time in seconds.
-pub fn engine_for(col: &Collection, rext_cfg: RExtConfig) -> (GsqlEngine, f64) {
-    let t0 = std::time::Instant::now();
-    let rext = Arc::new(Rext::train(&col.graph, rext_cfg).expect("training"));
-    let mut engine = GsqlEngine::new(col.db.clone());
-    engine.set_id_attr(&col.spec.rel_name, &col.spec.id_attr);
-    engine.set_her_config(col.her_config());
-    let typed_cfg = TypedConfig {
-        default_keywords: col.spec.reference_keywords(),
-        ..TypedConfig::default()
-    };
-    let profile = GraphProfile::build(
-        &col.graph,
-        &engine.db,
-        vec![col.relation_spec()],
-        &rext,
-        &col.her_config(),
-        Some(&typed_cfg),
-    )
-    .expect("profile");
-    engine.add_graph("G", col.graph.clone());
-    engine.set_rext("G", rext);
-    engine.set_profile("G", profile);
-    engine.set_k(2);
-    (engine, t0.elapsed().as_secs_f64())
+        .map_or(DEFAULT_SCALE, Scale)
 }
 
 /// Row-multiset F1 between two query results (the "relative accuracy" of

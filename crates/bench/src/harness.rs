@@ -1,26 +1,120 @@
-//! Shared experiment machinery: the drop-and-recover protocol of Exp-2 and
-//! timing helpers.
+//! Shared experiment machinery: the per-process memo of offline
+//! preparation and the drop-and-recover protocol of Exp-2.
 
-use gsj_core::config::RExtConfig;
+use crate::exps::timed;
+use gsj_core::config::{LmKey, RExtConfig};
 use gsj_core::join::enrichment_join_precomputed;
 use gsj_core::quality::{f_measure, FMeasure};
 use gsj_core::rext::Rext;
-use gsj_datagen::Collection;
+use gsj_datagen::{collections, Collection, Scale};
 use gsj_her::noise::inject_mismatches;
 use gsj_her::{her_match, MatchRelation};
+use gsj_nn::LanguageModel;
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The seed every experiment generates its collections with.
+const COLLECTION_SEED: u64 = 5;
+
+/// A trained model and the seconds its training took.
+type TimedModel = (Arc<LanguageModel>, f64);
+
+/// Offline preparation, done once per distinct input and kept for the
+/// life of the process: a collection per name, `f(S,G)` per collection,
+/// and one language model per (collection, [`LmKey`]) — five of the six
+/// method variants share a key, so a six-variant sweep trains two models,
+/// not six. Nothing is written to disk.
+pub struct Memo {
+    scale: Scale,
+    collections: HashMap<String, Arc<Collection>>,
+    matches: HashMap<String, MatchRelation>,
+    models: HashMap<String, Vec<(LmKey, TimedModel)>>,
+    pub(crate) sweeps: HashMap<&'static str, Arc<crate::experiments::Grid>>,
+}
+
+/// A method variant ready to run on one collection.
+pub struct Prepared {
+    /// The collection.
+    pub col: Arc<Collection>,
+    /// The trained extraction scheme.
+    pub rext: Rext,
+    /// `f(S,G)` for the entity relation.
+    pub matches: MatchRelation,
+}
+
+impl Memo {
+    /// An empty memo; every collection it builds is generated at `scale`.
+    pub fn new(scale: Scale) -> Self {
+        Memo {
+            scale,
+            collections: HashMap::new(),
+            matches: HashMap::new(),
+            models: HashMap::new(),
+            sweeps: HashMap::new(),
+        }
+    }
+
+    /// The scale of this run.
+    pub fn scale(&self) -> Scale {
+        self.scale
+    }
+
+    /// The named collection. Panics on a name outside
+    /// [`collections::ALL`].
+    pub fn collection(&mut self, name: &str) -> Arc<Collection> {
+        let scale = self.scale;
+        let col = self.collections.entry(name.to_string()).or_insert_with(|| {
+            let col = collections::build(name, scale, COLLECTION_SEED);
+            Arc::new(col.unwrap_or_else(|| panic!("unknown collection `{name}`")))
+        });
+        Arc::clone(col)
+    }
+
+    /// The language model `cfg` needs on the named collection, with its
+    /// training time; `None` for a variant that uses no model.
+    pub fn model(&mut self, name: &str, cfg: &RExtConfig) -> Option<TimedModel> {
+        let key = cfg.lm_key()?;
+        let col = self.collection(name);
+        let trained = self.models.entry(name.to_string()).or_default();
+        if let Some((_, model)) = trained.iter().find(|(k, _)| *k == key) {
+            return Some(model.clone());
+        }
+        let (lm, secs) = timed(|| Rext::train_model(&col.graph, cfg).expect("training"));
+        let model = (lm.expect("a variant with a key trains a model"), secs);
+        trained.push((key, model.clone()));
+        Some(model)
+    }
+
+    /// `cfg` assembled on the collection's memoized model, next to the
+    /// collection's memoized HER matches.
+    pub fn prepared(&mut self, name: &str, cfg: RExtConfig) -> Prepared {
+        let col = self.collection(name);
+        let lm = self.model(name, &cfg).map(|(lm, _)| lm);
+        let rext = Rext::with_model(&col.graph, cfg, lm).expect("valid config");
+        let matches = self
+            .matches
+            .entry(name.to_string())
+            .or_insert_with(|| {
+                her_match(&col.graph, col.entity_relation(), &col.her_config())
+                    .expect("id attr exists")
+            })
+            .clone();
+        Prepared { col, rext, matches }
+    }
+
+    /// How many language models this memo has trained.
+    pub fn models_trained(&self) -> usize {
+        self.models.values().map(Vec::len).sum()
+    }
+}
 
 /// Knobs of one recover run.
 #[derive(Debug, Clone)]
 pub struct ExpConfig {
-    /// The RExt variant under test.
-    pub rext: RExtConfig,
     /// How many of the collection's keywords to recover (`m` in Exp-2);
     /// `0` = all.
     pub m: usize,
-    /// Extra user keywords appended to `A` (the `|A|` sweep pads with
-    /// sampled attribute *values*, per the paper).
-    pub extra_keywords: Vec<String>,
     /// Fraction of clustering noise to inject (Fig 5(f)).
     pub cluster_noise: f64,
     /// Fraction of HER mismatches to inject (Fig 5(g)).
@@ -30,41 +124,14 @@ pub struct ExpConfig {
 }
 
 impl ExpConfig {
-    /// Standard RExt, all keywords, no noise.
+    /// All keywords, no noise.
     pub fn standard() -> Self {
         ExpConfig {
-            rext: RExtConfig::standard(),
             m: 0,
-            extra_keywords: Vec::new(),
             cluster_noise: 0.0,
             her_eta: 0.0,
             noise_seed: 7,
         }
-    }
-}
-
-/// Reusable per-collection state: the trained scheme and HER matches
-/// (training is offline; sweeps over `H`/`m`/`k` that do not retrain can
-/// share it).
-pub struct Prepared {
-    /// The trained extraction scheme.
-    pub rext: Rext,
-    /// `f(S,G)` for the entity relation.
-    pub matches: MatchRelation,
-    /// Model training + matching wall time.
-    pub prep_time: Duration,
-}
-
-/// Train RExt and run HER for a collection.
-pub fn prepared(col: &Collection, rext_cfg: RExtConfig) -> Prepared {
-    let t0 = Instant::now();
-    let rext = Rext::train(&col.graph, rext_cfg).expect("valid config");
-    let matches =
-        her_match(&col.graph, col.entity_relation(), &col.her_config()).expect("id attr exists");
-    Prepared {
-        rext,
-        matches,
-        prep_time: t0.elapsed(),
     }
 }
 
@@ -81,21 +148,28 @@ pub struct RecoverOutcome {
     pub matched: usize,
 }
 
-/// Run the Exp-2 protocol on a prepared collection: discover patterns for
-/// the first `m` keywords (plus any extra), extract, join, and score
-/// against ground truth.
-pub fn recover_f_measure(col: &Collection, prep: &Prepared, exp: &ExpConfig) -> RecoverOutcome {
+impl RecoverOutcome {
+    /// Discovery + extraction, in seconds (the Fig 5(d)/(e) measure).
+    pub fn secs(&self) -> f64 {
+        (self.discover_time + self.extract_time).as_secs_f64()
+    }
+}
+
+/// Run the Exp-2 protocol with `rext` (the prepared scheme, or a
+/// `with_h` / `with_k` clone of it): discover patterns for the first `m`
+/// keywords, extract, join, and score against ground truth.
+pub fn recover_f_measure(prep: &Prepared, rext: &Rext, exp: &ExpConfig) -> RecoverOutcome {
+    let col = &prep.col;
     let all_kws = col.spec.reference_keywords();
     let m = if exp.m == 0 {
         all_kws.len()
     } else {
         exp.m.min(all_kws.len())
     };
-    let mut keywords: Vec<String> = all_kws[..m].to_vec();
-    keywords.extend(exp.extra_keywords.iter().cloned());
+    let keywords = &all_kws[..m];
     // The attribute budget follows the number of dropped columns under
     // recovery (the paper sets m to the number of dropped attributes).
-    let rext = prep.rext.with_m(m);
+    let rext = rext.with_m(m);
 
     let matches = if exp.her_eta > 0.0 {
         inject_mismatches(&prep.matches, &col.graph, exp.her_eta, exp.noise_seed)
@@ -106,17 +180,13 @@ pub fn recover_f_measure(col: &Collection, prep: &Prepared, exp: &ExpConfig) -> 
     let id = &col.spec.id_attr;
 
     let t0 = Instant::now();
-    let noise = if exp.cluster_noise > 0.0 {
-        Some((exp.cluster_noise, exp.noise_seed))
-    } else {
-        None
-    };
+    let noise = (exp.cluster_noise > 0.0).then_some((exp.cluster_noise, exp.noise_seed));
     let discovery = rext
         .discover_with_noise(
             &col.graph,
             &matches,
             Some((s, id)),
-            &keywords,
+            keywords,
             &format!("h_{}", col.spec.rel_name),
             noise,
         )
@@ -130,55 +200,25 @@ pub fn recover_f_measure(col: &Collection, prep: &Prepared, exp: &ExpConfig) -> 
     let extract_time = t1.elapsed();
 
     let predicted = enrichment_join_precomputed(s, id, &matches, &dg, None).expect("join");
-    let pairs: Vec<(String, String)> = all_kws[..m]
+    let (found, missing): (Vec<&String>, Vec<&String>) = keywords
         .iter()
-        .filter(|k| predicted.schema().contains(k.as_str()))
-        .map(|k| (k.clone(), k.clone()))
-        .collect();
-    let f = if pairs.is_empty() {
+        .partition(|k| predicted.schema().contains(k.as_str()));
+    let f = if found.is_empty() {
         // Nothing extracted at all: zero quality over the requested cells.
-        FMeasure {
-            precision: 0.0,
-            recall: 0.0,
-            f1: 0.0,
-            correct: 0,
-            predicted: 0,
-            expected: col.truth.len() * m,
-        }
+        FMeasure::from_counts(0, 0, col.truth.len() * m)
     } else {
-        let mut f = f_measure(&predicted, &col.truth, id, &pairs).expect("measure");
-        if pairs.len() < m {
-            // Penalize silently-missing attributes: their truth cells
-            // count as missed.
-            let missing: usize = all_kws[..m]
-                .iter()
-                .filter(|k| !predicted.schema().contains(k.as_str()))
-                .map(|k| {
-                    col.truth
-                        .column(k)
-                        .map(|col| col.iter().filter(|v| !v.is_null()).count())
-                        .unwrap_or(0)
-                })
-                .sum();
-            let expected = f.expected + missing;
-            let recall = if expected == 0 {
-                0.0
-            } else {
-                f.correct as f64 / expected as f64
-            };
-            let f1 = if f.precision + recall == 0.0 {
-                0.0
-            } else {
-                2.0 * f.precision * recall / (f.precision + recall)
-            };
-            f = FMeasure {
-                recall,
-                f1,
-                expected,
-                ..f
-            };
-        }
-        f
+        let pairs: Vec<(String, String)> = found.iter().map(|&k| (k.clone(), k.clone())).collect();
+        let f = f_measure(&predicted, &col.truth, id, &pairs).expect("measure");
+        // Penalize silently-missing attributes: their truth cells count
+        // as missed.
+        let missed: usize = missing
+            .iter()
+            .map(|k| {
+                let cells = col.truth.column(k).unwrap_or_default();
+                cells.iter().filter(|v| !v.is_null()).count()
+            })
+            .sum();
+        FMeasure::from_counts(f.correct, f.predicted, f.expected + missed)
     };
 
     RecoverOutcome {

@@ -39,7 +39,7 @@ pub fn dump_trace(tag: &str) {
 /// RAII harness hook for experiment binaries: enables tracing per the
 /// command line on construction and dumps the trace when dropped, so a
 /// binary opts in with one line at the top of `main`:
-/// `let _obs = gsj_bench::obs_scope("exp_fig5a");`
+/// `let _obs = gsj_bench::obs_scope("gsj-exp");`
 pub struct TraceDump(&'static str);
 
 impl Drop for TraceDump {

@@ -56,20 +56,9 @@ impl Table {
     }
 }
 
-/// Format a duration in seconds with 2 decimals.
-pub fn secs(d: std::time::Duration) -> String {
-    format!("{:.2}s", d.as_secs_f64())
-}
-
 /// Format an f64 with 3 decimals.
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")
-}
-
-/// A standard experiment banner.
-pub fn banner(title: &str, paper_ref: &str) {
-    println!("\n=== {title} ===");
-    println!("    (reproduces {paper_ref})");
 }
 
 #[cfg(test)]

@@ -208,26 +208,6 @@ where
     Ok(out)
 }
 
-/// Fan `task` out over morsels of `0..len` rows and fold the per-morsel
-/// partials with [`Mergeable::merge`] in morsel order. `None` when
-/// `len == 0`.
-pub fn run_morsels<R, F>(workers: usize, len: usize, task: F) -> Result<Option<R>>
-where
-    R: Send + Mergeable,
-    F: Fn(Range<usize>) -> Result<R> + Sync,
-{
-    let ranges = morsel_ranges(len);
-    let partials = run_tasks(workers, ranges.len(), |i| task(ranges[i].clone()))?;
-    let mut iter = partials.into_iter();
-    let Some(mut total) = iter.next() else {
-        return Ok(None);
-    };
-    for p in iter {
-        total.merge(p);
-    }
-    Ok(Some(total))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,33 +300,5 @@ mod tests {
             }
         });
         assert!(ran.load(Ordering::Relaxed) < 10_000);
-    }
-
-    #[test]
-    fn run_morsels_merges_in_order() {
-        #[derive(Debug, PartialEq)]
-        struct Firsts(Vec<usize>);
-        impl Mergeable for Firsts {
-            fn merge(&mut self, other: Self) {
-                self.0.extend(other.0);
-            }
-        }
-        with_morsel_rows(7, || {
-            for workers in [1, 2, 8] {
-                let total = run_morsels(workers, 50, |r| Ok(Firsts(vec![r.start])))
-                    .unwrap()
-                    .unwrap();
-                assert_eq!(
-                    total.0,
-                    vec![0, 7, 14, 21, 28, 35, 42, 49],
-                    "workers={workers}"
-                );
-            }
-            assert!(
-                run_morsels::<Firsts, _>(4, 0, |r| Ok(Firsts(vec![r.start])))
-                    .unwrap()
-                    .is_none()
-            );
-        });
     }
 }

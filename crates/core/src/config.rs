@@ -1,6 +1,7 @@
 //! RExt configuration and the ablation variant switches.
 
 use gsj_common::{GsjError, Result};
+use gsj_graph::random_walk::WalkConfig;
 use gsj_nn::LmConfig;
 
 /// Which word-embedding model `Me` to use (Exp-2(b) ablation axis).
@@ -36,6 +37,17 @@ pub enum PathKind {
     LmGuided,
     /// Uniformly random walks → the `RndPath` baseline.
     Random,
+}
+
+/// Everything the weights of the language model `Mρ` depend on besides
+/// the graph: the random-walk corpus and the training hyper-parameters.
+/// Variants whose keys are equal fit bit-identical models on one graph.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LmKey {
+    /// Corpus generation.
+    pub walk: WalkConfig,
+    /// Training hyper-parameters, seed included.
+    pub lm: LmConfig,
 }
 
 /// All knobs of the extraction scheme. Paper defaults: `H = 30`, `m = 3`,
@@ -161,16 +173,24 @@ impl RExtConfig {
         Ok(())
     }
 
-    /// The human-readable variant name used in experiment output.
-    pub fn variant_name(&self) -> &'static str {
-        match (self.path, self.embed, self.seq) {
-            (PathKind::Random, EmbedKind::Hash100, SeqKind::Lstm100) => "RndPath",
-            (_, EmbedKind::Attn, _) => "RExtBertEmb",
-            (_, EmbedKind::Hash50, _) => "RExtShortEmb",
-            (_, _, SeqKind::Attn) => "RExtBertSeq",
-            (_, _, SeqKind::Lstm50) => "RExtShortSeq",
-            _ => "RExt",
-        }
+    /// The key of the language model this variant trains, `None` when it
+    /// uses neither LM-guided paths nor an LSTM sequence embedding. The
+    /// walks are long enough for any `k` up to the configured one; `H`,
+    /// `m`, the word embedder and the thread count do not enter.
+    pub fn lm_key(&self) -> Option<LmKey> {
+        let needs_lm = self.path == PathKind::LmGuided
+            || matches!(self.seq, SeqKind::Lstm100 | SeqKind::Lstm50);
+        needs_lm.then(|| LmKey {
+            walk: WalkConfig {
+                walks_per_vertex: 3,
+                max_len: self.k.max(2) * 2,
+                seed: self.seed,
+            },
+            lm: LmConfig {
+                seed: self.seed ^ 0x1111,
+                ..self.lm.clone()
+            },
+        })
     }
 }
 
@@ -182,17 +202,32 @@ mod tests {
     fn defaults_match_paper() {
         let c = RExtConfig::standard();
         assert_eq!((c.k, c.h, c.m), (3, 30, 3));
-        assert_eq!(c.variant_name(), "RExt");
         assert!(c.validate().is_ok());
     }
 
     #[test]
-    fn variant_names() {
-        assert_eq!(RExtConfig::bert_emb().variant_name(), "RExtBertEmb");
-        assert_eq!(RExtConfig::short_emb().variant_name(), "RExtShortEmb");
-        assert_eq!(RExtConfig::bert_seq().variant_name(), "RExtBertSeq");
-        assert_eq!(RExtConfig::short_seq().variant_name(), "RExtShortSeq");
-        assert_eq!(RExtConfig::rnd_path().variant_name(), "RndPath");
+    fn five_of_the_six_variants_share_a_model_key() {
+        let std = RExtConfig::standard().lm_key().unwrap();
+        for cfg in [
+            RExtConfig::bert_emb(),
+            RExtConfig::short_emb(),
+            RExtConfig::bert_seq(),
+            RExtConfig::rnd_path(),
+        ] {
+            assert_eq!(cfg.lm_key().as_ref(), Some(&std));
+        }
+        assert_ne!(RExtConfig::short_seq().lm_key().unwrap(), std);
+        // H and m are discovery-time; k decides the walk length.
+        let mut c = RExtConfig::standard();
+        (c.h, c.m) = (50, 1);
+        assert_eq!(c.lm_key().unwrap(), std);
+        c.k = 4;
+        assert_ne!(c.lm_key().unwrap(), std);
+        let no_lm = RExtConfig {
+            seq: SeqKind::Attn,
+            ..RExtConfig::rnd_path()
+        };
+        assert_eq!(no_lm.lm_key(), None);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub struct Extraction {
 
 /// Multi-source undirected BFS ball: all vertices within `k` hops of any
 /// seed.
-pub fn multi_source_khop(
+fn multi_source_khop(
     g: &LabeledGraph,
     seeds: impl IntoIterator<Item = VertexId>,
     k: usize,

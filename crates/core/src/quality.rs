@@ -27,7 +27,9 @@ pub struct FMeasure {
 }
 
 impl FMeasure {
-    fn from_counts(correct: usize, predicted: usize, expected: usize) -> FMeasure {
+    /// The measure of `correct` hits among `predicted` non-null cells
+    /// against `expected` non-null truth cells.
+    pub fn from_counts(correct: usize, predicted: usize, expected: usize) -> FMeasure {
         let precision = if predicted == 0 {
             0.0
         } else {
@@ -51,14 +53,6 @@ impl FMeasure {
             predicted,
             expected,
         }
-    }
-
-    /// Merge counts of several measurements into one (micro average).
-    pub fn micro_avg(measures: &[FMeasure]) -> FMeasure {
-        let correct = measures.iter().map(|m| m.correct).sum();
-        let predicted = measures.iter().map(|m| m.predicted).sum();
-        let expected = measures.iter().map(|m| m.expected).sum();
-        Self::from_counts(correct, predicted, expected)
     }
 }
 
@@ -206,17 +200,6 @@ mod tests {
         assert!(values_match(&Value::str("G&L ESG"), &Value::str("g l esg")));
         assert!(values_match(&Value::Int(5), &Value::str("5")));
         assert!(!values_match(&Value::Null, &Value::Null));
-    }
-
-    #[test]
-    fn micro_average_pools_counts() {
-        let a = FMeasure::from_counts(1, 1, 2);
-        let b = FMeasure::from_counts(1, 1, 0);
-        let m = FMeasure::micro_avg(&[a, b]);
-        assert_eq!(m.correct, 2);
-        assert_eq!(m.predicted, 2);
-        assert_eq!(m.expected, 2);
-        assert_eq!(m.precision, 1.0);
     }
 
     #[test]

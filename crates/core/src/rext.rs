@@ -2,7 +2,7 @@
 //! refinement, ranking and extraction into the two-phase scheme of
 //! Section III-A (see Fig. 4's workflow diagram).
 
-use crate::config::{EmbedKind, PathKind, RExtConfig, SeqKind};
+use crate::config::{EmbedKind, RExtConfig, SeqKind};
 use crate::discover::{
     inject_cluster_noise, refine_patterns, select_attributes, Discovery, NameEmbs,
 };
@@ -10,8 +10,8 @@ use crate::embed_paths::{embed_paths, end_label};
 use crate::extract::{extract_relation, LabelEmbCache};
 use crate::ranking::TupleAttrEmbs;
 use gsj_cluster::{kmeans, KmeansConfig};
-use gsj_common::{first_occurrences, FxHashMap, Result, Value};
-use gsj_graph::random_walk::{build_corpus_governed, WalkConfig};
+use gsj_common::{first_occurrences, FxHashMap, GsjError, Result, Value};
+use gsj_graph::random_walk::build_corpus_governed;
 use gsj_graph::{LabeledGraph, Path, VertexId};
 use gsj_her::normalize::value_text;
 use gsj_her::MatchRelation;
@@ -75,29 +75,62 @@ pub struct Rext {
 
 impl Rext {
     /// Train the scheme on a graph (model training is the offline
-    /// preprocessing of Exp-3(I)(a)).
+    /// preprocessing of Exp-3(I)(a)): [`Rext::train_model`], then
+    /// [`Rext::with_model`] on its result.
     pub fn train(g: &LabeledGraph, cfg: RExtConfig) -> Result<Self> {
         let _span = gsj_obs::span("rext.train");
+        // Before the training time is spent, not after.
         cfg.validate()?;
-        let needs_lm =
-            cfg.path == PathKind::LmGuided || matches!(cfg.seq, SeqKind::Lstm100 | SeqKind::Lstm50);
-        let lm = if needs_lm {
-            // Governed so the corpus walk carries its fault point
-            // (`graph.random_walk`); training itself has no deadline.
-            let corpus = build_corpus_governed(
-                g,
-                &WalkConfig {
-                    walks_per_vertex: 3,
-                    max_len: cfg.k.max(2) * 2,
-                    seed: cfg.seed,
-                },
-                &gsj_common::QueryGovernor::unlimited(),
-            )?;
-            let mut lm_cfg = cfg.lm.clone();
-            lm_cfg.seed = cfg.seed ^ 0x1111;
-            Some(Arc::new(LanguageModel::train(&corpus, g.symbols(), lm_cfg)))
-        } else {
-            None
+        let lm = Self::train_model(g, &cfg)?;
+        Self::with_model(g, cfg, lm)
+    }
+
+    /// The expensive half of [`Rext::train`]: the random-walk corpus and
+    /// the language model `Mρ` fitted on it — `None` when the variant
+    /// uses neither LM-guided paths nor an LSTM sequence embedding. The
+    /// result is a pure function of the graph and [`RExtConfig::lm_key`],
+    /// so variants with equal keys can share one model.
+    pub fn train_model(g: &LabeledGraph, cfg: &RExtConfig) -> Result<Option<Arc<LanguageModel>>> {
+        let Some(key) = cfg.lm_key() else {
+            return Ok(None);
+        };
+        // Governed so the corpus walk carries its fault point
+        // (`graph.random_walk`); training itself has no deadline.
+        let corpus = build_corpus_governed(g, &key.walk, &gsj_common::QueryGovernor::unlimited())?;
+        Ok(Some(Arc::new(LanguageModel::train(
+            &corpus,
+            g.symbols(),
+            key.lm,
+        ))))
+    }
+
+    /// The cheap half of [`Rext::train`]: hang the variant's word and
+    /// sequence embedders on an already trained model. A variant that
+    /// needs a model and gets none, or gets one whose hidden width is not
+    /// `cfg.lm.hidden` (the `RExtShortSeq` model is 50 wide, the others
+    /// 100), is a [`GsjError::Config`].
+    pub fn with_model(
+        g: &LabeledGraph,
+        cfg: RExtConfig,
+        lm: Option<Arc<LanguageModel>>,
+    ) -> Result<Self> {
+        cfg.validate()?;
+        let lm = match cfg.lm_key() {
+            None => None,
+            Some(key) => {
+                let lm = lm.ok_or_else(|| {
+                    GsjError::Config("this RExt variant needs a trained language model".into())
+                })?;
+                if lm.dim() != key.lm.hidden {
+                    return Err(GsjError::Config(format!(
+                        "language model is {} wide, {:?} is configured for {}",
+                        lm.dim(),
+                        cfg.seq,
+                        key.lm.hidden
+                    )));
+                }
+                Some(lm)
+            }
         };
         let word: Arc<dyn WordEmbedder> = match cfg.embed {
             EmbedKind::Hash100 => Arc::new(HashEmbedder::new(256)),
@@ -106,7 +139,8 @@ impl Rext {
         };
         let seq: Arc<dyn SequenceEmbedder> = match cfg.seq {
             SeqKind::Lstm100 | SeqKind::Lstm50 => {
-                Arc::clone(lm.as_ref().expect("LM trained above")) as Arc<dyn SequenceEmbedder>
+                Arc::clone(lm.as_ref().expect("an LSTM variant has a key"))
+                    as Arc<dyn SequenceEmbedder>
             }
             SeqKind::Attn => Arc::new(AttnEncoder::for_sequences(100, g.symbols().clone())),
         };
@@ -448,6 +482,7 @@ pub(crate) fn tuple_attr_embeddings_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PathKind;
     use gsj_nn::LmConfig;
     use gsj_relational::Schema;
 
@@ -522,6 +557,39 @@ mod tests {
         } else {
             panic!("`loc` not selected; schema = {:?}", disc.schema.attrs());
         }
+    }
+
+    #[test]
+    fn train_is_with_model_over_train_model() {
+        let (g, s, matches) = setting();
+        let cfg = quick_cfg(PathKind::LmGuided);
+        let lm = Rext::train_model(&g, &cfg).unwrap();
+        let whole = Rext::train(&g, cfg.clone()).unwrap();
+        let halves = Rext::with_model(&g, cfg.clone(), lm.clone()).unwrap();
+        let dg = |rext: &Rext| {
+            let disc = rext
+                .discover(&g, &matches, Some((&s, "pid")), &["loc".to_string()], "h_p")
+                .unwrap();
+            rext.extract(&g, &matches, &disc).unwrap()
+        };
+        assert_eq!(
+            dg(&whole).rows().collect::<Vec<_>>(),
+            dg(&halves).rows().collect::<Vec<_>>()
+        );
+        // A missing or wrong-width model is refused, not unwrapped later.
+        let missing = Rext::with_model(&g, cfg.clone(), None);
+        assert!(matches!(missing, Err(GsjError::Config(_))));
+        let mut wider = cfg;
+        wider.lm.hidden += 1;
+        assert!(matches!(
+            Rext::with_model(&g, wider, lm),
+            Err(GsjError::Config(_))
+        ));
+        // A variant without a key trains nothing and needs nothing.
+        let mut no_lm = quick_cfg(PathKind::Random);
+        no_lm.seq = SeqKind::Attn;
+        assert!(Rext::train_model(&g, &no_lm).unwrap().is_none());
+        assert!(Rext::with_model(&g, no_lm, None).is_ok());
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! The generic collection generator.
 
 use crate::spec::{CollectionSpec, PropSpec};
-use gsj_common::{FxHashMap, Value};
-use gsj_core::profile::RelationSpec;
+use gsj_common::{FxHashMap, Result, Value};
+use gsj_core::gsql::exec::GsqlEngine;
+use gsj_core::profile::{GraphProfile, RelationSpec};
+use gsj_core::rext::Rext;
+use gsj_core::typed::TypedConfig;
 use gsj_graph::{LabeledGraph, VertexId};
 use gsj_her::HerConfig;
 use gsj_relational::{Database, Relation, Schema};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 
 const ADJECTIVES: &[&str] = &[
     "Crimson", "Silver", "Golden", "Emerald", "Azure", "Ivory", "Obsidian", "Scarlet", "Amber",
@@ -83,6 +87,34 @@ impl Collection {
         self.db
             .get(&self.spec.rel_name)
             .expect("entity relation registered at build time")
+    }
+
+    /// The ready-to-query engine over this collection, given a scheme
+    /// trained on its graph: the offline profile (`f`/`h` pre-extractions
+    /// for `A_R` = the property keywords, typed relations included)
+    /// materialized, the graph registered as `G`, hop bound `k = 2`. The
+    /// server, the experiments and the test suites all start here.
+    pub fn engine(&self, rext: Arc<Rext>) -> Result<GsqlEngine> {
+        let mut engine = GsqlEngine::new(self.db.clone());
+        engine.set_id_attr(&self.spec.rel_name, &self.spec.id_attr);
+        engine.set_her_config(self.her_config());
+        let typed_cfg = TypedConfig {
+            default_keywords: self.spec.reference_keywords(),
+            ..TypedConfig::default()
+        };
+        let profile = GraphProfile::build(
+            &self.graph,
+            &engine.db,
+            vec![self.relation_spec()],
+            &rext,
+            &self.her_config(),
+            Some(&typed_cfg),
+        )?;
+        engine.add_graph("G", self.graph.clone());
+        engine.set_rext("G", rext);
+        engine.set_profile("G", profile);
+        engine.set_k(2);
+        Ok(engine)
     }
 }
 

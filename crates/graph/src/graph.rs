@@ -71,7 +71,7 @@ impl LabeledGraph {
 
     /// Create an empty graph sharing an existing symbol table (so relations
     /// and graph intern into the same space).
-    pub fn with_symbols(symbols: SymbolTable) -> Self {
+    fn with_symbols(symbols: SymbolTable) -> Self {
         LabeledGraph {
             symbols,
             labels: Vec::new(),
@@ -224,11 +224,6 @@ impl LabeledGraph {
         self.labels.iter().filter(|l| l.is_some()).count()
     }
 
-    /// Upper bound of vertex ids ever allocated (including tombstones).
-    pub fn vertex_capacity(&self) -> usize {
-        self.labels.len()
-    }
-
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
         self.edge_count
@@ -240,17 +235,6 @@ impl LabeledGraph {
             .iter()
             .enumerate()
             .filter_map(|(i, l)| l.map(|_| VertexId(i as u32)))
-    }
-
-    /// Find live vertices by exact label string.
-    pub fn vertices_with_label(&self, label: &str) -> Vec<VertexId> {
-        match self.symbols.get(label) {
-            None => Vec::new(),
-            Some(sym) => self
-                .vertices()
-                .filter(|&v| self.vertex_label(v) == Some(sym))
-                .collect(),
-        }
     }
 
     /// Histogram of edge labels, for corpus/vocabulary statistics.
@@ -348,18 +332,6 @@ mod tests {
         assert_eq!(t, vec![a, c]);
         // Ids remain stable.
         assert_eq!(&*g.vertex_label_str(c), "UK");
-    }
-
-    #[test]
-    fn vertices_with_label_finds_all() {
-        let mut g = LabeledGraph::new();
-        let a = g.add_vertex("Bob");
-        let _ = g.add_vertex("Ada");
-        let b = g.add_vertex("Bob");
-        let mut found = g.vertices_with_label("Bob");
-        found.sort();
-        assert_eq!(found, vec![a, b]);
-        assert!(g.vertices_with_label("Guy").is_empty());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 
 /// Corpus generation parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalkConfig {
     /// Number of walks started per live vertex.
     pub walks_per_vertex: usize,

@@ -48,7 +48,7 @@ pub const EOS: TokenId = 1;
 const SPECIALS: usize = 2;
 
 /// Language-model hyper-parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LmConfig {
     /// Token embedding width.
     pub embed_dim: usize,

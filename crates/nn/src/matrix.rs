@@ -55,20 +55,9 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable view of row `r`.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Raw data, row-major.
     pub fn data(&self) -> &[f32] {
         &self.data
-    }
-
-    /// Raw mutable data, row-major.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
     }
 
     /// `out = self · x` (matrix-vector product).
@@ -77,28 +66,6 @@ impl Matrix {
         debug_assert_eq!(out.len(), self.rows);
         for (r, o) in out.iter_mut().enumerate() {
             *o = crate::vector::dot(self.row(r), x);
-        }
-    }
-
-    /// `out += selfᵀ · y` — used for input-gradient accumulation in
-    /// backprop (`dx += Wᵀ dy`).
-    pub fn matvec_transpose_add(&self, y: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(y.len(), self.rows);
-        debug_assert_eq!(out.len(), self.cols);
-        for (r, &yr) in y.iter().enumerate() {
-            crate::vector::add_scaled(out, yr, self.row(r));
-        }
-    }
-
-    /// Rank-1 update `self += y ⊗ x` — the weight-gradient accumulation
-    /// (`dW += dy xᵀ`).
-    pub fn add_outer(&mut self, y: &[f32], x: &[f32]) {
-        debug_assert_eq!(y.len(), self.rows);
-        debug_assert_eq!(x.len(), self.cols);
-        let cols = self.cols;
-        for (r, &yr) in y.iter().enumerate() {
-            let row = &mut self.data[r * cols..(r + 1) * cols];
-            crate::vector::add_scaled(row, yr, x);
         }
     }
 }
@@ -113,22 +80,6 @@ mod tests {
         let mut out = vec![0.0; 2];
         m.matvec(&[1.0, 0.0, -1.0], &mut out);
         assert_eq!(out, vec![-2.0, -2.0]);
-    }
-
-    #[test]
-    fn transpose_matvec_accumulates() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let mut out = vec![10.0, 10.0];
-        m.matvec_transpose_add(&[1.0, 1.0], &mut out);
-        // Mᵀ·[1,1] = [4, 6], added to [10,10].
-        assert_eq!(out, vec![14.0, 16.0]);
-    }
-
-    #[test]
-    fn outer_product_update() {
-        let mut m = Matrix::zeros(2, 2);
-        m.add_outer(&[1.0, 2.0], &[3.0, 4.0]);
-        assert_eq!(m.data(), &[3.0, 4.0, 6.0, 8.0]);
     }
 
     #[test]

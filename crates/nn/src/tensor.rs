@@ -18,7 +18,7 @@ pub struct Param {
 }
 
 /// Adam hyper-parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamConfig {
     /// Learning rate.
     pub lr: f32,

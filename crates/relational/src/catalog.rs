@@ -21,11 +21,6 @@ impl Database {
             .insert(relation.schema().name().to_string(), relation);
     }
 
-    /// Register under an explicit name.
-    pub fn insert_as(&mut self, name: impl Into<String>, relation: Relation) {
-        self.relations.insert(name.into(), relation);
-    }
-
     /// Look up a relation.
     pub fn get(&self, name: &str) -> Result<&Relation> {
         self.relations
@@ -68,13 +63,5 @@ mod tests {
         assert!(db.get("absent").is_err());
         assert!(db.remove("customer").is_some());
         assert!(!db.contains("customer"));
-    }
-
-    #[test]
-    fn insert_as_overrides_name() {
-        let mut db = Database::new();
-        db.insert_as("alias", Relation::empty(Schema::of("x", &["a"])));
-        assert!(db.contains("alias"));
-        assert!(!db.contains("x"));
     }
 }

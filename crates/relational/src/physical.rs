@@ -177,7 +177,7 @@ impl ExecContext {
     /// Total wall time of the root operators. An operator's time covers
     /// its children's, so summing every operator would count a nested
     /// plan once per level.
-    pub fn total_nanos(&self) -> u128 {
+    fn total_nanos(&self) -> u128 {
         let roots = self.ops.iter().filter(|o| o.parent.is_none());
         roots.map(|o| o.nanos).sum()
     }

@@ -98,15 +98,6 @@ impl Schema {
     pub fn base_name(attr: &str) -> &str {
         attr.rsplit_once('.').map(|(_, b)| b).unwrap_or(attr)
     }
-
-    /// Rename the schema (keeping attribute names).
-    pub fn with_name(&self, name: impl Into<String>) -> Schema {
-        Schema {
-            name: name.into(),
-            attrs: self.attrs.clone(),
-            index: self.index.clone(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use crate::protocol::{
 };
 use gsj_common::{GsjError, Result};
 use gsj_core::gsql::exec::Strategy;
-use gsj_relational::Relation;
+use std::io::ErrorKind;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -49,7 +49,6 @@ pub struct QueryReply {
 /// One blocking connection to a gSJ server.
 pub struct Client {
     stream: TcpStream,
-    max_frame: usize,
 }
 
 fn io_err(what: &str, e: std::io::Error) -> GsjError {
@@ -62,29 +61,32 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client> {
         let stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
         let _ = stream.set_nodelay(true);
-        Ok(Client {
-            stream,
-            max_frame: DEFAULT_MAX_FRAME,
-        })
-    }
-
-    /// Override the frame cap (must match the server's to make use of it).
-    pub fn set_max_frame(&mut self, max: usize) {
-        self.max_frame = max;
+        Ok(Client { stream })
     }
 
     /// One request → one response, or a typed error reconstructed from
     /// the server's error frame.
     fn round_trip(&mut self, req: &Request) -> Result<Response> {
-        write_frame(&mut self.stream, &req.encode()).map_err(|e| io_err("send", e))?;
-        match read_frame(&mut self.stream, self.max_frame)? {
+        if let Err(e) = write_frame(&mut self.stream, &req.encode()) {
+            // A server that refuses the connection writes its `ERROR`
+            // frame and closes without reading; a request sent into that
+            // close fails half-way, with the refusal already waiting in
+            // our receive buffer. That frame is the answer — the I/O
+            // error is only how we found out.
+            if matches!(e.kind(), ErrorKind::BrokenPipe | ErrorKind::ConnectionReset) {
+                if let Ok(FrameRead::Payload(p)) = read_frame(&mut self.stream, DEFAULT_MAX_FRAME) {
+                    return Response::parse(&p)?.into_result();
+                }
+            }
+            return Err(io_err("send", e));
+        }
+        match read_frame(&mut self.stream, DEFAULT_MAX_FRAME)? {
             FrameRead::Payload(p) => Response::parse(&p)?.into_result(),
             FrameRead::Eof => Err(GsjError::Internal(
                 "server closed the connection before responding".into(),
             )),
             FrameRead::Oversized(n) => Err(GsjError::ResourceExhausted(format!(
-                "response frame of {n} B exceeds the client's {} B limit",
-                self.max_frame
+                "response frame of {n} B exceeds the client's {DEFAULT_MAX_FRAME} B limit"
             ))),
             FrameRead::Idle => unreachable!("blocking socket cannot be idle"),
         }
@@ -136,12 +138,6 @@ impl Client {
         })
     }
 
-    /// Execute and materialize the CSV body back into a [`Relation`].
-    pub fn query_relation(&mut self, text: &str, opts: &QueryOpts) -> Result<Relation> {
-        let reply = self.query_with(text, opts)?;
-        Relation::from_csv("result", &reply.body)
-    }
-
     /// Liveness probe: the token must echo back.
     pub fn ping(&mut self) -> Result<()> {
         let resp = self.round_trip(&Request::new(Verb::Ping, "ping"))?;
@@ -160,5 +156,32 @@ impl Client {
     pub fn shutdown_server(&mut self) -> Result<()> {
         self.round_trip(&Request::new(Verb::Shutdown, ""))
             .map(|_| ())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_send_into_a_closed_peer_reports_the_refusal_it_left() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        // The peer refuses the way the accept thread does: one `ERROR`
+        // frame, then close, without reading.
+        let refusal = GsjError::ResourceExhausted("admission queue full".into());
+        let (mut peer, _) = listener.accept().unwrap();
+        write_frame(&mut peer, &Response::failure(&refusal).encode()).unwrap();
+        drop(peer);
+        // A byte into the closed peer draws its RST, so the request's own
+        // send fails instead of racing the close.
+        let _ = client.stream.write_all(&[0]);
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(write_frame(&mut client.stream.try_clone().unwrap(), "").is_err());
+
+        let err = client.query("select 1 from t").unwrap_err();
+        assert_eq!(err.to_string(), refusal.to_string());
     }
 }

@@ -187,7 +187,7 @@ impl Verb {
 }
 
 /// `(name, value)` header pairs, names lowercased.
-pub type HeaderList = Vec<(String, String)>;
+type HeaderList = Vec<(String, String)>;
 
 /// Split a payload into (first line, headers, body). Shared by request
 /// and response parsing.

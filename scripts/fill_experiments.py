@@ -1,54 +1,62 @@
 #!/usr/bin/env python3
 """Splice measured experiment output into EXPERIMENTS.md.
 
-Reads experiment_results.txt (the output of `run_all`) and replaces the
-MEASURED_* placeholders in EXPERIMENTS.md with fenced code blocks holding
-the corresponding sections.
+Reads the output of `gsj-exp all` (experiment_results.txt, or the file
+given as the first argument) and replaces each block between the
+`<!-- measured:NAME -->` / `<!-- /measured -->` markers of EXPERIMENTS.md
+with the corresponding section. Exits non-zero when a section is missing
+from the results, when a marker is missing from the document, or when a
+`MEASURED_*` placeholder is left. `--check` validates and writes nothing.
 """
 import re
 import sys
 
-RESULTS = "experiment_results.txt"
 TARGET = "EXPERIMENTS.md"
 
-SECTIONS = {
-    "MEASURED_TABLE2": "exp_table2",
-    "MEASURED_5A": "exp_fig5a",
-    "MEASURED_5B": "exp_fig5b",
-    "MEASURED_5C": "exp_fig5c",
-    "MEASURED_5D": "exp_fig5d",
-    "MEASURED_5E": "exp_fig5e",
-    "MEASURED_5F": "exp_fig5f",
-    "MEASURED_5G": "exp_fig5g",
-    "MEASURED_TABLE3": "exp_table3",
-    "MEASURED_OFFLINE": "exp_offline",
-    "MEASURED_E2E": "exp_e2e",
-    "MEASURED_5H": "exp_fig5h",
-}
+SECTIONS = [
+    "table2", "fig5a", "fig5b", "fig5c", "fig5d", "fig5e",
+    "fig5f", "fig5g", "table3", "offline", "e2e", "fig5h",
+]
 
 
-def section(text: str, binary: str) -> str:
-    pattern = rf"##### running {binary} .*?#####\n(.*?)(?=\n##### running |\nall experiments|\Z)"
+def section(text: str, name: str) -> str | None:
+    pattern = rf"##### running {name} .*?#####\n(.*?)(?=\n##### running |\nall experiments|\Z)"
     m = re.search(pattern, text, re.S)
-    if not m:
-        return "*(section missing from experiment_results.txt)*"
-    body = m.group(1).strip()
-    # Drop progress lines.
-    lines = [l for l in body.splitlines() if not l.strip().endswith("done")]
-    return "```text\n" + "\n".join(lines).strip() + "\n```"
+    if not m or not m.group(1).strip():
+        return None
+    return "```text\n" + m.group(1).strip() + "\n```"
 
 
-def main() -> None:
-    results = open(RESULTS).read()
+def main() -> int:
+    args = [a for a in sys.argv[1:] if a != "--check"]
+    check = len(args) != len(sys.argv) - 1
+    results_path = args[0] if args else "experiment_results.txt"
+    results = open(results_path).read()
     doc = open(TARGET).read()
-    for placeholder, binary in SECTIONS.items():
-        doc = doc.replace(placeholder, section(results, binary))
-    open(TARGET, "w").write(doc)
-    missing = re.findall(r"MEASURED_\w+", doc)
-    if missing:
-        print(f"WARNING: unresolved placeholders: {missing}", file=sys.stderr)
-    print("EXPERIMENTS.md updated")
+    errors = []
+    for name in SECTIONS:
+        body = section(results, name)
+        if body is None:
+            errors.append(f"section `{name}` missing from {results_path}")
+            continue
+        block = rf"(<!-- measured:{name} -->\n).*?(\n<!-- /measured -->)"
+        doc, n = re.subn(block, lambda m: m.group(1) + body + m.group(2), doc, flags=re.S)
+        if n != 1:
+            errors.append(f"{TARGET} has {n} `measured:{name}` blocks, want 1")
+    leftover = re.findall(r"MEASURED_\w+", doc)
+    if leftover:
+        errors.append(f"unresolved placeholders in {TARGET}: {leftover}")
+    for e in errors:
+        print(f"error: {e}", file=sys.stderr)
+    if errors:
+        return 1
+    if check:
+        print(f"{results_path} has all {len(SECTIONS)} sections; {TARGET} has no placeholder")
+    else:
+        open(TARGET, "w").write(doc)
+        print(f"{TARGET} updated")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,22 +7,10 @@
 use gsj_core::config::{PathKind, RExtConfig};
 use gsj_datagen::{Collection, Scale};
 use gsj_nn::LmConfig;
+use gsj_server::serving_rext_config;
 
-/// A fast RExt configuration for integration tests: random-path variant
-/// (no LM training) unless a test specifically exercises guidance.
-pub fn fast_rext_config() -> RExtConfig {
-    RExtConfig {
-        k: 3,
-        h: 12,
-        m: 4,
-        path: PathKind::Random,
-        threads: 1,
-        seed: 7,
-        ..RExtConfig::default()
-    }
-}
-
-/// A small but real LM-guided configuration.
+/// [`serving_rext_config`] — the configuration the suites share with the
+/// server — with LM-guided paths over a small language model.
 pub fn guided_rext_config() -> RExtConfig {
     RExtConfig {
         path: PathKind::LmGuided,
@@ -32,7 +20,7 @@ pub fn guided_rext_config() -> RExtConfig {
             epochs: 3,
             ..LmConfig::default()
         },
-        ..fast_rext_config()
+        ..serving_rext_config()
     }
 }
 

@@ -18,9 +18,7 @@ use gsj_common::{GsjError, QueryGovernor, Result};
 use gsj_core::gsql::exec::{GsqlEngine, Strategy};
 use gsj_core::incext::{inc_update_graph, Extraction};
 use gsj_core::join::connectivity_relation;
-use gsj_core::profile::GraphProfile;
 use gsj_core::rext::Rext;
-use gsj_core::typed::TypedConfig;
 use gsj_datagen::queries::workload;
 use gsj_datagen::updates::balanced_updates;
 use gsj_datagen::Collection;
@@ -28,7 +26,8 @@ use gsj_graph::random_walk::{build_corpus_governed, WalkConfig};
 use gsj_graph::traversal::k_hop_set_governed;
 use gsj_graph::update::apply_updates;
 use gsj_her::her_match;
-use gsj_tests::{counter, fast_rext_config, tiny};
+use gsj_server::serving_rext_config;
+use gsj_tests::{counter, tiny};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -79,28 +78,8 @@ fn fixture() -> &'static Fixture {
 
 fn build_fixture() -> Fixture {
     let col = tiny("Celebrity");
-    let rext = Rext::train(&col.graph, fast_rext_config()).unwrap();
-    let arc = Arc::new(rext.clone());
-    let mut engine = GsqlEngine::new(col.db.clone());
-    engine.set_id_attr(&col.spec.rel_name, &col.spec.id_attr);
-    engine.set_her_config(col.her_config());
-    let typed_cfg = TypedConfig {
-        default_keywords: col.spec.reference_keywords(),
-        ..TypedConfig::default()
-    };
-    let profile = GraphProfile::build(
-        &col.graph,
-        &engine.db,
-        vec![col.relation_spec()],
-        &arc,
-        &col.her_config(),
-        Some(&typed_cfg),
-    )
-    .unwrap();
-    engine.add_graph("G", col.graph.clone());
-    engine.set_rext("G", Arc::clone(&arc));
-    engine.set_profile("G", profile);
-    engine.set_k(2);
+    let rext = Rext::train(&col.graph, serving_rext_config()).unwrap();
+    let engine = col.engine(Arc::new(rext.clone())).unwrap();
 
     let matches = her_match(&col.graph, col.entity_relation(), &col.her_config()).unwrap();
     let discovery = rext
@@ -546,6 +525,31 @@ fn server_accept_fault_refuses_one_connection_not_the_listener() {
         let mut c = gsj_server::Client::connect(handle.addr()).unwrap();
         assert!(c.query(&f.eq).is_ok(), "listener died under {spec}");
     }
+    handle.shutdown();
+}
+
+#[test]
+fn every_refused_connection_reads_its_refusal() {
+    // The accept thread writes its refusal and closes without reading;
+    // a client whose request races that close gets `EPIPE` on its second
+    // write. The refusal is already in its receive buffer and is what it
+    // must report — on every one of many attempts, since the race is
+    // rare.
+    let _guard = gsj_faults::exclusive();
+    let f = fixture();
+    let handle =
+        gsj_server::Server::start(Arc::clone(&f.engine), gsj_server::ServerConfig::default())
+            .unwrap();
+    with_spec("server.accept:error,p=1", || {
+        for attempt in 0..200 {
+            let mut c = gsj_server::Client::connect(handle.addr()).unwrap();
+            let err = c.query(&f.eq).unwrap_err();
+            assert!(
+                matches!(&err, GsjError::Internal(m) if m.contains("server.accept")),
+                "attempt {attempt}: expected the admission refusal, got {err:?}"
+            );
+        }
+    });
     handle.shutdown();
 }
 

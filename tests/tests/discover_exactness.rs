@@ -18,7 +18,8 @@ use gsj_her::normalize::value_text;
 use gsj_her::{her_match, MatchRelation};
 use gsj_nn::lm::SequenceEmbedder;
 use gsj_nn::vector::{add_assign, concat, l2_normalize, scale};
-use gsj_tests::{fast_rext_config, tiny};
+use gsj_server::serving_rext_config;
+use gsj_tests::tiny;
 
 /// `Rext::discover` with nothing shared between paths.
 fn per_path_discover(
@@ -233,7 +234,7 @@ fn discovery_equals_per_path_discovery(name: &str) {
             &col.graph,
             RExtConfig {
                 threads,
-                ..fast_rext_config()
+                ..serving_rext_config()
             },
         )
         .unwrap();
@@ -283,4 +284,62 @@ on_collection! {
     mov_kb => "MovKB",
     paper => "Paper",
     celebrity => "Celebrity",
+}
+
+/// Offline preparation shares one model between the variants whose
+/// [`RExtConfig::lm_key`]s agree: a variant assembled by the experiments'
+/// memo must be the scheme its own `Rext::train` builds — same model
+/// bits, same discovery — with two trainings for the six variants.
+#[test]
+fn a_variant_on_the_memos_shared_model_equals_its_own_training() {
+    let quick = |mut cfg: RExtConfig| {
+        cfg.lm.epochs = 1;
+        cfg.lm.max_sentences = 300;
+        cfg.threads = 1;
+        cfg
+    };
+    let mut memo = gsj_bench::Memo::new(gsj_datagen::Scale::tiny());
+    let col = memo.collection("Drugs");
+    let keywords = col.spec.reference_keywords();
+    let reference = Some((col.entity_relation(), col.spec.id_attr.as_str()));
+    for (name, cfg) in gsj_bench::variants() {
+        let prep = memo.prepared("Drugs", quick(cfg.clone()));
+        let own = Rext::train(&col.graph, quick(cfg)).unwrap();
+        let (shared_lm, own_lm) = (
+            prep.rext.language_model().unwrap(),
+            own.language_model().unwrap(),
+        );
+        for &v in prep.matches.vertices().take(8).collect::<Vec<_>>().iter() {
+            for p in own.select_paths(&col.graph, v) {
+                assert_eq!(
+                    bits(&shared_lm.embed_symbols(p.labels())),
+                    bits(&own_lm.embed_symbols(p.labels())),
+                    "{name}: embedding of {:?}",
+                    p.labels()
+                );
+            }
+        }
+        let discover = |rext: &Rext| {
+            rext.discover(&col.graph, &prep.matches, reference, &keywords, "h_x")
+                .unwrap()
+        };
+        assert_same_discovery(&discover(&prep.rext), &discover(&own), name);
+    }
+    // RExtShortSeq's 50-wide model is the one that is not shared …
+    assert_eq!(memo.models_trained(), 2);
+    let (standard, _) = memo.model("Drugs", &quick(RExtConfig::standard())).unwrap();
+    assert_eq!(memo.models_trained(), 2);
+    // … and handing it the standard one, or a variant none, is a typed
+    // error rather than a panic further down.
+    for (cfg, lm) in [
+        (RExtConfig::short_seq(), Some(standard)),
+        (RExtConfig::standard(), None),
+    ] {
+        let refused = Rext::with_model(&col.graph, quick(cfg), lm);
+        assert!(
+            matches!(refused, Err(gsj_common::GsjError::Config(_))),
+            "{:?}",
+            refused.err()
+        );
+    }
 }

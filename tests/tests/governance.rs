@@ -5,42 +5,15 @@
 
 use gsj_common::{GsjError, QueryGovernor};
 use gsj_core::gsql::exec::{GsqlEngine, Strategy, TraceOpt};
-use gsj_core::profile::GraphProfile;
-use gsj_core::rext::Rext;
-use gsj_core::typed::TypedConfig;
 use gsj_datagen::queries::workload;
 use gsj_datagen::Collection;
 use gsj_graph::random_walk::{build_corpus_governed, WalkConfig};
 use gsj_graph::traversal::{k_hop_set, k_hop_set_governed};
 use gsj_graph::LabeledGraph;
-use gsj_tests::{fast_rext_config, tiny};
-use std::sync::{Arc, OnceLock};
+use gsj_server::engine_for_collection;
+use gsj_tests::tiny;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-fn engine_for(col: &Collection) -> GsqlEngine {
-    let rext = Arc::new(Rext::train(&col.graph, fast_rext_config()).unwrap());
-    let mut engine = GsqlEngine::new(col.db.clone());
-    engine.set_id_attr(&col.spec.rel_name, &col.spec.id_attr);
-    engine.set_her_config(col.her_config());
-    let typed_cfg = TypedConfig {
-        default_keywords: col.spec.reference_keywords(),
-        ..TypedConfig::default()
-    };
-    let profile = GraphProfile::build(
-        &col.graph,
-        &engine.db,
-        vec![col.relation_spec()],
-        &rext,
-        &col.her_config(),
-        Some(&typed_cfg),
-    )
-    .unwrap();
-    engine.add_graph("G", col.graph.clone());
-    engine.set_rext("G", rext);
-    engine.set_profile("G", profile);
-    engine.set_k(2);
-    engine
-}
 
 /// The Movie collection + engine, built once: profile construction is
 /// the expensive part of these tests and the engine is shared read-only.
@@ -48,7 +21,7 @@ fn movie() -> &'static (Collection, GsqlEngine) {
     static MOVIE: OnceLock<(Collection, GsqlEngine)> = OnceLock::new();
     MOVIE.get_or_init(|| {
         let col = tiny("Movie");
-        let engine = engine_for(&col);
+        let engine = engine_for_collection(&col).unwrap();
         (col, engine)
     })
 }
@@ -107,7 +80,7 @@ fn gsql_link_join_observes_deadline_in_bfs_loop() {
     // too short for the online HER + k-hop-expansion link join. The error
     // must be the typed governance error, never a panic or a hang.
     let col = tiny("Celebrity");
-    let engine = engine_for(&col);
+    let engine = engine_for_collection(&col).unwrap();
     let q = workload(&col).into_iter().find(|q| q.link).unwrap();
     let gov = QueryGovernor::builder()
         .deadline(Duration::from_nanos(1))

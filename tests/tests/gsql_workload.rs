@@ -3,38 +3,12 @@
 //! Exp-3.
 
 use gsj_core::gsql::exec::{GsqlEngine, Strategy};
-use gsj_core::profile::GraphProfile;
 use gsj_core::rext::Rext;
-use gsj_core::typed::TypedConfig;
 use gsj_datagen::queries::{composition, workload};
 use gsj_datagen::Collection;
-use gsj_tests::{fast_rext_config, tiny};
+use gsj_server::engine_for_collection;
+use gsj_tests::tiny;
 use std::sync::Arc;
-
-fn engine_for(col: &Collection) -> GsqlEngine {
-    let rext = Arc::new(Rext::train(&col.graph, fast_rext_config()).unwrap());
-    let mut engine = GsqlEngine::new(col.db.clone());
-    engine.set_id_attr(&col.spec.rel_name, &col.spec.id_attr);
-    engine.set_her_config(col.her_config());
-    let typed_cfg = TypedConfig {
-        default_keywords: col.spec.reference_keywords(),
-        ..TypedConfig::default()
-    };
-    let profile = GraphProfile::build(
-        &col.graph,
-        &engine.db,
-        vec![col.relation_spec()],
-        &rext,
-        &col.her_config(),
-        Some(&typed_cfg),
-    )
-    .unwrap();
-    engine.add_graph("G", col.graph.clone());
-    engine.set_rext("G", rext);
-    engine.set_profile("G", profile);
-    engine.set_k(2);
-    engine
-}
 
 #[test]
 fn workload_composition_matches_spec() {
@@ -56,7 +30,7 @@ fn workload_composition_matches_spec() {
 fn all_queries_execute_under_optimized_strategy() {
     for name in gsj_datagen::collections::ALL {
         let col = tiny(name);
-        let engine = engine_for(&col);
+        let engine = engine_for_collection(&col).unwrap();
         for q in workload(&col) {
             let r = engine.run(&q.text, Strategy::Optimized);
             assert!(r.is_ok(), "{}: {:?}\n{}", q.name, r.err(), q.text);
@@ -72,7 +46,7 @@ fn most_workload_queries_are_well_behaved() {
     let mut total = 0usize;
     for name in gsj_datagen::collections::ALL {
         let col = tiny(name);
-        let engine = engine_for(&col);
+        let engine = engine_for_collection(&col).unwrap();
         for q in workload(&col) {
             total += 1;
             if engine.is_well_behaved(&engine.parse(&q.text).unwrap()) {
@@ -90,7 +64,7 @@ fn baseline_and_optimized_agree_on_static_enrichment() {
     // must return exactly what the conceptual baseline returns, given the
     // same extraction scheme.
     let col = tiny("Movie");
-    let engine = engine_for(&col);
+    let engine = engine_for_collection(&col).unwrap();
     let q = &workload(&col)[0];
     let opt = engine.run(&q.text, Strategy::Optimized).unwrap();
     let base = engine.run(&q.text, Strategy::Baseline).unwrap();
@@ -106,7 +80,7 @@ fn baseline_and_optimized_agree_on_static_enrichment() {
 #[test]
 fn heuristic_strategy_answers_every_enrichment_query() {
     let col = tiny("Drugs");
-    let engine = engine_for(&col);
+    let engine = engine_for_collection(&col).unwrap();
     for q in workload(&col) {
         if q.link {
             continue;
@@ -119,7 +93,7 @@ fn heuristic_strategy_answers_every_enrichment_query() {
 #[test]
 fn link_join_strategies_agree() {
     let col = tiny("Celebrity");
-    let engine = engine_for(&col);
+    let engine = engine_for_collection(&col).unwrap();
     let q = workload(&col).into_iter().find(|q| q.link).unwrap();
     let opt = engine.run(&q.text, Strategy::Optimized).unwrap();
     let base = engine.run(&q.text, Strategy::Baseline).unwrap();
@@ -130,7 +104,7 @@ fn link_join_strategies_agree() {
 fn q1_of_the_paper_round_trips() {
     // The exact Q1 shape from Section I over the Movie collection.
     let col = tiny("Movie");
-    let engine = engine_for(&col);
+    let engine = engine_for_collection(&col).unwrap();
     let id = col.id_of(0);
     let q = format!(
         "select name, director, country from movie e-join G <director, country> as T \
@@ -153,7 +127,7 @@ fn q1_of_the_paper_round_trips() {
 #[test]
 fn aggregation_query_counts_by_extracted_attribute() {
     let col = tiny("Drugs");
-    let engine = engine_for(&col);
+    let engine = engine_for_collection(&col).unwrap();
     let q = "select efficacy, count(*) as n from drug e-join G <efficacy> as T";
     let r = engine.run(q, Strategy::Optimized).unwrap();
     assert!(!r.is_empty());
@@ -225,7 +199,7 @@ fn baseline_strategy_returns_the_recorded_row_multisets() {
     let mut actual: Vec<(String, usize, u64)> = Vec::new();
     for name in gsj_datagen::collections::ALL {
         let col = tiny(name);
-        let engine = engine_for(&col);
+        let engine = engine_for_collection(&col).unwrap();
         for q in workload(&col) {
             let rel = engine.run(&q.text, Strategy::Baseline).unwrap();
             let (rows, hash) = fingerprint(&rel);
@@ -244,4 +218,37 @@ fn baseline_strategy_returns_the_recorded_row_multisets() {
             .eq(BASELINE_ROWS.iter().copied()),
         "Baseline rows moved; this run returned:\n{table}"
     );
+}
+
+/// `Collection::engine` is the one place set-up is written down; the
+/// server's `engine_for_collection` must be that recipe under the
+/// serving configuration — same answers (or the same refusal) for the
+/// whole workload under every strategy.
+#[test]
+fn the_collection_recipe_is_the_served_engine() {
+    let col = tiny("Celebrity");
+    let served = engine_for_collection(&col).unwrap();
+    let rext = Rext::train(&col.graph, gsj_server::serving_rext_config()).unwrap();
+    let recipe = col.engine(Arc::new(rext)).unwrap();
+    let answer = |engine: &GsqlEngine, text: &str, strategy| {
+        engine
+            .run(text, strategy)
+            .map(|rel| rel.rows().map(|t| format!("{t:?}")).collect::<Vec<_>>())
+            .map_err(|e| e.to_string())
+    };
+    let queries = workload(&col);
+    assert_eq!(queries.len(), 6);
+    for q in &queries {
+        for strategy in [Strategy::Baseline, Strategy::Optimized, Strategy::Heuristic] {
+            let (ours, theirs) = (
+                answer(&recipe, &q.text, strategy),
+                answer(&served, &q.text, strategy),
+            );
+            // Under `GSJ_FAULTS` the two engines draw different faults
+            // and may degrade differently.
+            if !gsj_faults::enabled() {
+                assert_eq!(ours, theirs, "{} under {strategy:?}", q.name);
+            }
+        }
+    }
 }

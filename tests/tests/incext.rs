@@ -11,7 +11,8 @@ use gsj_datagen::updates::balanced_updates;
 use gsj_graph::update::apply_updates;
 use gsj_her::her_match;
 use gsj_relational::Relation;
-use gsj_tests::{fast_rext_config, tiny};
+use gsj_server::serving_rext_config;
+use gsj_tests::tiny;
 
 fn initial_extraction(col: &gsj_datagen::Collection, rext: &Rext) -> Extraction {
     let matches = her_match(&col.graph, col.entity_relation(), &col.her_config()).unwrap();
@@ -45,7 +46,7 @@ fn sorted_rows(r: &Relation) -> Vec<Vec<String>> {
 #[test]
 fn incext_equals_scratch_reextraction_after_updates() {
     let col = tiny("Drugs");
-    let rext = Rext::train(&col.graph, fast_rext_config()).unwrap();
+    let rext = Rext::train(&col.graph, serving_rext_config()).unwrap();
     let initial = initial_extraction(&col, &rext);
 
     let mut g = col.graph.clone();
@@ -98,7 +99,7 @@ fn incext_equals_scratch_reextraction_after_updates() {
 #[test]
 fn incext_handles_vertex_removal() {
     let col = tiny("Celebrity");
-    let rext = Rext::train(&col.graph, fast_rext_config()).unwrap();
+    let rext = Rext::train(&col.graph, serving_rext_config()).unwrap();
     let initial = initial_extraction(&col, &rext);
 
     let mut g = col.graph.clone();
@@ -130,7 +131,7 @@ fn incext_handles_vertex_removal() {
 #[test]
 fn noop_update_changes_nothing() {
     let col = tiny("Movie");
-    let rext = Rext::train(&col.graph, fast_rext_config()).unwrap();
+    let rext = Rext::train(&col.graph, serving_rext_config()).unwrap();
     let initial = initial_extraction(&col, &rext);
     let report = gsj_graph::update::UpdateReport::default();
     let inc = inc_update_graph(
@@ -149,7 +150,7 @@ fn noop_update_changes_nothing() {
 #[test]
 fn keyword_update_reuses_surviving_columns() {
     let col = tiny("Paper");
-    let rext = Rext::train(&col.graph, fast_rext_config()).unwrap();
+    let rext = Rext::train(&col.graph, serving_rext_config()).unwrap();
     let initial = initial_extraction(&col, &rext);
     // Shift interest: keep "author", drop the rest, add "grant" (a noise
     // property that exists in the graph).
@@ -174,7 +175,7 @@ fn keyword_update_reuses_surviving_columns() {
 #[test]
 fn keyword_update_extracts_new_attribute_values() {
     let col = tiny("Movie");
-    let rext = Rext::train(&col.graph, fast_rext_config()).unwrap();
+    let rext = Rext::train(&col.graph, serving_rext_config()).unwrap();
     let initial = initial_extraction(&col, &rext);
     // "runtime" is a noise property in the graph but absent from the
     // initial keyword set; shifting interest to it must populate values.

@@ -7,11 +7,10 @@
 
 use gsj_common::{pool, FxHashMap, QueryGovernor, Value};
 use gsj_core::discover::Discovery;
-use gsj_core::gsql::exec::{GsqlEngine, Strategy};
+use gsj_core::gsql::exec::Strategy;
 use gsj_core::heuristic::{heuristic_link, typed_store};
 use gsj_core::incext::inc_update_graph;
 use gsj_core::join::{connectivity_relation, link_join_with_matches, LinkIndex};
-use gsj_core::profile::GraphProfile;
 use gsj_core::rext::Rext;
 use gsj_core::typed::TypedRelation;
 use gsj_datagen::queries::workload;
@@ -24,32 +23,12 @@ use gsj_her::relation_er::ErConfig;
 use gsj_her::MatchRelation;
 use gsj_relational::physical::{filter_rel, ExecContext};
 use gsj_relational::{Relation, Schema};
-use gsj_tests::{counter, fast_rext_config, tiny};
+use gsj_server::{engine_for_collection, serving_rext_config};
+use gsj_tests::{counter, tiny};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const K: usize = 2;
-
-fn engine_for(col: &Collection) -> (GsqlEngine, Arc<Rext>) {
-    let rext = Arc::new(Rext::train(&col.graph, fast_rext_config()).unwrap());
-    let mut engine = GsqlEngine::new(col.db.clone());
-    engine.set_id_attr(&col.spec.rel_name, &col.spec.id_attr);
-    engine.set_her_config(col.her_config());
-    let profile = GraphProfile::build(
-        &col.graph,
-        &engine.db,
-        vec![col.relation_spec()],
-        &rext,
-        &col.her_config(),
-        None,
-    )
-    .unwrap();
-    engine.add_graph("G", col.graph.clone());
-    engine.set_rext("G", rext.clone());
-    engine.set_profile("G", profile);
-    engine.set_k(K);
-    (engine, rext)
-}
 
 /// Sorted rendered rows: the row multiset of a relation.
 fn row_multiset(rel: &Relation) -> Vec<String> {
@@ -88,7 +67,7 @@ fn link_queries(col: &Collection) -> Vec<(String, String)> {
 fn pushed_down_link_joins_equal_the_unpushed_reference() {
     for name in gsj_datagen::collections::ALL {
         let col = tiny(name);
-        let (engine, _) = engine_for(&col);
+        let engine = engine_for_collection(&col).unwrap();
         let (rel_name, id) = (&col.spec.rel_name, &col.spec.id_attr);
         for (from, cond) in link_queries(&col) {
             let pushed = format!("{from} where {cond}");
@@ -142,7 +121,7 @@ fn distinct_selections_share_one_index() {
     // The per-selection cache this replaces kept one full relation per
     // distinct selected vertex set, keyed by an unverified 64-bit hash.
     let col = tiny("Celebrity");
-    let (engine, _) = engine_for(&col);
+    let engine = engine_for_collection(&col).unwrap();
     let (rel, id) = (&col.spec.rel_name, &col.spec.id_attr);
     let n = col.spec.entities;
     let profile = engine.profile("G").unwrap();
@@ -180,7 +159,8 @@ fn distinct_selections_share_one_index() {
 #[test]
 fn incext_commit_invalidates_the_index() {
     let col = tiny("Celebrity");
-    let (mut engine, rext) = engine_for(&col);
+    let rext = Arc::new(Rext::train(&col.graph, serving_rext_config()).unwrap());
+    let mut engine = col.engine(Arc::clone(&rext)).unwrap();
     let rel = col.spec.rel_name.clone();
     let q6 = workload(&col)[5].text.clone();
     engine.run(&q6, Strategy::Optimized).unwrap();

@@ -6,14 +6,15 @@ use gsj_core::join::enrichment_join_precomputed;
 use gsj_core::quality::f_measure;
 use gsj_core::rext::Rext;
 use gsj_her::her_match;
-use gsj_tests::{fast_rext_config, guided_rext_config, tiny};
+use gsj_server::serving_rext_config;
+use gsj_tests::{guided_rext_config, tiny};
 
 fn recover_f1(collection: &str, guided: bool) -> f64 {
     let col = tiny(collection);
     let cfg = if guided {
         guided_rext_config()
     } else {
-        fast_rext_config()
+        serving_rext_config()
     };
     let rext = Rext::train(&col.graph, cfg).unwrap();
     let matches = her_match(&col.graph, col.entity_relation(), &col.her_config()).unwrap();
@@ -98,7 +99,7 @@ fn random_paths_still_recover_something_on_movie() {
 #[test]
 fn typed_extraction_covers_entity_type() {
     let col = tiny("Drugs");
-    let rext = Rext::train(&col.graph, fast_rext_config()).unwrap();
+    let rext = Rext::train(&col.graph, serving_rext_config()).unwrap();
     let typed = gsj_core::typed::extract_typed(
         &col.graph,
         &rext,
@@ -116,7 +117,7 @@ fn typed_extraction_covers_entity_type() {
 #[test]
 fn profile_materializes_all_pieces() {
     let col = tiny("Movie");
-    let rext = Rext::train(&col.graph, fast_rext_config()).unwrap();
+    let rext = Rext::train(&col.graph, serving_rext_config()).unwrap();
     let profile = gsj_core::profile::GraphProfile::build(
         &col.graph,
         &col.db,

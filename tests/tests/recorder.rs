@@ -5,46 +5,19 @@
 
 use gsj_common::QueryGovernor;
 use gsj_core::gsql::exec::{GsqlEngine, Strategy, TraceOpt};
-use gsj_core::profile::GraphProfile;
-use gsj_core::rext::Rext;
-use gsj_core::typed::TypedConfig;
 use gsj_datagen::Collection;
 use gsj_obs::recorder;
-use gsj_tests::{fast_rext_config, tiny};
+use gsj_server::engine_for_collection;
+use gsj_tests::tiny;
 use std::collections::HashSet;
-use std::sync::{Arc, OnceLock};
-
-fn engine_for(col: &Collection) -> GsqlEngine {
-    let rext = Arc::new(Rext::train(&col.graph, fast_rext_config()).unwrap());
-    let mut engine = GsqlEngine::new(col.db.clone());
-    engine.set_id_attr(&col.spec.rel_name, &col.spec.id_attr);
-    engine.set_her_config(col.her_config());
-    let typed_cfg = TypedConfig {
-        default_keywords: col.spec.reference_keywords(),
-        ..TypedConfig::default()
-    };
-    let profile = GraphProfile::build(
-        &col.graph,
-        &engine.db,
-        vec![col.relation_spec()],
-        &rext,
-        &col.her_config(),
-        Some(&typed_cfg),
-    )
-    .unwrap();
-    engine.add_graph("G", col.graph.clone());
-    engine.set_rext("G", rext);
-    engine.set_profile("G", profile);
-    engine.set_k(2);
-    engine
-}
+use std::sync::OnceLock;
 
 /// The Movie collection + engine, built once and shared read-only.
 fn movie() -> &'static (Collection, GsqlEngine) {
     static MOVIE: OnceLock<(Collection, GsqlEngine)> = OnceLock::new();
     MOVIE.get_or_init(|| {
         let col = tiny("Movie");
-        let engine = engine_for(&col);
+        let engine = engine_for_collection(&col).unwrap();
         (col, engine)
     })
 }
