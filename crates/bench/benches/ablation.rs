@@ -12,7 +12,12 @@ use gsj_nn::{AttnEncoder, HashEmbedder, LanguageModel, LmConfig, WordEmbedder};
 fn bench_ablation(c: &mut Criterion) {
     let col = collections::build("Drugs", Scale(60), 3).unwrap();
     let g = &col.graph;
-    let corpus = gsj_graph::random_walk::build_corpus(g, &Default::default());
+    let corpus = gsj_graph::random_walk::build_corpus(
+        g,
+        &Default::default(),
+        &gsj_common::QueryGovernor::unlimited(),
+    )
+    .unwrap();
     let lm = LanguageModel::train(
         &corpus,
         g.symbols(),

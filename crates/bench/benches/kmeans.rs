@@ -1,8 +1,9 @@
 //! Criterion microbench: K-means clustering (the KMC step of pattern
-//! discovery), serial vs parallel assignment.
+//! discovery), the assignment step on one worker vs `GSJ_THREADS` of them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gsj_cluster::{kmeans, KmeansConfig};
+use gsj_common::pool;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -34,45 +35,26 @@ fn bench_kmeans(c: &mut Criterion) {
         BenchmarkId::new("discovery_h12", 701),
         &discovery_shape(),
         |b, d| {
-            b.iter(|| {
-                kmeans(
-                    d,
-                    &KmeansConfig {
-                        k: 12,
-                        threads: 1,
-                        ..KmeansConfig::default()
-                    },
-                )
-            })
+            let cfg = KmeansConfig {
+                k: 12,
+                ..KmeansConfig::default()
+            };
+            b.iter(|| pool::with_threads(1, || kmeans(d, &cfg)))
         },
     );
     for &n in &[500usize, 2000] {
         let data = points(n, 200);
+        let cfg = KmeansConfig {
+            k: 30,
+            max_iters: 10,
+            ..KmeansConfig::default()
+        };
         group.bench_with_input(BenchmarkId::new("serial_h30", n), &data, |b, d| {
-            b.iter(|| {
-                kmeans(
-                    d,
-                    &KmeansConfig {
-                        k: 30,
-                        max_iters: 10,
-                        threads: 1,
-                        ..KmeansConfig::default()
-                    },
-                )
-            })
+            b.iter(|| pool::with_threads(1, || kmeans(d, &cfg)))
         });
+        // The ambient worker count (`GSJ_THREADS`, else every core).
         group.bench_with_input(BenchmarkId::new("parallel_h30", n), &data, |b, d| {
-            b.iter(|| {
-                kmeans(
-                    d,
-                    &KmeansConfig {
-                        k: 30,
-                        max_iters: 10,
-                        threads: 0,
-                        ..KmeansConfig::default()
-                    },
-                )
-            })
+            b.iter(|| kmeans(d, &cfg))
         });
     }
     group.finish();

@@ -2,6 +2,7 @@
 
 use crate::init::kmeanspp_distinct;
 use crate::lanes::{Distinct, LaneMatrix};
+use gsj_common::{pool, Result};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -15,9 +16,6 @@ pub struct KmeansConfig {
     pub max_iters: usize,
     /// Convergence tolerance on relative inertia improvement.
     pub tol: f64,
-    /// Worker threads for the assignment step; `0` = available
-    /// parallelism.
-    pub threads: usize,
     /// Seed for k-means++ initialization.
     pub seed: u64,
 }
@@ -28,7 +26,6 @@ impl Default for KmeansConfig {
             k: 8,
             max_iters: 20,
             tol: 1e-4,
-            threads: 0,
             seed: 0xc1_05_7e,
         }
     }
@@ -58,39 +55,50 @@ impl Clustering {
     }
 }
 
+/// Distinct points per pool task of the assignment step: a point costs
+/// well under a microsecond against a dozen centroids, so anything
+/// smaller is cheaper than the thread that would run it.
+const ASSIGN_GRAIN: usize = 1024;
+
 /// Nearest centroid (first strict minimum) and its squared distance, for
 /// each of `points`.
-fn assign_chunk(points: &[&[f32]], centroids: &LaneMatrix, out: &mut [(usize, f32)]) {
+fn assign_chunk(points: &[&[f32]], centroids: &LaneMatrix) -> Vec<(usize, f32)> {
     let mut dists = Vec::new();
-    for (p, slot) in points.iter().zip(out) {
-        centroids.sq_dists(p, &mut dists);
-        let mut best = 0usize;
-        let mut best_d = f32::INFINITY;
-        for (c, &d) in dists.iter().enumerate() {
-            if d < best_d {
-                best_d = d;
-                best = c;
+    points
+        .iter()
+        .map(|p| {
+            centroids.sq_dists(p, &mut dists);
+            let mut best = 0usize;
+            let mut best_d = f32::INFINITY;
+            for (c, &d) in dists.iter().enumerate() {
+                if d < best_d {
+                    best_d = d;
+                    best = c;
+                }
             }
-        }
-        *slot = (best, best_d);
-    }
+            (best, best_d)
+        })
+        .collect()
 }
 
 /// Run K-means over `points`.
 ///
-/// Deterministic for a fixed `cfg.seed` regardless of thread count: the
-/// assignment step is embarrassingly parallel and the reduction order does
-/// not affect assignments.
-pub fn kmeans(points: &[Vec<f32>], cfg: &KmeansConfig) -> Clustering {
+/// A function of `points` and `cfg` alone, bit for bit, at every worker
+/// count: only the assignment step goes through the worker pool (each
+/// point's nearest centroid is independent of every other point's), and
+/// the inertia — which decides the stopping iteration — is summed on the
+/// calling thread in point order. The `Err` is the pool's, for a task
+/// that panicked.
+pub fn kmeans(points: &[Vec<f32>], cfg: &KmeansConfig) -> Result<Clustering> {
     let mut span = gsj_obs::span("cluster.kmeans");
     span.field("points", points.len()).field("k", cfg.k);
     if points.is_empty() || cfg.k == 0 {
-        return Clustering {
+        return Ok(Clustering {
             assignments: Vec::new(),
             centroids: Vec::new(),
             inertia: 0.0,
             iterations: 0,
-        };
+        });
     }
     let dim = points[0].len();
     debug_assert!(points.iter().all(|p| p.len() == dim));
@@ -102,24 +110,8 @@ pub fn kmeans(points: &[Vec<f32>], cfg: &KmeansConfig) -> Clustering {
     span.field("distinct_points", reps.len());
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut centroids = kmeanspp_distinct(points, &distinct, cfg.k, &mut rng);
-    let mut nearest = vec![(0usize, 0.0f32); reps.len()];
     let mut assignments = vec![0usize; points.len()];
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        cfg.threads
-    };
-    // The inertia is summed per worker-sized run of points and then
-    // across runs — the association the threaded assignment step has
-    // always had. It decides the stopping iteration, so it keeps its bits
-    // at every `threads`.
-    let inertia_run = if threads > 1 && points.len() >= 4 * threads {
-        points.len().div_ceil(threads)
-    } else {
-        points.len()
-    };
+    let grain = ASSIGN_GRAIN.min(pool::morsel_rows());
     let mut prev_inertia = f64::INFINITY;
     let mut iterations = 0usize;
     let mut inertia = 0.0f64;
@@ -128,34 +120,16 @@ pub fn kmeans(points: &[Vec<f32>], cfg: &KmeansConfig) -> Clustering {
         iterations = iter + 1;
         // Assignment step (parallel over the distinct points).
         let matrix = LaneMatrix::new(centroids.iter().map(Vec::as_slice), dim);
-        if threads > 1 && reps.len() >= 4 * threads {
-            let chunk = reps.len().div_ceil(threads);
-            let matrix = &matrix;
-            crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = reps
-                    .chunks(chunk)
-                    .zip(nearest.chunks_mut(chunk))
-                    .map(|(pts, out)| s.spawn(move |_| assign_chunk(pts, matrix, out)))
-                    .collect();
-                for h in handles {
-                    h.join().expect("kmeans worker panicked");
-                }
-            })
-            .expect("kmeans scope panicked");
-        } else {
-            assign_chunk(reps, &matrix, &mut nearest);
-        }
+        let nearest = pool::concat(pool::run_ranges(reps.len(), grain, |range, _| {
+            Ok(assign_chunk(&reps[range], &matrix))
+        })?);
         for (a, &g) in assignments.iter_mut().zip(&distinct.group_of) {
             *a = nearest[g as usize].0;
         }
         inertia = distinct
             .group_of
-            .chunks(inertia_run)
-            .map(|run| {
-                run.iter()
-                    .fold(0.0f64, |sum, &g| sum + nearest[g as usize].1 as f64)
-            })
-            .sum();
+            .iter()
+            .fold(0.0f64, |sum, &g| sum + nearest[g as usize].1 as f64);
 
         // Update step.
         let mut sums = vec![vec![0.0f32; dim]; centroids.len()];
@@ -183,17 +157,21 @@ pub fn kmeans(points: &[Vec<f32>], cfg: &KmeansConfig) -> Clustering {
     }
 
     span.field("iterations", iterations);
-    Clustering {
+    Ok(Clustering {
         assignments,
         centroids,
         inertia,
         iterations,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn kmeans(points: &[Vec<f32>], cfg: &KmeansConfig) -> Clustering {
+        super::kmeans(points, cfg).expect("no task panics")
+    }
 
     fn blobs() -> Vec<Vec<f32>> {
         let mut points = Vec::new();
@@ -237,25 +215,6 @@ mod tests {
             3
         );
         let _ = distinct;
-    }
-
-    #[test]
-    fn deterministic_across_thread_counts() {
-        let points = blobs();
-        let base = KmeansConfig {
-            k: 3,
-            ..KmeansConfig::default()
-        };
-        let serial = kmeans(
-            &points,
-            &KmeansConfig {
-                threads: 1,
-                ..base.clone()
-            },
-        );
-        let parallel = kmeans(&points, &KmeansConfig { threads: 4, ..base });
-        assert_eq!(serial.assignments, parallel.assignments);
-        assert!((serial.inertia - parallel.inertia).abs() < 1e-6);
     }
 
     #[test]

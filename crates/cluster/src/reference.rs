@@ -59,9 +59,8 @@ fn assign_chunk(points: &[Vec<f32>], centroids: &[Vec<f32>], out: &mut [usize]) 
     inertia
 }
 
-/// The old `kmeans`; `cfg.threads` must be explicit (≥ 1). The worker
-/// chunks run one after another here — what they compute, and the order
-/// their inertia shares are added in, is what the threads did.
+/// The old `kmeans`, one point after another: every point's squared
+/// distance to its centroid is added to the inertia in point order.
 pub fn kmeans_reference(points: &[Vec<f32>], cfg: &KmeansConfig) -> Clustering {
     if points.is_empty() || cfg.k == 0 {
         return Clustering {
@@ -75,23 +74,13 @@ pub fn kmeans_reference(points: &[Vec<f32>], cfg: &KmeansConfig) -> Clustering {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut centroids = kmeanspp_reference(points, cfg.k, &mut rng);
     let mut assignments = vec![0usize; points.len()];
-    let threads = cfg.threads;
     let mut prev_inertia = f64::INFINITY;
     let mut iterations = 0usize;
     let mut inertia = 0.0f64;
 
     for iter in 0..cfg.max_iters {
         iterations = iter + 1;
-        inertia = if threads > 1 && points.len() >= 4 * threads {
-            let chunk = points.len().div_ceil(threads);
-            points
-                .chunks(chunk)
-                .zip(assignments.chunks_mut(chunk))
-                .map(|(pts, asg)| assign_chunk(pts, &centroids, asg))
-                .sum()
-        } else {
-            assign_chunk(points, &centroids, &mut assignments)
-        };
+        inertia = assign_chunk(points, &centroids, &mut assignments);
 
         let mut sums = vec![vec![0.0f32; dim]; centroids.len()];
         let mut counts = vec![0usize; centroids.len()];
@@ -126,6 +115,7 @@ pub fn kmeans_reference(points: &[Vec<f32>], cfg: &KmeansConfig) -> Clustering {
 mod exactness {
     use super::kmeans_reference;
     use crate::{kmeans, Clustering, KmeansConfig};
+    use gsj_common::pool::{with_morsel_rows, with_threads};
     use proptest::prelude::*;
 
     fn assert_same_bits(new: &Clustering, old: &Clustering) {
@@ -145,8 +135,8 @@ mod exactness {
         /// Points are drawn *by index* from a small pool, so exact
         /// duplicates are the rule, `k` regularly exceeds the number of
         /// distinct points (k-means++ then repeats a centroid and the
-        /// second copy's cluster stays empty), and 40 points at
-        /// `threads` 4 cross the parallel threshold.
+        /// second copy's cluster stays empty). Four workers over
+        /// two-point ranges put the assignment step on the pool.
         #[test]
         fn lane_kmeans_equals_sq_dist_kmeans(
             pool in prop::collection::vec(prop::collection::vec(-3.0f32..3.0, 7), 1..12),
@@ -166,9 +156,11 @@ mod exactness {
                     p[..dim].iter().enumerate().map(|(d, x)| if d % 2 == 0 { x * scale } else { *x }).collect()
                 })
                 .collect();
-            for threads in [1, 4] {
-                let cfg = KmeansConfig { k, max_iters, tol: 1e-4, threads, seed };
-                assert_same_bits(&kmeans(&points, &cfg), &kmeans_reference(&points, &cfg));
+            let cfg = KmeansConfig { k, max_iters, tol: 1e-4, seed };
+            let reference = kmeans_reference(&points, &cfg);
+            for workers in [1, 4] {
+                let new = with_threads(workers, || with_morsel_rows(2, || kmeans(&points, &cfg)));
+                assert_same_bits(&new.unwrap(), &reference);
             }
         }
     }
@@ -188,10 +180,9 @@ mod exactness {
                 k: 3,
                 max_iters: 5,
                 tol: 0.0,
-                threads: 1,
                 seed,
             };
-            let new = kmeans(&points, &cfg);
+            let new = kmeans(&points, &cfg).unwrap();
             assert_same_bits(&new, &kmeans_reference(&points, &cfg));
             assert_eq!(new.centroids.len(), 3);
             let used: std::collections::BTreeSet<usize> = new.assignments.iter().copied().collect();

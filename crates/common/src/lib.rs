@@ -16,9 +16,9 @@
 //! - [`GsjError`]: the workspace error type.
 //! - [`QueryGovernor`]: cooperative deadlines, budgets and cancellation
 //!   threaded through execution (DESIGN.md §11).
-//! - [`pool`]: the morsel-driven worker pool — `GSJ_THREADS` policy,
-//!   deterministic task fan-out, and the [`Mergeable`] trait for
-//!   per-worker partial statistics (DESIGN.md §13).
+//! - [`pool`]: the morsel-driven worker pool — the `GSJ_THREADS` policy
+//!   and the one deterministic fan-out every parallel kernel goes
+//!   through (DESIGN.md §13).
 //! - [`RetryPolicy`]: bounded exponential backoff with deterministic jitter
 //!   for transient failures.
 
@@ -33,7 +33,6 @@ pub mod value;
 pub use error::{panic_message, GsjError, Result};
 pub use fxhash::{first_occurrences, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use governor::{GovernorBuilder, QueryGovernor};
-pub use pool::Mergeable;
 pub use retry::RetryPolicy;
 pub use symbol::{Symbol, SymbolTable};
 pub use value::Value;

@@ -1,12 +1,14 @@
 //! Morsel-driven worker pool (DESIGN.md §13).
 //!
-//! The execution layer splits its input into fixed-size row-range
-//! *morsels* and fans the morsels out across scoped worker threads. This
-//! module holds the shared machinery: the thread-count policy
-//! ([`gsj_threads`], the `GSJ_THREADS` environment variable, and
-//! per-test overrides), the morsel partitioner ([`morsel_ranges`]), the
-//! [`Mergeable`] trait that per-worker partial statistics implement, and
-//! the deterministic fan-out primitive [`run_tasks`].
+//! Every parallel kernel in the workspace — relational operators, BFS
+//! levels, RExt's path selection and embedding, the K-means assignment
+//! step — splits its input into row ranges and fans them out across
+//! scoped worker threads *here*: this module is the only place that
+//! decides how many workers run and the only place that starts them. It
+//! holds the thread-count policy ([`gsj_threads`], the `GSJ_THREADS`
+//! environment variable, and per-test overrides), the range helper
+//! kernels call ([`run_ranges`], with [`fans_out`] as its decision), and
+//! the deterministic fan-out primitive underneath ([`run_tasks`]).
 //!
 //! Determinism contract: for any task function whose per-task results
 //! are independent (which morsel kernels are by construction),
@@ -69,10 +71,10 @@ pub fn gsj_threads() -> usize {
         .unwrap_or_else(env_threads)
 }
 
-/// Run `f` with the worker count pinned to `n` on this thread (worker
-/// threads spawned by the pool do *not* inherit it — nested kernels
-/// inside a worker run sequentially unless they consult the environment
-/// themselves). Primarily for tests pinning `GSJ_THREADS ∈ {1,2,8}`.
+/// Run `f` with the worker count pinned to `n` on this thread. Worker
+/// threads spawned by the pool do *not* inherit it (they fall back to
+/// `GSJ_THREADS`), which is harmless because no pool task calls a
+/// parallel kernel. Primarily for tests pinning `GSJ_THREADS ∈ {1,2,8}`.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     let prev = THREADS_OVERRIDE.with(|c| c.replace(Some(n.max(1))));
     let out = f();
@@ -96,28 +98,55 @@ pub fn with_morsel_rows<R>(n: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Split `0..len` into contiguous morsels of [`morsel_rows`] rows (the
-/// last may be short). Empty input yields no ranges.
-pub fn morsel_ranges(len: usize) -> Vec<Range<usize>> {
-    let step = morsel_rows();
-    (0..len)
-        .step_by(step)
-        .map(|start| start..(start + step).min(len))
-        .collect()
+/// Whether [`run_ranges`] hands an input of `len` rows to pool threads:
+/// more than one worker is configured and the input spans more than one
+/// `grain`. Kernels with something to do at the fan-out boundary (a
+/// fault site, a counter) ask here, so the decision stays in one place.
+pub fn fans_out(len: usize, grain: usize) -> bool {
+    gsj_threads() > 1 && len > grain
 }
 
-/// Per-worker partial state that can be folded into a total. Merging is
-/// performed *in morsel order*, so implementations may rely on `other`
-/// covering strictly later rows than everything already absorbed — this
-/// is what lets partial aggregates preserve first-seen group order and
-/// per-operator counters sum into one coherent `explain_analyze` tree.
-pub trait Mergeable {
-    /// Fold `other` (covering later rows) into `self`.
-    fn merge(&mut self, other: Self);
+/// The one way a kernel goes parallel: run `task` over `0..len` and
+/// return its partials in range order.
+///
+/// `grain` (≥ 1) is the call site's constant — the fewest rows worth a
+/// task of their own. When [`fans_out`] says no (one worker, or an input
+/// within one grain) the whole input is a single range run inline on the
+/// calling thread, the exact sequential path, and an empty input runs
+/// nothing. Otherwise `0..len` is cut into `grain`-sized ranges (the last
+/// may be short) that [`gsj_threads`] workers claim through
+/// [`run_tasks`], which carries its determinism contract over: same
+/// partials, same error, at every worker count, and a panicking task is
+/// a [`GsjError::Internal`].
+///
+/// The task's second argument says whether it runs on a pool thread;
+/// kernels use it to arm their `pool.worker` fault point (this crate
+/// cannot depend on `gsj-faults`).
+pub fn run_ranges<R, F>(len: usize, grain: usize, task: F) -> Result<Vec<R>>
+where
+    R: Send,
+    F: Fn(Range<usize>, bool) -> Result<R> + Sync,
+{
+    if !fans_out(len, grain) {
+        return if len == 0 {
+            Ok(Vec::new())
+        } else {
+            Ok(vec![task(0..len, false)?])
+        };
+    }
+    run_tasks(gsj_threads(), len.div_ceil(grain), |i| {
+        task(i * grain..((i + 1) * grain).min(len), true)
+    })
 }
 
-impl Mergeable for () {
-    fn merge(&mut self, _other: Self) {}
+/// The partials of a [`run_ranges`] whose tasks return their range's
+/// rows, joined in range order. The first partial is extended in place,
+/// so the inline path's only partial comes back as it is.
+pub fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
+    let mut parts = parts.into_iter();
+    let mut all = parts.next().unwrap_or_default();
+    parts.for_each(|p| all.extend(p));
+    all
 }
 
 /// Deterministic parallel fan-out: run `task(i)` for `i in 0..n_tasks`
@@ -228,12 +257,42 @@ mod tests {
 
     #[test]
     fn morsel_ranges_tile_the_input() {
-        with_morsel_rows(10, || {
-            assert_eq!(morsel_ranges(0), Vec::<Range<usize>>::new());
-            assert_eq!(morsel_ranges(25), vec![0..10, 10..20, 20..25]);
-            assert_eq!(morsel_ranges(10), vec![0..10]);
-        });
+        let seen = |len, grain| run_ranges(len, grain, |r, pooled| Ok((r, pooled))).unwrap();
+        for workers in [1, 2, 8] {
+            with_threads(workers, || {
+                // One inline range, or grain-sized ranges on the pool.
+                assert_eq!(fans_out(25, 10), workers > 1);
+                let split = vec![(0..10, true), (10..20, true), (20..25, true)];
+                let expected = if workers > 1 {
+                    split
+                } else {
+                    vec![(0..25, false)]
+                };
+                assert_eq!(seen(25, 10), expected);
+                // Within one grain, or empty: never the pool.
+                assert_eq!(seen(10, 10), vec![(0..10, false)]);
+                assert!(seen(0, 10).is_empty() && !fans_out(0, 10));
+            });
+        }
+        with_morsel_rows(10, || assert_eq!(morsel_rows(), 10));
         assert_eq!(morsel_rows(), DEFAULT_MORSEL_ROWS);
+    }
+
+    #[test]
+    fn run_ranges_turns_a_pool_panic_into_an_error() {
+        let err = with_threads(4, || {
+            run_ranges::<(), _>(8, 2, |r, _| {
+                if r.start == 4 {
+                    panic!("range {r:?}");
+                }
+                Ok(())
+            })
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, GsjError::Internal(m) if m.contains("range 4..6")),
+            "{err:?}"
+        );
     }
 
     #[test]

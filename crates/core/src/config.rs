@@ -70,8 +70,6 @@ pub struct RExtConfig {
     pub path: PathKind,
     /// Language-model training hyper-parameters.
     pub lm: LmConfig,
-    /// Worker threads for parallel KMC / ranking (`0` = auto).
-    pub threads: usize,
     /// Edge labels that type entities (used by the same-type-end cluster
     /// filter and by typed extraction).
     pub type_edges: Vec<String>,
@@ -94,7 +92,6 @@ impl Default for RExtConfig {
             seq: SeqKind::Lstm100,
             path: PathKind::Random,
             lm: LmConfig::default(),
-            threads: 0,
             type_edges: vec!["type".into(), "is_a".into()],
             filter_same_type_ends: true,
             seed: 0x5e_a1,

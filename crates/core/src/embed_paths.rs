@@ -13,11 +13,15 @@
 //! input and the per-path vectors are assembled by concatenation.
 
 use crate::extract::LabelEmbCache;
-use crate::rext::parallel_map;
-use gsj_common::{first_occurrences, Symbol};
+use crate::rext::map_items;
+use gsj_common::{first_occurrences, Result, Symbol};
 use gsj_graph::{LabeledGraph, Path};
 use gsj_nn::lm::SequenceEmbedder;
 use gsj_nn::WordEmbedder;
+
+/// Distinct label sequences per pool task: each is an LSTM pass over up
+/// to `2k + 1` tokens, a hundred microseconds or so.
+const PATTERN_GRAIN: usize = 8;
 
 /// The label of the vertex a selected path ends on.
 pub(crate) fn end_label(g: &LabeledGraph, path: &Path) -> Symbol {
@@ -42,13 +46,12 @@ pub(crate) fn embed_paths(
     word: &dyn WordEmbedder,
     seq: &dyn SequenceEmbedder,
     me: &mut LabelEmbCache,
-    threads: usize,
-) -> PairFeatures {
+) -> Result<PairFeatures> {
     // Both distinct sets are fixed before any parallel work, so what is
-    // embedded, and in which order, does not depend on `threads`.
+    // embedded, and in which order, does not depend on the worker count.
     let (labels, label_of) = first_occurrences(paths.iter().map(|p| end_label(g, p)));
     let (patterns, pattern_of) = first_occurrences(paths.iter().map(Path::labels));
-    me.fill(g.symbols(), word, labels.iter().copied(), threads);
+    me.fill(g.symbols(), word, labels.iter().copied())?;
     let x_labels: Vec<Vec<f32>> = labels
         .iter()
         .map(|&l| {
@@ -57,12 +60,12 @@ pub(crate) fn embed_paths(
             x
         })
         .collect();
-    let x_paths: Vec<Vec<f32>> = parallel_map(&patterns, threads, |labels| {
+    let x_paths: Vec<Vec<f32>> = map_items(&patterns, PATTERN_GRAIN, |labels| {
         let mut x = seq.embed_symbols(labels);
         gsj_nn::vector::l2_normalize(&mut x);
         x
-    });
-    PairFeatures {
+    })?;
+    Ok(PairFeatures {
         features: label_of
             .iter()
             .zip(&pattern_of)
@@ -70,7 +73,7 @@ pub(crate) fn embed_paths(
             .collect(),
         distinct_labels: labels.len(),
         distinct_patterns: patterns.len(),
-    }
+    })
 }
 
 /// One path embedded on its own — what [`embed_paths`] did for every path
@@ -102,7 +105,12 @@ mod tests {
         let c = g.add_vertex("UK");
         g.add_edge(a, "issue", b);
         g.add_edge(b, "regloc", c);
-        let corpus = gsj_graph::random_walk::build_corpus(&g, &Default::default());
+        let corpus = gsj_graph::random_walk::build_corpus(
+            &g,
+            &Default::default(),
+            &gsj_common::QueryGovernor::unlimited(),
+        )
+        .unwrap();
         let lm = LanguageModel::untrained(
             &corpus,
             g.symbols(),
@@ -140,24 +148,24 @@ mod tests {
         let (g, paths, lm) = setting();
         assert!(paths.len() >= 2, "need a 1-hop and a 2-hop path");
         let word = HashEmbedder::new(10);
-        let xs = embed_paths(&g, &paths, &word, &lm, &mut Default::default(), 1).features;
+        let xs = embed_paths(&g, &paths, &word, &lm, &mut Default::default())
+            .unwrap()
+            .features;
         assert_ne!(xs[0], xs[1]);
     }
 
     #[test]
     fn batch_equals_one_path_at_a_time_at_any_thread_count() {
         let (g, mut paths, lm) = setting();
-        // Repeat the paths so labels and sequences recur and the batch is
-        // long enough to be split across workers.
+        // Repeat the paths so labels and sequences recur. (The worker
+        // counts are `tests/tests/parallel_equiv.rs`'s to vary.)
         paths = paths.iter().cycle().take(12).cloned().collect();
         let word = HashEmbedder::new(10);
         let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        for threads in [1, 4] {
-            let batch = embed_paths(&g, &paths, &word, &lm, &mut Default::default(), threads);
-            assert_eq!((batch.distinct_labels, batch.distinct_patterns), (2, 2));
-            for (p, x) in paths.iter().zip(&batch.features) {
-                assert_eq!(bits(x), bits(&embed_pair(&g, p, &word, &lm)));
-            }
+        let batch = embed_paths(&g, &paths, &word, &lm, &mut Default::default()).unwrap();
+        assert_eq!((batch.distinct_labels, batch.distinct_patterns), (2, 2));
+        for (p, x) in paths.iter().zip(&batch.features) {
+            assert_eq!(bits(x), bits(&embed_pair(&g, p, &word, &lm)));
         }
     }
 }

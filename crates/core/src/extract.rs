@@ -9,13 +9,17 @@
 
 use crate::discover::Discovery;
 use crate::embed_paths::end_label;
-use crate::rext::parallel_map;
+use crate::rext::map_items;
 use gsj_common::{first_occurrences, FxHashMap, FxHashSet, Result, Symbol, SymbolTable, Value};
 use gsj_graph::{LabeledGraph, Path, VertexId};
 use gsj_nn::vector::cosine;
 use gsj_nn::WordEmbedder;
 use gsj_relational::Relation;
 use std::sync::Arc;
+
+/// Distinct labels per pool task of [`LabelEmbCache::fill`]: the hash
+/// embedder takes a microsecond or two per label.
+const LABEL_GRAIN: usize = 256;
 
 /// The memo of `Me` over graph labels — vertex or edge, keyed by symbol —
 /// so a repeated label (countries, genres, types...) is embedded once.
@@ -38,18 +42,18 @@ impl LabelEmbCache {
             .or_insert_with(|| word.embed(&symbols.resolve(label)))
     }
 
-    /// Embed those of `labels` not cached yet, each once, on `threads`
-    /// workers.
+    /// Embed those of `labels` not cached yet, each once, through the
+    /// worker pool.
     pub(crate) fn fill(
         &mut self,
         symbols: &SymbolTable,
         word: &dyn WordEmbedder,
         labels: impl Iterator<Item = Symbol>,
-        threads: usize,
-    ) {
+    ) -> Result<()> {
         let (missing, _) = first_occurrences(labels.filter(|l| !self.map.contains_key(l)));
-        let embs = parallel_map(&missing, threads, |&l| word.embed(&symbols.resolve(l)));
+        let embs = map_items(&missing, LABEL_GRAIN, |&l| word.embed(&symbols.resolve(l)))?;
         self.map.extend(missing.into_iter().zip(embs));
+        Ok(())
     }
 
     /// The embedding of a label [`fill`](Self::fill)ed or embedded before.

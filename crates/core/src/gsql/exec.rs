@@ -634,7 +634,6 @@ mod tests {
             h: 10,
             m: 2,
             path: PathKind::Random,
-            threads: 1,
             seed: 21,
             ..RExtConfig::default()
         };

@@ -298,7 +298,7 @@ pub fn inc_update_keywords(
     }
     let word = rext.word_embedder();
     let mut cache = LabelEmbCache::default();
-    let names = crate::rext::naming_embeddings(g, &flat, word, &mut cache, rext.config().threads);
+    let names = crate::rext::naming_embeddings(g, &flat, word, &mut cache)?;
 
     let keyword_embs: Vec<(String, Vec<f32>)> = new_keywords
         .iter()

@@ -262,7 +262,12 @@ mod tests {
     }
 
     fn tiny_lm(g: &LabeledGraph) -> LanguageModel {
-        let corpus = build_corpus(g, &WalkConfig::default());
+        let corpus = build_corpus(
+            g,
+            &WalkConfig::default(),
+            &gsj_common::QueryGovernor::unlimited(),
+        )
+        .unwrap();
         LanguageModel::train(
             &corpus,
             g.symbols(),

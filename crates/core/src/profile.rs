@@ -269,7 +269,6 @@ mod tests {
                 h: 6,
                 m: 2,
                 path: PathKind::Random,
-                threads: 1,
                 ..RExtConfig::default()
             },
         )

@@ -10,8 +10,8 @@ use crate::embed_paths::{embed_paths, end_label};
 use crate::extract::{extract_relation, LabelEmbCache};
 use crate::ranking::TupleAttrEmbs;
 use gsj_cluster::{kmeans, KmeansConfig};
-use gsj_common::{first_occurrences, FxHashMap, GsjError, Result, Value};
-use gsj_graph::random_walk::build_corpus_governed;
+use gsj_common::{first_occurrences, pool, FxHashMap, GsjError, Result, Value};
+use gsj_graph::random_walk::build_corpus;
 use gsj_graph::{LabeledGraph, Path, VertexId};
 use gsj_her::normalize::value_text;
 use gsj_her::MatchRelation;
@@ -23,39 +23,27 @@ use std::sync::Arc;
 static EXTRACTED_ROWS: gsj_obs::LazyCounter =
     gsj_obs::LazyCounter::new("gsj_core_extracted_rows_total");
 
-/// Map `f` over `items` with scoped threads, preserving order.
-pub(crate) fn parallel_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
+/// Matched vertices per pool task of path selection: a vertex costs tens
+/// of microseconds unguided and hundreds under the language model.
+const VERTEX_GRAIN: usize = 32;
+
+/// `f` over `items`, in item order, through [`pool::run_ranges`] with
+/// `grain` items per pool task (the call site's constant; a lowered
+/// [`pool::with_morsel_rows`] lowers it with it, so tests reach the
+/// parallel path on small inputs). What is computed never depends on the
+/// worker count; a panic in `f` on a pool thread is the pool's
+/// [`GsjError::Internal`].
+pub(crate) fn map_items<T, U, F>(items: &[T], grain: usize, f: F) -> Result<Vec<U>>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    if threads <= 1 || items.len() < 2 * threads {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|slice| {
-                let f = &f;
-                s.spawn(move |_| slice.iter().map(f).collect::<Vec<U>>())
-            })
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        for h in handles {
-            out.extend(h.join().expect("parallel_map worker panicked"));
-        }
-        out
-    })
-    .expect("parallel_map scope panicked")
+    let grain = grain.min(pool::morsel_rows());
+    let parts = pool::run_ranges(items.len(), grain, |range, _| {
+        Ok(items[range].iter().map(&f).collect::<Vec<U>>())
+    })?;
+    Ok(pool::concat(parts))
 }
 
 /// The trained extraction scheme for one graph.
@@ -94,9 +82,8 @@ impl Rext {
         let Some(key) = cfg.lm_key() else {
             return Ok(None);
         };
-        // Governed so the corpus walk carries its fault point
-        // (`graph.random_walk`); training itself has no deadline.
-        let corpus = build_corpus_governed(g, &key.walk, &gsj_common::QueryGovernor::unlimited())?;
+        // Training has no deadline.
+        let corpus = build_corpus(g, &key.walk, &gsj_common::QueryGovernor::unlimited())?;
         Ok(Some(Arc::new(LanguageModel::train(
             &corpus,
             g.symbols(),
@@ -239,7 +226,7 @@ impl Rext {
         let (paths_map, flat) = {
             let mut span = gsj_obs::span("rext.path_select");
             let per_vertex: Vec<Vec<Path>> =
-                parallel_map(&vertices, self.cfg.threads, |&v| self.select_paths(g, v));
+                map_items(&vertices, VERTEX_GRAIN, |&v| self.select_paths(g, v))?;
             let mut paths_map: FxHashMap<VertexId, Vec<Path>> = FxHashMap::default();
             let mut flat: Vec<Path> = Vec::new();
             for (v, paths) in vertices.iter().zip(per_vertex) {
@@ -259,7 +246,7 @@ impl Rext {
         let mut me = LabelEmbCache::default();
         let features: Vec<Vec<f32>> = {
             let mut span = gsj_obs::span("rext.embed");
-            let pairs = embed_paths(g, &flat, word, self.seq.as_ref(), &mut me, self.cfg.threads);
+            let pairs = embed_paths(g, &flat, word, self.seq.as_ref(), &mut me)?;
             span.field("pairs", pairs.features.len())
                 .field("distinct_labels", pairs.distinct_labels)
                 .field("distinct_patterns", pairs.distinct_patterns);
@@ -275,11 +262,10 @@ impl Rext {
                 &KmeansConfig {
                     k: self.cfg.h,
                     max_iters: self.cfg.kmeans_iters,
-                    threads: self.cfg.threads,
                     seed: self.cfg.seed ^ 0x2222,
                     ..KmeansConfig::default()
                 },
-            )
+            )?
             .assignments
         };
         // Nothing else reads the per-path vectors.
@@ -306,7 +292,7 @@ impl Rext {
         // the path's last edge label with its end label (see
         // `discover::NameEmbs` for the rationale).
         let mut rank_span = gsj_obs::span("rext.rank");
-        let names = naming_embeddings(g, &flat, word, &mut me, self.cfg.threads);
+        let names = naming_embeddings(g, &flat, word, &mut me)?;
         rank_span.field("distinct_names", names.embs.len());
         let keyword_embs: Vec<(String, Vec<f32>)> = keywords
             .iter()
@@ -442,8 +428,7 @@ pub(crate) fn naming_embeddings(
     paths: &[Path],
     word: &dyn WordEmbedder,
     me: &mut LabelEmbCache,
-    threads: usize,
-) -> NameEmbs {
+) -> Result<NameEmbs> {
     let (keys, of) = first_occurrences(
         paths
             .iter()
@@ -452,7 +437,7 @@ pub(crate) fn naming_embeddings(
     let labels = keys
         .iter()
         .flat_map(|&(end, last)| last.into_iter().chain([end]));
-    me.fill(g.symbols(), word, labels, threads);
+    me.fill(g.symbols(), word, labels)?;
     let embs = keys
         .iter()
         .map(|&(end, last)| {
@@ -465,7 +450,7 @@ pub(crate) fn naming_embeddings(
             emb
         })
         .collect();
-    NameEmbs { embs, of }
+    Ok(NameEmbs { embs, of })
 }
 
 /// Crate-internal access to [`Rext::tuple_attr_embeddings`] (used by
@@ -528,7 +513,6 @@ mod tests {
                 seed: 5,
                 ..LmConfig::default()
             },
-            threads: 1,
             seed: 77,
             ..RExtConfig::default()
         }
@@ -716,25 +700,46 @@ mod tests {
         for v in matches.vertices() {
             paths.extend(crate::path_select::select_paths_random(&g, v, 3, 1));
         }
-        for threads in [1, 4] {
-            let names = naming_embeddings(&g, &paths, &word, &mut Default::default(), threads);
-            assert!(names.embs.len() < paths.len(), "type labels repeat");
-            for (p, &n) in paths.iter().zip(&names.of) {
-                let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&names.embs[n as usize]),
-                    bits(&naming_embedding(&g, p, &word))
-                );
-            }
+        let names = naming_embeddings(&g, &paths, &word, &mut Default::default()).unwrap();
+        assert!(names.embs.len() < paths.len(), "type labels repeat");
+        for (p, &n) in paths.iter().zip(&names.of) {
+            let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&names.embs[n as usize]),
+                bits(&naming_embedding(&g, p, &word))
+            );
         }
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u32> = (0..100).collect();
-        let out = parallel_map(&items, 4, |&x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        let small = parallel_map(&items[..3], 8, |&x| x + 1);
-        assert_eq!(small, vec![1, 2, 3]);
+    fn a_panicking_embedder_on_a_pool_thread_is_an_error_not_an_unwind() {
+        /// `Me` with a bug on one label.
+        struct Panicky(HashEmbedder);
+        impl WordEmbedder for Panicky {
+            fn dim(&self) -> usize {
+                self.0.dim()
+            }
+            fn embed(&self, text: &str) -> Vec<f32> {
+                assert_ne!(text, "DE", "no embedding for {text}");
+                self.0.embed(text)
+            }
+        }
+        let (g, s, matches) = setting();
+        let mut rext = Rext::train(&g, quick_cfg(PathKind::Random)).unwrap();
+        rext.word = Arc::new(Panicky(HashEmbedder::new(256)));
+        let discovered = pool::with_threads(4, || {
+            pool::with_morsel_rows(2, || {
+                rext.discover(&g, &matches, Some((&s, "pid")), &["loc".to_string()], "h_p")
+            })
+        });
+        match discovered {
+            Err(GsjError::Internal(m)) => {
+                assert!(
+                    m.contains("panicked") && m.contains("no embedding for DE"),
+                    "{m}"
+                )
+            }
+            other => panic!("expected Internal, got {:?}", other.map(|d| d.schema)),
+        }
     }
 }

@@ -154,7 +154,6 @@ mod tests {
                 h: 4,
                 m: 1,
                 path: PathKind::Random,
-                threads: 1,
                 ..RExtConfig::default()
             },
         )
@@ -179,7 +178,6 @@ mod tests {
             &g,
             RExtConfig {
                 path: PathKind::Random,
-                threads: 1,
                 ..RExtConfig::default()
             },
         )

@@ -47,43 +47,25 @@ pub type Sentence = Vec<Symbol>;
 /// Each walk starts at a live vertex, takes uniformly random incident edges
 /// (never immediately backtracking when it has another choice), and records
 /// the alternating vertex/edge label sequence. Walks of length zero (from
-/// isolated vertices) are skipped.
-pub fn build_corpus(g: &LabeledGraph, cfg: &WalkConfig) -> Vec<Sentence> {
-    // INVARIANT(allowlist): with no governor the impl performs no
-    // governance checks and no fault points, so it cannot fail.
-    build_corpus_impl(g, cfg, None).expect("ungoverned corpus build is infallible")
-}
-
-/// [`build_corpus`] under a governor: the per-walk loop observes
+/// isolated vertices) are skipped. The per-walk loop observes `gov`'s
 /// cancellation and deadline (strided), and the stage carries the
-/// `graph.random_walk` fault point.
-pub fn build_corpus_governed(
+/// `graph.random_walk` fault point; callers with nothing to enforce pass
+/// [`QueryGovernor::unlimited`].
+pub fn build_corpus(
     g: &LabeledGraph,
     cfg: &WalkConfig,
     gov: &QueryGovernor,
 ) -> Result<Vec<Sentence>> {
-    build_corpus_impl(g, cfg, Some(gov))
-}
-
-fn build_corpus_impl(
-    g: &LabeledGraph,
-    cfg: &WalkConfig,
-    gov: Option<&QueryGovernor>,
-) -> Result<Vec<Sentence>> {
     let mut span = gsj_obs::span("graph.random_walk");
     static WALKS: gsj_obs::LazyCounter = gsj_obs::LazyCounter::new("gsj_graph_walks_total");
     static TOKENS: gsj_obs::LazyCounter = gsj_obs::LazyCounter::new("gsj_graph_walk_tokens_total");
-    if gov.is_some() {
-        fault_point("graph.random_walk", FaultClass::Critical)?;
-    }
+    fault_point("graph.random_walk", FaultClass::Critical)?;
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let vertices: Vec<VertexId> = g.vertices().collect();
     let mut corpus = Vec::with_capacity(vertices.len() * cfg.walks_per_vertex);
     for &start in &vertices {
         for _ in 0..cfg.walks_per_vertex {
-            if let Some(gov) = gov {
-                gov.check_coarse("graph.random_walk")?;
-            }
+            gov.check_coarse("graph.random_walk")?;
             if let Some(s) = walk_sentence(g, start, cfg.max_len, &mut rng) {
                 corpus.push(s);
             }
@@ -162,17 +144,21 @@ mod tests {
         g
     }
 
+    fn corpus(g: &LabeledGraph, cfg: &WalkConfig) -> Vec<Sentence> {
+        build_corpus(g, cfg, &QueryGovernor::unlimited()).unwrap()
+    }
+
     #[test]
     fn corpus_is_deterministic_for_fixed_seed() {
         let g = star();
         let cfg = WalkConfig::default();
-        assert_eq!(build_corpus(&g, &cfg), build_corpus(&g, &cfg));
+        assert_eq!(corpus(&g, &cfg), corpus(&g, &cfg));
     }
 
     #[test]
     fn sentences_alternate_vertex_edge_labels() {
         let g = star();
-        let corpus = build_corpus(&g, &WalkConfig::default());
+        let corpus = corpus(&g, &WalkConfig::default());
         assert!(!corpus.is_empty());
         let spoke = g.symbols().get("spoke").unwrap();
         for s in &corpus {
@@ -194,24 +180,16 @@ mod tests {
     fn isolated_vertices_produce_no_sentences() {
         let mut g = LabeledGraph::new();
         g.add_vertex("lonely");
-        let corpus = build_corpus(&g, &WalkConfig::default());
-        assert!(corpus.is_empty());
+        assert!(corpus(&g, &WalkConfig::default()).is_empty());
     }
 
     #[test]
-    fn governed_corpus_matches_classic_and_observes_cancel() {
-        let g = star();
-        let cfg = WalkConfig::default();
-        let gov = QueryGovernor::unlimited();
-        assert_eq!(
-            build_corpus_governed(&g, &cfg, &gov).unwrap(),
-            build_corpus(&g, &cfg)
-        );
+    fn corpus_build_observes_cancel() {
         // Fresh governor: its first strided check runs the full check.
         let gov = QueryGovernor::unlimited();
         gov.cancel();
         assert_eq!(
-            build_corpus_governed(&g, &cfg, &gov),
+            build_corpus(&star(), &WalkConfig::default(), &gov),
             Err(gsj_common::GsjError::Cancelled)
         );
     }
@@ -223,7 +201,7 @@ mod tests {
             max_len: 2,
             ..WalkConfig::default()
         };
-        for s in build_corpus(&g, &cfg) {
+        for s in corpus(&g, &cfg) {
             assert!(s.len() <= 2 * cfg.max_len + 1);
         }
     }

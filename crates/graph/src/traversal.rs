@@ -33,29 +33,19 @@ static BFS_HITS: LazyCounter = LazyCounter::new("gsj_graph_bfs_hits_total");
 // `pool.worker` fault point is armed only under a governor.
 const UNGOVERNED: &str = "ungoverned traversal is infallible";
 
-/// Frontier size below which a BFS level expands inline: pool fan-out
-/// only pays off once a level scans thousands of adjacency lists.
-const PAR_FRONTIER: usize = 1024;
-
-/// Worker count for one BFS level over `len` frontier vertices. A
-/// lowered [`pool::with_morsel_rows`] override lowers the engagement
-/// threshold with it, so equivalence tests can exercise the parallel
-/// path on small graphs.
-fn frontier_workers(len: usize) -> usize {
-    let w = pool::gsj_threads();
-    if w > 1 && len >= PAR_FRONTIER.min(pool::morsel_rows()) {
-        w
-    } else {
-        1
-    }
-}
+/// Frontier vertices per pool task, and the frontier size up to which a
+/// BFS level expands inline: pool fan-out only pays off once a level
+/// scans thousands of adjacency lists. A lowered
+/// [`pool::with_morsel_rows`] override lowers it with it, so equivalence
+/// tests can exercise the parallel path on small graphs.
+const FRONTIER_GRAIN: usize = 1024;
 
 /// Expand one BFS level: every neighbor of `frontier` for which
 /// `is_seen` is false, in frontier order (duplicates included — the
 /// caller dedupes as it inserts, which also folds away the races a
 /// frozen `is_seen` view cannot observe). Fans the adjacency scans out
 /// across the worker pool when the frontier is large; partials
-/// concatenate in chunk order, so the result is identical to the inline
+/// concatenate in range order, so the result is identical to the inline
 /// scan.
 fn expand_level(
     g: &LabeledGraph,
@@ -63,9 +53,13 @@ fn expand_level(
     is_seen: &(dyn Fn(&VertexId) -> bool + Sync),
     gov: Option<&QueryGovernor>,
 ) -> Result<Vec<VertexId>> {
-    let scan = |chunk: &[VertexId]| -> Result<Vec<VertexId>> {
+    let grain = FRONTIER_GRAIN.min(pool::morsel_rows());
+    let parts = pool::run_ranges(frontier.len(), grain, |range, pooled| {
+        if pooled && gov.is_some() {
+            fault_point("pool.worker", FaultClass::Critical)?;
+        }
         let mut out = Vec::new();
-        for &w in chunk {
+        for &w in &frontier[range] {
             if let Some(gov) = gov {
                 gov.check_coarse("graph.khop")?;
             }
@@ -76,22 +70,8 @@ fn expand_level(
             }
         }
         Ok(out)
-    };
-    let workers = frontier_workers(frontier.len());
-    if workers <= 1 {
-        return scan(frontier);
-    }
-    // Oversplit (4 chunks per worker) so uneven adjacency lists
-    // rebalance through the shared claim index.
-    let chunk = frontier.len().div_ceil(workers * 4).max(1);
-    let chunks: Vec<&[VertexId]> = frontier.chunks(chunk).collect();
-    let parts = pool::run_tasks(workers, chunks.len(), |i| {
-        if gov.is_some() {
-            fault_point("pool.worker", FaultClass::Critical)?;
-        }
-        scan(chunks[i])
     })?;
-    Ok(parts.into_iter().flatten().collect())
+    Ok(pool::concat(parts))
 }
 
 /// All live vertices within `k` undirected hops of `start` (including

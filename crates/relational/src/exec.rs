@@ -24,12 +24,13 @@
 //! materialized. Callers with nothing to enforce pass
 //! [`QueryGovernor::unlimited`].
 //!
-//! Execution is *morsel-driven* (DESIGN.md §13): when more than one
-//! worker is configured (`GSJ_THREADS`, see [`gsj_common::pool`]) and
-//! the input exceeds one morsel, filters, hash-join probes, aggregate
-//! bucketing and nested loops split their input into fixed-size row
-//! ranges and fan them out over scoped worker threads — shared build
-//! table, partitioned probe, per-worker partials merged in morsel order.
+//! Execution is *morsel-driven* (DESIGN.md §13): filters, hash-join
+//! probes, aggregate bucketing and nested loops hand their input to
+//! [`gsj_common::pool::run_ranges`], which — when more than one worker is
+//! configured (`GSJ_THREADS`) and the input exceeds one morsel — splits it
+//! into fixed-size row ranges and fans them out over scoped worker
+//! threads: shared build table, partitioned probe, per-morsel partials
+//! folded in morsel order.
 //! Output is row-for-row identical to the sequential path at any worker
 //! count, including which error surfaces (the lowest-indexed failing
 //! morsel contains the globally first failing row). One worker is the
@@ -40,7 +41,7 @@ use crate::expr::{AggFunc, AggSpec, CmpOp, Expr};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use gsj_common::pool::{self, Mergeable};
+use gsj_common::pool;
 use gsj_common::{FxHashMap, GsjError, QueryGovernor, Result, Value};
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -100,15 +101,6 @@ pub struct JoinStats {
     pub probe_rows: usize,
 }
 
-impl Mergeable for JoinStats {
-    fn merge(&mut self, other: Self) {
-        // Probe morsels share one build table and partition the probe
-        // side between them.
-        debug_assert_eq!(self.build_rows, other.build_rows);
-        self.probe_rows += other.probe_rows;
-    }
-}
-
 /// How a hash join combines its inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HashJoinMode {
@@ -125,19 +117,6 @@ pub enum HashJoinMode {
 // Morsel-driven fan-out (DESIGN.md §13).
 // ---------------------------------------------------------------------
 
-/// Worker count for a kernel over `len` rows: parallel only when more
-/// than one worker is configured *and* the input spans at least two
-/// morsels — small inputs never pay thread-spawn overhead, and one
-/// worker is the exact legacy path.
-fn par_workers(len: usize) -> usize {
-    let w = pool::gsj_threads();
-    if w > 1 && len > pool::morsel_rows() {
-        w
-    } else {
-        1
-    }
-}
-
 /// Parallel kernel invocations (a kernel engaged the worker pool).
 static PAR_KERNELS: gsj_obs::LazyCounter =
     gsj_obs::LazyCounter::new("gsj_relational_parallel_kernels_total");
@@ -145,67 +124,28 @@ static PAR_KERNELS: gsj_obs::LazyCounter =
 static PAR_MORSELS: gsj_obs::LazyCounter =
     gsj_obs::LazyCounter::new("gsj_relational_parallel_morsels_total");
 
-/// Fan `task` out over `ranges` on `workers` threads and fold the
-/// partials in morsel order. Every worker task carries the
-/// `pool.worker` fault point; a panicking task is contained by the
-/// pool's `catch_unwind` and surfaces as [`GsjError::Internal`].
-fn par_morsels<R, F>(workers: usize, ranges: &[Range<usize>], task: F) -> Result<Option<R>>
+/// One kernel's pass over rows `0..len` in morsels of `rows` rows:
+/// [`pool::run_ranges`] decides between one inline whole-input morsel
+/// (one worker, or an input within one morsel — small inputs never pay
+/// thread-spawn overhead) and the pool, and the partials come back in
+/// morsel order. Every pool task carries the `pool.worker` fault point; a
+/// panicking task is contained by the pool's `catch_unwind` and surfaces
+/// as [`GsjError::Internal`].
+fn morsels<R, F>(len: usize, rows: usize, task: F) -> Result<Vec<R>>
 where
-    R: Send + Mergeable,
+    R: Send,
     F: Fn(Range<usize>) -> Result<R> + Sync,
 {
-    PAR_KERNELS.inc();
-    PAR_MORSELS.add(ranges.len() as u64);
-    let partials = pool::run_tasks(workers, ranges.len(), |i| {
-        gsj_faults::fault_point("pool.worker", gsj_faults::FaultClass::Critical)?;
-        task(ranges[i].clone())
-    })?;
-    let mut iter = partials.into_iter();
-    let Some(mut total) = iter.next() else {
-        return Ok(None);
-    };
-    for p in iter {
-        total.merge(p);
+    if pool::fans_out(len, rows) {
+        PAR_KERNELS.inc();
+        PAR_MORSELS.add(len.div_ceil(rows) as u64);
     }
-    Ok(Some(total))
-}
-
-/// Per-morsel join-probe partial: matched `(left, right)` row-index
-/// pairs plus the morsel's [`JoinStats`] contribution. Morsels cover
-/// increasing probe ranges, so in-order concatenation reproduces the
-/// sequential probe-major emit order exactly.
-struct ProbePartial {
-    li: Vec<u32>,
-    ri: Vec<u32>,
-    stats: JoinStats,
-}
-
-impl Mergeable for ProbePartial {
-    fn merge(&mut self, other: Self) {
-        self.li.extend(other.li);
-        self.ri.extend(other.ri);
-        self.stats.merge(other.stats);
-    }
-}
-
-/// Per-morsel filter partial: surviving global row indices (increasing
-/// within and across morsels).
-struct IdxPartial(Vec<u32>);
-
-impl Mergeable for IdxPartial {
-    fn merge(&mut self, other: Self) {
-        self.0.extend(other.0);
-    }
-}
-
-/// Per-morsel nested-loop partial: joined output tuples in
-/// (left-major, right-minor) order.
-struct RowsPartial(Vec<Tuple>);
-
-impl Mergeable for RowsPartial {
-    fn merge(&mut self, other: Self) {
-        self.0.extend(other.0);
-    }
+    pool::run_ranges(len, rows, |range, pooled| {
+        if pooled {
+            gsj_faults::fault_point("pool.worker", gsj_faults::FaultClass::Critical)?;
+        }
+        task(range)
+    })
 }
 
 /// A hash-join build table over borrowed key cells, built once and then
@@ -350,7 +290,9 @@ impl<'a> JoinTable<'a> {
 /// Probe the whole probe side against a shared build table, in parallel
 /// when configured. `swap` flips the emitted pair to (probe, build) —
 /// the natural join uses it when the right input was the build side.
-/// Returns the matched (left, right) index vectors plus merged stats.
+/// Returns the matched (left, right) index vectors — per-morsel partials
+/// concatenated in morsel order, which is the sequential probe-major emit
+/// order — plus the join's stats.
 fn probe_all(
     table: &JoinTable<'_>,
     probe: &Relation,
@@ -359,11 +301,10 @@ fn probe_all(
     swap: bool,
     gov: &QueryGovernor,
 ) -> Result<(Vec<u32>, Vec<u32>, JoinStats)> {
-    let probe_morsel = |range: Range<usize>| -> Result<ProbePartial> {
+    let probe_morsel = |range: Range<usize>| -> Result<(Vec<u32>, Vec<u32>)> {
         gov.check("relational.parallel_probe")?;
         let mut li: Vec<u32> = Vec::new();
         let mut ri: Vec<u32> = Vec::new();
-        let probe_rows = range.len();
         table.probe_range(probe, probe_keys, range, |bi, pi| {
             if swap {
                 li.push(pi);
@@ -376,38 +317,25 @@ fn probe_all(
         // Memory charging from the worker itself: the partial's index
         // buffers are this morsel's materialized state.
         gov.charge_mem(8 * li.len() as u64);
-        Ok(ProbePartial {
-            li,
-            ri,
-            stats: JoinStats {
-                build_rows,
-                probe_rows,
-            },
-        })
+        Ok((li, ri))
     };
-    let workers = par_workers(probe.len());
-    let empty = JoinStats {
+    if pool::fans_out(probe.len(), pool::morsel_rows()) {
+        gsj_faults::fault_point(
+            "relational.parallel_probe",
+            gsj_faults::FaultClass::Critical,
+        )?;
+    }
+    let mut parts = morsels(probe.len(), pool::morsel_rows(), probe_morsel)?.into_iter();
+    let (mut li, mut ri) = parts.next().unwrap_or_default();
+    for (l, r) in parts {
+        li.extend(l);
+        ri.extend(r);
+    }
+    let stats = JoinStats {
         build_rows,
         probe_rows: probe.len(),
     };
-    if workers <= 1 {
-        // Legacy path: one whole-relation morsel, no pool, no worker
-        // fault points.
-        if probe.is_empty() {
-            return Ok((Vec::new(), Vec::new(), empty));
-        }
-        let p = probe_morsel(0..probe.len())?;
-        return Ok((p.li, p.ri, p.stats));
-    }
-    gsj_faults::fault_point(
-        "relational.parallel_probe",
-        gsj_faults::FaultClass::Critical,
-    )?;
-    let ranges = pool::morsel_ranges(probe.len());
-    match par_morsels(workers, &ranges, probe_morsel)? {
-        Some(p) => Ok((p.li, p.ri, p.stats)),
-        None => Ok((Vec::new(), Vec::new(), empty)),
-    }
+    Ok((li, ri, stats))
 }
 
 /// The single hash-join kernel behind [`natural_join`] and the
@@ -475,17 +403,9 @@ pub fn nested_loop(
     schema: Schema,
     gov: &QueryGovernor,
 ) -> Result<Relation> {
-    // The pair space is l.len() * r.len(); chunk the outer side so each
-    // morsel covers roughly `morsel_rows` pairs.
-    let pairs = l.len().saturating_mul(r.len());
-    let workers = if pool::gsj_threads() > 1 && l.len() > 1 && pairs > pool::morsel_rows() {
-        pool::gsj_threads()
-    } else {
-        1
-    };
     // The inner side is walked once per outer row: materialize it once.
     let inner: Vec<Tuple> = r.rows().collect();
-    let scan_chunk = |range: Range<usize>| -> Result<RowsPartial> {
+    let scan_chunk = |range: Range<usize>| -> Result<Vec<Tuple>> {
         gov.check("relational.nested_loop")?;
         let mut out = Vec::new();
         for i in range {
@@ -498,28 +418,14 @@ pub fn nested_loop(
             }
         }
         gov.charge_mem(out.len() as u64 * 16);
-        Ok(RowsPartial(out))
+        Ok(out)
     };
-    let rows = if workers <= 1 {
-        if l.is_empty() {
-            Vec::new()
-        } else {
-            scan_chunk(0..l.len())?.0
-        }
-    } else {
-        let chunk = (pool::morsel_rows() / r.len().max(1)).max(1);
-        let mut ranges = Vec::new();
-        let mut start = 0;
-        while start < l.len() {
-            let end = (start + chunk).min(l.len());
-            ranges.push(start..end);
-            start = end;
-        }
-        match par_morsels(workers, &ranges, scan_chunk)? {
-            Some(p) => p.0,
-            None => Vec::new(),
-        }
-    };
+    // The pair space is l.len() * r.len(): chunk the outer side so each
+    // morsel covers roughly `morsel_rows` pairs (and no pairs, no split).
+    let chunk = pool::morsel_rows()
+        .checked_div(r.len())
+        .map_or(usize::MAX, |c| c.max(1));
+    let rows = pool::concat(morsels(l.len(), chunk, scan_chunk)?);
     Relation::new(schema, rows)
 }
 
@@ -737,9 +643,9 @@ pub(crate) fn filter(rel: Relation, pred: &Expr, gov: &QueryGovernor) -> Result<
     if rel.is_empty() {
         return Ok(rel);
     }
-    let workers = par_workers(rel.len());
+    // Surviving global row indices, increasing within and across morsels.
     if mask_vectorizable(pred) {
-        let mask_morsel = |range: Range<usize>| -> Result<IdxPartial> {
+        let mask_morsel = |range: Range<usize>| -> Result<Vec<u32>> {
             gov.check("relational.filter")?;
             let base = range.start;
             let mask = eval_mask(pred, &rel, range)?;
@@ -749,17 +655,9 @@ pub(crate) fn filter(rel: Relation, pred: &Expr, gov: &QueryGovernor) -> Result<
                 .filter_map(|(i, &b)| b.then_some((base + i) as u32))
                 .collect();
             gov.charge_mem(4 * idx.len() as u64);
-            Ok(IdxPartial(idx))
+            Ok(idx)
         };
-        let idx = if workers <= 1 {
-            mask_morsel(0..rel.len())?.0
-        } else {
-            let ranges = pool::morsel_ranges(rel.len());
-            match par_morsels(workers, &ranges, mask_morsel)? {
-                Some(p) => p.0,
-                None => Vec::new(),
-            }
-        };
+        let idx = pool::concat(morsels(rel.len(), pool::morsel_rows(), mask_morsel)?);
         if idx.len() == rel.len() {
             return Ok(rel);
         }
@@ -770,7 +668,7 @@ pub(crate) fn filter(rel: Relation, pred: &Expr, gov: &QueryGovernor) -> Result<
     // erroring morsel wins, so the surfaced error is the one the
     // sequential scan would have hit first.
     let schema = rel.schema().clone();
-    let row_morsel = |range: Range<usize>| -> Result<IdxPartial> {
+    let row_morsel = |range: Range<usize>| -> Result<Vec<u32>> {
         gov.check("relational.filter")?;
         let mut idx: Vec<u32> = Vec::new();
         for i in range {
@@ -779,17 +677,9 @@ pub(crate) fn filter(rel: Relation, pred: &Expr, gov: &QueryGovernor) -> Result<
             }
         }
         gov.charge_mem(4 * idx.len() as u64);
-        Ok(IdxPartial(idx))
+        Ok(idx)
     };
-    let idx = if workers <= 1 {
-        row_morsel(0..rel.len())?.0
-    } else {
-        let ranges = pool::morsel_ranges(rel.len());
-        match par_morsels(workers, &ranges, row_morsel)? {
-            Some(p) => p.0,
-            None => Vec::new(),
-        }
-    };
+    let idx = pool::concat(morsels(rel.len(), pool::morsel_rows(), row_morsel)?);
     Ok(rel.gather(&idx))
 }
 
@@ -853,7 +743,8 @@ impl<'a> GroupPartial<'a> {
     }
 }
 
-impl<'a> Mergeable for GroupPartial<'a> {
+impl<'a> GroupPartial<'a> {
+    /// Fold in `other`, which covers strictly later rows.
     fn merge(&mut self, other: Self) {
         for (key, rws) in other.keys.into_iter().zip(other.rows) {
             match self.map.get(&key) {
@@ -916,17 +807,9 @@ pub fn aggregate(
         gov.charge_mem(part.rows.iter().map(|r| 4 * r.len() as u64).sum());
         Ok(part)
     };
-    let workers = par_workers(rel.len());
-    let merged = if workers <= 1 {
-        if rel.is_empty() {
-            GroupPartial::new()
-        } else {
-            bucket_morsel(0..rel.len())?
-        }
-    } else {
-        let ranges = pool::morsel_ranges(rel.len());
-        par_morsels(workers, &ranges, bucket_morsel)?.unwrap_or_else(GroupPartial::new)
-    };
+    let mut parts = morsels(rel.len(), pool::morsel_rows(), bucket_morsel)?.into_iter();
+    let mut merged = parts.next().unwrap_or_else(GroupPartial::new);
+    parts.for_each(|p| merged.merge(p));
     let mut group_rows = merged.rows;
     if group_by.is_empty() && group_rows.is_empty() {
         // Global aggregate over the empty input still yields one row.

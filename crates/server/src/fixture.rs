@@ -13,7 +13,9 @@ use gsj_datagen::{Collection, Scale};
 use std::sync::Arc;
 
 /// The random-path RExt configuration used for serving fixtures and the
-/// integration suite: single-threaded and deterministic. Path
+/// integration suite: deterministic at every worker count (a `Baseline`
+/// query served at `GSJ_THREADS` > 1 fans its path selection, embedding
+/// and K-means assignment out like every other kernel). Path
 /// *selection* is unguided, but the default `SeqKind::Lstm100` path
 /// embedding still trains the LSTM (≈ 17 s of set-up at `Scale(100)`).
 pub fn serving_rext_config() -> RExtConfig {
@@ -22,7 +24,6 @@ pub fn serving_rext_config() -> RExtConfig {
         h: 12,
         m: 4,
         path: PathKind::Random,
-        threads: 1,
         seed: 7,
         ..RExtConfig::default()
     }

@@ -22,7 +22,7 @@ use gsj_core::rext::Rext;
 use gsj_datagen::queries::workload;
 use gsj_datagen::updates::balanced_updates;
 use gsj_datagen::Collection;
-use gsj_graph::random_walk::{build_corpus_governed, WalkConfig};
+use gsj_graph::random_walk::{build_corpus, WalkConfig};
 use gsj_graph::traversal::k_hop_set_governed;
 use gsj_graph::update::apply_updates;
 use gsj_her::her_match;
@@ -156,7 +156,7 @@ fn drive_all(f: &Fixture) -> Vec<(&'static str, Result<usize>)> {
     ));
     out.push((
         "graph.walk",
-        build_corpus_governed(&f.col.graph, &WalkConfig::default(), &gov).map(|c| c.len()),
+        build_corpus(&f.col.graph, &WalkConfig::default(), &gov).map(|c| c.len()),
     ));
     // Direct relational drives: the filter operator and a hash natural
     // join, so the `relational.*` sites stay reachable even when the

@@ -2,10 +2,12 @@
 //! distinct end label / label sequence / naming pair, bit-identical points
 //! clustered once. This file holds it to the *per-path* discovery: every
 //! path embedded, named and compared on its own, assembled here from the
-//! public pieces, on all six collections at `threads` 1 and 4.
+//! public pieces, on all six collections — and to itself: the discovery
+//! and the `D_G` extracted from it are the same, bit for bit, at 1, 2, 3
+//! and 8 workers.
 
 use gsj_cluster::{kmeans, KmeansConfig};
-use gsj_common::{FxHashMap, FxHashSet, Value};
+use gsj_common::{pool, FxHashMap, FxHashSet, Value};
 use gsj_core::config::RExtConfig;
 use gsj_core::discover::{
     filter_link_clusters, refine_patterns, select_attributes, Discovery, NameEmbs,
@@ -19,7 +21,7 @@ use gsj_her::{her_match, MatchRelation};
 use gsj_nn::lm::SequenceEmbedder;
 use gsj_nn::vector::{add_assign, concat, l2_normalize, scale};
 use gsj_server::serving_rext_config;
-use gsj_tests::tiny;
+use gsj_tests::{assert_same_discovery, bits, tiny};
 
 /// `Rext::discover` with nothing shared between paths.
 fn per_path_discover(
@@ -59,11 +61,11 @@ fn per_path_discover(
         &KmeansConfig {
             k: cfg.h,
             max_iters: cfg.kmeans_iters,
-            threads: cfg.threads,
             seed: cfg.seed ^ 0x2222,
             ..KmeansConfig::default()
         },
     )
+    .unwrap()
     .assignments;
     let refined = refine_patterns(&flat, &assignments, cfg.h);
     let refined = if cfg.filter_same_type_ends {
@@ -132,44 +134,6 @@ fn per_path_discover(
     }
 }
 
-fn bits(x: &[f32]) -> Vec<u32> {
-    x.iter().map(|f| f.to_bits()).collect()
-}
-
-fn assert_same_discovery(a: &Discovery, b: &Discovery, what: &str) {
-    assert_eq!(a.clusters.len(), b.clusters.len(), "{what}: cluster count");
-    for (x, y) in a.clusters.iter().zip(&b.clusters) {
-        assert_eq!(x.patterns, y.patterns, "{what}: patterns of {}", x.attr);
-        assert_eq!(x.attr, y.attr, "{what}: attribute name");
-        assert_eq!(
-            bits(&x.attr_emb),
-            bits(&y.attr_emb),
-            "{what}: x_A of {}",
-            x.attr
-        );
-        assert_eq!(
-            x.score.to_bits(),
-            y.score.to_bits(),
-            "{what}: score of {}",
-            x.attr
-        );
-    }
-    assert_eq!(a.schema, b.schema, "{what}: schema");
-    assert_eq!(a.refined, b.refined, "{what}: refined clusters");
-    assert_eq!(a.paths, b.paths, "{what}: path cache");
-    assert_eq!(a.total_paths, b.total_paths, "{what}: |P|");
-    assert_eq!(a.word_dim, b.word_dim, "{what}: word dim");
-    assert_eq!(
-        a.keyword_embs.len(),
-        b.keyword_embs.len(),
-        "{what}: keywords"
-    );
-    for ((ka, ea), (kb, eb)) in a.keyword_embs.iter().zip(&b.keyword_embs) {
-        assert_eq!(ka, kb, "{what}: keyword");
-        assert_eq!(bits(ea), bits(eb), "{what}: embedding of {ka}");
-    }
-}
-
 /// Field `key` of the one span labelled `label`.
 fn field(spans: &[gsj_obs::SpanRecord], label: &str, key: &str) -> usize {
     let mut of_label = spans.iter().filter(|s| s.label == label);
@@ -228,39 +192,38 @@ fn discovery_equals_per_path_discovery(name: &str) {
     );
     assert!(field(&spans, "her.match", "scored") >= field(&spans, "her.match", "matched"));
     let keywords = col.spec.reference_keywords();
-    let mut by_threads = Vec::new();
-    for threads in [1, 4] {
-        let rext = Rext::train(
-            &col.graph,
-            RExtConfig {
-                threads,
-                ..serving_rext_config()
-            },
-        )
-        .unwrap();
-        let (shared, spans) = gsj_obs::capture(|| {
-            rext.discover(
-                &col.graph,
-                &matches,
-                Some((col.entity_relation(), &col.spec.id_attr)),
-                &keywords,
-                "h_x",
-            )
+    let rext = Rext::train(&col.graph, serving_rext_config()).unwrap();
+    let per_path = per_path_discover(&rext, &col, &matches, &keywords);
+    let mut first_dg = None;
+    // Two-row ranges, so every fan-out of the pipeline — path selection,
+    // both embeddings, the K-means assignment — is on the pool from two
+    // workers up.
+    for workers in [1, 2, 3, 8] {
+        let what = format!("{name}, {workers} workers");
+        let (run, spans) = pool::with_threads(workers, || {
+            pool::with_morsel_rows(2, || {
+                gsj_obs::capture(|| {
+                    let shared = rext.discover(
+                        &col.graph,
+                        &matches,
+                        Some((col.entity_relation(), &col.spec.id_attr)),
+                        &keywords,
+                        "h_x",
+                    )?;
+                    let dg = rext.extract(&col.graph, &matches, &shared)?;
+                    gsj_common::Result::Ok((shared, dg))
+                })
+            })
         });
-        let shared = shared.unwrap();
+        let (shared, dg) = run.unwrap();
         assert!(!shared.clusters.is_empty(), "{name}: nothing discovered");
         assert_spans_count_distinct_inputs(&spans, &col, &shared);
-        let per_path = per_path_discover(&rext, &col, &matches, &keywords);
-        assert_same_discovery(&shared, &per_path, &format!("{name}, threads {threads}"));
-        by_threads.push(shared);
+        assert_same_discovery(&shared, &per_path, &what);
+        assert_eq!(&dg, first_dg.get_or_insert_with(|| dg.clone()), "{what}");
     }
-    // K-means sums its inertia per worker, so its stopping iteration may
-    // differ between worker counts; everything upstream of it may not.
-    assert_eq!(by_threads[0].paths, by_threads[1].paths, "{name}");
-    assert_eq!(by_threads[0].total_paths, by_threads[1].total_paths);
 }
 
-/// One test per collection: each trains its own models, twice.
+/// One test per collection: each trains its own model.
 macro_rules! on_collection {
     ($($test:ident => $name:literal),* $(,)?) => {
         $(
@@ -295,7 +258,6 @@ fn a_variant_on_the_memos_shared_model_equals_its_own_training() {
     let quick = |mut cfg: RExtConfig| {
         cfg.lm.epochs = 1;
         cfg.lm.max_sentences = 300;
-        cfg.threads = 1;
         cfg
     };
     let mut memo = gsj_bench::Memo::new(gsj_datagen::Scale::tiny());

@@ -7,7 +7,7 @@ use gsj_common::{GsjError, QueryGovernor};
 use gsj_core::gsql::exec::{GsqlEngine, Strategy, TraceOpt};
 use gsj_datagen::queries::workload;
 use gsj_datagen::Collection;
-use gsj_graph::random_walk::{build_corpus_governed, WalkConfig};
+use gsj_graph::random_walk::{build_corpus, WalkConfig};
 use gsj_graph::traversal::{k_hop_set, k_hop_set_governed};
 use gsj_graph::LabeledGraph;
 use gsj_server::engine_for_collection;
@@ -59,7 +59,7 @@ fn khop_bfs_observes_expired_deadline() {
 fn random_walk_corpus_observes_expired_deadline() {
     let (g, _) = chain(300);
     let cfg = WalkConfig::default();
-    let err = build_corpus_governed(&g, &cfg, &expired()).unwrap_err();
+    let err = build_corpus(&g, &cfg, &expired()).unwrap_err();
     assert!(matches!(err, GsjError::DeadlineExceeded(_)), "{err:?}");
 }
 

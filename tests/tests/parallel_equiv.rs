@@ -6,16 +6,24 @@
 //!
 //! Every case runs under [`pool::with_morsel_rows(2)`] so proptest-sized
 //! inputs cross the parallel-engagement thresholds that normally keep
-//! small relations on the inline path.
+//! small relations on the inline path. The last leg puts the RExt half of
+//! the pipeline — path selection, both embeddings, K-means — under the
+//! same matrix, offline, under IncExt and at query time.
 
 use gsj_common::{pool, GsjError, QueryGovernor, Value};
+use gsj_core::gsql::exec::Strategy;
+use gsj_core::incext::inc_update_graph;
+use gsj_core::rext::Rext;
 use gsj_graph::random_walk::{build_corpus, WalkConfig};
 use gsj_graph::traversal::{k_hop_set, within_k_hops};
+use gsj_graph::update::apply_updates;
 use gsj_graph::{LabeledGraph, VertexId};
 use gsj_relational::exec::{aggregate, natural_join};
 use gsj_relational::physical::filter_rel;
 use gsj_relational::{AggFunc, AggSpec, CmpOp, ExecContext, Expr, Relation, Schema};
+use gsj_tests::{assert_same_discovery, tiny};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Run `f` with the pool pinned to `threads` workers and two-row
 /// morsels, so even tiny inputs engage the parallel kernels.
@@ -138,11 +146,110 @@ proptest! {
     ) {
         let (g, _) = graph(&edges);
         let cfg = WalkConfig { walks_per_vertex: 3, max_len: 6, seed };
-        let seq = at(1, || build_corpus(&g, &cfg));
+        let gov = QueryGovernor::unlimited();
+        let seq = at(1, || build_corpus(&g, &cfg, &gov)).unwrap();
         for threads in [2, 8] {
-            prop_assert_eq!(&seq, &at(threads, || build_corpus(&g, &cfg)));
+            prop_assert_eq!(&seq, &at(threads, || build_corpus(&g, &cfg, &gov)).unwrap());
         }
     }
+}
+
+/// `h(D,G)` is a function of `(D, G, A)`, not of the machine: offline
+/// profiling (`GraphProfile::build`: HER → discover → extract), one IncExt
+/// batch over it and one query-time `Baseline` e-join produce the same
+/// match relation, discovery, `D_G` and rows at every worker count.
+#[test]
+fn rext_pipeline_is_worker_count_invariant() {
+    let col = tiny("Movie");
+    let rext = Arc::new(Rext::train(&col.graph, gsj_server::serving_rext_config()).unwrap());
+    let queries = gsj_datagen::queries::workload(&col);
+    let ejoin = &queries.iter().find(|q| !q.link).unwrap().text;
+    let mut updated_graph = col.graph.clone();
+    let ups = gsj_datagen::updates::balanced_updates(&updated_graph, 0.05, 7);
+    let report = apply_updates(&mut updated_graph, &ups);
+    let run = |workers| {
+        at(workers, || {
+            let engine = col.engine(Arc::clone(&rext)).unwrap();
+            let profile = engine.profile("G").unwrap();
+            let offline = profile.extraction(&col.spec.rel_name).unwrap().clone();
+            let updated = inc_update_graph(
+                &rext,
+                &updated_graph,
+                col.entity_relation(),
+                &col.her_config(),
+                &offline,
+                &report,
+            )
+            .unwrap();
+            let rows = engine.run(ejoin, Strategy::Baseline).unwrap();
+            ([offline, updated], rows)
+        })
+    };
+    let (seq, seq_rows) = run(1);
+    assert!(!seq[0].dg.is_empty() && !seq_rows.is_empty());
+    for workers in [2, 8] {
+        let (par, par_rows) = run(workers);
+        for (phase, (a, b)) in ["offline", "IncExt"].iter().zip(seq.iter().zip(&par)) {
+            let what = format!("{phase} at {workers} workers");
+            assert_eq!(a.matches.pairs(), b.matches.pairs(), "{what}: f(D,G)");
+            assert_same_discovery(&a.discovery, &b.discovery, &what);
+            assert_eq!(a.dg, b.dg, "{what}: D_G");
+        }
+        assert_eq!(seq_rows, par_rows, "Baseline e-join at {workers} workers");
+    }
+}
+
+/// One way to go parallel: outside `gsj_common::pool` (and the server,
+/// whose threads are sessions, not kernels) no engine source starts a
+/// thread or asks the host for its core count — so a fourth private
+/// fan-out cannot grow back unnoticed. Scans the non-test part of every
+/// file under `crates/*/src` (up to its first `#[cfg(test)]`).
+#[test]
+fn only_the_pool_starts_threads_or_counts_cores() {
+    const FORBIDDEN: [&str; 5] = [
+        "thread::scope",
+        "thread::spawn",
+        "thread::Builder",
+        "crossbeam::thread",
+        "available_parallelism",
+    ];
+    fn scan(dir: &std::path::Path, offenders: &mut Vec<String>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                scan(&path, offenders);
+            } else if path.extension().is_some_and(|e| e == "rs")
+                && !path.ends_with("common/src/pool.rs")
+            {
+                let source = std::fs::read_to_string(&path).unwrap();
+                let engine = source.split("#[cfg(test)]").next().unwrap();
+                for (n, line) in engine.lines().enumerate() {
+                    if FORBIDDEN.iter().any(|f| line.contains(f)) {
+                        offenders.push(format!("{}:{}: {}", path.display(), n + 1, line.trim()));
+                    }
+                }
+            }
+        }
+    }
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates");
+    let mut offenders = Vec::new();
+    let mut scanned = 0;
+    for entry in std::fs::read_dir(&crates).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() && !path.ends_with("server") {
+            scan(&path.join("src"), &mut offenders);
+            scanned += 1;
+        }
+    }
+    assert!(
+        scanned >= 10,
+        "found only {scanned} crates under {crates:?}"
+    );
+    assert!(
+        offenders.is_empty(),
+        "fan out through gsj_common::pool::run_ranges instead:\n{}",
+        offenders.join("\n")
+    );
 }
 
 /// Cancelling the governor from another thread mid-parallel-probe trips

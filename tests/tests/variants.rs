@@ -19,7 +19,6 @@ fn small_lm(mut cfg: RExtConfig) -> RExtConfig {
     };
     cfg.h = 12;
     cfg.m = 4;
-    cfg.threads = 1;
     cfg
 }
 
@@ -84,7 +83,6 @@ fn rext_short_seq_runs() {
     let mut cfg = RExtConfig::short_seq();
     cfg.h = 12;
     cfg.m = 4;
-    cfg.threads = 1;
     cfg.lm.epochs = 3;
     cfg.lm.embed_dim = 16;
     assert!(run_variant(cfg) > 0.3);
