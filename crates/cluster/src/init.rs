@@ -1,6 +1,7 @@
 //! k-means++ centroid seeding.
 
-use crate::lanes::{Distinct, LaneMatrix};
+use crate::lanes::Distinct;
+use gsj_nn::lanes::LaneMatrix;
 use rand::rngs::SmallRng;
 use rand::RngExt;
 

@@ -1,8 +1,9 @@
 //! Lloyd's algorithm with parallel assignment.
 
 use crate::init::kmeanspp_distinct;
-use crate::lanes::{Distinct, LaneMatrix};
+use crate::lanes::Distinct;
 use gsj_common::{pool, Result};
+use gsj_nn::lanes::LaneMatrix;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 

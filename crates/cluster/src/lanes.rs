@@ -1,72 +1,9 @@
-//! The distance kernel of K-means: squared distances from one vector to
-//! many at once, and the grouping of bit-identical points.
-//!
-//! `sq_dist(a, b)` is one `f32` add chain as long as the dimension; the
-//! next add cannot start before the previous one finished, so a
-//! point × centroid loop built on it runs at the latency of an add, not
-//! at the throughput of the machine. [`LaneMatrix`] stores the "many"
-//! side dimension-major, so each lane of a block accumulates *its own*
-//! vector's chain — `acc[l] += (x[d] − m[l][d])²` for `d = 0, 1, …` — and
-//! the lanes of one dimension are independent. Per lane that is the same
-//! values added in the same order as `sq_dist`, with a separate multiply
-//! and add (Rust never contracts them to an FMA), so every distance has
-//! the bits `sq_dist` gives it; only the interleaving across lanes
-//! changed.
+//! The grouping of bit-identical points: what K-means hands the distance
+//! kernel ([`gsj_nn::lanes::LaneMatrix`], one probe against many stored
+//! vectors with `sq_dist`'s bits) instead of every point.
 
 use gsj_common::first_occurrences;
 use std::hash::{Hash, Hasher};
-
-/// Accumulator lanes per block: enough independent add chains to cover
-/// the add latency on the 4- and 8-wide vector units we run on.
-const LANES: usize = 16;
-
-/// A set of equal-length vectors laid out for [`LaneMatrix::sq_dists`]:
-/// blocks of `LANES` vectors, each block dimension-major.
-pub(crate) struct LaneMatrix {
-    rows: usize,
-    dim: usize,
-    /// `data[(block * dim + d) * LANES + lane]` is coordinate `d` of
-    /// vector `block * LANES + lane`; lanes past `rows` hold zeros.
-    data: Vec<f32>,
-}
-
-impl LaneMatrix {
-    pub(crate) fn new<'a>(vectors: impl ExactSizeIterator<Item = &'a [f32]>, dim: usize) -> Self {
-        let rows = vectors.len();
-        let mut data = vec![0.0f32; rows.div_ceil(LANES) * dim * LANES];
-        for (r, v) in vectors.enumerate() {
-            let base = (r / LANES) * dim * LANES + r % LANES;
-            for (d, &x) in v.iter().enumerate() {
-                data[base + d * LANES] = x;
-            }
-        }
-        LaneMatrix { rows, dim, data }
-    }
-
-    /// `out[r] = sq_dist(x, vector r)` for every stored vector, bit for
-    /// bit.
-    pub(crate) fn sq_dists(&self, x: &[f32], out: &mut Vec<f32>) {
-        debug_assert_eq!(x.len(), self.dim);
-        // What `sq_dist`'s `.sum()` starts from.
-        let zero: f32 = std::iter::empty::<f32>().sum();
-        out.clear();
-        if self.dim == 0 {
-            out.resize(self.rows, zero);
-            return;
-        }
-        for block in self.data.chunks_exact(self.dim * LANES) {
-            let mut acc = [zero; LANES];
-            for (&xd, lanes) in x.iter().zip(block.chunks_exact(LANES)) {
-                for (a, &m) in acc.iter_mut().zip(lanes) {
-                    let diff = xd - m;
-                    *a += diff * diff;
-                }
-            }
-            out.extend_from_slice(&acc);
-        }
-        out.truncate(self.rows);
-    }
-}
 
 /// A point compared and hashed by the bits of its coordinates.
 #[derive(Clone, Copy)]
@@ -120,37 +57,6 @@ impl<'a> Distinct<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsj_nn::vector::sq_dist;
-
-    #[test]
-    fn lane_distances_have_sq_dist_bits() {
-        // Awkward magnitudes on purpose: any re-association would show.
-        let vectors: Vec<Vec<f32>> = (0..37)
-            .map(|r| {
-                (0..29)
-                    .map(|d| ((r * 31 + d * 17) % 101) as f32 * 1e-3 + (d % 3) as f32 * 1e4)
-                    .collect()
-            })
-            .collect();
-        let x: Vec<f32> = (0..29).map(|d| (d as f32).sin() * 1e2).collect();
-        let m = LaneMatrix::new(vectors.iter().map(Vec::as_slice), 29);
-        let mut out = Vec::new();
-        m.sq_dists(&x, &mut out);
-        assert_eq!(out.len(), 37);
-        for (v, d) in vectors.iter().zip(&out) {
-            assert_eq!(d.to_bits(), sq_dist(&x, v).to_bits());
-        }
-    }
-
-    #[test]
-    fn zero_dimensions_give_the_empty_sum() {
-        let vectors = [vec![], vec![]];
-        let m = LaneMatrix::new(vectors.iter().map(Vec::as_slice), 0);
-        let mut out = Vec::new();
-        m.sq_dists(&[], &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].to_bits(), sq_dist(&[], &[]).to_bits());
-    }
 
     #[test]
     fn groups_are_by_bits_in_order_of_appearance() {

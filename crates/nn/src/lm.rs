@@ -12,13 +12,16 @@
 //!    sequence through the LSTM and returns the last hidden state — the
 //!    `xρ` sequence embedding of step (2) of pattern discovery.
 
-use crate::lstm::LstmCell;
+use crate::lanes::LaneMatrix;
+use crate::lstm::{matvec_t_add, LstmCell, LstmState};
 use crate::tensor::{AdamConfig, Param};
+use crate::vector::{add_assign, softmax};
 use gsj_common::{FxHashMap, Symbol, SymbolTable};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::RwLock;
+use std::time::Instant;
 
 /// Normalize a label for LM tokenization: lower-case and strip digits, so
 /// instance labels of one class (`Author12`, `Author7`, blank nodes
@@ -108,15 +111,17 @@ pub trait SequenceEmbedder: Send + Sync {
 /// The trained language model.
 #[derive(Debug)]
 pub struct LanguageModel {
-    cfg: LmConfig,
+    pub(crate) cfg: LmConfig,
     symbols: SymbolTable,
     by_norm: FxHashMap<String, TokenId>,
     sym_cache: RwLock<FxHashMap<Symbol, TokenId>>,
-    embed: Param,
-    cell: LstmCell,
-    why: Param,
-    by: Param,
-    adam_t: usize,
+    pub(crate) embed: Param,
+    pub(crate) cell: LstmCell,
+    pub(crate) why: Param,
+    pub(crate) by: Param,
+    /// `why.w` as the logits mat-vec reads it.
+    why_lanes: LaneMatrix,
+    pub(crate) adam_t: usize,
 }
 
 impl Clone for LanguageModel {
@@ -130,8 +135,46 @@ impl Clone for LanguageModel {
             cell: self.cell.clone(),
             why: self.why.clone(),
             by: self.by.clone(),
+            why_lanes: self.why_lanes.clone(),
             adam_t: self.adam_t,
         }
+    }
+}
+
+/// The buffers of one [`LanguageModel::fit`] call, sized for its longest
+/// sentence, so that a training step allocates nothing. Step `t` of the
+/// current sentence owns row `t` of every per-step buffer.
+pub(crate) struct Workspace {
+    /// Hidden outputs, `(T + 1) × hidden`: row `t + 1` is step `t`'s
+    /// output, row 0 the zero state.
+    h: Vec<f32>,
+    /// Cell states, laid out like `h`.
+    c: Vec<f32>,
+    /// What each step's backward needs, `T × 5·hidden` (see
+    /// [`LstmCell::step`]).
+    act: Vec<f32>,
+    /// `T × vocab`: each step's next-token distribution, turned into its
+    /// logit gradient by the backward pass.
+    dlogits: Vec<f32>,
+    /// Pre-activation gate gradients, `T × 4·hidden`.
+    dgates: Vec<f32>,
+    rec: Vec<f32>,
+    dh: Vec<f32>,
+    dh_next: Vec<f32>,
+    dc: Vec<f32>,
+    dx: Vec<f32>,
+    /// Where the previous phase ended.
+    mark: Instant,
+    /// Time spent so far in forward / backward / update.
+    phase_ns: [u64; 3],
+}
+
+impl Workspace {
+    /// Close the phase that has been running since the last call.
+    fn end_phase(&mut self, phase: usize) {
+        let now = Instant::now();
+        self.phase_ns[phase] += (now - self.mark).as_nanos() as u64;
+        self.mark = now;
     }
 }
 
@@ -143,11 +186,8 @@ impl LanguageModel {
     /// symbol table (labels are normalized through [`normalize_label`]
     /// before tokenization). Training is unsupervised.
     pub fn train(corpus: &[Vec<Symbol>], symbols: &SymbolTable, cfg: LmConfig) -> Self {
-        let mut span = gsj_obs::span("nn.lm_train");
         let mut model = Self::untrained(corpus, symbols, cfg);
         model.fit(corpus);
-        span.field("sentences", corpus.len())
-            .field("vocab", model.vocab_size());
         model
     }
 
@@ -177,53 +217,86 @@ impl LanguageModel {
         let v = by_norm.len() + SPECIALS;
 
         use crate::matrix::Matrix;
-        let embed = Param::new(
-            Matrix::xavier(v, cfg.embed_dim, cfg.seed ^ 0x11)
-                .data()
-                .to_vec(),
-        );
+        let embed = Param::new(Matrix::xavier(v, cfg.embed_dim, cfg.seed ^ 0x11).into_data());
         let cell = LstmCell::new(cfg.embed_dim, cfg.hidden, cfg.seed ^ 0x22);
-        let why = Param::new(
-            Matrix::xavier(v, cfg.hidden, cfg.seed ^ 0x33)
-                .data()
-                .to_vec(),
-        );
+        let why = Param::new(Matrix::xavier(v, cfg.hidden, cfg.seed ^ 0x33).into_data());
         let by = Param::new(vec![0.0; v]);
         LanguageModel {
-            cfg,
             symbols: symbols.clone(),
             by_norm,
             sym_cache: RwLock::new(FxHashMap::default()),
             embed,
             cell,
+            why_lanes: LaneMatrix::from_row_major(&why.w, v, cfg.hidden),
             why,
             by,
             adam_t: 0,
+            cfg,
         }
     }
 
-    /// Run the training loop (callable again for fine-tuning).
+    /// Run the training loop (callable again for fine-tuning): one SGD
+    /// step per sentence, `epochs` passes over the sampled sentences.
     pub fn fit(&mut self, corpus: &[Vec<Symbol>]) {
+        let mut span = gsj_obs::span("nn.lm_train");
         let mut rng = SmallRng::seed_from_u64(self.cfg.seed ^ 0x44);
-        let mut indices: Vec<usize> = (0..corpus.len()).collect();
-        indices.shuffle(&mut rng);
+        let mut order: Vec<usize> = (0..corpus.len()).collect();
+        order.shuffle(&mut rng);
         if self.cfg.max_sentences > 0 {
-            indices.truncate(self.cfg.max_sentences);
+            order.truncate(self.cfg.max_sentences);
         }
-        let adam = self.cfg.adam;
+        // Tokenize the sampled sentences once. From here on `order` holds
+        // positions in `sentences`; a shuffle's draws depend on the length
+        // alone, so the epochs visit the corpus in the order they always
+        // did.
+        let sentences: Vec<Vec<TokenId>> =
+            order.iter().map(|&i| self.tokenize(&corpus[i])).collect();
+        let mut order: Vec<usize> = (0..sentences.len()).collect();
+        let longest = sentences.iter().map(Vec::len).max().unwrap_or(0);
+        let mut ws = self.workspace(longest);
+        let mut steps = 0usize;
         for _ in 0..self.cfg.epochs {
-            indices.shuffle(&mut rng);
-            for &i in &indices {
-                let tokens = self.tokenize(&corpus[i]);
-                if tokens.is_empty() {
-                    continue;
+            order.shuffle(&mut rng);
+            for &k in &order {
+                if !sentences[k].is_empty() {
+                    self.train_sentence(&mut ws, &sentences[k]);
+                    steps += 1;
                 }
-                self.train_sentence(&tokens, &adam);
             }
         }
+        let cell = &self.cell;
+        let params = self.embed.len() + self.why.len() + self.by.len();
+        let params = params + cell.wx.len() + cell.wh.len() + cell.b.len();
+        span.field("sentences", corpus.len())
+            .field("vocab", self.vocab_size())
+            .field("epochs", self.cfg.epochs)
+            .field("steps", steps)
+            .field("params", params)
+            .field("forward_ns", ws.phase_ns[0])
+            .field("backward_ns", ws.phase_ns[1])
+            .field("update_ns", ws.phase_ns[2]);
     }
 
-    fn tokenize(&self, sentence: &[Symbol]) -> Vec<TokenId> {
+    /// The buffers for training on sentences up to `longest` tokens.
+    pub(crate) fn workspace(&self, longest: usize) -> Workspace {
+        let (v, hid, e) = (self.vocab_size(), self.cfg.hidden, self.cfg.embed_dim);
+        Workspace {
+            h: vec![0.0; (longest + 1) * hid],
+            c: vec![0.0; (longest + 1) * hid],
+            act: vec![0.0; longest * 5 * hid],
+            dlogits: vec![0.0; longest * v],
+            dgates: vec![0.0; longest * 4 * hid],
+            rec: vec![0.0; 4 * hid],
+            dh: vec![0.0; hid],
+            dh_next: vec![0.0; hid],
+            dc: vec![0.0; hid],
+            dx: vec![0.0; e],
+            mark: Instant::now(),
+            phase_ns: [0; 3],
+        }
+    }
+
+    pub(crate) fn tokenize(&self, sentence: &[Symbol]) -> Vec<TokenId> {
         sentence.iter().map(|s| self.token_of(*s)).collect()
     }
 
@@ -249,106 +322,140 @@ impl LanguageModel {
         self.cfg.hidden
     }
 
+    #[inline(always)]
     fn embed_row(&self, tok: TokenId) -> &[f32] {
         let e = self.cfg.embed_dim;
         &self.embed.w[tok * e..(tok + 1) * e]
     }
 
-    fn logits(&self, h: &[f32], out: &mut [f32]) {
-        let hid = self.cfg.hidden;
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = crate::vector::dot(&self.why.w[r * hid..(r + 1) * hid], h) + self.by.w[r];
-        }
+    /// The next-token distribution after hidden output `h`.
+    #[inline(always)]
+    fn next_token_probs(&self, h: &[f32], out: &mut [f32]) {
+        self.why_lanes.dots(h, out);
+        add_assign(out, &self.by.w);
+        softmax(out);
     }
 
     /// One SGD step on one sentence: predict token `t+1` from tokens
-    /// `..=t`, final target `<eos>`; cross-entropy loss. Returns the mean
-    /// per-token loss.
-    fn train_sentence(&mut self, tokens: &[TokenId], adam: &AdamConfig) -> f32 {
+    /// `..=t`, final target `<eos>`; cross-entropy loss.
+    fn train_sentence(&mut self, ws: &mut Workspace, tokens: &[TokenId]) {
+        if !self.train_sentence_avx2(ws, tokens) {
+            self.train_sentence_portable(ws, tokens);
+        }
+    }
+
+    /// [`LanguageModel::train_sentence_portable`] compiled for AVX2, if
+    /// this CPU has it (`false`: it does not, nothing was done). The
+    /// kernel is the same IEEE operations on vectors twice as wide; with
+    /// no `fma` enabled there is no contraction to change a rounding.
+    pub(crate) fn train_sentence_avx2(&mut self, ws: &mut Workspace, tokens: &[TokenId]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            #[target_feature(enable = "avx2")]
+            fn kernel(model: &mut LanguageModel, ws: &mut Workspace, tokens: &[TokenId]) {
+                model.train_sentence_portable(ws, tokens);
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: `kernel` requires a CPU with AVX2, which the
+                // line above has just detected; it has no other
+                // precondition (its body is safe code).
+                unsafe { kernel(self, ws, tokens) };
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The training step as plain code; [`LanguageModel::train_sentence`]
+    /// runs it through the widest compile the CPU supports.
+    ///
+    /// Gradients are summed per token, NOT averaged per sentence:
+    /// averaging would weight tokens of short sentences more, and since
+    /// short sentences are exactly the <eos>-heavy ones, it skews the
+    /// model toward premature stops (miscalibrating path selection).
+    #[inline(always)]
+    pub(crate) fn train_sentence_portable(&mut self, ws: &mut Workspace, tokens: &[TokenId]) {
         let v = self.vocab_size();
         let hid = self.cfg.hidden;
         let e = self.cfg.embed_dim;
         let t_len = tokens.len();
+        let target = |t: usize| if t + 1 < t_len { tokens[t + 1] } else { EOS };
+
         // Forward.
-        let mut caches = Vec::with_capacity(t_len);
-        let mut probs_all = Vec::with_capacity(t_len);
-        let mut h = vec![0.0f32; hid];
-        let mut c = vec![0.0f32; hid];
-        let mut loss = 0.0f32;
         for (t, &tok) in tokens.iter().enumerate() {
-            let x = self.embed_row(tok).to_vec();
-            let cache = self.cell.forward(&x, &h, &c);
-            h = cache.h.clone();
-            c = cache_c(&cache);
-            let mut p = vec![0.0f32; v];
-            self.logits(&h, &mut p);
-            crate::vector::softmax(&mut p);
-            let target = if t + 1 < t_len { tokens[t + 1] } else { EOS };
-            loss -= p[target].max(1e-12).ln();
-            probs_all.push(p);
-            caches.push(cache);
+            let (h_prev, h) = ws.h[t * hid..(t + 2) * hid].split_at_mut(hid);
+            let (c_prev, c) = ws.c[t * hid..(t + 2) * hid].split_at_mut(hid);
+            h.copy_from_slice(h_prev);
+            c.copy_from_slice(c_prev);
+            let act = &mut ws.act[t * 5 * hid..(t + 1) * 5 * hid];
+            self.cell.step(self.embed_row(tok), h, c, &mut ws.rec, act);
+            self.next_token_probs(h, &mut ws.dlogits[t * v..(t + 1) * v]);
         }
+        ws.end_phase(0);
+
         // Backward (full BPTT over the sentence — sentences are short).
-        // Gradients are summed per token, NOT averaged per sentence:
-        // averaging would weight tokens of short sentences more, and since
-        // short sentences are exactly the <eos>-heavy ones, it skews the
-        // model toward premature stops (miscalibrating path selection).
-        let mut dh_next = vec![0.0f32; hid];
-        let mut dc_next = vec![0.0f32; hid];
+        ws.dh_next.fill(0.0);
+        ws.dc.fill(0.0);
         for t in (0..t_len).rev() {
-            let target = if t + 1 < t_len { tokens[t + 1] } else { EOS };
-            let mut dlogits = probs_all[t].clone();
-            dlogits[target] -= 1.0;
-            // dWhy += dlogits ⊗ h ; dh = Whyᵀ dlogits (+ carry).
-            let h_t = &caches[t].h;
-            for (r, &dl) in dlogits.iter().enumerate() {
-                crate::vector::add_scaled(&mut self.why.g[r * hid..(r + 1) * hid], dl, h_t);
-                self.by.g[r] += dl;
-            }
-            let mut dh = dh_next.clone();
-            for (r, &dl) in dlogits.iter().enumerate() {
-                crate::vector::add_scaled(&mut dh, dl, &self.why.w[r * hid..(r + 1) * hid]);
-            }
-            let (dx, dh_prev, dc_prev) = self.cell.backward(&caches[t], &dh, &dc_next);
+            let dlogits = &mut ws.dlogits[t * v..(t + 1) * v];
+            dlogits[target(t)] -= 1.0;
+            add_assign(&mut self.by.g, dlogits);
+            // dh = Whyᵀ dlogits (+ carry).
+            ws.dh.copy_from_slice(&ws.dh_next);
+            matvec_t_add(&self.why.w, hid, dlogits, &mut ws.dh);
+            self.cell.backward_step(
+                &ws.act[t * 5 * hid..(t + 1) * 5 * hid],
+                &ws.c[t * hid..(t + 1) * hid],
+                &ws.dh,
+                &mut ws.dc,
+                &mut ws.dgates[t * 4 * hid..(t + 1) * 4 * hid],
+                &mut ws.dx,
+                (t > 0).then_some(&mut ws.dh_next[..]),
+            );
             // Embedding gradient.
-            let tok = tokens[t];
-            crate::vector::add_assign(&mut self.embed.g[tok * e..(tok + 1) * e], &dx);
-            dh_next = dh_prev;
-            dc_next = dc_prev;
+            add_assign(
+                &mut self.embed.g[tokens[t] * e..(tokens[t] + 1) * e],
+                &ws.dx,
+            );
         }
+        // dWhy += dlogits ⊗ h, dWx += dgates ⊗ x, dWh += dgates ⊗ h_prev,
+        // once for the whole sentence.
+        let h = &ws.h;
+        self.why
+            .add_outer_products(hid, &ws.dlogits[..t_len * v], |t| {
+                &h[(t + 1) * hid..(t + 2) * hid]
+            });
+        let embed = &self.embed.w;
+        self.cell.add_weight_grads(
+            &ws.dgates[..t_len * 4 * hid],
+            |t| &embed[tokens[t] * e..(tokens[t] + 1) * e],
+            |t| &h[t * hid..(t + 1) * hid],
+        );
+        ws.end_phase(1);
+
+        // Update.
         self.adam_t += 1;
-        let t = self.adam_t;
-        let inv_t = 1.0 / t_len as f32;
-        self.embed.adam_step(adam, t);
-        self.why.adam_step(adam, t);
-        self.by.adam_step(adam, t);
-        self.cell.wx.adam_step(adam, t);
-        self.cell.wh.adam_step(adam, t);
-        self.cell.b.adam_step(adam, t);
-        loss * inv_t
+        let adam = &self.cfg.adam;
+        let bias = adam.bias_corrections(self.adam_t);
+        self.embed.adam_update(adam, bias);
+        self.why.adam_update_rows(adam, bias, &mut self.why_lanes);
+        self.by.adam_update(adam, bias);
+        self.cell.adam_update(adam, bias);
+        ws.end_phase(2);
     }
 
     /// Corpus perplexity `exp(mean CE)` — the training loss the paper
     /// optimizes.
     pub fn perplexity(&self, corpus: &[Vec<Symbol>]) -> f32 {
-        let v = self.vocab_size();
-        let hid = self.cfg.hidden;
+        let mut p = vec![0.0f32; self.vocab_size()];
         let mut total = 0.0f64;
         let mut count = 0usize;
         for s in corpus {
             let tokens = self.tokenize(s);
-            if tokens.is_empty() {
-                continue;
-            }
-            let mut h = vec![0.0f32; hid];
-            let mut c = vec![0.0f32; hid];
+            let mut state = self.cell.zero_state();
             for (t, &tok) in tokens.iter().enumerate() {
-                let cache = self.cell.forward(self.embed_row(tok), &h, &c);
-                h = cache.h.clone();
-                c = cache_c(&cache);
-                let mut p = vec![0.0f32; v];
-                self.logits(&h, &mut p);
-                crate::vector::softmax(&mut p);
+                self.cell.advance(&mut state, self.embed_row(tok));
+                self.next_token_probs(&state.h, &mut p);
                 let target = if t + 1 < tokens.len() {
                     tokens[t + 1]
                 } else {
@@ -369,33 +476,20 @@ impl LanguageModel {
     pub fn session(&self) -> LmSession<'_> {
         LmSession {
             model: self,
-            h: vec![0.0; self.cfg.hidden],
-            c: vec![0.0; self.cfg.hidden],
+            state: self.cell.zero_state(),
         }
     }
-}
 
-/// Clone a step's cell state (kept behind an accessor so the cache stays
-/// opaque elsewhere).
-fn cache_c(cache: &crate::lstm::StepCache) -> Vec<f32> {
-    cache.cell_state().to_vec()
-}
-
-impl LanguageModel {
     /// Embed a label sequence: run it through the LSTM and return the last
     /// hidden state (`xρ` of pattern discovery step 2). The empty sequence
     /// embeds to the zero vector.
     pub fn embed_sequence(&self, syms: &[Symbol]) -> Vec<f32> {
-        let hid = self.cfg.hidden;
-        let mut h = vec![0.0f32; hid];
-        let mut c = vec![0.0f32; hid];
+        let mut state = self.cell.zero_state();
         for &sym in syms {
-            let tok = self.token_of(sym);
-            let cache = self.cell.forward(self.embed_row(tok), &h, &c);
-            h = cache.h.clone();
-            c = cache_c(&cache);
+            self.cell
+                .advance(&mut state, self.embed_row(self.token_of(sym)));
         }
-        h
+        state.h
     }
 }
 
@@ -418,8 +512,7 @@ impl SequenceEmbedder for LanguageModel {
 /// possibility".
 pub struct LmSession<'a> {
     model: &'a LanguageModel,
-    h: Vec<f32>,
-    c: Vec<f32>,
+    state: LstmState,
 }
 
 impl<'a> LmSession<'a> {
@@ -432,15 +525,10 @@ impl<'a> LmSession<'a> {
 
     /// Feed a raw token id.
     pub fn feed_token(&mut self, tok: TokenId) -> Vec<f32> {
-        let cache = self
-            .model
-            .cell
-            .forward(self.model.embed_row(tok), &self.h, &self.c);
-        self.h = cache.h.clone();
-        self.c = cache_c(&cache);
-        let mut p = vec![0.0f32; self.model.vocab_size()];
-        self.model.logits(&self.h, &mut p);
-        crate::vector::softmax(&mut p);
+        let model = self.model;
+        model.cell.advance(&mut self.state, model.embed_row(tok));
+        let mut p = vec![0.0f32; model.vocab_size()];
+        model.next_token_probs(&self.state.h, &mut p);
         p
     }
 
@@ -459,8 +547,7 @@ impl<'a> LmSession<'a> {
     pub fn fork(&self) -> LmSession<'a> {
         LmSession {
             model: self.model,
-            h: self.h.clone(),
-            c: self.c.clone(),
+            state: self.state.clone(),
         }
     }
 }

@@ -60,6 +60,11 @@ impl Matrix {
         &self.data
     }
 
+    /// The row-major data, without copying it.
+    pub fn into_data(self) -> Vec<f32> {
+        self.data
+    }
+
     /// `out = self · x` (matrix-vector product).
     pub fn matvec(&self, x: &[f32], out: &mut [f32]) {
         debug_assert_eq!(x.len(), self.cols);

@@ -61,6 +61,42 @@ pub fn add_scaled(a: &mut [f32], s: f32, b: &[f32]) {
     }
 }
 
+/// `a += Σₖ sₖ · bₖ`, term by term in iteration order: element by element
+/// the adds one [`add_scaled`] call per term would make, but a stretch of
+/// `a` is loaded once, takes every term in registers, and is stored once,
+/// instead of making the round trip through memory per term. Stretches
+/// are 32 wide (four 8-wide or eight 4-wide accumulators), then as wide
+/// as what is left allows.
+#[inline(always)]
+pub fn add_scaled_terms<'a>(a: &mut [f32], terms: impl Iterator<Item = (f32, &'a [f32])> + Clone) {
+    let done = add_scaled_terms_by::<32>(a, 0, &terms);
+    let done = add_scaled_terms_by::<8>(a, done, &terms);
+    let done = add_scaled_terms_by::<4>(a, done, &terms);
+    add_scaled_terms_by::<1>(a, done, &terms);
+}
+
+/// [`add_scaled_terms`] over the whole `W`-wide stretches of `a[from..]`;
+/// returns where they end.
+#[inline(always)]
+fn add_scaled_terms_by<'a, const W: usize>(
+    a: &mut [f32],
+    mut from: usize,
+    terms: &(impl Iterator<Item = (f32, &'a [f32])> + Clone),
+) -> usize {
+    for stretch in a[from..].chunks_exact_mut(W) {
+        let mut acc: [f32; W] = (&*stretch).try_into().expect("a whole stretch");
+        for (s, b) in terms.clone() {
+            let b: &[f32; W] = b[from..from + W].try_into().expect("a whole stretch");
+            for j in 0..W {
+                acc[j] += s * b[j];
+            }
+        }
+        stretch.copy_from_slice(&acc);
+        from += W;
+    }
+    from
+}
+
 /// `a *= s`.
 #[inline]
 pub fn scale(a: &mut [f32], s: f32) {
@@ -82,6 +118,7 @@ pub fn l2_normalize(a: &mut [f32]) {
 }
 
 /// Numerically-stable softmax in place.
+#[inline]
 pub fn softmax(a: &mut [f32]) {
     if a.is_empty() {
         return;

@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// query served at `GSJ_THREADS` > 1 fans its path selection, embedding
 /// and K-means assignment out like every other kernel). Path
 /// *selection* is unguided, but the default `SeqKind::Lstm100` path
-/// embedding still trains the LSTM (≈ 17 s of set-up at `Scale(100)`).
+/// embedding still trains the LSTM (≈ 7 s of set-up at `Scale(100)`).
 pub fn serving_rext_config() -> RExtConfig {
     RExtConfig {
         k: 3,

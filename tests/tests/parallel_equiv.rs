@@ -199,11 +199,42 @@ fn rext_pipeline_is_worker_count_invariant() {
     }
 }
 
+/// The non-test part (up to the first `#[cfg(test)]`) of every file under
+/// `crates/*/src`, as `(path, source)`.
+fn engine_sources() -> Vec<(std::path::PathBuf, String)> {
+    fn scan(dir: &std::path::Path, out: &mut Vec<(std::path::PathBuf, String)>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                scan(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let source = std::fs::read_to_string(&path).unwrap();
+                let engine = source.split("#[cfg(test)]").next().unwrap().to_string();
+                out.push((path, engine));
+            }
+        }
+    }
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates");
+    let mut sources = Vec::new();
+    let mut scanned = 0;
+    for entry in std::fs::read_dir(&crates).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            scan(&path.join("src"), &mut sources);
+            scanned += 1;
+        }
+    }
+    assert!(
+        scanned >= 11,
+        "found only {scanned} crates under {crates:?}"
+    );
+    sources
+}
+
 /// One way to go parallel: outside `gsj_common::pool` (and the server,
 /// whose threads are sessions, not kernels) no engine source starts a
 /// thread or asks the host for its core count — so a fourth private
-/// fan-out cannot grow back unnoticed. Scans the non-test part of every
-/// file under `crates/*/src` (up to its first `#[cfg(test)]`).
+/// fan-out cannot grow back unnoticed.
 #[test]
 fn only_the_pool_starts_threads_or_counts_cores() {
     const FORBIDDEN: [&str; 5] = [
@@ -213,42 +244,46 @@ fn only_the_pool_starts_threads_or_counts_cores() {
         "crossbeam::thread",
         "available_parallelism",
     ];
-    fn scan(dir: &std::path::Path, offenders: &mut Vec<String>) {
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                scan(&path, offenders);
-            } else if path.extension().is_some_and(|e| e == "rs")
-                && !path.ends_with("common/src/pool.rs")
-            {
-                let source = std::fs::read_to_string(&path).unwrap();
-                let engine = source.split("#[cfg(test)]").next().unwrap();
-                for (n, line) in engine.lines().enumerate() {
-                    if FORBIDDEN.iter().any(|f| line.contains(f)) {
-                        offenders.push(format!("{}:{}: {}", path.display(), n + 1, line.trim()));
-                    }
-                }
+    let mut offenders = Vec::new();
+    for (path, engine) in engine_sources() {
+        let exempt = path.ends_with("common/src/pool.rs")
+            || path.components().any(|c| c.as_os_str() == "server");
+        if exempt {
+            continue;
+        }
+        for (n, line) in engine.lines().enumerate() {
+            if FORBIDDEN.iter().any(|f| line.contains(f)) {
+                offenders.push(format!("{}:{}: {}", path.display(), n + 1, line.trim()));
             }
         }
     }
-    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates");
-    let mut offenders = Vec::new();
-    let mut scanned = 0;
-    for entry in std::fs::read_dir(&crates).unwrap() {
-        let path = entry.unwrap().path();
-        if path.is_dir() && !path.ends_with("server") {
-            scan(&path.join("src"), &mut offenders);
-            scanned += 1;
-        }
-    }
-    assert!(
-        scanned >= 10,
-        "found only {scanned} crates under {crates:?}"
-    );
     assert!(
         offenders.is_empty(),
         "fan out through gsj_common::pool::run_ranges instead:\n{}",
         offenders.join("\n")
+    );
+}
+
+/// The engine has one `unsafe` block: the call into the AVX2 compile of
+/// the `Mρ` training kernel, behind its feature detection (DESIGN.md §8,
+/// "Training kernel"). Counts the keyword in code, comments aside; test
+/// modules that are files of their own (`reference.rs`) are scanned too,
+/// so they stay safe code as well.
+#[test]
+fn exactly_one_unsafe_block() {
+    let mut found = Vec::new();
+    for (path, engine) in engine_sources() {
+        for (n, line) in engine.lines().enumerate() {
+            let code = line.split("//").next().unwrap();
+            for _ in code.matches("unsafe") {
+                found.push(format!("{}:{}: {}", path.display(), n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        found.len() == 1 && found[0].contains("nn/src/lm.rs"),
+        "expected the one `unsafe` of crates/nn/src/lm.rs, found:\n{}",
+        found.join("\n")
     );
 }
 
