@@ -6,7 +6,9 @@
 //! gsj-exp fig5a                  one of table2 fig5a…fig5h table3 offline e2e
 //! gsj-exp probe                  recover quality per collection
 //! gsj-exp diagnose <Collection>  discovered clusters and per-attribute F
-//! gsj-exp incprobe [fraction]    timing breakdown of one IncExt update
+//! gsj-exp incprobe [Collection] [fraction]
+//!                                timing breakdown of one IncExt update
+//!                                (default: Movie 0.05)
 //! ```
 //!
 //! `GSJ_SCALE` scales every collection; `--trace` (or `GSJ_TRACE=1`)
@@ -18,7 +20,7 @@ use gsj_bench::{diagnostics, scale_from_env, Memo};
 fn usage() -> ! {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, ..)| *name).collect();
     eprintln!(
-        "usage: gsj-exp <all|{}|probe|diagnose <Collection>|incprobe [fraction]>",
+        "usage: gsj-exp <all|{}|probe|diagnose <Collection>|incprobe [Collection] [fraction]>",
         names.join("|")
     );
     std::process::exit(2)
@@ -38,10 +40,11 @@ fn main() -> std::io::Result<()> {
         ["all"] => all(&mut memo, out)?,
         ["probe"] => diagnostics::probe(&mut memo, out)?,
         ["diagnose", collection] => diagnostics::diagnose(&mut memo, collection, out)?,
-        ["incprobe"] => diagnostics::incprobe(&mut memo, 0.05, out)?,
-        ["incprobe", fraction] => {
-            let fraction = fraction.parse().unwrap_or_else(|_| usage());
-            diagnostics::incprobe(&mut memo, fraction, out)?
+        ["incprobe", ref rest @ ..] if rest.len() <= 2 => {
+            let collection = rest.first().copied().unwrap_or("Movie");
+            let fraction = rest.get(1).map_or(Ok(0.05), |f| f.parse());
+            let fraction = fraction.unwrap_or_else(|_| usage());
+            diagnostics::incprobe(&mut memo, collection, fraction, out)?
         }
         [name] => match EXPERIMENTS.iter().find(|(n, ..)| *n == name) {
             Some((.., run)) => run(&mut memo, out)?,

@@ -113,10 +113,11 @@ pub fn diagnose(memo: &mut Memo, name: &str, out: &mut dyn Write) -> io::Result<
     Ok(())
 }
 
-/// `incprobe [fraction]`: time the components of one IncExt update on the
-/// Movie collection and print its `incext.*` / `her.match` spans.
-pub fn incprobe(memo: &mut Memo, frac: f64, out: &mut dyn Write) -> io::Result<()> {
-    let prep = memo.prepared("Movie", RExtConfig::standard());
+/// `incprobe [Collection] [fraction]`: time the components of one IncExt
+/// update on one collection and print its `incext.*` / `her.*` /
+/// `rext.extract` spans.
+pub fn incprobe(memo: &mut Memo, name: &str, frac: f64, out: &mut dyn Write) -> io::Result<()> {
+    let prep = memo.prepared(name, RExtConfig::standard());
     let col = &prep.col;
     let (s, her_cfg) = (col.entity_relation(), col.her_config());
     let kws = col.spec.reference_keywords();
@@ -146,10 +147,14 @@ pub fn incprobe(memo: &mut Memo, frac: f64, out: &mut dyn Write) -> io::Result<(
         timed(|| inc_update_graph(&prep.rext, &g, s, &her_cfg, &initial, &report).unwrap())
     });
     writeln!(out, "inc total: {inc_secs:.3}s")?;
-    // Where the update went: IncExt's own phases and the HER call inside
-    // `incext.her_redo`, in completion order.
+    // Where the update went: IncExt's own phases, the index build and the
+    // scoring inside `incext.her_redo`, and the extraction inside
+    // `incext.re_extract`, in completion order.
     for sp in &spans {
-        if sp.label.starts_with("incext.") || sp.label == "her.match" {
+        if ["incext.", "her.", "rext.extract"]
+            .iter()
+            .any(|prefix| sp.label.starts_with(prefix))
+        {
             let fields: Vec<String> = sp.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
             writeln!(
                 out,

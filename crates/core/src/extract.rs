@@ -7,7 +7,7 @@
 //! maximizes the value-ranking function `cos(x_{L(ρ.v_l)}, x_{A_j})`; its
 //! end label becomes `θ_j`, or NULL when no path conforms.
 
-use crate::discover::Discovery;
+use crate::discover::{Discovery, PatternCluster};
 use crate::embed_paths::end_label;
 use crate::rext::map_items;
 use gsj_common::{first_occurrences, FxHashMap, FxHashSet, Result, Symbol, SymbolTable, Value};
@@ -15,7 +15,6 @@ use gsj_graph::{LabeledGraph, Path, VertexId};
 use gsj_nn::vector::cosine;
 use gsj_nn::WordEmbedder;
 use gsj_relational::Relation;
-use std::sync::Arc;
 
 /// Distinct labels per pool task of [`LabelEmbCache::fill`]: the hash
 /// embedder takes a microsecond or two per label.
@@ -62,49 +61,77 @@ impl LabelEmbCache {
     }
 }
 
+/// The selected clusters of a discovery, indexed by pattern: which
+/// clusters a path of a given label sequence conforms to. Built once per
+/// extraction call, looked up once per path.
+pub struct ClusterLookup<'a> {
+    clusters: &'a [PatternCluster],
+    by_pattern: FxHashMap<&'a [Symbol], Vec<usize>>,
+}
+
+impl<'a> ClusterLookup<'a> {
+    /// Index `clusters` by their patterns.
+    pub fn new(clusters: &'a [PatternCluster]) -> Self {
+        let mut by_pattern: FxHashMap<&[Symbol], Vec<usize>> = FxHashMap::default();
+        for (i, cluster) in clusters.iter().enumerate() {
+            for pattern in &cluster.patterns {
+                let of_pattern = by_pattern.entry(pattern.labels()).or_default();
+                if of_pattern.last() != Some(&i) {
+                    of_pattern.push(i);
+                }
+            }
+        }
+        ClusterLookup {
+            clusters,
+            by_pattern,
+        }
+    }
+}
+
 /// Extract the attribute values `(θ_1, ..., θ_m)` for one vertex from its
 /// selected paths (the `Extract` function of Algorithm 1).
 pub fn extract_values(
     g: &LabeledGraph,
     paths: &[Path],
-    discovery: &Discovery,
+    lookup: &ClusterLookup<'_>,
     word: &dyn WordEmbedder,
     cache: &mut LabelEmbCache,
 ) -> Vec<Value> {
-    discovery
-        .clusters
-        .iter()
-        .map(|cluster| {
-            let pattern_set: std::collections::HashSet<&gsj_graph::PathPattern> =
-                cluster.patterns.iter().collect();
-            // (similarity, path length, label): maximize similarity; on
-            // ties prefer the *shorter* path — the entity's own property
-            // over the same-shaped property of a neighbor reached through
-            // an extra hop — then break lexicographically.
-            let mut best: Option<(f32, usize, Arc<str>)> = None;
-            for p in paths {
-                if !pattern_set.contains(&p.pattern()) {
-                    continue;
+    let symbols = g.symbols();
+    // Per cluster (similarity, path length, end label): maximize
+    // similarity; on ties prefer the *shorter* path — the entity's own
+    // property over the same-shaped property of a neighbor reached through
+    // an extra hop — then break lexicographically on the label's text,
+    // which only a full tie between two different labels resolves.
+    let mut best: Vec<Option<(f32, usize, Symbol)>> = vec![None; lookup.clusters.len()];
+    for p in paths {
+        let Some(conforms_to) = lookup.by_pattern.get(p.labels()) else {
+            continue;
+        };
+        let end = end_label(g, p);
+        let emb = cache.embed(symbols, word, end);
+        for &c in conforms_to {
+            let sim = cosine(emb, &lookup.clusters[c].attr_emb);
+            let better = match best[c] {
+                None => true,
+                Some((bs, bl, bend)) => {
+                    sim > bs
+                        || (sim == bs && p.len() < bl)
+                        || (sim == bs
+                            && p.len() == bl
+                            && end != bend
+                            && symbols.resolve(end) < symbols.resolve(bend))
                 }
-                let end = end_label(g, p);
-                let sim = cosine(cache.embed(g.symbols(), word, end), &cluster.attr_emb);
-                let label = g.symbols().resolve(end);
-                let better = match &best {
-                    None => true,
-                    Some((bs, bl, blabel)) => {
-                        sim > *bs
-                            || (sim == *bs && p.len() < *bl)
-                            || (sim == *bs && p.len() == *bl && label < *blabel)
-                    }
-                };
-                if better {
-                    best = Some((sim, p.len(), label));
-                }
+            };
+            if better {
+                best[c] = Some((sim, p.len(), end));
             }
-            match best {
-                Some((_, _, label)) => Value::Str(label),
-                None => Value::Null,
-            }
+        }
+    }
+    best.into_iter()
+        .map(|b| match b {
+            Some((_, _, end)) => Value::Str(symbols.resolve(end)),
+            None => Value::Null,
         })
         .collect()
 }
@@ -130,6 +157,7 @@ where
     F: FnMut(VertexId) -> Vec<Path>,
 {
     let mut rel = Relation::empty(discovery.schema.clone());
+    let lookup = ClusterLookup::new(&discovery.clusters);
     let mut cache = LabelEmbCache::default();
     let mut seen: FxHashSet<VertexId> = FxHashSet::default();
     for v in matched_vertices {
@@ -146,7 +174,7 @@ where
         };
         let mut row = Vec::with_capacity(1 + discovery.clusters.len());
         row.push(Value::Int(v.0 as i64));
-        row.extend(extract_values(g, paths, discovery, word, &mut cache));
+        row.extend(extract_values(g, paths, &lookup, word, &mut cache));
         rel.push_values(row)?;
     }
     Ok(rel)
@@ -155,7 +183,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::discover::PatternCluster;
     use gsj_nn::HashEmbedder;
     use gsj_relational::Schema;
 
@@ -293,5 +320,47 @@ mod tests {
         };
         let rel = extract_relation(&g, [e], &disc, &word, true, |_| Vec::new()).unwrap();
         assert_eq!(rel.value_at(0, 1), Value::str("location value"));
+    }
+
+    #[test]
+    fn ties_prefer_the_shorter_path_then_the_smaller_label() {
+        // "Beta" and "beta" embed alike: the tie between the two 1-hop
+        // paths is broken on the label's text, whichever comes first; the
+        // 2-hop path to the same text loses to both.
+        let mut g = LabeledGraph::new();
+        let e = g.add_vertex("entity");
+        let lower = g.add_vertex("beta");
+        let upper = g.add_vertex("Beta");
+        let far = g.add_vertex("BETA");
+        g.add_edge(e, "prop", lower);
+        g.add_edge(e, "prop", upper);
+        g.add_edge(lower, "prop", far);
+        let prop = g.symbols().get("prop").unwrap();
+        let word = HashEmbedder::new(64);
+        let one_hop = |to| {
+            let mut p = Path::new(e);
+            p.push(prop, to);
+            p
+        };
+        let mut two_hop = one_hop(lower);
+        two_hop.push(prop, far);
+        let clusters = [PatternCluster {
+            patterns: vec![
+                gsj_graph::PathPattern(vec![prop]),
+                gsj_graph::PathPattern(vec![prop, prop]),
+            ],
+            attr: "name".into(),
+            attr_emb: word.embed("name"),
+            score: 1.0,
+        }];
+        let lookup = ClusterLookup::new(&clusters);
+        for paths in [
+            [two_hop.clone(), one_hop(lower), one_hop(upper)],
+            [one_hop(upper), one_hop(lower), two_hop.clone()],
+        ] {
+            let mut cache = LabelEmbCache::default();
+            let row = extract_values(&g, &paths, &lookup, &word, &mut cache);
+            assert_eq!(row, [Value::str("Beta")]);
+        }
     }
 }

@@ -2,20 +2,26 @@
 //!
 //! Two update classes are handled:
 //!
-//! - **Data updates** `ΔG` ([`inc_update_graph`]): collect the affected
-//!   vertex set `V_Δ` — (a) vertices newly matched by HER because of `ΔG`,
-//!   and (b) previously matched vertices within `k` hops of any vertex
-//!   touched by `ΔG` — and re-run only Algorithm 1's lines 3–4 for them.
-//!   Pattern discovery is *not* redone, and the result is provably
-//!   identical to running RExt from scratch over the updated graph (the
-//!   paper's "no accuracy loss" claim; asserted by our integration tests).
+//! - **Data updates** `ΔG` ([`inc_update_graph`]): re-match, against a
+//!   block index over the affected vertices only, the tuples whose match
+//!   sits near an update; collect `V_Δ` — (a) vertices those tuples newly
+//!   match, and (b) matched vertices in the *pattern zone* of `ΔG`
+//!   ([`pattern_affected_zone`]: some path conforming to a selected
+//!   pattern from them passes through a touched vertex) — and re-run only
+//!   Algorithm 1's lines 3–4 for them. Pattern discovery is *not* redone.
+//!   The paper's "no accuracy loss" claim holds exactly on the `tiny`
+//!   fixtures `tests/tests/incext.rs` drives; in general it does not yet:
+//!   the local index's block sizes and candidate set differ from the full
+//!   one's, and re-selected paths follow the edited adjacency order
+//!   (0.9944 row agreement at the benchmark's fixture A; ROADMAP item
+//!   2(c) has the causes and the fix).
 //! - **Keyword updates** ([`inc_update_keywords`]): when the user's
 //!   interest `A` shifts, only step (4) of pattern discovery (ranking /
 //!   selection) is redone against the retained refined clusters, and only
 //!   values of genuinely new attributes are extracted.
 
 use crate::discover::{select_attributes, Discovery};
-use crate::extract::{extract_values, LabelEmbCache};
+use crate::extract::{extract_values, ClusterLookup, LabelEmbCache};
 use crate::rext::Rext;
 use gsj_common::{FxHashSet, Result, RetryPolicy, Value};
 use gsj_graph::update::UpdateReport;
@@ -43,21 +49,6 @@ fn multi_source_khop(
     seeds: impl IntoIterator<Item = VertexId>,
     k: usize,
 ) -> FxHashSet<VertexId> {
-    multi_source_khop_excluding(g, seeds, k, &[])
-}
-
-/// [`multi_source_khop`] that refuses to traverse the given edge labels.
-///
-/// IncExt excludes *typing* edges here: selected pattern clusters never
-/// traverse them (they classify entities rather than carry properties, and
-/// discovery filters them out), yet a type vertex is a super-hub that
-/// would otherwise put the entire graph within `k` hops of any update.
-pub fn multi_source_khop_excluding(
-    g: &LabeledGraph,
-    seeds: impl IntoIterator<Item = VertexId>,
-    k: usize,
-    excluded_labels: &[gsj_common::Symbol],
-) -> FxHashSet<VertexId> {
     let mut seen: FxHashSet<VertexId> = FxHashSet::default();
     let mut frontier = VecDeque::new();
     for s in seeds {
@@ -72,9 +63,6 @@ pub fn multi_source_khop_excluding(
             continue;
         }
         for (e, _) in g.incident(v) {
-            if excluded_labels.contains(&e.label) {
-                continue;
-            }
             if seen.insert(e.to) {
                 frontier.push_back((e.to, d + 1));
             }
@@ -202,11 +190,11 @@ pub fn inc_update_graph(
         } else {
             // Localized HER: candidates are the vertices whose vicinity an
             // update could have changed, plus the redo tuples' previous
-            // matches (so an unchanged match can be re-confirmed).
-            let mut candidates: FxHashSet<VertexId> = her_zone.clone();
-            candidates.extend(affected_zone.iter().copied());
-            candidates.extend(redo_tids.iter().filter_map(|t| prev.matches.vertex_of(t)));
-            her_match_local(g, &redo, her_cfg, candidates)
+            // matches (so an unchanged match can be re-confirmed); the
+            // index takes a vertex listed twice once.
+            let previous = redo_tids.iter().filter_map(|t| prev.matches.vertex_of(t));
+            let candidates = her_zone.iter().chain(&affected_zone).copied();
+            her_match_local(g, &redo, her_cfg, candidates.chain(previous))
         }
     })?;
 
@@ -345,10 +333,7 @@ pub fn inc_update_keywords(
         cols.push(if let Some(i) = old_schema.position(attr) {
             prev.dg.columns()[i].clone()
         } else if let Some(cluster) = discovery.clusters.iter().rfind(|c| &c.attr == attr) {
-            let single = Discovery {
-                clusters: vec![cluster.clone()],
-                ..discovery.clone()
-            };
+            let single = ClusterLookup::new(std::slice::from_ref(cluster));
             Arc::new(Column::from_values(row_paths.iter().map(|paths| {
                 extract_values(g, paths, &single, word, &mut cache).swap_remove(0)
             })))

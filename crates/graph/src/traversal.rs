@@ -10,8 +10,10 @@
 //! inside the frontier loop (strided, so the overhead is one `fetch_add`
 //! per pop) and carries the `graph.khop` fault-injection point (see
 //! DESIGN.md §11). The classic form is a zero-cost wrapper that skips
-//! both. The pairwise [`within_k_hops`] is ungoverned only: it is the
-//! reference link joins are checked against, not a path they run.
+//! both. [`KHopScratch`] is the classic form into reused buffers, for a
+//! caller that takes one small ball per vertex. The pairwise
+//! [`within_k_hops`] is ungoverned only: it is the reference link joins
+//! are checked against, not a path they run.
 
 use crate::graph::{LabeledGraph, VertexId};
 use gsj_common::{pool, FxHashMap, FxHashSet, QueryGovernor, Result};
@@ -121,6 +123,45 @@ fn k_hop_set_impl(
     KHOP_CALLS.inc();
     KHOP_VISITED.add(seen.len() as u64);
     Ok(seen)
+}
+
+/// The buffers of one k-hop ball, reused over a run of them: HER's block
+/// index takes a ball per indexed vertex, and a fresh set each would cost
+/// more than the walk. Always inline and ungoverned.
+#[derive(Default)]
+pub struct KHopScratch {
+    seen: FxHashSet<VertexId>,
+    /// The ball in BFS order; the tail from the last level's start on is
+    /// the frontier.
+    order: Vec<VertexId>,
+}
+
+impl KHopScratch {
+    /// The vertices of [`k_hop_set`]`(g, start, k)`, each once, in BFS
+    /// order; valid until the next call.
+    pub fn ball(&mut self, g: &LabeledGraph, start: VertexId, k: usize) -> &[VertexId] {
+        self.seen.clear();
+        self.order.clear();
+        if g.is_live(start) {
+            self.seen.insert(start);
+            self.order.push(start);
+            let mut level_start = 0;
+            for _ in 0..k {
+                let level_end = self.order.len();
+                for i in level_start..level_end {
+                    for (e, _) in g.incident(self.order[i]) {
+                        if self.seen.insert(e.to) {
+                            self.order.push(e.to);
+                        }
+                    }
+                }
+                level_start = level_end;
+            }
+        }
+        KHOP_CALLS.inc();
+        KHOP_VISITED.add(self.order.len() as u64);
+        &self.order
+    }
 }
 
 /// Bidirectional BFS: are `u` and `v` connected within `k` undirected hops?
@@ -277,6 +318,21 @@ mod tests {
                 let expect = k_hop_set(&g, u, k).contains(&v);
                 assert_eq!(within_k_hops(&g, u, v, k), expect, "u={u} v={v} k={k}");
             }
+        }
+    }
+
+    #[test]
+    fn reused_scratch_yields_the_k_hop_set() {
+        let (mut g, vs) = chain(6);
+        g.add_edge(vs[4], "back", vs[2]);
+        g.remove_vertex(vs[0]);
+        let mut scratch = KHopScratch::default();
+        // Large ball first: nothing of it may leak into the later ones.
+        for (start, k) in [(vs[3], 4), (vs[3], 0), (vs[0], 2), (vs[6], 1), (vs[2], 2)] {
+            let ball = scratch.ball(&g, start, k).to_vec();
+            let set: FxHashSet<VertexId> = ball.iter().copied().collect();
+            assert_eq!(set.len(), ball.len(), "a vertex listed twice");
+            assert_eq!(set, k_hop_set(&g, start, k), "start={start} k={k}");
         }
     }
 

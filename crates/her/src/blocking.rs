@@ -6,7 +6,8 @@
 //! the entity vertex itself — the very observation motivating RExt). Each
 //! vicinity token indexes the vertex, and a tuple's candidate set is the
 //! union of the blocks of its value tokens, with oversized blocks (stop
-//! words) dropped.
+//! words) dropped. The union also records which values met each candidate
+//! — an exact upper bound on its score, which the matcher prunes by.
 //!
 //! Everything the matcher compares is interned while the index is built:
 //! a canonical label is a `u32`, a token is a `u32`, and every set is a
@@ -14,9 +15,9 @@
 //! handful of integer merges; no string is tokenised, hashed or allocated
 //! per pair.
 
-use crate::normalize::{canonical, tokens};
+use crate::normalize::tokens;
 use gsj_common::{FxHashMap, FxHashSet, Symbol};
-use gsj_graph::traversal::k_hop_set;
+use gsj_graph::traversal::KHopScratch;
 use gsj_graph::{LabeledGraph, VertexId};
 
 /// Rows of sorted, distinct `u32` ids stored back to back.
@@ -28,10 +29,6 @@ struct IdRows {
 }
 
 impl IdRows {
-    fn len(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
     /// Append `row` sorted and deduplicated.
     fn push(&mut self, row: &mut Vec<u32>) {
         row.sort_unstable();
@@ -116,6 +113,48 @@ impl<'a> Vicinity<'a> {
     }
 }
 
+/// One tuple's candidates with, per candidate, the values that can still
+/// hit its vicinity. All three steps of the scoring rule need the value
+/// and the vicinity to share a token, and a block holds *every* indexed
+/// vertex whose vicinity has the token, so walking value `i`'s blocks
+/// finds every candidate value `i` can hit: bit `i` of a candidate's mask
+/// is set iff the walk met it there, or the walk proves nothing about
+/// value `i` (see [`BlockIndex::candidates`]). The buffers are reused
+/// across tuples.
+#[derive(Default)]
+pub struct Candidates {
+    /// Slot → mask; zero for a vertex that is no candidate of this tuple.
+    masks: Vec<u64>,
+    /// The candidates' slots, in block order.
+    slots: Vec<u32>,
+    /// Number of values of the tuple; above 64 the masks say nothing.
+    n_values: usize,
+}
+
+impl Candidates {
+    /// The candidates' slots.
+    pub(crate) fn slots(&self) -> &[u32] {
+        &self.slots
+    }
+
+    /// The values the candidate at `slot` may hit: bit `i` clear means
+    /// value `i` provably misses. Values past the 64th have no bit and
+    /// may always hit.
+    pub(crate) fn mask(&self, slot: u32) -> u64 {
+        self.masks[slot as usize]
+    }
+
+    /// An upper bound on the number of values the candidate at `slot`
+    /// hits.
+    pub(crate) fn max_hits(&self, slot: u32) -> usize {
+        if self.n_values > u64::BITS as usize {
+            self.n_values
+        } else {
+            self.mask(slot).count_ones() as usize
+        }
+    }
+}
+
 /// Per-vertex vicinity ids plus the token → vertices index.
 #[derive(Default)]
 pub struct BlockIndex {
@@ -125,10 +164,12 @@ pub struct BlockIndex {
     label_tokens: IdRows,
     /// Token text → token id.
     token_ids: FxHashMap<String, u32>,
-    /// Token id → vertices whose vicinity contains it, in indexing order.
-    blocks: Vec<Vec<VertexId>>,
-    /// Vertex → its row in `vicinity_labels` / `vicinity_tokens`.
-    slots: FxHashMap<VertexId, u32>,
+    /// Token id → slots of the vertices whose vicinity contains it,
+    /// ascending.
+    blocks: Vec<Vec<u32>>,
+    /// Slot → vertex, in indexing order; a slot is the vertex's row in
+    /// `vicinity_labels` / `vicinity_tokens`.
+    vertices: Vec<VertexId>,
     vicinity_labels: IdRows,
     vicinity_tokens: IdRows,
     /// Blocks bigger than this are considered stop words.
@@ -136,14 +177,10 @@ pub struct BlockIndex {
 }
 
 impl BlockIndex {
-    /// Build the index over all live vertices.
-    pub fn build(g: &LabeledGraph, hops: usize, max_block: usize) -> Self {
-        Self::build_over(g, g.vertices(), hops, max_block)
-    }
-
-    /// Build the index over a restricted candidate set — the incremental
-    /// matching path of IncExt only considers vertices whose vicinity an
-    /// update could have changed. A vertex listed twice is indexed once.
+    /// Build the index over `candidates` — every live vertex for the full
+    /// matcher; for IncExt's incremental matching only the vertices whose
+    /// vicinity an update could have changed. A vertex listed twice is
+    /// indexed once.
     pub fn build_over(
         g: &LabeledGraph,
         candidates: impl IntoIterator<Item = VertexId>,
@@ -155,20 +192,23 @@ impl BlockIndex {
             ..BlockIndex::default()
         };
         // Graph label symbol → label id: each distinct vertex label is
-        // canonicalised and tokenised once, however many vicinities it
-        // sits in.
+        // resolved and tokenised once, however many vicinities it sits in.
         let mut by_symbol: FxHashMap<Symbol, u32> = FxHashMap::default();
+        let mut indexed: FxHashSet<VertexId> = FxHashSet::default();
+        let mut ball = KHopScratch::default();
         let (mut labels, mut toks) = (Vec::new(), Vec::new());
         for v in candidates {
-            if !g.is_live(v) || index.slots.contains_key(&v) {
+            if !g.is_live(v) || !indexed.insert(v) {
                 continue;
             }
+            let slot = index.vertices.len() as u32;
+            index.vertices.push(v);
             labels.clear();
-            for u in k_hop_set(g, v, hops) {
-                let sym = g.vertex_label(u).expect("k_hop_set yields live vertices");
+            for &u in ball.ball(g, v, hops) {
+                let sym = g.vertex_label(u).expect("a ball holds live vertices");
                 let id = *by_symbol
                     .entry(sym)
-                    .or_insert_with(|| index.intern_label(&canonical(&g.symbols().resolve(sym))));
+                    .or_insert_with(|| index.intern_label(&g.symbols().resolve(sym)));
                 labels.push(id);
             }
             index.vicinity_labels.push(&mut labels);
@@ -178,19 +218,27 @@ impl BlockIndex {
             }
             index.vicinity_tokens.push(&mut toks);
             for &t in &toks {
-                index.blocks[t as usize].push(v);
+                index.blocks[t as usize].push(slot);
             }
-            index.slots.insert(v, index.slots.len() as u32);
         }
         index
     }
 
-    /// Id of a canonical label, tokenising it on first sight.
+    /// Id of the canonical form of a vertex label, tokenised on first
+    /// sight — once: the canonical text is the tokens joined, and its
+    /// tokens are those same tokens.
     fn intern_label(&mut self, label: &str) -> u32 {
-        if let Some(&id) = self.label_ids.get(label) {
+        let mut toks = tokens(label);
+        let canonical = toks.join(" ");
+        if let Some(&id) = self.label_ids.get(&canonical) {
             return id;
         }
-        let mut toks: Vec<u32> = tokens(label)
+        // Except where lower-casing produced a non-alphanumeric char
+        // (`İ` → `i̇`): then the canonical text splits further.
+        if !toks.iter().all(|t| t.chars().all(char::is_alphanumeric)) {
+            toks = tokens(&canonical);
+        }
+        let mut ids: Vec<u32> = toks
             .into_iter()
             .map(|t| {
                 let next = self.token_ids.len() as u32;
@@ -198,9 +246,9 @@ impl BlockIndex {
             })
             .collect();
         self.blocks.resize_with(self.token_ids.len(), Vec::new);
-        self.label_tokens.push(&mut toks);
+        self.label_tokens.push(&mut ids);
         let id = self.label_ids.len() as u32;
-        self.label_ids.insert(label.to_string(), id);
+        self.label_ids.insert(canonical, id);
         id
     }
 
@@ -222,33 +270,73 @@ impl BlockIndex {
     }
 
     /// Candidate vertices for a tuple's values: the union of their tokens'
-    /// blocks, stop words skipped, each vertex once.
-    pub fn candidates(&self, values: &[QueryValue]) -> Vec<VertexId> {
-        let mut seen: FxHashSet<VertexId> = FxHashSet::default();
-        let mut out = Vec::new();
-        for &t in values.iter().flat_map(|val| &val.tokens) {
-            let block = &self.blocks[t as usize];
-            if block.len() > self.max_block {
-                continue; // stop word
-            }
-            out.extend(block.iter().filter(|v| seen.insert(**v)));
+    /// blocks, stop words skipped, each vertex once — and for each, the
+    /// mask of values that may hit it.
+    ///
+    /// Besides the bits the walk sets, a value's bit is set on every
+    /// candidate when the walk cannot rule a hit out: the value has no
+    /// token (it hits by exact label or as the empty set against an empty
+    /// label), one of its tokens is a stop word (whose block was not
+    /// walked), or `fuzzy <= 0` (any label passes the Jaccard step).
+    pub fn candidates(&self, values: &[QueryValue], fuzzy: f64, out: &mut Candidates) {
+        for slot in out.slots.drain(..) {
+            out.masks[slot as usize] = 0;
         }
-        out
+        out.masks.resize(self.vertices.len(), 0);
+        let n = values.len();
+        out.n_values = n;
+        let tracked = n <= u64::BITS as usize;
+        let all = if n >= u64::BITS as usize {
+            !0
+        } else {
+            (1u64 << n) - 1
+        };
+        let mut assumed = if tracked && fuzzy > 0.0 { 0 } else { all };
+        for (i, val) in values.iter().enumerate() {
+            // Untracked: any nonzero mask marks the vertex as seen.
+            let bit = if tracked { 1 << i } else { all };
+            if val.n_tokens == 0 {
+                assumed |= bit;
+            }
+            for &t in &val.tokens {
+                let block = &self.blocks[t as usize];
+                if block.len() > self.max_block {
+                    assumed |= bit; // stop word
+                    continue;
+                }
+                for &slot in block {
+                    let mask = &mut out.masks[slot as usize];
+                    if *mask == 0 {
+                        out.slots.push(slot);
+                    }
+                    *mask |= bit;
+                }
+            }
+        }
+        if assumed != 0 {
+            for &slot in &out.slots {
+                out.masks[slot as usize] |= assumed;
+            }
+        }
     }
 
-    /// The precomputed vicinity of an indexed vertex.
-    pub fn vicinity(&self, v: VertexId) -> Option<Vicinity<'_>> {
-        let slot = *self.slots.get(&v)? as usize;
-        Some(Vicinity {
-            labels: self.vicinity_labels.row(slot),
-            tokens: self.vicinity_tokens.row(slot),
+    /// The vertex indexed at `slot`.
+    pub(crate) fn vertex(&self, slot: u32) -> VertexId {
+        self.vertices[slot as usize]
+    }
+
+    /// The precomputed vicinity of the vertex at `slot`.
+    pub(crate) fn vicinity(&self, slot: u32) -> Vicinity<'_> {
+        Vicinity {
+            labels: self.vicinity_labels.row(slot as usize),
+            tokens: self.vicinity_tokens.row(slot as usize),
             label_tokens: &self.label_tokens,
-        })
+        }
     }
 
     /// Number of vertices indexed.
     pub fn vertex_count(&self) -> usize {
-        self.vicinity_labels.len()
+        self.vertices.len()
     }
 }
 
@@ -270,9 +358,18 @@ mod tests {
         (g, pid1, pid2)
     }
 
+    fn build(g: &LabeledGraph, hops: usize, max_block: usize) -> BlockIndex {
+        BlockIndex::build_over(g, g.vertices(), hops, max_block)
+    }
+
+    fn vicinity_of(idx: &BlockIndex, v: VertexId) -> Vicinity<'_> {
+        let slot = idx.vertices.iter().position(|&u| u == v).unwrap();
+        idx.vicinity(slot as u32)
+    }
+
     /// The canonical labels of `v`'s vicinity, sorted.
     fn labels_of(idx: &BlockIndex, v: VertexId) -> Vec<&str> {
-        let vic = idx.vicinity(v).unwrap();
+        let vic = vicinity_of(idx, v);
         let mut out: Vec<&str> = idx
             .label_ids
             .iter()
@@ -284,22 +381,24 @@ mod tests {
     }
 
     fn candidates_of(idx: &BlockIndex, text: &str) -> Vec<VertexId> {
-        idx.candidates(&[idx.query_value(text)])
+        let mut out = Candidates::default();
+        idx.candidates(&[idx.query_value(text)], 0.5, &mut out);
+        out.slots().iter().map(|&c| idx.vertex(c)).collect()
     }
 
     #[test]
     fn vicinity_includes_neighbors() {
         let (g, pid1, _) = fintech();
-        let idx = BlockIndex::build(&g, 1, 100);
+        let idx = build(&g, 1, 100);
         assert_eq!(labels_of(&idx, pid1), ["g l", "g l esg", "pid1"]);
         // Tokens are the union over the labels: g, l, esg, pid1.
-        assert_eq!(idx.vicinity(pid1).unwrap().tokens.len(), 4);
+        assert_eq!(vicinity_of(&idx, pid1).tokens.len(), 4);
     }
 
     #[test]
     fn candidates_found_via_property_tokens() {
         let (g, pid1, pid2) = fintech();
-        let idx = BlockIndex::build(&g, 1, 100);
+        let idx = build(&g, 1, 100);
         let cands = candidates_of(&idx, "esg");
         assert!(cands.contains(&pid1));
         assert!(!cands.contains(&pid2));
@@ -311,7 +410,7 @@ mod tests {
         for i in 0..10 {
             g.add_vertex(&format!("common thing {i}"));
         }
-        let idx = BlockIndex::build(&g, 0, 5);
+        let idx = build(&g, 0, 5);
         // "common" appears in 10 vicinities > max_block 5: stop word.
         assert!(candidates_of(&idx, "common").is_empty());
         // A rare token ("3" from "common thing 3") still finds its vertex.
@@ -321,7 +420,7 @@ mod tests {
     #[test]
     fn zero_hop_vicinity_is_own_label() {
         let (g, pid1, _) = fintech();
-        let idx = BlockIndex::build(&g, 0, 100);
+        let idx = build(&g, 0, 100);
         assert_eq!(labels_of(&idx, pid1), ["pid1"]);
     }
 
@@ -334,9 +433,23 @@ mod tests {
     }
 
     #[test]
+    fn a_label_whose_lower_case_splits_is_tokenised_as_its_canonical_text() {
+        // `İ` lower-cases to `i` + a combining dot, which is no
+        // alphanumeric: the label is one token, its canonical text two.
+        let mut g = LabeledGraph::new();
+        let v = g.add_vertex("İx");
+        let canonical = crate::normalize::canonical("İx");
+        assert_eq!((tokens("İx").len(), tokens(&canonical).len()), (1, 2));
+        let idx = build(&g, 0, 100);
+        assert_eq!(labels_of(&idx, v), [canonical.as_str()]);
+        assert_eq!(vicinity_of(&idx, v).tokens.len(), 2);
+        assert_eq!(candidates_of(&idx, "x"), [v]);
+    }
+
+    #[test]
     fn unknown_tokens_count_in_the_union_only() {
         let (g, _, _) = fintech();
-        let idx = BlockIndex::build(&g, 0, 100);
+        let idx = build(&g, 0, 100);
         let val = idx.query_value("beta gamma");
         assert_eq!((val.tokens.len(), val.n_tokens), (1, 2));
         let beta = idx.query_value("beta");

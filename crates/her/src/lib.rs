@@ -12,13 +12,15 @@
 //! 1. [`normalize`]: lower-cased token sets of attribute values and labels;
 //! 2. [`blocking`]: schema-agnostic token blocking from vertex *vicinities*
 //!    (own label + neighbor labels within a hop bound) — a tuple's
-//!    candidates are the union of its tokens' blocks; labels and tokens
-//!    are interned to `u32` ids and every vicinity set is precomputed
-//!    when the index is built;
+//!    candidates are the union of its tokens' blocks, each with the mask
+//!    of values that share a token with it; labels and tokens are
+//!    interned to `u32` ids and every vicinity set is precomputed when
+//!    the index is built;
 //! 3. [`matcher`]: scoring by the fraction of tuple attributes whose value
 //!    is found (exactly or by token-Jaccard) in the candidate's vicinity,
 //!    with an acceptance threshold — integer merges over the index's
-//!    sorted id sets.
+//!    sorted id sets, run only for the candidates whose mask says they
+//!    can still become the best match.
 //!
 //! [`noise`] deliberately corrupts a match relation to study cascading HER
 //! error (Exp-2(c), Fig 5(g)); [`relation_er`] is the tuple-vs-tuple ER

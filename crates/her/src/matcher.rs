@@ -1,6 +1,6 @@
 //! The HER matcher: tuples of a relation against vertices of a graph.
 
-use crate::blocking::{BlockIndex, QueryValue, Vicinity};
+use crate::blocking::{BlockIndex, Candidates, QueryValue, Vicinity};
 use crate::match_relation::MatchRelation;
 use crate::normalize::value_text;
 use gsj_common::Result;
@@ -46,46 +46,61 @@ impl HerConfig {
     }
 }
 
-/// Score one tuple against one vertex vicinity: the fraction of the
+/// Score one tuple against one vertex vicinity: the number of the
 /// tuple's non-null, non-id attribute values found in the vicinity either
 /// exactly, by token containment, or by token Jaccard with some one label
-/// above the fuzzy threshold.
-fn score_tuple(values: &[QueryValue], vicinity: &Vicinity<'_>, fuzzy: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let hits = values
+/// above the fuzzy threshold. Only values whose bit is set in `mask`
+/// ([`Candidates::mask`]) are tried; the others provably miss.
+pub(crate) fn score_tuple(
+    values: &[QueryValue],
+    vicinity: &Vicinity<'_>,
+    fuzzy: f64,
+    mask: u64,
+) -> usize {
+    values
         .iter()
-        .filter(|val| {
-            val.label
-                .is_some_and(|l| vicinity.labels.binary_search(&l).is_ok())
-                || val.containment(vicinity.tokens) >= 0.99
-                || vicinity
-                    .label_token_sets()
-                    .any(|label| val.jaccard(label) >= fuzzy)
+        .enumerate()
+        .filter(|&(i, val)| {
+            (i >= u64::BITS as usize || mask >> i & 1 == 1)
+                && (val
+                    .label
+                    .is_some_and(|l| vicinity.labels.binary_search(&l).is_ok())
+                    || val.containment(vicinity.tokens) >= 0.99
+                    || vicinity
+                        .label_token_sets()
+                        .any(|label| val.jaccard(label) >= fuzzy))
         })
-        .count();
-    hits as f64 / values.len() as f64
+        .count()
+}
+
+/// The normalized non-null attribute values of one tuple (id excluded —
+/// ids are local to D), tokenised and resolved against the index.
+pub(crate) fn tuple_values(
+    s: &Relation,
+    row: usize,
+    id_pos: usize,
+    index: &BlockIndex,
+) -> Vec<QueryValue> {
+    (0..s.schema().arity())
+        .filter(|&i| i != id_pos)
+        .filter_map(|i| value_text(&s.value_at(row, i)))
+        .map(|text| index.query_value(&text))
+        .collect()
 }
 
 /// Compute the match relation `f(S,G)`.
 ///
-/// For each tuple: block on its value tokens, score every candidate
-/// vertex's vicinity, and accept the best candidate scoring at least
-/// `min_score` (ties broken by lower vertex id, deterministically).
+/// For each tuple: block on its value tokens, bound every candidate's
+/// score by the values that share a token with its vicinity, score the
+/// candidates that can still win, best bound first, and accept the best
+/// one scoring at least `min_score` (ties broken by lower vertex id,
+/// deterministically).
 ///
-/// The block index lives for this call only: once scoring reads
-/// precomputed id sets, building it is a small share of the match
-/// (DESIGN.md §8), and an index that outlived the call would have to
-/// follow every `ΔG`.
+/// The block index lives for this call only: building it is about a
+/// tenth of a Baseline query (DESIGN.md §8), and an index that outlived
+/// the call would have to follow every `ΔG`.
 pub fn her_match(g: &LabeledGraph, s: &Relation, cfg: &HerConfig) -> Result<MatchRelation> {
-    let index = {
-        let mut span = gsj_obs::span("her.block_index");
-        let index = BlockIndex::build(g, cfg.hops, cfg.max_block);
-        span.field("hops", cfg.hops);
-        index
-    };
-    her_match_indexed(s, cfg, &index)
+    her_match_local(g, s, cfg, g.vertices())
 }
 
 /// [`her_match`] over a restricted candidate vertex set: the block index
@@ -98,7 +113,12 @@ pub fn her_match_local(
     cfg: &HerConfig,
     candidates: impl IntoIterator<Item = VertexId>,
 ) -> Result<MatchRelation> {
-    let index = BlockIndex::build_over(g, candidates, cfg.hops, cfg.max_block);
+    let index = {
+        let mut span = gsj_obs::span("her.block_index");
+        let index = BlockIndex::build_over(g, candidates, cfg.hops, cfg.max_block);
+        span.field("hops", cfg.hops);
+        index
+    };
     her_match_indexed(s, cfg, &index)
 }
 
@@ -106,48 +126,84 @@ fn her_match_indexed(s: &Relation, cfg: &HerConfig, index: &BlockIndex) -> Resul
     static TUPLES: gsj_obs::LazyCounter = gsj_obs::LazyCounter::new("gsj_her_tuples_total");
     static SCORED: gsj_obs::LazyCounter =
         gsj_obs::LazyCounter::new("gsj_her_candidates_scored_total");
+    static PRUNED: gsj_obs::LazyCounter =
+        gsj_obs::LazyCounter::new("gsj_her_candidates_pruned_total");
     static MATCHED: gsj_obs::LazyCounter = gsj_obs::LazyCounter::new("gsj_her_matched_total");
     let mut span = gsj_obs::span("her.match");
     // Fault site DESIGN.md §11: critical — a failed HER match has no
     // in-stage recovery; the strategy layer above decides whether to
     // degrade to a different join implementation.
     gsj_faults::fault_point("her.match", gsj_faults::FaultClass::Critical)?;
-    let mut scored = 0u64;
+    let (mut generated, mut scored) = (0u64, 0u64);
     let id_pos = s.schema().require(&cfg.id_attr)?;
     let mut matches = MatchRelation::new();
+    let mut candidates = Candidates::default();
+    let mut group: Vec<(VertexId, u32)> = Vec::new();
     for row in 0..s.len() {
-        // Normalized attribute values (id excluded — ids are local to D),
-        // tokenised and resolved against the index once per tuple.
-        let values: Vec<QueryValue> = (0..s.schema().arity())
-            .filter(|&i| i != id_pos)
-            .filter_map(|i| value_text(&s.value_at(row, i)))
-            .map(|text| index.query_value(&text))
-            .collect();
+        let values = tuple_values(s, row, id_pos, index);
         if values.is_empty() {
             continue;
         }
+        index.candidates(&values, cfg.fuzzy_threshold, &mut candidates);
+        generated += candidates.slots().len() as u64;
+        // Best-first: candidates in (bound descending, vertex id
+        // ascending) order, one bound level at a time. A score never
+        // exceeds its bound (same division, smaller numerator), so once a
+        // level's bound is below `min_score` or below the best score,
+        // nothing further down can be accepted or win; at an equal bound
+        // only a lower vertex id still can. The winner under "score
+        // descending, vertex id ascending" does not depend on the order
+        // candidates are visited in.
+        let n = values.len();
         let mut best: Option<(f64, VertexId)> = None;
-        for v in index.candidates(&values) {
-            scored += 1;
-            let vicinity = index.vicinity(v).expect("candidates are indexed");
-            let score = score_tuple(&values, &vicinity, cfg.fuzzy_threshold);
-            let better = match best {
-                None => true,
-                Some((bs, bv)) => score > bs || (score == bs && v < bv),
-            };
-            if better && score >= cfg.min_score {
-                best = Some((score, v));
+        let top = candidates.slots().iter().map(|&c| candidates.max_hits(c));
+        let top = top.max().unwrap_or(0);
+        for level in (0..=top).rev() {
+            let bound = level as f64 / n as f64;
+            if bound < cfg.min_score || best.is_some_and(|(bs, _)| bound < bs) {
+                break;
+            }
+            group.clear();
+            group.extend(
+                (candidates.slots().iter())
+                    .filter(|&&c| candidates.max_hits(c) == level)
+                    .map(|&c| (index.vertex(c), c)),
+            );
+            group.sort_unstable();
+            for &(v, slot) in &group {
+                if best.is_some_and(|(bs, bv)| bs == bound && bv < v) {
+                    break; // the rest of the level has higher ids still
+                }
+                scored += 1;
+                let hits = score_tuple(
+                    &values,
+                    &index.vicinity(slot),
+                    cfg.fuzzy_threshold,
+                    candidates.mask(slot),
+                );
+                let score = hits as f64 / n as f64;
+                let better = match best {
+                    None => true,
+                    Some((bs, bv)) => score > bs || (score == bs && v < bv),
+                };
+                if better && score >= cfg.min_score {
+                    best = Some((score, v));
+                }
             }
         }
         if let Some((_, v)) = best {
             matches.push(s.value_at(row, id_pos), v);
         }
     }
+    let pruned = generated - scored;
     TUPLES.add(s.len() as u64);
     SCORED.add(scored);
+    PRUNED.add(pruned);
     MATCHED.add(matches.len() as u64);
     span.field("tuples", s.len())
+        .field("candidates", generated)
         .field("scored", scored)
+        .field("pruned", pruned)
         .field("index_vertices", index.vertex_count())
         .field("matched", matches.len());
     Ok(matches)
@@ -257,5 +313,84 @@ mod tests {
         let (g, s, _, _) = setting();
         let bad = HerConfig::with_id("nope");
         assert!(her_match(&g, &s, &bad).is_err());
+    }
+
+    #[test]
+    fn more_than_64_values_match_unpruned() {
+        // 70 attributes: a candidate's mask has no bit for the last six,
+        // so nothing may be pruned — and the pairs are the reference's.
+        let names: Vec<String> = (0..70).map(|i| format!("a{i}")).collect();
+        let mut attrs = vec!["id"];
+        attrs.extend(names.iter().map(String::as_str));
+        let mut s = Relation::empty(Schema::of("wide", &attrs));
+        let mut g = LabeledGraph::new();
+        for e in 0..3 {
+            let v = g.add_vertex(&format!("entity{e}"));
+            let mut row = vec![Value::Int(e)];
+            for i in 0..70 {
+                // Entity 0 keeps its last 65 properties in the graph, 1
+                // the last 40, 2 the last 10 (below `min_score`): no
+                // score reaches the bound of 70/70 every candidate has.
+                let text = format!("e{e}p{i} shared{}", i % 7);
+                if i >= [5, 30, 60][e as usize] {
+                    let p = g.add_vertex(&text);
+                    g.add_edge(v, "prop", p);
+                }
+                row.push(Value::str(text));
+            }
+            s.push_values(row).unwrap();
+        }
+        let cfg = HerConfig::default();
+        let (m, spans) = gsj_obs::capture(|| her_match(&g, &s, &cfg).unwrap());
+        assert_eq!(m.len(), 2);
+        assert_eq!(
+            m.pairs(),
+            crate::reference::her_match_reference(&g, &s, &cfg, None).pairs()
+        );
+        let fields = &spans
+            .iter()
+            .find(|sp| sp.label == "her.match")
+            .unwrap()
+            .fields;
+        let pruned = fields.iter().find(|(k, _)| *k == "pruned").unwrap();
+        assert_eq!(pruned.1.to_string(), "0");
+    }
+
+    #[test]
+    fn lower_id_wins_a_tie_from_a_lower_bound_group() {
+        // `low` and `high` both score 2/3. `high` shares a token with all
+        // three values (bound 3/3, visited first, reached through the
+        // first value's block); `low` only with the last two (bound 2/3).
+        // An equal bound is not a reason to stop: the lower id wins.
+        let mut g = LabeledGraph::new();
+        let low = g.add_vertex("low");
+        for val in ["beta", "gamma"] {
+            let v = g.add_vertex(val);
+            g.add_edge(low, "p", v);
+        }
+        let high = g.add_vertex("high");
+        for val in ["alpha w x y z", "beta", "gamma"] {
+            let v = g.add_vertex(val);
+            g.add_edge(high, "p", v);
+        }
+        let mut s = Relation::empty(Schema::of("s", &["id", "a", "b", "c"]));
+        s.push_values(vec![
+            Value::str("t"),
+            Value::str("alpha one two"),
+            Value::str("beta"),
+            Value::str("gamma"),
+        ])
+        .unwrap();
+        let cfg = HerConfig::default();
+        let m = her_match(&g, &s, &cfg).unwrap();
+        assert_eq!(m.vertex_of(&Value::str("t")), Some(low));
+        assert_eq!(
+            m.pairs(),
+            crate::reference::her_match_reference(&g, &s, &cfg, None).pairs()
+        );
+        // The same tuple without `low`: `high` is a match on its own.
+        let others = g.vertices().filter(|&v| v != low);
+        let m = her_match_local(&g, &s, &cfg, others).unwrap();
+        assert_eq!(m.vertex_of(&Value::str("t")), Some(high));
     }
 }

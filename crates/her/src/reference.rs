@@ -139,6 +139,8 @@ pub fn her_match_reference(
 
 mod exactness {
     use super::her_match_reference;
+    use crate::blocking::{BlockIndex, Candidates};
+    use crate::matcher::{score_tuple, tuple_values};
     use crate::{her_match, her_match_local, HerConfig};
     use gsj_common::Value;
     use gsj_graph::{LabeledGraph, VertexId};
@@ -254,6 +256,45 @@ mod exactness {
                 her_match_local(&g, &s, &cfg, local.iter().copied()).unwrap().pairs(),
                 her_match_reference(&g, &s, &cfg, Some(&local)).pairs()
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bound the matcher prunes by never undercounts: for every
+        /// generated candidate, the mask has a bit for each value the
+        /// unmasked rule counts as a hit.
+        #[test]
+        fn mask_covers_every_hit(
+            labels in prop::collection::vec((0usize..LABELS.len() * 5 / 4, "[a-c]{1,2} [a-c]{0,2}"), 1..24),
+            edges in prop::collection::vec((0usize..24, 0usize..24), 0..40),
+            dead in prop::collection::vec(0usize..24, 0..3),
+            rows in prop::collection::vec(
+                prop::collection::vec((0u32..12, (0usize..LABELS.len() * 5 / 4, "[a-c]{1,2} [a-c]{0,2}")), 3),
+                0..12,
+            ),
+            hops in 0usize..3,
+            max_block in 1usize..8,
+            fuzzy_threshold in 0usize..4,
+        ) {
+            let fuzzy = [0.0, 0.3, 0.5, 1.0][fuzzy_threshold];
+            let labels: Vec<String> = labels.iter().map(label).collect();
+            let rows: Vec<Vec<Value>> = rows.iter().map(|r| r.iter().map(cell).collect()).collect();
+            let g = graph(&labels, &edges, &dead);
+            let s = relation(&rows);
+            let index = BlockIndex::build_over(&g, g.vertices(), hops, max_block);
+            let mut candidates = Candidates::default();
+            for row in 0..s.len() {
+                let values = tuple_values(&s, row, 0, &index);
+                index.candidates(&values, fuzzy, &mut candidates);
+                for &slot in candidates.slots() {
+                    let vicinity = index.vicinity(slot);
+                    let hits = score_tuple(&values, &vicinity, fuzzy, !0);
+                    prop_assert!(candidates.max_hits(slot) >= hits);
+                    prop_assert_eq!(score_tuple(&values, &vicinity, fuzzy, candidates.mask(slot)), hits);
+                }
+            }
         }
     }
 }

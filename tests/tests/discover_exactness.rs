@@ -190,7 +190,16 @@ fn discovery_equals_per_path_discovery(name: &str) {
         field(&spans, "her.match", "index_vertices"),
         col.graph.vertex_count()
     );
-    assert!(field(&spans, "her.match", "scored") >= field(&spans, "her.match", "matched"));
+    let her = |key| field(&spans, "her.match", key);
+    assert!(her("scored") >= her("matched"));
+    // The bound prunes, and what it prunes is counted.
+    assert_eq!(her("scored") + her("pruned"), her("candidates"));
+    assert!(
+        her("scored") <= her("candidates") / 4,
+        "{name}: scored {} of {} candidates",
+        her("scored"),
+        her("candidates")
+    );
     let keywords = col.spec.reference_keywords();
     let rext = Rext::train(&col.graph, serving_rext_config()).unwrap();
     let per_path = per_path_discover(&rext, &col, &matches, &keywords);
