@@ -9,6 +9,8 @@
 //! gsj-exp incprobe [Collection] [fraction]
 //!                                timing breakdown of one IncExt update
 //!                                (default: Movie 0.05)
+//! gsj-exp linkprobe [Collection] g_L build per source vs batched
+//!                                (default: Celebrity; no model trained)
 //! ```
 //!
 //! `GSJ_SCALE` scales every collection; `--trace` (or `GSJ_TRACE=1`)
@@ -20,7 +22,7 @@ use gsj_bench::{diagnostics, scale_from_env, Memo};
 fn usage() -> ! {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, ..)| *name).collect();
     eprintln!(
-        "usage: gsj-exp <all|{}|probe|diagnose <Collection>|incprobe [Collection] [fraction]>",
+        "usage: gsj-exp <all|{}|probe|diagnose <Collection>|incprobe [Collection] [fraction]|linkprobe [Collection]>",
         names.join("|")
     );
     std::process::exit(2)
@@ -45,6 +47,10 @@ fn main() -> std::io::Result<()> {
             let fraction = rest.get(1).map_or(Ok(0.05), |f| f.parse());
             let fraction = fraction.unwrap_or_else(|_| usage());
             diagnostics::incprobe(&mut memo, collection, fraction, out)?
+        }
+        ["linkprobe", ref rest @ ..] if rest.len() <= 1 => {
+            let collection = rest.first().copied().unwrap_or("Celebrity");
+            diagnostics::linkprobe(&mut memo, collection, out)?
         }
         [name] => match EXPERIMENTS.iter().find(|(n, ..)| *n == name) {
             Some((.., run)) => run(&mut memo, out)?,

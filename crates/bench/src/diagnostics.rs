@@ -1,18 +1,19 @@
 //! Developer diagnostics (not paper experiments), over the same [`Memo`]
-//! and standard RExt as the experiments.
+//! as the experiments, and its standard RExt where they extract.
 
 use crate::experiments::extraction;
 use crate::exps::timed;
 use crate::harness::{recover_f_measure, ExpConfig, Memo};
-use gsj_common::Symbol;
+use gsj_common::{QueryGovernor, Symbol};
 use gsj_core::config::RExtConfig;
 use gsj_core::incext::{inc_update_graph, pattern_affected_zone};
-use gsj_core::join::enrichment_join_precomputed;
+use gsj_core::join::{enrichment_join_precomputed, LinkIndex};
 use gsj_core::quality::f_measure;
 use gsj_datagen::collections;
 use gsj_datagen::updates::balanced_updates;
+use gsj_graph::traversal::{k_hop_reach, k_hop_set};
 use gsj_graph::update::apply_updates;
-use gsj_graph::LabeledGraph;
+use gsj_graph::{LabeledGraph, VertexId};
 use gsj_her::her_match;
 use gsj_relational::Relation;
 use std::io::{self, Write};
@@ -172,4 +173,48 @@ pub fn incprobe(memo: &mut Memo, name: &str, frac: f64, out: &mut dyn Write) -> 
             .unwrap()
     });
     writeln!(out, "scratch: her {her_secs:.3}s, discover {disc_secs:.3}s")
+}
+
+/// `linkprobe [Collection]`: the `g_L` index of one collection at
+/// `k = 2` over its HER matches — no language model is trained — built
+/// one `k_hop_set` per source and by [`LinkIndex::build`], each the
+/// median of 15 runs.
+pub fn linkprobe(memo: &mut Memo, name: &str, out: &mut dyn Write) -> io::Result<()> {
+    const K: usize = 2;
+    const RUNS: usize = 15;
+    let col = memo.collection(name);
+    let g = &col.graph;
+    let mut sources: Vec<VertexId> = memo.matches(name).vertices().collect();
+    sources.sort_unstable();
+    sources.dedup();
+    let gov = QueryGovernor::unlimited();
+    let median_ms = |run: &mut dyn FnMut()| -> f64 {
+        let mut ms: Vec<f64> = (0..RUNS).map(|_| timed(&mut *run).1 * 1e3).collect();
+        ms.sort_by(f64::total_cmp);
+        ms[RUNS / 2]
+    };
+    let per_source = median_ms(&mut || {
+        for &s in &sources {
+            std::hint::black_box(k_hop_set(g, s, K));
+        }
+    });
+    let batched = median_ms(&mut || {
+        std::hint::black_box(LinkIndex::build(g, &sources, &sources, K, &gov).unwrap());
+    });
+    let reach = k_hop_reach(g, &sources, &sources, K, &gov).unwrap();
+    writeln!(
+        out,
+        "{name} scale={} |V|={} k={K}: sources={} pairs={} batches={} expanded={}",
+        memo.scale().0,
+        g.vertex_count(),
+        sources.len(),
+        reach.targets.len(),
+        reach.batches,
+        reach.expanded
+    )?;
+    writeln!(
+        out,
+        "per-source k_hop_set {per_source:.3} ms, LinkIndex::build {batched:.3} ms ({:.1}x; median of {RUNS})",
+        per_source / batched.max(1e-9)
+    )
 }

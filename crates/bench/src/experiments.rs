@@ -541,6 +541,7 @@ fn e2e(memo: &mut Memo, out: &mut dyn Write) -> io::Result<()> {
         "heuristic avg",
         "opt speedup",
         "heur speedup",
+        "heur failed",
     ]);
     let mut grand_speedup = Vec::new();
     let (mut link_cold, mut link_warm) = (Vec::new(), Vec::new());
@@ -550,8 +551,13 @@ fn e2e(memo: &mut Memo, out: &mut dyn Write) -> io::Result<()> {
         let engine = engine_for(&prep);
         let queries = workload(&prep.col);
         let mut wb = 0usize;
-        let (mut base_sum, mut opt_sum, mut heur_sum) = (0.0f64, 0.0f64, 0.0f64);
+        let (mut base_sum, mut opt_sum) = (0.0f64, 0.0f64);
         let mut counted = 0usize;
+        // The heuristic strategy refuses some queries (no typed relation
+        // relevant to a link join): its columns cover the queries it
+        // answered, and the ones it refused are counted on their own.
+        let (mut heur_sum, mut heur_base_sum) = (0.0f64, 0.0f64);
+        let (mut heur_counted, mut heur_failed) = (0usize, 0usize);
         for q in &queries {
             let parsed = engine.parse(&q.text).unwrap();
             if engine.is_well_behaved(&parsed) {
@@ -560,20 +566,25 @@ fn e2e(memo: &mut Memo, out: &mut dyn Write) -> io::Result<()> {
             let (base, base_secs) = timed(|| engine.run(&q.text, Strategy::Baseline));
             let (opt, opt_secs) = timed(|| engine.run(&q.text, Strategy::Optimized));
             let (heur, heur_secs) = timed(|| engine.run(&q.text, Strategy::Heuristic));
-            if base.is_err() || opt.is_err() || heur.is_err() {
+            if base.is_err() || opt.is_err() {
                 eprintln!(
-                    "    {} skipped: base={:?} opt={:?} heur={:?}",
+                    "    {} skipped: base={:?} opt={:?}",
                     q.name,
                     base.err(),
-                    opt.err(),
-                    heur.err()
+                    opt.err()
                 );
                 continue;
             }
             counted += 1;
             base_sum += base_secs;
             opt_sum += opt_secs;
-            heur_sum += heur_secs;
+            if heur.is_ok() {
+                heur_counted += 1;
+                heur_sum += heur_secs;
+                heur_base_sum += base_secs;
+            } else {
+                heur_failed += 1;
+            }
             if q.link {
                 link_cold.push(base_secs / opt_secs.max(1e-9));
                 // Second run hits the g_L cache.
@@ -589,9 +600,10 @@ fn e2e(memo: &mut Memo, out: &mut dyn Write) -> io::Result<()> {
             format!("{wb}/{}", queries.len()),
             format!("{:.3}s", base_sum / n),
             format!("{:.4}s", opt_sum / n),
-            format!("{:.4}s", heur_sum / n),
+            format!("{:.4}s", heur_sum / heur_counted.max(1) as f64),
             format!("{opt_speedup:.1}x"),
-            format!("{:.1}x", base_sum / heur_sum.max(1e-9)),
+            format!("{:.1}x", heur_base_sum / heur_sum.max(1e-9)),
+            format!("{heur_failed}/{counted}"),
         ]);
         eprintln!("  {name} done");
     }
@@ -750,6 +762,8 @@ mod tests {
                 "{name} printed no table:\n{section}"
             );
         }
+        // Exp-3(II) keeps the link queries the heuristic strategy refuses.
+        assert!(text.contains("link joins: cold (no g_L)"), "{text}");
         // Two per six-variant sweep (Paper, Movie, MovKB at k = 4) plus
         // the standard model of the other four collection × k pairs.
         assert_eq!(memo.models_trained(), 10);

@@ -92,15 +92,20 @@ impl Memo {
         let col = self.collection(name);
         let lm = self.model(name, &cfg).map(|(lm, _)| lm);
         let rext = Rext::with_model(&col.graph, cfg, lm).expect("valid config");
-        let matches = self
-            .matches
+        let matches = self.matches(name);
+        Prepared { col, rext, matches }
+    }
+
+    /// `f(S,G)` of the named collection's entity relation.
+    pub fn matches(&mut self, name: &str) -> MatchRelation {
+        let col = self.collection(name);
+        self.matches
             .entry(name.to_string())
             .or_insert_with(|| {
                 her_match(&col.graph, col.entity_relation(), &col.her_config())
                     .expect("id attr exists")
             })
-            .clone();
-        Prepared { col, rext, matches }
+            .clone()
     }
 
     /// How many language models this memo has trained.

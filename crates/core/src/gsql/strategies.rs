@@ -77,7 +77,7 @@ impl LJoinImpl {
     /// The `EXPLAIN` description.
     pub fn describe(self) -> &'static str {
         match self {
-            LJoinImpl::Online => "online HER + per-source k-hop reachability",
+            LJoinImpl::Online => "online HER + multi-source k-hop reachability",
             LJoinImpl::Cached => "pre-matched f(D,G) + pre-computed g_L reachability index",
             LJoinImpl::Heuristic => "heuristic: ER to gτ(G) + connectivity",
         }

@@ -101,7 +101,7 @@ pub fn heuristic_enrichment(
 /// Heuristic link join: resolve each side's rows to vertices through ER
 /// against the most relevant typed relation, then join the rows whose
 /// vertices are within `k` hops. Schemas must have disjoint attribute
-/// names. The per-source expansions observe the governor.
+/// names. The index build observes the governor.
 #[allow(clippy::too_many_arguments)]
 pub fn heuristic_link(
     s1: &Relation,

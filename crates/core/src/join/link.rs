@@ -12,7 +12,7 @@
 //! `gτ(G)`. No path tests pairs one BFS at a time.
 
 use gsj_common::{QueryGovernor, Result};
-use gsj_graph::traversal::k_hop_set_governed;
+use gsj_graph::traversal::k_hop_reach;
 use gsj_graph::{LabeledGraph, VertexId};
 use gsj_her::{her_match, HerConfig, MatchRelation};
 use gsj_relational::{Column, Relation, Schema};
@@ -133,21 +133,6 @@ pub fn link_join_resolved(
     Ok(out)
 }
 
-/// The members of `among`, in `among`'s order, within `k` hops of
-/// `source`: one governed level-synchronous expansion from `source`,
-/// then one set probe per candidate.
-fn reachable_among<'a>(
-    g: &LabeledGraph,
-    source: VertexId,
-    among: &'a [VertexId],
-    k: usize,
-    gov: &QueryGovernor,
-) -> Result<impl Iterator<Item = VertexId> + 'a> {
-    gov.check_coarse("join.connectivity")?;
-    let ball = k_hop_set_governed(g, source, k, gov)?;
-    Ok(among.iter().copied().filter(move |v| ball.contains(v)))
-}
-
 fn sorted_distinct(vs: &[VertexId]) -> Vec<VertexId> {
     let mut vs = vs.to_vec();
     vs.sort_unstable();
@@ -173,10 +158,10 @@ pub struct LinkIndex {
 
 impl LinkIndex {
     /// Index which of `right` lies within `k` hops of each vertex of
-    /// `left`: one governed k-hop expansion per distinct source,
-    /// intersected with the distinct targets. The build observes the
-    /// governor per source and inside every expansion, and charges the
-    /// index's bytes and pair count like any other materialization.
+    /// `left`: one bit-parallel multi-source BFS over the distinct
+    /// sources, 64 at a time ([`k_hop_reach`]), which observes the
+    /// governor per batch and per expanded vertex. Charges the index's
+    /// bytes and pair count like any other materialization.
     pub fn build(
         g: &LabeledGraph,
         left: &[VertexId],
@@ -186,28 +171,36 @@ impl LinkIndex {
     ) -> Result<LinkIndex> {
         let mut span = gsj_obs::span("join.connectivity");
         gsj_faults::fault_point("join.connectivity", gsj_faults::FaultClass::Critical)?;
-        gov.check("join.connectivity")?;
-        let sources = sorted_distinct(left);
-        let among = sorted_distinct(right);
-        let mut offsets = Vec::with_capacity(sources.len() + 1);
-        let mut targets = Vec::new();
-        offsets.push(0);
-        for &source in &sources {
-            targets.extend(reachable_among(g, source, &among, k, gov)?);
-            offsets.push(targets.len());
-        }
-        let index = LinkIndex {
-            sources,
-            offsets,
-            targets,
-        };
+        let index = Self::reach(g, left, right, k, gov, &mut span)?;
         gov.charge_mem(index.approx_bytes() as u64);
         gov.charge_rows(index.pairs() as u64);
-        span.field("sources", index.sources.len())
-            .field("targets", among.len())
-            .field("pairs", index.pairs())
-            .field("k", k);
         Ok(index)
+    }
+
+    /// [`Self::build`] without the charges, its fields recorded on the
+    /// caller's `join.connectivity` span.
+    fn reach(
+        g: &LabeledGraph,
+        left: &[VertexId],
+        right: &[VertexId],
+        k: usize,
+        gov: &QueryGovernor,
+        span: &mut gsj_obs::SpanGuard,
+    ) -> Result<LinkIndex> {
+        let sources = sorted_distinct(left);
+        let among = sorted_distinct(right);
+        let reach = k_hop_reach(g, &sources, &among, k, gov)?;
+        span.field("sources", sources.len())
+            .field("targets", among.len())
+            .field("pairs", reach.targets.len())
+            .field("k", k)
+            .field("batches", reach.batches)
+            .field("expanded", reach.expanded);
+        Ok(LinkIndex {
+            sources,
+            offsets: reach.offsets,
+            targets: reach.targets,
+        })
     }
 
     /// The indexed targets within `k` hops of `v`, ascending (empty when
@@ -271,9 +264,9 @@ impl LinkIndex {
 
 /// Materialize a connectivity relation `g_L(vid1, vid2)` for two vertex
 /// sets: a row per `(v1, v2) ∈ left × right` within `k` hops, in
-/// left-major order (self-pairs included, distance 0 ≤ k). Same
-/// per-source expansion as [`LinkIndex::build`], but in the caller's
-/// vertex order and as a relation.
+/// left-major order, duplicates of either side kept (self-pairs included,
+/// distance 0 ≤ k). The index [`LinkIndex::build`] builds, rendered in
+/// the caller's vertex order as a relation.
 pub fn connectivity_relation(
     g: &LabeledGraph,
     left: &[VertexId],
@@ -284,14 +277,25 @@ pub fn connectivity_relation(
 ) -> Result<Relation> {
     let mut span = gsj_obs::span("join.connectivity");
     gsj_faults::fault_point("join.connectivity", gsj_faults::FaultClass::Critical)?;
-    span.field("left", left.len())
-        .field("right", right.len())
-        .field("k", k);
+    span.field("left", left.len()).field("right", right.len());
+    let index = LinkIndex::reach(g, left, right, k, gov, &mut span)?;
+    // Per left vertex, its row marked in a dense map over the vertex
+    // slots (a reached target is a live vertex), then `right` walked in
+    // the caller's order.
+    let mut in_row = vec![false; g.id_bound()];
     let mut vid1: Vec<i64> = Vec::new();
     let mut vid2: Vec<i64> = Vec::new();
     for &v1 in left {
-        vid2.extend(reachable_among(g, v1, right, k, gov)?.map(|v| v.0 as i64));
+        let row = index.reachable(v1);
+        row.iter().for_each(|t| in_row[t.index()] = true);
+        vid2.extend(
+            right
+                .iter()
+                .filter(|v| in_row.get(v.index()) == Some(&true))
+                .map(|v| v.0 as i64),
+        );
         vid1.resize(vid2.len(), v1.0 as i64);
+        row.iter().for_each(|t| in_row[t.index()] = false);
     }
     let rows = vid1.len();
     let rel = Relation::from_shared_columns(
@@ -414,6 +418,28 @@ mod tests {
         assert!(index.reachable(ada).is_empty(), "ada is not a source");
         assert_eq!(index.pairs(), 5);
         assert_eq!(index.approx_bytes(), (3 + 5) * 4 + 4 * 8);
+    }
+
+    #[test]
+    fn index_build_records_batches_and_expansions() {
+        let gov = QueryGovernor::unlimited();
+        let (g, vs) = social();
+        let (_, spans) = gsj_obs::capture(|| LinkIndex::build(&g, &vs, &vs, 2, &gov).unwrap());
+        let span = spans
+            .iter()
+            .find(|s| s.label == "join.connectivity")
+            .unwrap();
+        let field = |key: &str| {
+            span.fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.as_str())
+        };
+        // One batch; level 0 expands all four sources, level 1 the three
+        // vertices of the chain that gained a lane.
+        assert_eq!(field("batches"), Some("1"));
+        assert_eq!(field("expanded"), Some("7"));
+        assert_eq!(field("pairs"), Some("10"));
     }
 
     #[test]

@@ -224,6 +224,13 @@ impl LabeledGraph {
         self.labels.iter().filter(|l| l.is_some()).count()
     }
 
+    /// One past the largest vertex id ever issued, removed ones included:
+    /// the length of a dense per-vertex array indexed by
+    /// [`VertexId::index`].
+    pub fn id_bound(&self) -> usize {
+        self.labels.len()
+    }
+
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
         self.edge_count
@@ -324,6 +331,7 @@ mod tests {
         let (mut g, a, b, c) = tiny();
         let touched = g.remove_vertex(b);
         assert_eq!(g.vertex_count(), 2);
+        assert_eq!(g.id_bound(), 3, "the tombstone keeps its slot");
         assert_eq!(g.edge_count(), 0);
         assert!(!g.is_live(b));
         assert!(g.is_live(a) && g.is_live(c));

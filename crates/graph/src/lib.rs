@@ -9,8 +9,9 @@
 //!   labels and O(1) amortized edge insertion.
 //! - [`Path`] / [`PathPattern`]: simple undirected paths and their edge-label
 //!   patterns, with the `M(ρ, p)` matching predicate of Section III.
-//! - [`traversal`]: the k-hop BFS neighborhoods link joins expand per
-//!   source, and the pairwise bidirectional BFS kept as their reference.
+//! - [`traversal`]: k-hop BFS neighborhoods, the bit-parallel
+//!   multi-source BFS link joins build their index with, and the pairwise
+//!   bidirectional BFS kept as their reference.
 //! - [`random_walk`]: corpus generation for training the path language
 //!   model `Mρ`.
 //! - [`update`]: the `ΔG` batch-update machinery consumed by IncExt.

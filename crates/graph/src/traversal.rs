@@ -1,19 +1,21 @@
-//! BFS traversals: k-hop neighborhoods and pairwise k-hop connectivity.
+//! BFS traversals: k-hop neighborhoods, the k-hop reach of many sources
+//! at once, and pairwise k-hop connectivity.
 //!
 //! Link joins (Section II-B) test whether matching vertices are within `k`
 //! hops of each other; IncExt (Section III-B) collects all matched vertices
 //! within `k` hops of an update. Both run on the *undirected* view of `G`.
 //!
-//! The k-hop ball comes in two forms: the classic infallible
-//! [`k_hop_set`] and [`k_hop_set_governed`], which takes a
-//! [`QueryGovernor`] — the governed form checks cancellation / deadline
-//! inside the frontier loop (strided, so the overhead is one `fetch_add`
-//! per pop) and carries the `graph.khop` fault-injection point (see
-//! DESIGN.md §11). The classic form is a zero-cost wrapper that skips
-//! both. [`KHopScratch`] is the classic form into reused buffers, for a
-//! caller that takes one small ball per vertex. The pairwise
-//! [`within_k_hops`] is ungoverned only: it is the reference link joins
-//! are checked against, not a path they run.
+//! [`k_hop_reach`] is the link joins' traversal: which of a set of targets
+//! each of a set of sources reaches within `k` hops, by a bit-parallel
+//! multi-source BFS (MS-BFS, Then et al., VLDB 2015) that walks 64 sources
+//! in one pass, one bit of a `u64` per source. It is the one governed
+//! traversal — it observes cancellation / deadline per batch and per
+//! expanded vertex (strided, one `fetch_add` each) and carries the
+//! `graph.khop` fault point (see DESIGN.md §11). [`k_hop_set`] is one
+//! source's ball, ungoverned; [`KHopScratch`] is the same into reused
+//! buffers, for a caller that takes one small ball per vertex. The
+//! pairwise [`within_k_hops`] is ungoverned too: it is the reference link
+//! joins are checked against, not a path they run.
 
 use crate::graph::{LabeledGraph, VertexId};
 use gsj_common::{pool, FxHashMap, FxHashSet, QueryGovernor, Result};
@@ -24,16 +26,10 @@ use gsj_obs::LazyCounter;
 // so the hot paths stay cheap. See DESIGN.md §10.
 static KHOP_CALLS: LazyCounter = LazyCounter::new("gsj_graph_khop_calls_total");
 static KHOP_VISITED: LazyCounter = LazyCounter::new("gsj_graph_khop_visited_total");
+static REACH_EXPANDED: LazyCounter = LazyCounter::new("gsj_graph_reach_expanded_total");
 static BFS_CALLS: LazyCounter = LazyCounter::new("gsj_graph_bfs_calls_total");
 static BFS_VISITED: LazyCounter = LazyCounter::new("gsj_graph_bfs_visited_total");
 static BFS_HITS: LazyCounter = LazyCounter::new("gsj_graph_bfs_hits_total");
-
-// INVARIANT(allowlist): with `gov: None` the `_impl` traversals perform
-// no governance checks and no fault points — the only fallible paths —
-// so unwrapping in the classic wrappers cannot panic. Pool workers
-// spawned for large frontiers follow the same rule: their
-// `pool.worker` fault point is armed only under a governor.
-const UNGOVERNED: &str = "ungoverned traversal is infallible";
 
 /// Frontier vertices per pool task, and the frontier size up to which a
 /// BFS level expands inline: pool fan-out only pays off once a level
@@ -53,18 +49,11 @@ fn expand_level(
     g: &LabeledGraph,
     frontier: &[VertexId],
     is_seen: &(dyn Fn(&VertexId) -> bool + Sync),
-    gov: Option<&QueryGovernor>,
-) -> Result<Vec<VertexId>> {
+) -> Vec<VertexId> {
     let grain = FRONTIER_GRAIN.min(pool::morsel_rows());
-    let parts = pool::run_ranges(frontier.len(), grain, |range, pooled| {
-        if pooled && gov.is_some() {
-            fault_point("pool.worker", FaultClass::Critical)?;
-        }
+    let parts = pool::run_ranges(frontier.len(), grain, |range, _| {
         let mut out = Vec::new();
         for &w in &frontier[range] {
-            if let Some(gov) = gov {
-                gov.check_coarse("graph.khop")?;
-            }
             for (e, _) in g.incident(w) {
                 if !is_seen(&e.to) {
                     out.push(e.to);
@@ -72,39 +61,18 @@ fn expand_level(
             }
         }
         Ok(out)
-    })?;
-    Ok(pool::concat(parts))
+    });
+    // The scans return no error of their own; the pool's only one is a
+    // panicking scan, re-raised here as the inline scan would have.
+    pool::concat(parts.expect("an adjacency scan panicked"))
 }
 
 /// All live vertices within `k` undirected hops of `start` (including
 /// `start` itself at distance 0).
 pub fn k_hop_set(g: &LabeledGraph, start: VertexId, k: usize) -> FxHashSet<VertexId> {
-    k_hop_set_impl(g, start, k, None).expect(UNGOVERNED)
-}
-
-/// [`k_hop_set`] under a governor: the frontier loop observes
-/// cancellation, deadline and budgets at stride granularity.
-pub fn k_hop_set_governed(
-    g: &LabeledGraph,
-    start: VertexId,
-    k: usize,
-    gov: &QueryGovernor,
-) -> Result<FxHashSet<VertexId>> {
-    k_hop_set_impl(g, start, k, Some(gov))
-}
-
-fn k_hop_set_impl(
-    g: &LabeledGraph,
-    start: VertexId,
-    k: usize,
-    gov: Option<&QueryGovernor>,
-) -> Result<FxHashSet<VertexId>> {
-    if gov.is_some() {
-        fault_point("graph.khop", FaultClass::Critical)?;
-    }
     let mut seen: FxHashSet<VertexId> = FxHashSet::default();
     if !g.is_live(start) {
-        return Ok(seen);
+        return seen;
     }
     seen.insert(start);
     let mut frontier = vec![start];
@@ -112,7 +80,7 @@ fn k_hop_set_impl(
         if frontier.is_empty() {
             break;
         }
-        let candidates = expand_level(g, &frontier, &|v| seen.contains(v), gov)?;
+        let candidates = expand_level(g, &frontier, &|v| seen.contains(v));
         frontier.clear();
         for v in candidates {
             if seen.insert(v) {
@@ -122,7 +90,156 @@ fn k_hop_set_impl(
     }
     KHOP_CALLS.inc();
     KHOP_VISITED.add(seen.len() as u64);
-    Ok(seen)
+    seen
+}
+
+/// Sources per pass of [`k_hop_reach`]: one bit of a lane word each.
+const LANES: usize = u64::BITS as usize;
+
+/// Which targets each source reaches, as [`k_hop_reach`] returns it.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Reach {
+    /// `targets[offsets[i]..offsets[i + 1]]` belongs to the `i`-th source.
+    pub offsets: Vec<usize>,
+    /// Per source, the targets within `k` hops of it, ascending.
+    pub targets: Vec<VertexId>,
+    /// Passes over the graph: one per 64 sources.
+    pub batches: usize,
+    /// Vertex expansions: one per vertex per level per batch it was on
+    /// the frontier of.
+    pub expanded: usize,
+}
+
+/// For each of `sources`, the members of `targets` within `k` undirected
+/// hops of it (itself included, distance 0 ≤ k; a removed source reaches
+/// nothing), as CSR rows in source order. Both lists must be ascending
+/// and distinct.
+///
+/// A bit-parallel multi-source BFS: sources go in batches of 64, bit `i`
+/// of a vertex's `u64` lane words standing for the batch's `i`-th source.
+/// A level expands each vertex whose frontier word is non-zero *once*,
+/// for all its lanes — `next[w] |= frontier[v] & !seen[w]` — so a batch
+/// never scans more adjacency than its 64 separate BFS runs would, and a
+/// neighbourhood the sources share costs up to 64× less. After `k`
+/// levels a target's `seen` word lists the sources that reach it; walking
+/// the targets in ascending order writes every row ascending. The three
+/// word arrays are dense over [`LabeledGraph::id_bound`] (24 bytes per
+/// vertex slot) and reused across batches; a batch resets only the slots
+/// it touched.
+///
+/// Governance: `check` up front; per batch the `graph.khop` fault point
+/// and a strided `join.connectivity` check; per expanded vertex a strided
+/// `graph.khop` check.
+pub fn k_hop_reach(
+    g: &LabeledGraph,
+    sources: &[VertexId],
+    targets: &[VertexId],
+    k: usize,
+    gov: &QueryGovernor,
+) -> Result<Reach> {
+    gov.check("join.connectivity")?;
+    let ascending = |vs: &[VertexId]| vs.windows(2).all(|w| w[0] < w[1]);
+    assert!(
+        ascending(sources) && ascending(targets),
+        "k_hop_reach takes ascending, distinct sources and targets"
+    );
+    let slots = g.id_bound();
+    let (mut seen, mut frontier, mut next) =
+        (vec![0u64; slots], vec![0u64; slots], vec![0u64; slots]);
+    // The slots with a non-zero `seen` word, the current frontier, and the
+    // vertices the level being expanded reached: each once.
+    let (mut touched, mut level, mut reached) = (Vec::new(), Vec::new(), Vec::new());
+    let mut out = Reach {
+        offsets: Vec::with_capacity(sources.len() + 1),
+        targets: Vec::new(),
+        batches: 0,
+        expanded: 0,
+    };
+    out.offsets.push(0);
+    for batch in sources.chunks(LANES) {
+        fault_point("graph.khop", FaultClass::Critical)?;
+        gov.check_coarse("join.connectivity")?;
+        for (lane, &s) in batch.iter().enumerate() {
+            if g.is_live(s) {
+                seen[s.index()] = 1 << lane;
+                frontier[s.index()] = 1 << lane;
+                touched.push(s);
+                level.push(s);
+            }
+        }
+        for _ in 0..k {
+            if level.is_empty() {
+                break;
+            }
+            for &v in &level {
+                gov.check_coarse("graph.khop")?;
+                let lanes = frontier[v.index()];
+                for e in g.out_edges(v).iter().chain(g.in_edges(v)) {
+                    let w = e.to.index();
+                    let new = lanes & !seen[w];
+                    if new != 0 {
+                        if next[w] == 0 {
+                            reached.push(e.to);
+                        }
+                        next[w] |= new;
+                    }
+                }
+            }
+            out.expanded += level.len();
+            for v in level.drain(..) {
+                frontier[v.index()] = 0;
+            }
+            for &w in &reached {
+                let lanes = std::mem::take(&mut next[w.index()]);
+                if seen[w.index()] == 0 {
+                    touched.push(w);
+                }
+                seen[w.index()] |= lanes;
+                frontier[w.index()] = lanes;
+            }
+            std::mem::swap(&mut level, &mut reached);
+        }
+
+        // Two passes over the targets: count each lane's row, then fill
+        // the rows in place. (A target outside the graph is reached by
+        // no source.)
+        let lanes_of = |t: VertexId| seen.get(t.index()).copied().unwrap_or(0);
+        let mut cursor = [0usize; LANES];
+        for &t in targets {
+            for_each_lane(lanes_of(t), |lane| cursor[lane] += 1);
+        }
+        let mut end = out.targets.len();
+        for row in &mut cursor[..batch.len()] {
+            (*row, end) = (end, end + *row);
+            out.offsets.push(end);
+        }
+        out.targets.resize(end, VertexId(0));
+        for &t in targets {
+            for_each_lane(lanes_of(t), |lane| {
+                out.targets[cursor[lane]] = t;
+                cursor[lane] += 1;
+            });
+        }
+
+        for v in touched.drain(..) {
+            seen[v.index()] = 0;
+        }
+        for v in level.drain(..) {
+            frontier[v.index()] = 0;
+        }
+        out.batches += 1;
+    }
+    REACH_EXPANDED.add(out.expanded as u64);
+    Ok(out)
+}
+
+/// Call `f` with the index of every set bit of `lanes`, lowest first.
+#[inline]
+fn for_each_lane(mut lanes: u64, mut f: impl FnMut(usize)) {
+    while lanes != 0 {
+        f(lanes.trailing_zeros() as usize);
+        lanes &= lanes - 1;
+    }
 }
 
 /// The buffers of one k-hop ball, reused over a run of them: HER's block
@@ -169,9 +286,9 @@ impl KHopScratch {
 /// This is the join condition of the link join `S1 ⋈G S2` (Section IV-A's
 /// "check their pairwise distance via a bi-directional BFS search").
 ///
-/// Ungoverned: no engine path probes pairs any more (link joins expand
-/// per source through [`k_hop_set_governed`]); this stays as the
-/// reference the per-source index is tested and benchmarked against.
+/// Ungoverned: no engine path probes pairs any more (link joins build
+/// their index with [`k_hop_reach`]); this stays as the reference the
+/// index is tested and benchmarked against.
 pub fn within_k_hops(g: &LabeledGraph, u: VertexId, v: VertexId, k: usize) -> bool {
     BFS_CALLS.inc();
     if !g.is_live(u) || !g.is_live(v) {
@@ -208,8 +325,7 @@ pub fn within_k_hops(g: &LabeledGraph, u: VertexId, v: VertexId, k: usize) -> bo
         // frontier — fans out over a frozen view of `mine`; the merge
         // below replays the sequential skip/hit/insert decisions, so
         // the verdict is identical to the inline loop's.
-        let candidates =
-            expand_level(g, frontier, &|x| mine.contains_key(x), None).expect(UNGOVERNED);
+        let candidates = expand_level(g, frontier, &|x| mine.contains_key(x));
         let mut next = Vec::new();
         for x in candidates {
             if mine.contains_key(&x) {
@@ -236,6 +352,9 @@ mod tests {
     use super::*;
     use crate::graph::LabeledGraph;
     use gsj_common::GsjError;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{RngExt, SeedableRng};
 
     /// Chain v0 -> v1 -> ... -> vn.
     fn chain(n: usize) -> (LabeledGraph, Vec<VertexId>) {
@@ -245,6 +364,24 @@ mod tests {
             g.add_edge(w[0], "next", w[1]);
         }
         (g, vs)
+    }
+
+    /// The per-source build [`k_hop_reach`] replaced: one [`k_hop_set`]
+    /// per source, then one set probe per target.
+    fn per_source_reach(
+        g: &LabeledGraph,
+        sources: &[VertexId],
+        targets: &[VertexId],
+        k: usize,
+    ) -> (Vec<usize>, Vec<VertexId>) {
+        let mut offsets = vec![0];
+        let mut reached = Vec::new();
+        for &s in sources {
+            let ball = k_hop_set(g, s, k);
+            reached.extend(targets.iter().filter(|t| ball.contains(t)));
+            offsets.push(reached.len());
+        }
+        (offsets, reached)
     }
 
     #[test]
@@ -293,12 +430,14 @@ mod tests {
         assert!(k_hop_set(&g, vs[1], 2).is_empty());
         // The ball around v0 no longer crosses the tombstone.
         assert_eq!(k_hop_set(&g, vs[0], 3).len(), 1);
+        let gov = QueryGovernor::unlimited();
+        let reach = k_hop_reach(&g, &vs, &vs, 3, &gov).unwrap();
+        assert_eq!(reach.offsets, vec![0, 1, 1, 3, 5]);
+        assert_eq!(reach.targets, vec![vs[0], vs[2], vs[3], vs[2], vs[3]]);
     }
 
     #[test]
     fn bidirectional_agrees_with_unidirectional_on_random_graphs() {
-        use rand::rngs::SmallRng;
-        use rand::{RngExt, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(7);
         for _ in 0..20 {
             let mut g = LabeledGraph::new();
@@ -336,43 +475,114 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `k_hop_reach` ≡ one `k_hop_set` per source, across lane
+        /// boundaries: 0–150 distinct sources (0 to 3 batches, with exactly
+        /// 64 and 65 forced), targets that are and are not sources, one
+        /// removed source and one removed target, `k` 0–4.
+        #[test]
+        fn reach_equals_the_per_source_reference(
+            n in 60usize..201,
+            // 0–3: 0, 1, 64 or 65 sources; otherwise `drawn`.
+            shape in 0usize..8,
+            drawn in 0usize..151,
+            seed in 0u64..u64::MAX,
+            k in 0usize..5,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut g = LabeledGraph::new();
+            let vs: Vec<VertexId> = (0..n).map(|i| g.add_vertex(&format!("v{i}"))).collect();
+            for _ in 0..rng.random_range(n / 2..2 * n) {
+                let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+                g.add_edge(vs[a], "e", vs[b]);
+            }
+            let mut pick = |count: usize| -> Vec<VertexId> {
+                let mut vs: Vec<VertexId> = vs.clone();
+                for i in 0..count.min(n) {
+                    let j = rng.random_range(i..n);
+                    vs.swap(i, j);
+                }
+                vs.truncate(count.min(n));
+                vs.sort();
+                vs
+            };
+            let sources = pick([0, 1, 64, 65].get(shape).copied().unwrap_or(drawn));
+            let targets = pick(drawn);
+            if let Some(&s) = sources.first() {
+                g.remove_vertex(s);
+            }
+            if let Some(&t) = targets.last() {
+                g.remove_vertex(t);
+            }
+
+            let reach = k_hop_reach(&g, &sources, &targets, k, &QueryGovernor::unlimited()).unwrap();
+            prop_assert_eq!(reach.batches, sources.len().div_ceil(64));
+            prop_assert_eq!(
+                (reach.offsets, reach.targets),
+                per_source_reach(&g, &sources, &targets, k)
+            );
+        }
+    }
+
+    #[test]
+    fn reach_expands_a_shared_neighbourhood_once_per_level() {
+        // A star: 64 leaves around one hub. Per source, k = 2 expands the
+        // leaf and then the hub, 128 expansions; in one batch the leaves
+        // are expanded once each and the hub once, 65.
+        let mut g = LabeledGraph::new();
+        let hub = g.add_vertex("hub");
+        let leaves: Vec<_> = (0..64).map(|i| g.add_vertex(&format!("l{i}"))).collect();
+        for &l in &leaves {
+            g.add_edge(l, "e", hub);
+        }
+        let reach = k_hop_reach(&g, &leaves, &leaves, 2, &QueryGovernor::unlimited()).unwrap();
+        assert_eq!((reach.batches, reach.expanded), (1, 65));
+        assert_eq!(reach.targets.len(), 64 * 64);
+    }
+
     #[test]
     fn governed_traversals_match_classic_when_unlimited() {
-        let (g, vs) = chain(6);
+        let (mut g, vs) = chain(70);
+        g.add_edge(vs[69], "back", vs[3]);
         let gov = QueryGovernor::unlimited();
-        assert_eq!(
-            k_hop_set_governed(&g, vs[2], 2, &gov).unwrap(),
-            k_hop_set(&g, vs[2], 2)
-        );
+        for k in [0, 1, 2, 5] {
+            let reach = k_hop_reach(&g, &vs, &vs[10..], k, &gov).unwrap();
+            assert_eq!(
+                (reach.offsets, reach.targets),
+                per_source_reach(&g, &vs, &vs[10..], k),
+                "k={k}"
+            );
+        }
     }
 
     #[test]
     fn governed_traversals_observe_cancellation() {
-        // A dense-enough graph that the strided check fires mid-BFS.
-        let mut g = LabeledGraph::new();
-        let n = 400usize;
-        let vs: Vec<_> = (0..n).map(|i| g.add_vertex(&format!("c{i}"))).collect();
-        for i in 0..n {
-            g.add_edge(vs[i], "e", vs[(i + 1) % n]);
-            g.add_edge(vs[i], "e", vs[(i + 7) % n]);
-        }
+        let (g, vs) = chain(200);
         let gov = QueryGovernor::unlimited();
         gov.cancel();
         assert_eq!(
-            k_hop_set_governed(&g, vs[0], 50, &gov),
+            k_hop_reach(&g, &vs, &vs, 50, &gov),
             Err(GsjError::Cancelled)
         );
+        let expired = QueryGovernor::builder()
+            .deadline_at(std::time::Instant::now() - std::time::Duration::from_millis(1))
+            .build();
+        let err = k_hop_reach(&g, &vs, &vs, 50, &expired).unwrap_err();
+        assert!(matches!(err, GsjError::DeadlineExceeded(_)), "{err:?}");
     }
 
     #[test]
     fn governed_traversals_inject_faults() {
         let _x = gsj_faults::exclusive();
-        gsj_faults::set_spec(Some("graph.khop:error")).unwrap();
         let (g, vs) = chain(3);
         let gov = QueryGovernor::unlimited();
-        let err = k_hop_set_governed(&g, vs[0], 2, &gov).unwrap_err();
-        assert!(matches!(err, GsjError::Internal(_)), "{err}");
-        // The classic wrapper carries no fault point.
+        gsj_faults::set_spec(Some("graph.khop:error")).unwrap();
+        let err = k_hop_reach(&g, &vs, &vs, 2, &gov).unwrap_err();
+        assert!(matches!(err, GsjError::Internal(_)), "{err:?}");
+        // No batch, no fault point; and the ungoverned ball carries none.
+        assert!(k_hop_reach(&g, &[], &vs, 2, &gov).is_ok());
         assert_eq!(k_hop_set(&g, vs[0], 2).len(), 3);
         gsj_faults::set_spec(None).unwrap();
     }

@@ -17,13 +17,12 @@
 use gsj_common::{GsjError, QueryGovernor, Result};
 use gsj_core::gsql::exec::{GsqlEngine, Strategy};
 use gsj_core::incext::{inc_update_graph, Extraction};
-use gsj_core::join::connectivity_relation;
+use gsj_core::join::{connectivity_relation, LinkIndex};
 use gsj_core::rext::Rext;
 use gsj_datagen::queries::workload;
 use gsj_datagen::updates::balanced_updates;
 use gsj_datagen::Collection;
 use gsj_graph::random_walk::{build_corpus, WalkConfig};
-use gsj_graph::traversal::k_hop_set_governed;
 use gsj_graph::update::apply_updates;
 use gsj_her::her_match;
 use gsj_server::serving_rext_config;
@@ -146,7 +145,7 @@ fn drive_all(f: &Fixture) -> Vec<(&'static str, Result<usize>)> {
     let v0 = f.col.graph.vertices().next().unwrap();
     out.push((
         "graph.khop",
-        k_hop_set_governed(&f.col.graph, v0, 2, &gov).map(|s| s.len()),
+        LinkIndex::build(&f.col.graph, &[v0], &[v0], 2, &gov).map(|i| i.pairs()),
     ));
     // Direct g_L materialization: after the first run the engine answers
     // link joins from the profile cache, so keep this site reachable.

@@ -3,12 +3,12 @@
 //! engine's physical operators, the k-hop BFS loops of link joins, and
 //! random-walk corpus generation (DESIGN.md §11).
 
-use gsj_common::{GsjError, QueryGovernor};
+use gsj_common::{FxHashSet, GsjError, QueryGovernor};
 use gsj_core::gsql::exec::{GsqlEngine, Strategy, TraceOpt};
+use gsj_core::join::LinkIndex;
 use gsj_datagen::queries::workload;
 use gsj_datagen::Collection;
 use gsj_graph::random_walk::{build_corpus, WalkConfig};
-use gsj_graph::traversal::{k_hop_set, k_hop_set_governed};
 use gsj_graph::LabeledGraph;
 use gsj_server::engine_for_collection;
 use gsj_tests::tiny;
@@ -45,14 +45,49 @@ fn chain(n: usize) -> (LabeledGraph, Vec<gsj_graph::VertexId>) {
 
 #[test]
 fn khop_bfs_observes_expired_deadline() {
-    let (g, vs) = chain(400);
-    let err = k_hop_set_governed(&g, vs[0], 400, &expired()).unwrap_err();
+    // The link index's multi-source BFS, on a build of many batches: a
+    // deadline that lapses while it runs stops it with the typed error.
+    let (g, vs) = chain(20_000);
+    let gov = QueryGovernor::builder()
+        .deadline(Duration::from_millis(1))
+        .build();
+    let err = LinkIndex::build(&g, &vs, &vs, 30, &gov).unwrap_err();
     assert!(matches!(err, GsjError::DeadlineExceeded(_)), "{err:?}");
-    // And an unlimited governor changes nothing.
-    assert_eq!(
-        k_hop_set_governed(&g, vs[0], 5, &QueryGovernor::unlimited()).unwrap(),
-        k_hop_set(&g, vs[0], 5)
+
+    // Through the profile: an expired or cancelled governor stops the
+    // build of a resident `g_L` over more than one batch of sources, and
+    // nothing is installed.
+    let col = tiny("Celebrity");
+    let engine = engine_for_collection(&col).unwrap();
+    let (g, rel) = (engine.graph("G").unwrap(), &col.spec.rel_name);
+    let profile = engine.profile("G").unwrap();
+    let sources: FxHashSet<_> = profile
+        .extraction(rel)
+        .unwrap()
+        .matches
+        .vertices()
+        .collect();
+    assert!(sources.len() > 64, "{} sources: one batch", sources.len());
+    let cancelled = QueryGovernor::unlimited();
+    cancelled.cancel();
+    let err = profile
+        .build_link_index(g, rel, rel, 2, &cancelled)
+        .unwrap_err();
+    assert_eq!(err, GsjError::Cancelled);
+    let err = profile
+        .build_link_index(g, rel, rel, 2, &expired())
+        .unwrap_err();
+    assert!(matches!(err, GsjError::DeadlineExceeded(_)), "{err:?}");
+    assert_eq!(profile.link_index_count(), 0);
+    // And an unlimited governor builds and installs it.
+    let index = profile
+        .build_link_index(g, rel, rel, 2, &QueryGovernor::unlimited())
+        .unwrap();
+    assert!(
+        index.pairs() >= sources.len(),
+        "every source reaches itself"
     );
+    assert_eq!(profile.link_index_count(), 1);
 }
 
 #[test]

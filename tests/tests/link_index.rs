@@ -16,7 +16,7 @@ use gsj_core::typed::TypedRelation;
 use gsj_datagen::queries::workload;
 use gsj_datagen::updates::balanced_updates;
 use gsj_datagen::Collection;
-use gsj_graph::traversal::within_k_hops;
+use gsj_graph::traversal::{k_hop_set, within_k_hops};
 use gsj_graph::update::apply_updates;
 use gsj_graph::{GraphUpdate, LabeledGraph, VertexId};
 use gsj_her::relation_er::ErConfig;
@@ -268,6 +268,96 @@ fn identity_typed_store(vs: &[VertexId]) -> FxHashMap<String, TypedRelation> {
         },
         relation,
     }])
+}
+
+/// The index as the per-source build made it: per distinct source, its
+/// `k_hop_set` filtered to the distinct targets, ascending.
+fn per_source_rows(
+    g: &LabeledGraph,
+    left: &[VertexId],
+    right: &[VertexId],
+    k: usize,
+) -> Vec<(VertexId, Vec<VertexId>)> {
+    let distinct = |vs: &[VertexId]| -> Vec<VertexId> {
+        let mut vs = vs.to_vec();
+        vs.sort();
+        vs.dedup();
+        vs
+    };
+    let targets = distinct(right);
+    distinct(left)
+        .into_iter()
+        .map(|s| {
+            let ball = k_hop_set(g, s, k);
+            (
+                s,
+                targets
+                    .iter()
+                    .copied()
+                    .filter(|t| ball.contains(t))
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `LinkIndex::build` ≡ the per-source build, and
+    /// `connectivity_relation` ≡ its per-pair definition, across the
+    /// 64-source lane boundaries of the multi-source BFS: 0–150 distinct
+    /// sources (0 to 3 batches; exactly 0, 1, 64 and 65 forced) listed
+    /// with duplicates, targets that are and are not sources, a removed
+    /// source and a removed target, `k` 0–4.
+    #[test]
+    fn link_index_equals_the_per_source_build_across_lanes(
+        n in 60usize..201,
+        edges in prop::collection::vec((0usize..200, 0usize..200), 30..400),
+        // 0–3: exactly 0, 1, 64 or 65 distinct sources from `offset` on,
+        // repeated per `picks`; otherwise the sources are `picks` itself.
+        shape in 0usize..8,
+        offset in 0usize..200,
+        picks in prop::collection::vec(0usize..200, 0..151),
+        right in prop::collection::vec(0usize..200, 0..151),
+        k in 0usize..5,
+    ) {
+        let mut g = LabeledGraph::new();
+        let vs: Vec<VertexId> = (0..n).map(|i| g.add_vertex(&format!("v{i}"))).collect();
+        for (a, b) in edges {
+            g.add_edge(vs[a % n], "e", vs[b % n]);
+        }
+        let left: Vec<VertexId> = match [0, 1, 64, 65].get(shape) {
+            Some(&c) => {
+                let c = c.min(n);
+                let set: Vec<VertexId> = (0..c).map(|i| vs[(offset + i) % n]).collect();
+                let dups = picks.iter().take(40).filter_map(|p| set.get(p % c.max(1)));
+                set.iter().chain(dups).copied().collect()
+            }
+            None => picks.iter().map(|p| vs[p % n]).collect(),
+        };
+        let right: Vec<VertexId> = right.iter().map(|p| vs[p % n]).collect();
+        for dead in [left.first(), right.last()].into_iter().flatten() {
+            apply_updates(&mut g, &[GraphUpdate::RemoveVertex(*dead)]);
+        }
+        let gov = QueryGovernor::unlimited();
+
+        let index = LinkIndex::build(&g, &left, &right, k, &gov).unwrap();
+        let rows = per_source_rows(&g, &left, &right, k);
+        for &v in &vs {
+            let expected = rows.iter().find(|(s, _)| *s == v).map_or(&[][..], |(_, r)| r.as_slice());
+            prop_assert_eq!(index.reachable(v), expected, "v={} k={}", v, k);
+        }
+        prop_assert_eq!(index.pairs(), rows.iter().map(|(_, r)| r.len()).sum::<usize>());
+
+        let rel = connectivity_relation(&g, &left, &right, k, "g_l", &gov).unwrap();
+        let rows: Vec<(i64, i64)> = (0..rel.len())
+            .map(|i| {
+                (rel.value_at(i, 0).as_int().unwrap(), rel.value_at(i, 1).as_int().unwrap())
+            })
+            .collect();
+        prop_assert_eq!(rows, connectivity_by_pair_bfs(&g, &left, &right, k));
+    }
 }
 
 proptest! {
