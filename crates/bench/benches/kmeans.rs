@@ -1,9 +1,8 @@
 //! Criterion microbench: K-means clustering (the KMC step of pattern
-//! discovery), the assignment step on one worker vs `GSJ_THREADS` of them.
+//! discovery).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gsj_cluster::{kmeans, KmeansConfig};
-use gsj_common::pool;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -39,7 +38,7 @@ fn bench_kmeans(c: &mut Criterion) {
                 k: 12,
                 ..KmeansConfig::default()
             };
-            b.iter(|| pool::with_threads(1, || kmeans(d, &cfg)))
+            b.iter(|| kmeans(d, &cfg))
         },
     );
     for &n in &[500usize, 2000] {
@@ -49,11 +48,7 @@ fn bench_kmeans(c: &mut Criterion) {
             max_iters: 10,
             ..KmeansConfig::default()
         };
-        group.bench_with_input(BenchmarkId::new("serial_h30", n), &data, |b, d| {
-            b.iter(|| pool::with_threads(1, || kmeans(d, &cfg)))
-        });
-        // The ambient worker count (`GSJ_THREADS`, else every core).
-        group.bench_with_input(BenchmarkId::new("parallel_h30", n), &data, |b, d| {
+        group.bench_with_input(BenchmarkId::new("h30", n), &data, |b, d| {
             b.iter(|| kmeans(d, &cfg))
         });
     }

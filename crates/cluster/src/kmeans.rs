@@ -1,8 +1,7 @@
-//! Lloyd's algorithm with parallel assignment.
+//! Lloyd's algorithm.
 
 use crate::init::kmeanspp_distinct;
 use crate::lanes::Distinct;
-use gsj_common::{pool, Result};
 use gsj_nn::lanes::LaneMatrix;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -56,14 +55,9 @@ impl Clustering {
     }
 }
 
-/// Distinct points per pool task of the assignment step: a point costs
-/// well under a microsecond against a dozen centroids, so anything
-/// smaller is cheaper than the thread that would run it.
-const ASSIGN_GRAIN: usize = 1024;
-
 /// Nearest centroid (first strict minimum) and its squared distance, for
 /// each of `points`.
-fn assign_chunk(points: &[&[f32]], centroids: &LaneMatrix) -> Vec<(usize, f32)> {
+fn nearest_centroids(points: &[&[f32]], centroids: &LaneMatrix) -> Vec<(usize, f32)> {
     let mut dists = Vec::new();
     points
         .iter()
@@ -84,22 +78,18 @@ fn assign_chunk(points: &[&[f32]], centroids: &LaneMatrix) -> Vec<(usize, f32)> 
 
 /// Run K-means over `points`.
 ///
-/// A function of `points` and `cfg` alone, bit for bit, at every worker
-/// count: only the assignment step goes through the worker pool (each
-/// point's nearest centroid is independent of every other point's), and
-/// the inertia — which decides the stopping iteration — is summed on the
-/// calling thread in point order. The `Err` is the pool's, for a task
-/// that panicked.
-pub fn kmeans(points: &[Vec<f32>], cfg: &KmeansConfig) -> Result<Clustering> {
+/// A function of `points` and `cfg` alone, bit for bit: the inertia —
+/// which decides the stopping iteration — is summed in point order.
+pub fn kmeans(points: &[Vec<f32>], cfg: &KmeansConfig) -> Clustering {
     let mut span = gsj_obs::span("cluster.kmeans");
     span.field("points", points.len()).field("k", cfg.k);
     if points.is_empty() || cfg.k == 0 {
-        return Ok(Clustering {
+        return Clustering {
             assignments: Vec::new(),
             centroids: Vec::new(),
             inertia: 0.0,
             iterations: 0,
-        });
+        };
     }
     let dim = points[0].len();
     debug_assert!(points.iter().all(|p| p.len() == dim));
@@ -112,18 +102,15 @@ pub fn kmeans(points: &[Vec<f32>], cfg: &KmeansConfig) -> Result<Clustering> {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut centroids = kmeanspp_distinct(points, &distinct, cfg.k, &mut rng);
     let mut assignments = vec![0usize; points.len()];
-    let grain = ASSIGN_GRAIN.min(pool::morsel_rows());
     let mut prev_inertia = f64::INFINITY;
     let mut iterations = 0usize;
     let mut inertia = 0.0f64;
 
     for iter in 0..cfg.max_iters {
         iterations = iter + 1;
-        // Assignment step (parallel over the distinct points).
+        // Assignment step (over the distinct points).
         let matrix = LaneMatrix::new(centroids.iter().map(Vec::as_slice), dim);
-        let nearest = pool::concat(pool::run_ranges(reps.len(), grain, |range, _| {
-            Ok(assign_chunk(&reps[range], &matrix))
-        })?);
+        let nearest = nearest_centroids(reps, &matrix);
         for (a, &g) in assignments.iter_mut().zip(&distinct.group_of) {
             *a = nearest[g as usize].0;
         }
@@ -158,21 +145,17 @@ pub fn kmeans(points: &[Vec<f32>], cfg: &KmeansConfig) -> Result<Clustering> {
     }
 
     span.field("iterations", iterations);
-    Ok(Clustering {
+    Clustering {
         assignments,
         centroids,
         inertia,
         iterations,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn kmeans(points: &[Vec<f32>], cfg: &KmeansConfig) -> Clustering {
-        super::kmeans(points, cfg).expect("no task panics")
-    }
 
     fn blobs() -> Vec<Vec<f32>> {
         let mut points = Vec::new();

@@ -115,7 +115,6 @@ pub fn kmeans_reference(points: &[Vec<f32>], cfg: &KmeansConfig) -> Clustering {
 mod exactness {
     use super::kmeans_reference;
     use crate::{kmeans, Clustering, KmeansConfig};
-    use gsj_common::pool::{with_morsel_rows, with_threads};
     use proptest::prelude::*;
 
     fn assert_same_bits(new: &Clustering, old: &Clustering) {
@@ -135,8 +134,7 @@ mod exactness {
         /// Points are drawn *by index* from a small pool, so exact
         /// duplicates are the rule, `k` regularly exceeds the number of
         /// distinct points (k-means++ then repeats a centroid and the
-        /// second copy's cluster stays empty). Four workers over
-        /// two-point ranges put the assignment step on the pool.
+        /// second copy's cluster stays empty).
         #[test]
         fn lane_kmeans_equals_sq_dist_kmeans(
             pool in prop::collection::vec(prop::collection::vec(-3.0f32..3.0, 7), 1..12),
@@ -157,11 +155,7 @@ mod exactness {
                 })
                 .collect();
             let cfg = KmeansConfig { k, max_iters, tol: 1e-4, seed };
-            let reference = kmeans_reference(&points, &cfg);
-            for workers in [1, 4] {
-                let new = with_threads(workers, || with_morsel_rows(2, || kmeans(&points, &cfg)));
-                assert_same_bits(&new.unwrap(), &reference);
-            }
+            assert_same_bits(&kmeans(&points, &cfg), &kmeans_reference(&points, &cfg));
         }
     }
 
@@ -182,7 +176,7 @@ mod exactness {
                 tol: 0.0,
                 seed,
             };
-            let new = kmeans(&points, &cfg).unwrap();
+            let new = kmeans(&points, &cfg);
             assert_same_bits(&new, &kmeans_reference(&points, &cfg));
             assert_eq!(new.centroids.len(), 3);
             let used: std::collections::BTreeSet<usize> = new.assignments.iter().copied().collect();

@@ -16,11 +16,11 @@
 //! - [`GsjError`]: the workspace error type.
 //! - [`QueryGovernor`]: cooperative deadlines, budgets and cancellation
 //!   threaded through execution (DESIGN.md §11).
-//! - [`pool`]: the morsel-driven worker pool — the `GSJ_THREADS` policy
-//!   and the one deterministic fan-out every parallel kernel goes
-//!   through (DESIGN.md §13).
-//! - [`RetryPolicy`]: bounded exponential backoff with deterministic jitter
-//!   for transient failures.
+//! - [`pool`]: the worker pool of the two fan-outs measured paying —
+//!   RExt's path selection and label embeddings; everything else runs on
+//!   the query's own thread (DESIGN.md §13).
+//! - [`retry`]: bounded exponential backoff with deterministic jitter for
+//!   transient failures.
 
 pub mod error;
 pub mod fxhash;
@@ -33,6 +33,5 @@ pub mod value;
 pub use error::{panic_message, GsjError, Result};
 pub use fxhash::{first_occurrences, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use governor::{GovernorBuilder, QueryGovernor};
-pub use retry::RetryPolicy;
 pub use symbol::{Symbol, SymbolTable};
 pub use value::Value;

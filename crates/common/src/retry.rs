@@ -6,9 +6,11 @@
 //! Only [`GsjError::retryable`] errors are retried — governance verdicts
 //! and user errors propagate on the first attempt.
 //!
-//! Jitter comes from the vendored `rand` seeded per-policy, so a given
-//! (policy, attempt) pair always sleeps the same amount: chaos runs are
-//! reproducible end to end.
+//! There is one policy: 4 attempts, sleeps starting at 10 ms and capped at
+//! 500 ms — under the deterministic chaos seed this absorbs a per-site
+//! failure probability of 0.05 with residual odds of ~6e-6. Jitter comes
+//! from the vendored `rand` under a fixed seed, so a given attempt always
+//! sleeps the same amount: chaos runs are reproducible end to end.
 
 use std::time::Duration;
 
@@ -17,107 +19,50 @@ use rand::{RngExt, SeedableRng};
 
 use crate::error::{GsjError, Result};
 
-/// Backoff configuration. `Default` gives 4 attempts starting at 10 ms,
-/// capped at 500 ms — under the deterministic chaos seed this absorbs a
-/// per-site failure probability of 0.05 with residual odds of ~6e-6.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (must be >= 1).
-    pub max_attempts: u32,
-    /// Sleep before attempt 2; doubles each further attempt.
-    pub base_delay: Duration,
-    /// Upper bound on any single sleep.
-    pub max_delay: Duration,
-    /// Seed for the jitter stream.
-    pub seed: u64,
+/// Total attempts, including the first.
+const MAX_ATTEMPTS: u32 = 4;
+/// Sleep before attempt 2; doubles each further attempt.
+const BASE_DELAY: Duration = Duration::from_millis(10);
+/// Upper bound on any single sleep.
+const MAX_DELAY: Duration = Duration::from_millis(500);
+/// Seed of the jitter stream.
+const SEED: u64 = 0x5eed_9e37;
+
+/// The sleep before retry number `retry` (1-based: the sleep taken after
+/// the first failure is `backoff(1)`). Exponential growth with full
+/// jitter: uniform in `[half, full]` of the doubled base, capped at
+/// [`MAX_DELAY`].
+fn backoff(retry: u32) -> Duration {
+    let exp = retry.saturating_sub(1).min(20);
+    let full_us = BASE_DELAY
+        .saturating_mul(1u32 << exp)
+        .min(MAX_DELAY)
+        .as_micros() as u64;
+    // Seed with the retry index so each sleep in a sequence jitters
+    // independently but reproducibly.
+    let mut rng = SmallRng::seed_from_u64(SEED ^ u64::from(retry));
+    Duration::from_micros(rng.random_range(full_us / 2..=full_us))
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(500),
-            seed: 0x5eed_9e37,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries: one attempt, no sleeping.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-            seed: 0,
-        }
-    }
-
-    /// A fast policy for tests: retries without meaningful sleeps.
-    pub fn immediate(max_attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-            seed: 0,
-        }
-    }
-
-    /// The sleep before retry number `retry` (1-based: the sleep taken
-    /// after the first failure is `backoff(1)`). Exponential growth with
-    /// full jitter: uniform in `[half, full]` of the doubled base, capped
-    /// at `max_delay`.
-    pub fn backoff(&self, retry: u32) -> Duration {
-        if self.base_delay.is_zero() {
-            return Duration::ZERO;
-        }
-        let exp = retry.saturating_sub(1).min(20);
-        let full = self
-            .base_delay
-            .saturating_mul(1u32 << exp)
-            .min(self.max_delay);
-        let full_us = full.as_micros() as u64;
-        if full_us == 0 {
-            return full;
-        }
-        // Seed with the retry index so each sleep in a sequence jitters
-        // independently but reproducibly.
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ u64::from(retry));
-        let jittered = rng.random_range(full_us / 2..=full_us);
-        Duration::from_micros(jittered)
-    }
-
-    /// Run `op` under this policy. `op` receives the 1-based attempt
-    /// number. Retries only while the error is [`GsjError::retryable`];
-    /// `on_retry` is invoked before each re-attempt (for metrics /
-    /// span events) with the attempt that failed and its error.
-    pub fn run_with<T>(
-        &self,
-        mut op: impl FnMut(u32) -> Result<T>,
-        mut on_retry: impl FnMut(u32, &GsjError),
-    ) -> Result<T> {
-        let attempts = self.max_attempts.max(1);
-        let mut attempt = 1;
-        loop {
-            match op(attempt) {
-                Ok(v) => return Ok(v),
-                Err(e) if e.retryable() && attempt < attempts => {
-                    on_retry(attempt, &e);
-                    let sleep = self.backoff(attempt);
-                    if !sleep.is_zero() {
-                        std::thread::sleep(sleep);
-                    }
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
+/// Run `op` under the retry policy. `op` receives the 1-based attempt
+/// number. Retries only while the error is [`GsjError::retryable`];
+/// `on_retry` is invoked before each re-attempt (for metrics / span
+/// events) with the attempt that failed and its error.
+pub fn run_with<T>(
+    mut op: impl FnMut(u32) -> Result<T>,
+    mut on_retry: impl FnMut(u32, &GsjError),
+) -> Result<T> {
+    let mut attempt = 1;
+    loop {
+        match op(attempt) {
+            Ok(v) => return Ok(v),
+            Err(e) if e.retryable() && attempt < MAX_ATTEMPTS => {
+                on_retry(attempt, &e);
+                std::thread::sleep(backoff(attempt));
+                attempt += 1;
             }
+            Err(e) => return Err(e),
         }
-    }
-
-    /// [`run_with`](Self::run_with) without a retry observer.
-    pub fn run<T>(&self, op: impl FnMut(u32) -> Result<T>) -> Result<T> {
-        self.run_with(op, |_, _| {})
     }
 }
 
@@ -125,10 +70,14 @@ impl RetryPolicy {
 mod tests {
     use super::*;
 
+    fn run<T>(op: impl FnMut(u32) -> Result<T>) -> Result<T> {
+        run_with(op, |_, _| {})
+    }
+
     #[test]
     fn first_success_needs_no_retry() {
         let mut calls = 0;
-        let out = RetryPolicy::default().run(|attempt| {
+        let out = run(|attempt| {
             calls += 1;
             assert_eq!(attempt, 1);
             Ok(42)
@@ -140,7 +89,7 @@ mod tests {
     #[test]
     fn retryable_errors_retry_until_success() {
         let mut retries_seen = Vec::new();
-        let out = RetryPolicy::immediate(4).run_with(
+        let out = run_with(
             |attempt| {
                 if attempt < 3 {
                     Err(GsjError::Internal(format!("flake {attempt}")))
@@ -160,12 +109,12 @@ mod tests {
     #[test]
     fn attempts_are_bounded() {
         let mut calls = 0;
-        let out: Result<()> = RetryPolicy::immediate(3).run(|_| {
+        let out: Result<()> = run(|_| {
             calls += 1;
             Err(GsjError::ResourceExhausted("always".into()))
         });
         assert!(matches!(out, Err(GsjError::ResourceExhausted(_))));
-        assert_eq!(calls, 3);
+        assert_eq!(calls, MAX_ATTEMPTS);
     }
 
     #[test]
@@ -176,7 +125,7 @@ mod tests {
             GsjError::DeadlineExceeded("op".into()),
         ] {
             let mut calls = 0;
-            let out: Result<()> = RetryPolicy::immediate(5).run(|_| {
+            let out: Result<()> = run(|_| {
                 calls += 1;
                 Err(err.clone())
             });
@@ -187,31 +136,17 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let p = RetryPolicy {
-            max_attempts: 8,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(100),
-            seed: 7,
-        };
-        let sleeps: Vec<Duration> = (1..=6).map(|r| p.backoff(r)).collect();
+        // Retry 7 is the first whose doubled base (640 ms) passes the cap.
+        let sleeps: Vec<Duration> = (1..=8).map(backoff).collect();
         for (i, s) in sleeps.iter().enumerate() {
             let retry = i as u32 + 1;
-            let full = p
-                .base_delay
+            let full = BASE_DELAY
                 .saturating_mul(1u32 << (retry - 1))
-                .min(p.max_delay);
+                .min(MAX_DELAY);
             assert!(*s <= full, "retry {retry}: {s:?} > {full:?}");
             assert!(*s >= full / 2, "retry {retry}: {s:?} < {:?}", full / 2);
         }
-        // Deterministic: same policy, same retry index, same sleep.
-        assert_eq!(p.backoff(3), p.backoff(3));
-    }
-
-    #[test]
-    fn zero_base_never_sleeps() {
-        let p = RetryPolicy::immediate(4);
-        for r in 1..5 {
-            assert_eq!(p.backoff(r), Duration::ZERO);
-        }
+        // Deterministic: same retry index, same sleep.
+        assert_eq!(backoff(3), backoff(3));
     }
 }

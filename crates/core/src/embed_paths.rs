@@ -13,15 +13,10 @@
 //! input and the per-path vectors are assembled by concatenation.
 
 use crate::extract::LabelEmbCache;
-use crate::rext::map_items;
 use gsj_common::{first_occurrences, Result, Symbol};
 use gsj_graph::{LabeledGraph, Path};
 use gsj_nn::lm::SequenceEmbedder;
 use gsj_nn::WordEmbedder;
-
-/// Distinct label sequences per pool task: each is an LSTM pass over up
-/// to `2k + 1` tokens, a hundred microseconds or so.
-const PATTERN_GRAIN: usize = 8;
 
 /// The label of the vertex a selected path ends on.
 pub(crate) fn end_label(g: &LabeledGraph, path: &Path) -> Symbol {
@@ -60,11 +55,14 @@ pub(crate) fn embed_paths(
             x
         })
         .collect();
-    let x_paths: Vec<Vec<f32>> = map_items(&patterns, PATTERN_GRAIN, |labels| {
-        let mut x = seq.embed_symbols(labels);
-        gsj_nn::vector::l2_normalize(&mut x);
-        x
-    })?;
+    let x_paths: Vec<Vec<f32>> = patterns
+        .iter()
+        .map(|labels| {
+            let mut x = seq.embed_symbols(labels);
+            gsj_nn::vector::l2_normalize(&mut x);
+            x
+        })
+        .collect();
     Ok(PairFeatures {
         features: label_of
             .iter()
@@ -157,8 +155,7 @@ mod tests {
     #[test]
     fn batch_equals_one_path_at_a_time_at_any_thread_count() {
         let (g, mut paths, lm) = setting();
-        // Repeat the paths so labels and sequences recur. (The worker
-        // counts are `tests/tests/parallel_equiv.rs`'s to vary.)
+        // Repeat the paths so labels and sequences recur.
         paths = paths.iter().cycle().take(12).cloned().collect();
         let word = HashEmbedder::new(10);
         let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();

@@ -23,7 +23,7 @@
 use crate::discover::{select_attributes, Discovery};
 use crate::extract::{extract_values, ClusterLookup, LabelEmbCache};
 use crate::rext::Rext;
-use gsj_common::{FxHashSet, Result, RetryPolicy, Value};
+use gsj_common::{retry, FxHashSet, Result, Value};
 use gsj_graph::update::UpdateReport;
 use gsj_graph::{LabeledGraph, VertexId};
 use gsj_her::{her_match_local, HerConfig, MatchRelation};
@@ -124,12 +124,8 @@ static INCEXT_RETRIES: gsj_obs::LazyCounter =
 /// the phase's fault point, so injected recoverable faults exercise the
 /// backoff path. The phases are deterministic over immutable inputs, which
 /// is what makes blind re-execution sound.
-fn retried<T>(
-    policy: &RetryPolicy,
-    site: &'static str,
-    mut op: impl FnMut() -> Result<T>,
-) -> Result<T> {
-    policy.run_with(
+fn retried<T>(site: &'static str, mut op: impl FnMut() -> Result<T>) -> Result<T> {
+    retry::run_with(
         |_attempt| {
             gsj_faults::fault_point(site, gsj_faults::FaultClass::Recoverable)?;
             op()
@@ -159,8 +155,7 @@ pub fn inc_update_graph(
 ) -> Result<Extraction> {
     let mut update_span = gsj_obs::span("incext.update_graph");
     update_span.field("touched", report.touched.len());
-    let policy = RetryPolicy::default();
-    let affected_zone = retried(&policy, "incext.zone", || {
+    let affected_zone = retried("incext.zone", || {
         let mut span = gsj_obs::span("incext.zone");
         let zone = pattern_affected_zone(g, &report.touched, &prev.discovery);
         span.field("vertices", zone.len());
@@ -182,7 +177,7 @@ pub fn inc_update_graph(
         .collect();
     let redo = s.gather(&redo_idx);
     let redo_tids: FxHashSet<Value> = redo.column(&her_cfg.id_attr)?.into_iter().collect();
-    let rerun_matches = retried(&policy, "incext.her_redo", || {
+    let rerun_matches = retried("incext.her_redo", || {
         let mut span = gsj_obs::span("incext.her_redo");
         span.field("redo_rows", redo.len());
         if redo.is_empty() {
@@ -245,7 +240,7 @@ pub fn inc_update_graph(
         .filter(|v| matched_now.contains(v))
         .collect();
     ordered.sort();
-    let fresh = retried(&policy, "incext.re_extract", || {
+    let fresh = retried("incext.re_extract", || {
         let mut span = gsj_obs::span("incext.re_extract");
         span.field("vertices", ordered.len());
         rext.extract_vertices(g, &ordered, &prev.discovery)

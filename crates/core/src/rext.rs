@@ -28,22 +28,20 @@ static EXTRACTED_ROWS: gsj_obs::LazyCounter =
 const VERTEX_GRAIN: usize = 32;
 
 /// `f` over `items`, in item order, through [`pool::run_ranges`] with
-/// `grain` items per pool task (the call site's constant; a lowered
-/// [`pool::with_morsel_rows`] lowers it with it, so tests reach the
-/// parallel path on small inputs). What is computed never depends on the
-/// worker count; a panic in `f` on a pool thread is the pool's
-/// [`GsjError::Internal`].
+/// `grain` items per pool task — path selection and
+/// [`LabelEmbCache::fill`], the two fan-outs measured paying (DESIGN.md
+/// §13). What is computed never depends on the worker count; a panic in
+/// `f` on a pool thread is the pool's [`GsjError::Internal`].
 pub(crate) fn map_items<T, U, F>(items: &[T], grain: usize, f: F) -> Result<Vec<U>>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let grain = grain.min(pool::morsel_rows());
-    let parts = pool::run_ranges(items.len(), grain, |range, _| {
+    let parts = pool::run_ranges(items.len(), grain, |range| {
         Ok(items[range].iter().map(&f).collect::<Vec<U>>())
     })?;
-    Ok(pool::concat(parts))
+    Ok(parts.into_iter().flatten().collect())
 }
 
 /// The trained extraction scheme for one graph.
@@ -240,8 +238,8 @@ impl Rext {
         };
 
         // (2) Vertex-path pair vectorization: one embedding per distinct
-        // end label and per distinct label sequence, in parallel. `me`
-        // carries the end-label embeddings on to the ranking step.
+        // end label and per distinct label sequence. `me` carries the
+        // end-label embeddings on to the ranking step.
         let word = self.word.as_ref();
         let mut me = LabelEmbCache::default();
         let features: Vec<Vec<f32>> = {
@@ -265,7 +263,7 @@ impl Rext {
                     seed: self.cfg.seed ^ 0x2222,
                     ..KmeansConfig::default()
                 },
-            )?
+            )
             .assignments
         };
         // Nothing else reads the per-path vectors.
@@ -720,26 +718,28 @@ mod tests {
                 self.0.dim()
             }
             fn embed(&self, text: &str) -> Vec<f32> {
-                assert_ne!(text, "DE", "no embedding for {text}");
+                assert_ne!(text, "label 300", "no embedding for {text}");
                 self.0.embed(text)
             }
         }
-        let (g, s, matches) = setting();
-        let mut rext = Rext::train(&g, quick_cfg(PathKind::Random)).unwrap();
-        rext.word = Arc::new(Panicky(HashEmbedder::new(256)));
-        let discovered = pool::with_threads(4, || {
-            pool::with_morsel_rows(2, || {
-                rext.discover(&g, &matches, Some((&s, "pid")), &["loc".to_string()], "h_p")
-            })
+        // More distinct labels than one task of `fill` takes, so two
+        // workers put them on the pool.
+        let symbols = gsj_common::SymbolTable::new();
+        let labels: Vec<_> = (0..600)
+            .map(|i| symbols.intern(&format!("label {i}")))
+            .collect();
+        let word = Panicky(HashEmbedder::new(16));
+        let filled = pool::with_threads(2, || {
+            LabelEmbCache::default().fill(&symbols, &word, labels.iter().copied())
         });
-        match discovered {
+        match filled {
             Err(GsjError::Internal(m)) => {
                 assert!(
-                    m.contains("panicked") && m.contains("no embedding for DE"),
+                    m.contains("panicked") && m.contains("no embedding for label 300"),
                     "{m}"
                 )
             }
-            other => panic!("expected Internal, got {:?}", other.map(|d| d.schema)),
+            other => panic!("expected Internal, got {other:?}"),
         }
     }
 }

@@ -18,7 +18,7 @@
 //! joins are checked against, not a path they run.
 
 use crate::graph::{LabeledGraph, VertexId};
-use gsj_common::{pool, FxHashMap, FxHashSet, QueryGovernor, Result};
+use gsj_common::{FxHashMap, FxHashSet, QueryGovernor, Result};
 use gsj_faults::{fault_point, FaultClass};
 use gsj_obs::LazyCounter;
 
@@ -30,42 +30,6 @@ static REACH_EXPANDED: LazyCounter = LazyCounter::new("gsj_graph_reach_expanded_
 static BFS_CALLS: LazyCounter = LazyCounter::new("gsj_graph_bfs_calls_total");
 static BFS_VISITED: LazyCounter = LazyCounter::new("gsj_graph_bfs_visited_total");
 static BFS_HITS: LazyCounter = LazyCounter::new("gsj_graph_bfs_hits_total");
-
-/// Frontier vertices per pool task, and the frontier size up to which a
-/// BFS level expands inline: pool fan-out only pays off once a level
-/// scans thousands of adjacency lists. A lowered
-/// [`pool::with_morsel_rows`] override lowers it with it, so equivalence
-/// tests can exercise the parallel path on small graphs.
-const FRONTIER_GRAIN: usize = 1024;
-
-/// Expand one BFS level: every neighbor of `frontier` for which
-/// `is_seen` is false, in frontier order (duplicates included — the
-/// caller dedupes as it inserts, which also folds away the races a
-/// frozen `is_seen` view cannot observe). Fans the adjacency scans out
-/// across the worker pool when the frontier is large; partials
-/// concatenate in range order, so the result is identical to the inline
-/// scan.
-fn expand_level(
-    g: &LabeledGraph,
-    frontier: &[VertexId],
-    is_seen: &(dyn Fn(&VertexId) -> bool + Sync),
-) -> Vec<VertexId> {
-    let grain = FRONTIER_GRAIN.min(pool::morsel_rows());
-    let parts = pool::run_ranges(frontier.len(), grain, |range, _| {
-        let mut out = Vec::new();
-        for &w in &frontier[range] {
-            for (e, _) in g.incident(w) {
-                if !is_seen(&e.to) {
-                    out.push(e.to);
-                }
-            }
-        }
-        Ok(out)
-    });
-    // The scans return no error of their own; the pool's only one is a
-    // panicking scan, re-raised here as the inline scan would have.
-    pool::concat(parts.expect("an adjacency scan panicked"))
-}
 
 /// All live vertices within `k` undirected hops of `start` (including
 /// `start` itself at distance 0).
@@ -80,11 +44,11 @@ pub fn k_hop_set(g: &LabeledGraph, start: VertexId, k: usize) -> FxHashSet<Verte
         if frontier.is_empty() {
             break;
         }
-        let candidates = expand_level(g, &frontier, &|v| seen.contains(v));
-        frontier.clear();
-        for v in candidates {
-            if seen.insert(v) {
-                frontier.push(v);
+        for w in std::mem::take(&mut frontier) {
+            for (e, _) in g.incident(w) {
+                if seen.insert(e.to) {
+                    frontier.push(e.to);
+                }
             }
         }
     }
@@ -321,25 +285,23 @@ pub fn within_k_hops(g: &LabeledGraph, u: VertexId, v: VertexId, k: usize) -> bo
             dv += 1;
             (&mut frontier_v, dv, &mut from_v, &from_u)
         };
-        // The expensive part — scanning every adjacency list in the
-        // frontier — fans out over a frozen view of `mine`; the merge
-        // below replays the sequential skip/hit/insert decisions, so
-        // the verdict is identical to the inline loop's.
-        let candidates = expand_level(g, frontier, &|x| mine.contains_key(x));
         let mut next = Vec::new();
-        for x in candidates {
-            if mine.contains_key(&x) {
-                continue;
-            }
-            if let Some(&other_d) = theirs.get(&x) {
-                if depth + other_d <= k {
-                    BFS_HITS.inc();
-                    BFS_VISITED.add((mine.len() + theirs.len()) as u64);
-                    return true;
+        for &w in frontier.iter() {
+            for (e, _) in g.incident(w) {
+                let x = e.to;
+                if mine.contains_key(&x) {
+                    continue;
                 }
+                if let Some(&other_d) = theirs.get(&x) {
+                    if depth + other_d <= k {
+                        BFS_HITS.inc();
+                        BFS_VISITED.add((mine.len() + theirs.len()) as u64);
+                        return true;
+                    }
+                }
+                mine.insert(x, depth);
+                next.push(x);
             }
-            mine.insert(x, depth);
-            next.push(x);
         }
         *frontier = next;
     }

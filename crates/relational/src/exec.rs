@@ -20,31 +20,17 @@
 //! which add per-operator statistics and the boundary governance checks.
 //!
 //! Every kernel that can run long takes the query's [`QueryGovernor`]:
-//! each morsel checks it before working and charges the buffers it
-//! materialized. Callers with nothing to enforce pass
-//! [`QueryGovernor::unlimited`].
-//!
-//! Execution is *morsel-driven* (DESIGN.md §13): filters, hash-join
-//! probes, aggregate bucketing and nested loops hand their input to
-//! [`gsj_common::pool::run_ranges`], which — when more than one worker is
-//! configured (`GSJ_THREADS`) and the input exceeds one morsel — splits it
-//! into fixed-size row ranges and fans them out over scoped worker
-//! threads: shared build table, partitioned probe, per-morsel partials
-//! folded in morsel order.
-//! Output is row-for-row identical to the sequential path at any worker
-//! count, including which error surfaces (the lowest-indexed failing
-//! morsel contains the globally first failing row). One worker is the
-//! exact legacy whole-relation path.
+//! it checks it before working and charges the buffers it materialized.
+//! Callers with nothing to enforce pass [`QueryGovernor::unlimited`].
+//! A kernel runs on the thread that called it (DESIGN.md §13).
 
 use crate::column::{CellRef, Column};
 use crate::expr::{AggFunc, AggSpec, CmpOp, Expr};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use gsj_common::pool;
 use gsj_common::{FxHashMap, GsjError, QueryGovernor, Result, Value};
 use std::cmp::Ordering;
-use std::ops::Range;
 
 /// Split a predicate into its top-level conjuncts.
 fn conjuncts(pred: &Expr) -> Vec<&Expr> {
@@ -113,44 +99,8 @@ pub enum HashJoinMode {
     Equi,
 }
 
-// ---------------------------------------------------------------------
-// Morsel-driven fan-out (DESIGN.md §13).
-// ---------------------------------------------------------------------
-
-/// Parallel kernel invocations (a kernel engaged the worker pool).
-static PAR_KERNELS: gsj_obs::LazyCounter =
-    gsj_obs::LazyCounter::new("gsj_relational_parallel_kernels_total");
-/// Morsels dispatched to pool workers by parallel kernels.
-static PAR_MORSELS: gsj_obs::LazyCounter =
-    gsj_obs::LazyCounter::new("gsj_relational_parallel_morsels_total");
-
-/// One kernel's pass over rows `0..len` in morsels of `rows` rows:
-/// [`pool::run_ranges`] decides between one inline whole-input morsel
-/// (one worker, or an input within one morsel — small inputs never pay
-/// thread-spawn overhead) and the pool, and the partials come back in
-/// morsel order. Every pool task carries the `pool.worker` fault point; a
-/// panicking task is contained by the pool's `catch_unwind` and surfaces
-/// as [`GsjError::Internal`].
-fn morsels<R, F>(len: usize, rows: usize, task: F) -> Result<Vec<R>>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> Result<R> + Sync,
-{
-    if pool::fans_out(len, rows) {
-        PAR_KERNELS.inc();
-        PAR_MORSELS.add(len.div_ceil(rows) as u64);
-    }
-    pool::run_ranges(len, rows, |range, pooled| {
-        if pooled {
-            gsj_faults::fault_point("pool.worker", gsj_faults::FaultClass::Critical)?;
-        }
-        task(range)
-    })
-}
-
-/// A hash-join build table over borrowed key cells, built once and then
-/// shared (read-only) across probe workers. NULL keys never enter the
-/// table. Single-key joins where both the build and probe columns are
+/// A hash-join build table over borrowed key cells. NULL keys never
+/// enter the table. Single-key joins where both the build and probe columns are
 /// typed `Int` (resp. `Str`) index the unboxed payloads directly;
 /// everything else keys on borrowed [`CellRef`]s, whose hash/eq mirror
 /// `Value` (so `Int 3` still matches `Float 3.0` across
@@ -220,15 +170,9 @@ impl<'a> JoinTable<'a> {
         JoinTable::Cells(table)
     }
 
-    /// Stream probe rows `range` through the table, emitting
+    /// Stream every probe row through the table, emitting
     /// `(build_row, probe_row)` for every match in probe-major order.
-    fn probe_range(
-        &self,
-        probe: &'a Relation,
-        probe_keys: &[usize],
-        range: Range<usize>,
-        mut emit: impl FnMut(u32, u32),
-    ) {
+    fn probe(&self, probe: &'a Relation, probe_keys: &[usize], mut emit: impl FnMut(u32, u32)) {
         match self {
             JoinTable::Int(table) => {
                 let Column::Int {
@@ -238,9 +182,9 @@ impl<'a> JoinTable<'a> {
                 else {
                     unreachable!("Int build table implies a typed-Int probe column")
                 };
-                for j in range {
+                for (j, key) in pd.iter().enumerate() {
                     if pv.get(j) {
-                        if let Some(rows) = table.get(&pd[j]) {
+                        if let Some(rows) = table.get(key) {
                             for &bi in rows {
                                 emit(bi, j as u32);
                             }
@@ -256,9 +200,9 @@ impl<'a> JoinTable<'a> {
                 else {
                     unreachable!("Str build table implies a typed-Str probe column")
                 };
-                for j in range {
+                for (j, key) in pd.iter().enumerate() {
                     if pv.get(j) {
-                        if let Some(rows) = table.get(pd[j].as_ref()) {
+                        if let Some(rows) = table.get(key.as_ref()) {
                             for &bi in rows {
                                 emit(bi, j as u32);
                             }
@@ -267,7 +211,7 @@ impl<'a> JoinTable<'a> {
                 }
             }
             JoinTable::Cells(table) => {
-                'probe: for j in range {
+                'probe: for j in 0..probe.len() {
                     let mut key = Vec::with_capacity(probe_keys.len());
                     for &k in probe_keys {
                         let cell = probe.col(k).cell(j);
@@ -287,12 +231,10 @@ impl<'a> JoinTable<'a> {
     }
 }
 
-/// Probe the whole probe side against a shared build table, in parallel
-/// when configured. `swap` flips the emitted pair to (probe, build) —
-/// the natural join uses it when the right input was the build side.
-/// Returns the matched (left, right) index vectors — per-morsel partials
-/// concatenated in morsel order, which is the sequential probe-major emit
-/// order — plus the join's stats.
+/// Probe the whole probe side against the build table. `swap` flips the
+/// emitted pair to (probe, build) — the natural join uses it when the
+/// right input was the build side. Returns the matched (left, right)
+/// index vectors in probe-major order, plus the join's stats.
 fn probe_all(
     table: &JoinTable<'_>,
     probe: &Relation,
@@ -301,11 +243,11 @@ fn probe_all(
     swap: bool,
     gov: &QueryGovernor,
 ) -> Result<(Vec<u32>, Vec<u32>, JoinStats)> {
-    let probe_morsel = |range: Range<usize>| -> Result<(Vec<u32>, Vec<u32>)> {
-        gov.check("relational.parallel_probe")?;
-        let mut li: Vec<u32> = Vec::new();
-        let mut ri: Vec<u32> = Vec::new();
-        table.probe_range(probe, probe_keys, range, |bi, pi| {
+    let mut li: Vec<u32> = Vec::new();
+    let mut ri: Vec<u32> = Vec::new();
+    if !probe.is_empty() {
+        gov.check("relational.probe")?;
+        table.probe(probe, probe_keys, |bi, pi| {
             if swap {
                 li.push(pi);
                 ri.push(bi);
@@ -314,22 +256,7 @@ fn probe_all(
                 ri.push(pi);
             }
         });
-        // Memory charging from the worker itself: the partial's index
-        // buffers are this morsel's materialized state.
         gov.charge_mem(8 * li.len() as u64);
-        Ok((li, ri))
-    };
-    if pool::fans_out(probe.len(), pool::morsel_rows()) {
-        gsj_faults::fault_point(
-            "relational.parallel_probe",
-            gsj_faults::FaultClass::Critical,
-        )?;
-    }
-    let mut parts = morsels(probe.len(), pool::morsel_rows(), probe_morsel)?.into_iter();
-    let (mut li, mut ri) = parts.next().unwrap_or_default();
-    for (l, r) in parts {
-        li.extend(l);
-        ri.extend(r);
     }
     let stats = JoinStats {
         build_rows,
@@ -342,9 +269,7 @@ fn probe_all(
 /// `HashJoin` operator of [`crate::physical::join_rel`]. Matching is
 /// index-based: the probe emits `(build, probe)` row-index pairs and the
 /// output columns are gathered wholesale — no per-row tuple assembly.
-/// The build is sequential (it is the shared table), the probe fans out
-/// over morsels, and every worker checks `gov` and charges its local
-/// match buffers.
+/// The probe checks `gov` and charges its match buffers.
 #[allow(clippy::too_many_arguments)]
 pub fn hash_join(
     l: &Relation,
@@ -389,13 +314,8 @@ pub fn hash_join(
 }
 
 /// The nested-loop kernel: every pair, filtered by `pred` over the
-/// concatenated schema. Genuinely non-equi predicates only — stays
-/// row-at-a-time because `pred` may raise per-row errors.
-///
-/// Outer chunks are governed and morsel-parallel: each worker owns a
-/// contiguous slice of left rows and scans the full right side; partials
-/// concatenate in chunk order, so the output (and any per-row predicate
-/// error) matches the sequential l-major loop.
+/// concatenated schema, in l-major order. Genuinely non-equi predicates
+/// only — stays row-at-a-time because `pred` may raise per-row errors.
 pub fn nested_loop(
     l: &Relation,
     r: &Relation,
@@ -403,29 +323,23 @@ pub fn nested_loop(
     schema: Schema,
     gov: &QueryGovernor,
 ) -> Result<Relation> {
+    if l.is_empty() {
+        return Relation::new(schema, Vec::new());
+    }
+    gov.check("relational.nested_loop")?;
     // The inner side is walked once per outer row: materialize it once.
     let inner: Vec<Tuple> = r.rows().collect();
-    let scan_chunk = |range: Range<usize>| -> Result<Vec<Tuple>> {
-        gov.check("relational.nested_loop")?;
-        let mut out = Vec::new();
-        for i in range {
-            let lt = l.row(i);
-            for rt in &inner {
-                let joined = lt.concat(rt);
-                if pred.holds(&schema, &joined)? {
-                    out.push(joined);
-                }
+    let mut rows = Vec::new();
+    for i in 0..l.len() {
+        let lt = l.row(i);
+        for rt in &inner {
+            let joined = lt.concat(rt);
+            if pred.holds(&schema, &joined)? {
+                rows.push(joined);
             }
         }
-        gov.charge_mem(out.len() as u64 * 16);
-        Ok(out)
-    };
-    // The pair space is l.len() * r.len(): chunk the outer side so each
-    // morsel covers roughly `morsel_rows` pairs (and no pairs, no split).
-    let chunk = pool::morsel_rows()
-        .checked_div(r.len())
-        .map_or(usize::MAX, |c| c.max(1));
-    let rows = pool::concat(morsels(l.len(), chunk, scan_chunk)?);
+    }
+    gov.charge_mem(rows.len() as u64 * 16);
     Relation::new(schema, rows)
 }
 
@@ -555,20 +469,15 @@ impl<'a> Operand<'a> {
     }
 }
 
-/// Evaluate a vectorizable predicate as a boolean mask over the rows in
-/// `range` (a morsel; the sequential path passes the whole relation as
-/// one morsel).
+/// Evaluate a vectorizable predicate as a boolean mask over the rows.
 ///
 /// Short-circuit parity with the row path: `And` does not touch (or
 /// even name-resolve) its right branch when the left mask has no true
-/// bit in this morsel, and `Or` skips the right branch when the left
-/// mask is all true — exactly the cases where the row evaluator would
-/// never have evaluated the right branch for any row in the morsel.
-/// Morsels where the branch *would* have been evaluated still bind it,
-/// so any name-resolution error the sequential whole-relation pass
-/// would raise is raised by some morsel (and the error value is
-/// identical wherever it is raised).
-fn eval_mask(pred: &Expr, rel: &Relation, range: Range<usize>) -> Result<Vec<bool>> {
+/// bit, and `Or` skips the right branch when the left mask is all true —
+/// exactly the cases where the row evaluator would never have evaluated
+/// the right branch for any row.
+fn eval_mask(pred: &Expr, rel: &Relation) -> Result<Vec<bool>> {
+    let range = 0..rel.len();
     match pred {
         Expr::Lit(v) => Ok(vec![v.as_bool().unwrap_or(false); range.len()]),
         Expr::Col(name) => {
@@ -601,25 +510,25 @@ fn eval_mask(pred: &Expr, rel: &Relation, range: Range<usize>) -> Result<Vec<boo
                 .collect())
         }
         Expr::And(a, b) => {
-            let mut m = eval_mask(a, rel, range.clone())?;
+            let mut m = eval_mask(a, rel)?;
             if m.iter().any(|&x| x) {
-                for (x, y) in m.iter_mut().zip(eval_mask(b, rel, range)?) {
+                for (x, y) in m.iter_mut().zip(eval_mask(b, rel)?) {
                     *x = *x && y;
                 }
             }
             Ok(m)
         }
         Expr::Or(a, b) => {
-            let mut m = eval_mask(a, rel, range.clone())?;
+            let mut m = eval_mask(a, rel)?;
             if !m.iter().all(|&x| x) {
-                for (x, y) in m.iter_mut().zip(eval_mask(b, rel, range)?) {
+                for (x, y) in m.iter_mut().zip(eval_mask(b, rel)?) {
                     *x = *x || y;
                 }
             }
             Ok(m)
         }
         Expr::Not(e) => {
-            let mut m = eval_mask(e, rel, range)?;
+            let mut m = eval_mask(e, rel)?;
             for x in m.iter_mut() {
                 *x = !*x;
             }
@@ -633,53 +542,39 @@ fn eval_mask(pred: &Expr, rel: &Relation, range: Range<usize>) -> Result<Vec<boo
     }
 }
 
-/// σ_pred kernel, with the governor wired into the morsel workers. Also
-/// the residual check of an equi [`hash_join`]; the `relational.filter`
-/// fault site belongs to the operator ([`crate::physical::filter_rel`]),
-/// not to this shared kernel.
+/// σ_pred kernel, governed. Also the residual check of an equi
+/// [`hash_join`]; the `relational.filter` fault site belongs to the
+/// operator ([`crate::physical::filter_rel`]), not to this shared kernel.
 pub(crate) fn filter(rel: Relation, pred: &Expr, gov: &QueryGovernor) -> Result<Relation> {
     // The row path never evaluates predicates over zero rows; keep that
     // (a dangling column name in a pred must not error on empty input).
     if rel.is_empty() {
         return Ok(rel);
     }
-    // Surviving global row indices, increasing within and across morsels.
-    if mask_vectorizable(pred) {
-        let mask_morsel = |range: Range<usize>| -> Result<Vec<u32>> {
-            gov.check("relational.filter")?;
-            let base = range.start;
-            let mask = eval_mask(pred, &rel, range)?;
-            let idx: Vec<u32> = mask
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &b)| b.then_some((base + i) as u32))
-                .collect();
-            gov.charge_mem(4 * idx.len() as u64);
-            Ok(idx)
-        };
-        let idx = pool::concat(morsels(rel.len(), pool::morsel_rows(), mask_morsel)?);
-        if idx.len() == rel.len() {
-            return Ok(rel);
-        }
-        return Ok(rel.gather(&idx));
-    }
-    // Row fallback for predicates with arithmetic (per-row errors).
-    // Morsels fail on their lowest erroring row, and the lowest-index
-    // erroring morsel wins, so the surfaced error is the one the
-    // sequential scan would have hit first.
-    let schema = rel.schema().clone();
-    let row_morsel = |range: Range<usize>| -> Result<Vec<u32>> {
-        gov.check("relational.filter")?;
-        let mut idx: Vec<u32> = Vec::new();
-        for i in range {
-            if pred.holds(&schema, &rel.row(i))? {
+    gov.check("relational.filter")?;
+    // Surviving row indices, increasing.
+    let idx: Vec<u32> = if mask_vectorizable(pred) {
+        let mask = eval_mask(pred, &rel)?;
+        mask.iter()
+            .enumerate()
+            .filter_map(|(i, &b)| b.then_some(i as u32))
+            .collect()
+    } else {
+        // Row fallback for predicates with arithmetic: the scan stops at
+        // the first row whose evaluation errors.
+        let schema = rel.schema();
+        let mut idx = Vec::new();
+        for i in 0..rel.len() {
+            if pred.holds(schema, &rel.row(i))? {
                 idx.push(i as u32);
             }
         }
-        gov.charge_mem(4 * idx.len() as u64);
-        Ok(idx)
+        idx
     };
-    let idx = pool::concat(morsels(rel.len(), pool::morsel_rows(), row_morsel)?);
+    gov.charge_mem(4 * idx.len() as u64);
+    if idx.len() == rel.len() {
+        return Ok(rel);
+    }
     Ok(rel.gather(&idx))
 }
 
@@ -710,64 +605,10 @@ pub(crate) fn sort(rel: Relation, by: &[String], desc: bool) -> Result<Relation>
     Ok(rel.gather(&idx))
 }
 
-/// Per-morsel grouping partial: key→gid map plus per-gid row lists,
-/// gids in first-seen order within the morsel. Merging walks the other
-/// partial's gids in order, so after an in-morsel-order merge the
-/// global gid order is the sequential first-seen order and every row
-/// list is concatenated in increasing row order.
-struct GroupPartial<'a> {
-    map: FxHashMap<Vec<CellRef<'a>>, usize>,
-    keys: Vec<Vec<CellRef<'a>>>,
-    rows: Vec<Vec<u32>>,
-}
-
-impl<'a> GroupPartial<'a> {
-    fn new() -> Self {
-        GroupPartial {
-            map: FxHashMap::default(),
-            keys: Vec::new(),
-            rows: Vec::new(),
-        }
-    }
-
-    fn bucket(&mut self, key: Vec<CellRef<'a>>, row: u32) {
-        match self.map.get(&key) {
-            Some(&gid) => self.rows[gid].push(row),
-            None => {
-                let gid = self.rows.len();
-                self.map.insert(key.clone(), gid);
-                self.keys.push(key);
-                self.rows.push(vec![row]);
-            }
-        }
-    }
-}
-
-impl<'a> GroupPartial<'a> {
-    /// Fold in `other`, which covers strictly later rows.
-    fn merge(&mut self, other: Self) {
-        for (key, rws) in other.keys.into_iter().zip(other.rows) {
-            match self.map.get(&key) {
-                Some(&gid) => self.rows[gid].extend(rws),
-                None => {
-                    let gid = self.rows.len();
-                    self.map.insert(key.clone(), gid);
-                    self.keys.push(key);
-                    self.rows.push(rws);
-                }
-            }
-        }
-    }
-}
-
 /// Grouping + aggregation kernel. Rows are bucketed into group ids on
-/// borrowed key cells (first-seen group order), then each aggregate
-/// folds its column's slice of every group directly.
-///
-/// Bucketing is governed and morsel-parallel: each worker buckets a
-/// contiguous morsel, partials merge in morsel order (which preserves
-/// sequential first-seen group order and increasing row order), then the
-/// fold over each group's rows runs once.
+/// borrowed key cells (first-seen group order, rows increasing within a
+/// group), then each aggregate folds its column's slice of every group
+/// directly.
 pub fn aggregate(
     rel: &Relation,
     group_by: &[String],
@@ -797,20 +638,21 @@ pub fn aggregate(
     let schema = Schema::new(format!("{}_agg", rel.schema().name()), attrs)?;
 
     // Group ids on borrowed keys; ids are assigned in first-seen order.
-    let bucket_morsel = |range: Range<usize>| -> Result<GroupPartial<'_>> {
+    let mut group_rows: Vec<Vec<u32>> = Vec::new();
+    if !rel.is_empty() {
         gov.check("relational.aggregate")?;
-        let mut part = GroupPartial::new();
-        for i in range {
+        let mut gid_of: FxHashMap<Vec<CellRef>, usize> = FxHashMap::default();
+        for i in 0..rel.len() {
             let key: Vec<CellRef> = group_pos.iter().map(|&p| rel.col(p).cell(i)).collect();
-            part.bucket(key, i as u32);
+            let next = group_rows.len();
+            let gid = *gid_of.entry(key).or_insert(next);
+            if gid == next {
+                group_rows.push(Vec::new());
+            }
+            group_rows[gid].push(i as u32);
         }
-        gov.charge_mem(part.rows.iter().map(|r| 4 * r.len() as u64).sum());
-        Ok(part)
-    };
-    let mut parts = morsels(rel.len(), pool::morsel_rows(), bucket_morsel)?.into_iter();
-    let mut merged = parts.next().unwrap_or_else(GroupPartial::new);
-    parts.for_each(|p| merged.merge(p));
-    let mut group_rows = merged.rows;
+        gov.charge_mem(4 * rel.len() as u64);
+    }
     if group_by.is_empty() && group_rows.is_empty() {
         // Global aggregate over the empty input still yields one row.
         group_rows.push(Vec::new());

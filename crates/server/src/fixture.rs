@@ -14,9 +14,8 @@ use std::sync::Arc;
 
 /// The random-path RExt configuration used for serving fixtures and the
 /// integration suite: deterministic at every worker count (a `Baseline`
-/// query served at `GSJ_THREADS` > 1 fans its path selection, embedding
-/// and K-means assignment out like every other kernel). Path
-/// *selection* is unguided, but the default `SeqKind::Lstm100` path
+/// query served on more than one core fans its path selection out,
+/// DESIGN.md §13). Path *selection* is unguided, but the default `SeqKind::Lstm100` path
 /// embedding still trains the LSTM (≈ 7 s of set-up at `Scale(100)`).
 pub fn serving_rext_config() -> RExtConfig {
     RExtConfig {

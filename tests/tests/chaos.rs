@@ -47,8 +47,6 @@ const SITES: &[&str] = &[
     "gsql.gl_cache",
     "relational.filter",
     "relational.hash_join",
-    "relational.parallel_probe",
-    "pool.worker",
     "incext.zone",
     "incext.her_redo",
     "incext.re_extract",
@@ -188,19 +186,6 @@ fn drive_all(f: &Fixture) -> Vec<(&'static str, Result<usize>)> {
         out.push((
             "relational.hash_join",
             gsj_relational::exec::natural_join(&rel, &other, &gov).map(|r| r.len()),
-        ));
-        // The same join with the pool engaged (two workers, two-row
-        // morsels over the four-row probe side) so the parallel-only
-        // sites — `relational.parallel_probe` and `pool.worker` — stay
-        // reachable regardless of the host's GSJ_THREADS.
-        out.push((
-            "relational.parallel",
-            gsj_common::pool::with_threads(2, || {
-                gsj_common::pool::with_morsel_rows(2, || {
-                    gsj_relational::exec::natural_join(&rel, &other, &gov)
-                })
-            })
-            .map(|r| r.len()),
         ));
     }
     let mut g = f.col.graph.clone();
@@ -343,47 +328,6 @@ fn injected_panic_at_critical_site_is_caught_at_query_boundary() {
             "expected a typed panic conversion, got {err:?}"
         );
     });
-}
-
-#[test]
-fn panicking_pool_worker_is_contained_not_a_hang() {
-    // A worker that panics mid-morsel must surface as a typed
-    // `GsjError::Internal` from the pool barrier — never an unwind out
-    // of the scope and never a hang. The test returning at all proves
-    // the scope joined its workers.
-    let _guard = gsj_faults::exclusive();
-    use gsj_common::pool;
-    use gsj_relational::{Relation, Schema};
-    let gov = QueryGovernor::unlimited();
-    let mut rel = Relation::empty(Schema::of("pw_rel", &["id", "w"]));
-    for i in 0..64i64 {
-        rel.push_values(vec![gsj_common::Value::Int(i), gsj_common::Value::Int(i)])
-            .unwrap();
-    }
-    let mut other = Relation::empty(Schema::of("pw_other", &["id", "tag"]));
-    other
-        .push_values(vec![gsj_common::Value::Int(3), gsj_common::Value::str("x")])
-        .unwrap();
-    with_spec("pool.worker:panic,p=1", || {
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            pool::with_threads(4, || {
-                pool::with_morsel_rows(4, || gsj_relational::exec::natural_join(&rel, &other, &gov))
-            })
-        }))
-        .expect("worker panic must not escape the pool barrier");
-        let err = r.unwrap_err();
-        assert!(
-            matches!(&err, GsjError::Internal(m) if m.contains("panicked")),
-            "expected a typed panic conversion, got {err:?}"
-        );
-    });
-    // With the spec cleared the same parallel join runs clean, so the
-    // pool itself (not the injection) was never the failure.
-    let clean = pool::with_threads(4, || {
-        pool::with_morsel_rows(4, || gsj_relational::exec::natural_join(&rel, &other, &gov))
-    })
-    .unwrap();
-    assert_eq!(clean.len(), 1);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! path embedded, named and compared on its own, assembled here from the
 //! public pieces, on all six collections — and to itself: the discovery
 //! and the `D_G` extracted from it are the same, bit for bit, at 1, 2, 3
-//! and 8 workers.
+//! and 8 path-selection workers (DESIGN.md §13).
 
 use gsj_cluster::{kmeans, KmeansConfig};
 use gsj_common::{pool, FxHashMap, FxHashSet, Value};
@@ -65,7 +65,6 @@ fn per_path_discover(
             ..KmeansConfig::default()
         },
     )
-    .unwrap()
     .assignments;
     let refined = refine_patterns(&flat, &assignments, cfg.h);
     let refined = if cfg.filter_same_type_ends {
@@ -204,24 +203,21 @@ fn discovery_equals_per_path_discovery(name: &str) {
     let rext = Rext::train(&col.graph, serving_rext_config()).unwrap();
     let per_path = per_path_discover(&rext, &col, &matches, &keywords);
     let mut first_dg = None;
-    // Two-row ranges, so every fan-out of the pipeline — path selection,
-    // both embeddings, the K-means assignment — is on the pool from two
-    // workers up.
+    // From two workers up, path selection goes to the pool wherever the
+    // collection matches more vertices than one task's grain (32).
     for workers in [1, 2, 3, 8] {
         let what = format!("{name}, {workers} workers");
         let (run, spans) = pool::with_threads(workers, || {
-            pool::with_morsel_rows(2, || {
-                gsj_obs::capture(|| {
-                    let shared = rext.discover(
-                        &col.graph,
-                        &matches,
-                        Some((col.entity_relation(), &col.spec.id_attr)),
-                        &keywords,
-                        "h_x",
-                    )?;
-                    let dg = rext.extract(&col.graph, &matches, &shared)?;
-                    gsj_common::Result::Ok((shared, dg))
-                })
+            gsj_obs::capture(|| {
+                let shared = rext.discover(
+                    &col.graph,
+                    &matches,
+                    Some((col.entity_relation(), &col.spec.id_attr)),
+                    &keywords,
+                    "h_x",
+                )?;
+                let dg = rext.extract(&col.graph, &matches, &shared)?;
+                gsj_common::Result::Ok((shared, dg))
             })
         });
         let (shared, dg) = run.unwrap();

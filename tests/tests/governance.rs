@@ -3,13 +3,15 @@
 //! engine's physical operators, the k-hop BFS loops of link joins, and
 //! random-walk corpus generation (DESIGN.md §11).
 
-use gsj_common::{FxHashSet, GsjError, QueryGovernor};
+use gsj_common::{FxHashSet, GsjError, QueryGovernor, Value};
 use gsj_core::gsql::exec::{GsqlEngine, Strategy, TraceOpt};
 use gsj_core::join::LinkIndex;
 use gsj_datagen::queries::workload;
 use gsj_datagen::Collection;
 use gsj_graph::random_walk::{build_corpus, WalkConfig};
 use gsj_graph::LabeledGraph;
+use gsj_relational::exec::natural_join;
+use gsj_relational::{Relation, Schema};
 use gsj_server::engine_for_collection;
 use gsj_tests::tiny;
 use std::sync::OnceLock;
@@ -186,4 +188,45 @@ fn generous_budgets_do_not_interfere() {
     // The governed run accounted for the rows it produced.
     assert!(gov.rows_charged() > 0);
     assert!(gov.mem_charged() > 0);
+}
+
+/// The server's disconnect watcher cancels a query's governor from
+/// another thread while the query runs on its session thread. A cancel
+/// raised while a large join runs surfaces as `Cancelled` at the join's
+/// next governance check.
+#[test]
+fn cross_thread_cancel_stops_a_running_join() {
+    // Three 300k-row relations joined on a string key. The first join's
+    // probe charges memory — the handshake that the query is in flight —
+    // and the canceller cancels; the second join's build alone spans many
+    // scheduler quanta, so the flag is up by the time its probe checks the
+    // governor, even on a single-core host.
+    let side = |name: &str, attr: &str| {
+        let mut rel = Relation::empty(Schema::of(name, &["k", attr]));
+        for i in 0..300_000i64 {
+            rel.push_values(vec![Value::str(format!("k{i}")), Value::Int(i)])
+                .unwrap();
+        }
+        rel
+    };
+    let (l, r, r2) = (side("big_l", "a"), side("big_r", "b"), side("big_r2", "c"));
+    let gov = QueryGovernor::builder().mem_budget(u64::MAX).build();
+    let res = std::thread::scope(|s| {
+        s.spawn(|| {
+            while gov.mem_charged() == 0 && !gov.is_cancelled() {
+                std::thread::yield_now();
+            }
+            gov.cancel();
+        });
+        let res = natural_join(&l, &r, &gov).and_then(|lr| natural_join(&lr, &r2, &gov));
+        // Releases the canceller should the first join fail before its
+        // charge; the result is already decided.
+        gov.cancel();
+        res
+    });
+    assert!(
+        matches!(res, Err(GsjError::Cancelled)),
+        "expected the join to observe the cross-thread cancel, got {:?}",
+        res.map(|rel| rel.len())
+    );
 }
