@@ -1,82 +1,19 @@
 //! Instrumentation-overhead microbench (DESIGN.md §10, §15).
 //!
-//! Compares the hot loops that carry gsj-obs instrumentation — BFS
-//! frontier expansion and a hash-join probe — against uninstrumented
-//! copies, with tracing **off**, plus a full gSQL query executed with
-//! the flight recorder **on vs off**. Documented threshold: the
-//! instrumented / recorder-on variants must stay within **2%** of the
-//! plain ones, which holds because the disabled span path is a single
-//! atomic load, the aggregate counters are bumped once per *call*, and
-//! the recorder writes one fixed-size record per *query* under a
-//! sharded lock — never inside the inner loops.
+//! Compares a hot loop that carries gsj-obs instrumentation — a hash-join
+//! probe — against an uninstrumented copy, with tracing **off**, plus a
+//! full gSQL query executed with the flight recorder **on vs off**.
+//! Documented threshold: the instrumented / recorder-on variants must stay
+//! within **2%** of the plain ones, which holds because the disabled span
+//! path is a single atomic load, the aggregate counters are bumped once
+//! per *call*, and the recorder writes one fixed-size record per *query*
+//! under a sharded lock — never inside the inner loops.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gsj_common::{FxHashMap, FxHashSet, QueryGovernor, Value};
+use gsj_common::{FxHashMap, QueryGovernor, Value};
 use gsj_core::gsql::exec::{GsqlEngine, Strategy, TraceOpt};
-use gsj_graph::traversal::k_hop_set;
-use gsj_graph::{LabeledGraph, VertexId};
 use gsj_obs::{recorder, LazyCounter};
 use gsj_relational::{Database, Relation, Schema};
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
-use std::collections::VecDeque;
-
-fn random_graph(n: usize, avg_deg: usize) -> (LabeledGraph, Vec<VertexId>) {
-    let mut g = LabeledGraph::new();
-    let vs: Vec<_> = (0..n).map(|i| g.add_vertex(&format!("v{i}"))).collect();
-    let mut rng = SmallRng::seed_from_u64(3);
-    for _ in 0..n * avg_deg / 2 {
-        let a = vs[rng.random_range(0..n)];
-        let b = vs[rng.random_range(0..n)];
-        if a != b {
-            g.add_edge(a, "e", b);
-        }
-    }
-    (g, vs)
-}
-
-/// `traversal::k_hop_set` with the metrics calls removed — the
-/// uninstrumented baseline for the BFS frontier expansion.
-fn k_hop_set_plain(g: &LabeledGraph, start: VertexId, k: usize) -> FxHashSet<VertexId> {
-    let mut seen: FxHashSet<VertexId> = FxHashSet::default();
-    if !g.is_live(start) {
-        return seen;
-    }
-    let mut frontier = VecDeque::new();
-    seen.insert(start);
-    frontier.push_back((start, 0usize));
-    while let Some((v, d)) = frontier.pop_front() {
-        if d == k {
-            continue;
-        }
-        for (e, _) in g.incident(v) {
-            if seen.insert(e.to) {
-                frontier.push_back((e.to, d + 1));
-            }
-        }
-    }
-    seen
-}
-
-fn bench_bfs_frontier(c: &mut Criterion) {
-    let (g, vs) = random_graph(20_000, 6);
-    let mut group = c.benchmark_group("bfs_frontier");
-    group.bench_function("plain", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 37) % vs.len();
-            std::hint::black_box(k_hop_set_plain(&g, vs[i], 3))
-        })
-    });
-    group.bench_function("instrumented", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 37) % vs.len();
-            std::hint::black_box(k_hop_set(&g, vs[i], 3))
-        })
-    });
-    group.finish();
-}
 
 static PROBE_CALLS: LazyCounter = LazyCounter::new("gsj_bench_probe_calls_total");
 static PROBE_MATCHES: LazyCounter = LazyCounter::new("gsj_bench_probe_matches_total");
@@ -178,10 +115,5 @@ fn bench_flight_recorder(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_bfs_frontier,
-    bench_hash_join_probe,
-    bench_flight_recorder
-);
+criterion_group!(benches, bench_hash_join_probe, bench_flight_recorder);
 criterion_main!(benches);

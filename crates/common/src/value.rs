@@ -125,6 +125,20 @@ impl Value {
         Self::canonical_float_bits(f)
     }
 
+    /// Hash a numeric the way `Value` and the columnar `CellRef` both do.
+    /// Ints and floats that compare equal must hash equally, so every
+    /// numeric goes through its canonical `f64` bits — whose low 32 bits
+    /// are zero for every integer below 2²¹ in magnitude. FxHash keeps
+    /// low bits zero and hash tables pick the bucket from the low bits, so
+    /// the word is mixed first, as rustc-hash 2's `finish` does: an odd
+    /// multiply carries the high bits' entropy upwards and a rotation
+    /// brings it down.
+    pub fn hash_numeric<H: Hasher>(f: f64, state: &mut H) {
+        const K: u64 = 0xf135_7aea_2e62_a9c5;
+        state.write_u8(2);
+        state.write_u64(Self::float_bits(f).wrapping_mul(K).rotate_left(26));
+    }
+
     /// Rank used to order values of different types deterministically.
     fn type_rank(&self) -> u8 {
         match self {
@@ -162,16 +176,8 @@ impl Hash for Value {
                 state.write_u8(1);
                 b.hash(state);
             }
-            // Ints and floats that compare equal must hash equally, so hash
-            // every numeric through its f64 bit pattern.
-            Value::Int(i) => {
-                state.write_u8(2);
-                state.write_u64(Self::float_bits(*i as f64));
-            }
-            Value::Float(f) => {
-                state.write_u8(2);
-                state.write_u64(Self::float_bits(*f));
-            }
+            Value::Int(i) => Self::hash_numeric(*i as f64, state),
+            Value::Float(f) => Self::hash_numeric(*f, state),
             Value::Str(s) => {
                 state.write_u8(3);
                 s.hash(state);
@@ -245,8 +251,10 @@ impl From<String> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FxBuildHasher, FxHashSet};
     use proptest::prelude::*;
     use std::collections::hash_map::DefaultHasher;
+    use std::hash::BuildHasher;
 
     fn h(v: &Value) -> u64 {
         let mut s = DefaultHasher::new();
@@ -259,6 +267,16 @@ mod tests {
         assert_eq!(Value::Int(3), Value::Float(3.0));
         assert_ne!(Value::Int(3), Value::Float(3.5));
         assert_eq!(h(&Value::Int(3)), h(&Value::Float(3.0)));
+    }
+
+    #[test]
+    fn integer_keys_spread_over_the_buckets() {
+        // A hash table buckets by the low bits.
+        let fx = |i: i64| FxBuildHasher::default().hash_one(Value::Int(i));
+        for ints in [0..100_000, -50_000..50_000] {
+            let low: FxHashSet<u64> = ints.clone().map(|i| fx(i) & 0xffff).collect();
+            assert!(low.len() >= 40_000, "{ints:?}: {} patterns", low.len());
+        }
     }
 
     #[test]

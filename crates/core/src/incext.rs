@@ -14,7 +14,7 @@
 //!   the local index's block sizes and candidate set differ from the full
 //!   one's, and re-selected paths follow the edited adjacency order
 //!   (0.9944 row agreement at the benchmark's fixture A; ROADMAP item
-//!   2(c) has the causes and the fix).
+//!   1(b) has the causes and the fix).
 //! - **Keyword updates** ([`inc_update_keywords`]): when the user's
 //!   interest `A` shifts, only step (4) of pattern discovery (ranking /
 //!   selection) is redone against the retained refined clusters, and only
@@ -24,11 +24,11 @@ use crate::discover::{select_attributes, Discovery};
 use crate::extract::{extract_values, ClusterLookup, LabelEmbCache};
 use crate::rext::Rext;
 use gsj_common::{retry, FxHashSet, Result, Value};
+use gsj_graph::traversal::k_hop_balls;
 use gsj_graph::update::UpdateReport;
 use gsj_graph::{LabeledGraph, VertexId};
 use gsj_her::{her_match_local, HerConfig, MatchRelation};
 use gsj_relational::{Column, Relation, Schema};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The maintained state: discovery, HER matches and the extracted `D_G`.
@@ -42,33 +42,12 @@ pub struct Extraction {
     pub dg: Relation,
 }
 
-/// Multi-source undirected BFS ball: all vertices within `k` hops of any
-/// seed.
-fn multi_source_khop(
-    g: &LabeledGraph,
-    seeds: impl IntoIterator<Item = VertexId>,
-    k: usize,
-) -> FxHashSet<VertexId> {
-    let mut seen: FxHashSet<VertexId> = FxHashSet::default();
-    let mut frontier = VecDeque::new();
-    for s in seeds {
-        // Dead seeds (removed vertices) still anchor the ball at distance
-        // 0 so their former neighbors' balls are computed from `touched`.
-        if seen.insert(s) && g.is_live(s) {
-            frontier.push_back((s, 0usize));
-        }
-    }
-    while let Some((v, d)) = frontier.pop_front() {
-        if d == k {
-            continue;
-        }
-        for (e, _) in g.incident(v) {
-            if seen.insert(e.to) {
-                frontier.push_back((e.to, d + 1));
-            }
-        }
-    }
-    seen
+/// The live vertices within `hops` undirected hops of a live touched
+/// vertex: those whose HER vicinity an update could have changed. A
+/// removed vertex is in no ball; a match on one is redone regardless.
+fn her_zone(g: &LabeledGraph, touched: &FxHashSet<VertexId>, hops: usize) -> FxHashSet<VertexId> {
+    let touched: Vec<VertexId> = touched.iter().copied().collect();
+    k_hop_balls(g, &touched, hops).targets.into_iter().collect()
 }
 
 /// The extraction-affected vertex set, computed by *label-constrained
@@ -163,7 +142,7 @@ pub fn inc_update_graph(
     })?;
     // HER depends on the (hops-bounded) vicinity, not on patterns: a
     // separate, shallow ball gates match re-computation.
-    let her_zone = multi_source_khop(g, report.touched.iter().copied(), her_cfg.hops);
+    let her_zone = her_zone(g, &report.touched, her_cfg.hops);
 
     // --- Re-run HER locally: tuples that were unmatched, or whose match
     // died, or whose matched vertex sits near an update.
@@ -352,25 +331,15 @@ mod tests {
     #[test]
     fn multi_source_ball_covers_all_seeds() {
         let mut g = LabeledGraph::new();
-        let vs: Vec<_> = (0..6).map(|i| g.add_vertex(&format!("v{i}"))).collect();
+        let vs: Vec<_> = (0..7).map(|i| g.add_vertex(&format!("v{i}"))).collect();
         for w in vs.windows(2) {
             g.add_edge(w[0], "e", w[1]);
         }
-        let ball = multi_source_khop(&g, [vs[0], vs[5]], 1);
-        assert!(ball.contains(&vs[0]) && ball.contains(&vs[1]));
-        assert!(ball.contains(&vs[5]) && ball.contains(&vs[4]));
-        assert!(!ball.contains(&vs[2]) && !ball.contains(&vs[3]));
-    }
-
-    #[test]
-    fn dead_seed_is_in_ball_but_not_expanded() {
-        let mut g = LabeledGraph::new();
-        let a = g.add_vertex("a");
-        let b = g.add_vertex("b");
-        g.add_edge(a, "e", b);
-        g.remove_vertex(a);
-        let ball = multi_source_khop(&g, [a], 2);
-        assert!(ball.contains(&a));
-        assert!(!ball.contains(&b));
+        g.remove_vertex(vs[6]);
+        let touched: FxHashSet<VertexId> = [vs[0], vs[5], vs[6]].into_iter().collect();
+        let mut zone: Vec<VertexId> = her_zone(&g, &touched, 1).into_iter().collect();
+        zone.sort();
+        // The removed seed is in no ball, its live neighbour only in v5's.
+        assert_eq!(zone, [vs[0], vs[1], vs[4], vs[5]]);
     }
 }

@@ -1,35 +1,34 @@
-//! BFS traversals: k-hop neighborhoods, the k-hop reach of many sources
-//! at once, and pairwise k-hop connectivity.
+//! BFS traversals: the k-hop neighbourhoods of many sources at once, and
+//! two references.
 //!
 //! Link joins (Section II-B) test whether matching vertices are within `k`
-//! hops of each other; IncExt (Section III-B) collects all matched vertices
-//! within `k` hops of an update. Both run on the *undirected* view of `G`.
+//! hops of each other, IncExt (Section III-B) collects what lies within
+//! `k` hops of an update, and HER blocks on each vertex's `hops`-vicinity.
+//! All three run on the *undirected* view of `G`, and on one kernel: a
+//! bit-parallel multi-source BFS (MS-BFS, Then et al., VLDB 2015) that
+//! walks 64 sources in one pass, one bit of a `u64` per source.
 //!
-//! [`k_hop_reach`] is the link joins' traversal: which of a set of targets
-//! each of a set of sources reaches within `k` hops, by a bit-parallel
-//! multi-source BFS (MS-BFS, Then et al., VLDB 2015) that walks 64 sources
-//! in one pass, one bit of a `u64` per source. It is the one governed
-//! traversal — it observes cancellation / deadline per batch and per
+//! Two entry points read it out. [`k_hop_reach`] is the link joins' form —
+//! which of a set of targets each source reaches — and the one governed
+//! traversal: it observes cancellation / deadline per batch and per
 //! expanded vertex (strided, one `fetch_add` each) and carries the
-//! `graph.khop` fault point (see DESIGN.md §11). [`k_hop_set`] is one
-//! source's ball, ungoverned; [`KHopScratch`] is the same into reused
-//! buffers, for a caller that takes one small ball per vertex. The
-//! pairwise [`within_k_hops`] is ungoverned too: it is the reference link
-//! joins are checked against, not a path they run.
+//! `graph.khop` fault point (see DESIGN.md §11). [`k_hop_balls`] is each
+//! source's whole ball, ungoverned: HER's vicinities and IncExt's HER
+//! zone.
+//!
+//! [`k_hop_set`] (one source's ball) and [`within_k_hops`] (one pair,
+//! bidirectional) are the two references: independent of the kernel, they
+//! are what it and the link index are tested and benchmarked against. No
+//! engine path runs them.
 
 use crate::graph::{LabeledGraph, VertexId};
 use gsj_common::{FxHashMap, FxHashSet, QueryGovernor, Result};
 use gsj_faults::{fault_point, FaultClass};
 use gsj_obs::LazyCounter;
+use std::convert::Infallible;
 
-// Aggregate counters, bumped once per call (never inside the BFS loops)
-// so the hot paths stay cheap. See DESIGN.md §10.
-static KHOP_CALLS: LazyCounter = LazyCounter::new("gsj_graph_khop_calls_total");
-static KHOP_VISITED: LazyCounter = LazyCounter::new("gsj_graph_khop_visited_total");
+// Bumped once per batch, never inside the BFS loops. See DESIGN.md §10.
 static REACH_EXPANDED: LazyCounter = LazyCounter::new("gsj_graph_reach_expanded_total");
-static BFS_CALLS: LazyCounter = LazyCounter::new("gsj_graph_bfs_calls_total");
-static BFS_VISITED: LazyCounter = LazyCounter::new("gsj_graph_bfs_visited_total");
-static BFS_HITS: LazyCounter = LazyCounter::new("gsj_graph_bfs_hits_total");
 
 /// All live vertices within `k` undirected hops of `start` (including
 /// `start` itself at distance 0).
@@ -52,20 +51,19 @@ pub fn k_hop_set(g: &LabeledGraph, start: VertexId, k: usize) -> FxHashSet<Verte
             }
         }
     }
-    KHOP_CALLS.inc();
-    KHOP_VISITED.add(seen.len() as u64);
     seen
 }
 
-/// Sources per pass of [`k_hop_reach`]: one bit of a lane word each.
+/// Sources per pass of the kernel: one bit of a lane word each.
 const LANES: usize = u64::BITS as usize;
 
-/// Which targets each source reaches, as [`k_hop_reach`] returns it.
-#[derive(Debug, PartialEq, Eq)]
+/// Per-source rows, as [`k_hop_reach`] and [`k_hop_balls`] return them.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Reach {
     /// `targets[offsets[i]..offsets[i + 1]]` belongs to the `i`-th source.
     pub offsets: Vec<usize>,
-    /// Per source, the targets within `k` hops of it, ascending.
+    /// Per source, the vertices within `k` hops of it ([`k_hop_reach`]:
+    /// only the targets, ascending).
     pub targets: Vec<VertexId>,
     /// Passes over the graph: one per 64 sources.
     pub batches: usize,
@@ -74,22 +72,143 @@ pub struct Reach {
     pub expanded: usize,
 }
 
+impl Reach {
+    /// The `i`-th source's row.
+    pub fn row(&self, i: usize) -> &[VertexId] {
+        &self.targets[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Append one batch's `lanes` rows: every vertex of `cells` goes, in
+    /// `cells` order, into the row of each lane set in its word. Two
+    /// passes: count each row, then fill the rows in place.
+    fn push_batch(&mut self, lanes: usize, cells: impl Iterator<Item = (VertexId, u64)> + Clone) {
+        let mut cursor = [0usize; LANES];
+        for (_, word) in cells.clone() {
+            for_each_lane(word, |lane| cursor[lane] += 1);
+        }
+        let mut end = self.targets.len();
+        for row in &mut cursor[..lanes] {
+            (*row, end) = (end, end + *row);
+            self.offsets.push(end);
+        }
+        self.targets.resize(end, VertexId(0));
+        for (v, word) in cells {
+            for_each_lane(word, |lane| {
+                self.targets[cursor[lane]] = v;
+                cursor[lane] += 1;
+            });
+        }
+        self.batches += 1;
+    }
+}
+
+/// Call `f` with the index of every set bit of `lanes`, lowest first.
+#[inline]
+fn for_each_lane(mut lanes: u64, mut f: impl FnMut(usize)) {
+    while lanes != 0 {
+        f(lanes.trailing_zeros() as usize);
+        lanes &= lanes - 1;
+    }
+}
+
+/// The kernel: the lane words of one multi-source BFS, dense over
+/// [`LabeledGraph::id_bound`] (24 bytes per vertex slot), sized by the
+/// first walk and reused by the next.
+#[derive(Default)]
+struct Lanes {
+    /// Per vertex, the lanes that reach it.
+    seen: Vec<u64>,
+    /// Per vertex of `level`, the lanes that reached it on the last level
+    /// (stale elsewhere: set whenever a vertex joins `level`).
+    frontier: Vec<u64>,
+    /// Per vertex, the lanes the level being expanded adds.
+    next: Vec<u64>,
+    /// The vertices with a non-zero `seen` word, the current frontier,
+    /// and the vertices the level being expanded reached: each once.
+    touched: Vec<VertexId>,
+    level: Vec<VertexId>,
+    reached: Vec<VertexId>,
+}
+
+impl Lanes {
+    /// Walk `k` levels from at most 64 distinct sources, bit `i` standing
+    /// for `batch[i]` (a removed source reaches nothing). Afterwards `seen`
+    /// holds, per vertex, the lanes within `k` hops of it, and `touched`
+    /// lists the vertices with a non-zero word. `expand` runs once per
+    /// expanded vertex. Returns the expansions.
+    ///
+    /// A level expands each vertex whose frontier word is non-zero *once*,
+    /// for all its lanes — `next[w] |= frontier[v] & !seen[w]` — so a batch
+    /// never scans more adjacency than its 64 separate BFS runs would, and
+    /// a neighbourhood the sources share costs up to 64× less. A walk
+    /// first resets only the `seen` words the previous one touched.
+    fn walk<E>(
+        &mut self,
+        g: &LabeledGraph,
+        batch: &[VertexId],
+        k: usize,
+        mut expand: impl FnMut() -> std::result::Result<(), E>,
+    ) -> std::result::Result<usize, E> {
+        debug_assert!(batch.len() <= LANES);
+        for words in [&mut self.seen, &mut self.frontier, &mut self.next] {
+            words.resize(g.id_bound(), 0);
+        }
+        // As slices the words keep their bounds in registers across
+        // `push`, which may reallocate a list of `self`.
+        let (seen, frontier) = (&mut self.seen[..], &mut self.frontier[..]);
+        let next = &mut self.next[..];
+        for v in self.touched.drain(..) {
+            seen[v.index()] = 0;
+        }
+        for (lane, &s) in batch.iter().enumerate() {
+            if g.is_live(s) {
+                seen[s.index()] = 1 << lane;
+                frontier[s.index()] = 1 << lane;
+                self.touched.push(s);
+            }
+        }
+        self.level.clone_from(&self.touched);
+        let mut expanded = 0;
+        for _ in 0..k {
+            for &v in &self.level {
+                expand()?;
+                let lanes = frontier[v.index()];
+                for e in g.out_edges(v).iter().chain(g.in_edges(v)) {
+                    let w = e.to.index();
+                    let new = lanes & !seen[w];
+                    if new != 0 {
+                        if next[w] == 0 {
+                            self.reached.push(e.to);
+                        }
+                        next[w] |= new;
+                    }
+                }
+            }
+            expanded += self.level.len();
+            self.level.clear();
+            for &w in &self.reached {
+                let lanes = std::mem::take(&mut next[w.index()]);
+                if seen[w.index()] == 0 {
+                    self.touched.push(w);
+                }
+                seen[w.index()] |= lanes;
+                frontier[w.index()] = lanes;
+            }
+            std::mem::swap(&mut self.level, &mut self.reached);
+        }
+        REACH_EXPANDED.add(expanded as u64);
+        Ok(expanded)
+    }
+}
+
 /// For each of `sources`, the members of `targets` within `k` undirected
 /// hops of it (itself included, distance 0 ≤ k; a removed source reaches
-/// nothing), as CSR rows in source order. Both lists must be ascending
-/// and distinct.
+/// nothing), as rows in source order. Both lists must be ascending and
+/// distinct; each row is ascending.
 ///
-/// A bit-parallel multi-source BFS: sources go in batches of 64, bit `i`
-/// of a vertex's `u64` lane words standing for the batch's `i`-th source.
-/// A level expands each vertex whose frontier word is non-zero *once*,
-/// for all its lanes — `next[w] |= frontier[v] & !seen[w]` — so a batch
-/// never scans more adjacency than its 64 separate BFS runs would, and a
-/// neighbourhood the sources share costs up to 64× less. After `k`
-/// levels a target's `seen` word lists the sources that reach it; walking
-/// the targets in ascending order writes every row ascending. The three
-/// word arrays are dense over [`LabeledGraph::id_bound`] (24 bytes per
-/// vertex slot) and reused across batches; a batch resets only the slots
-/// it touched.
+/// After a batch's walk a target's `seen` word lists the sources that
+/// reach it; walking the targets in ascending order writes every row
+/// ascending.
 ///
 /// Governance: `check` up front; per batch the `graph.khop` fault point
 /// and a strided `join.connectivity` check; per expanded vertex a strided
@@ -107,142 +226,43 @@ pub fn k_hop_reach(
         ascending(sources) && ascending(targets),
         "k_hop_reach takes ascending, distinct sources and targets"
     );
-    let slots = g.id_bound();
-    let (mut seen, mut frontier, mut next) =
-        (vec![0u64; slots], vec![0u64; slots], vec![0u64; slots]);
-    // The slots with a non-zero `seen` word, the current frontier, and the
-    // vertices the level being expanded reached: each once.
-    let (mut touched, mut level, mut reached) = (Vec::new(), Vec::new(), Vec::new());
+    let mut lanes = Lanes::default();
     let mut out = Reach {
-        offsets: Vec::with_capacity(sources.len() + 1),
-        targets: Vec::new(),
-        batches: 0,
-        expanded: 0,
+        offsets: vec![0],
+        ..Reach::default()
     };
-    out.offsets.push(0);
     for batch in sources.chunks(LANES) {
         fault_point("graph.khop", FaultClass::Critical)?;
         gov.check_coarse("join.connectivity")?;
-        for (lane, &s) in batch.iter().enumerate() {
-            if g.is_live(s) {
-                seen[s.index()] = 1 << lane;
-                frontier[s.index()] = 1 << lane;
-                touched.push(s);
-                level.push(s);
-            }
-        }
-        for _ in 0..k {
-            if level.is_empty() {
-                break;
-            }
-            for &v in &level {
-                gov.check_coarse("graph.khop")?;
-                let lanes = frontier[v.index()];
-                for e in g.out_edges(v).iter().chain(g.in_edges(v)) {
-                    let w = e.to.index();
-                    let new = lanes & !seen[w];
-                    if new != 0 {
-                        if next[w] == 0 {
-                            reached.push(e.to);
-                        }
-                        next[w] |= new;
-                    }
-                }
-            }
-            out.expanded += level.len();
-            for v in level.drain(..) {
-                frontier[v.index()] = 0;
-            }
-            for &w in &reached {
-                let lanes = std::mem::take(&mut next[w.index()]);
-                if seen[w.index()] == 0 {
-                    touched.push(w);
-                }
-                seen[w.index()] |= lanes;
-                frontier[w.index()] = lanes;
-            }
-            std::mem::swap(&mut level, &mut reached);
-        }
-
-        // Two passes over the targets: count each lane's row, then fill
-        // the rows in place. (A target outside the graph is reached by
-        // no source.)
-        let lanes_of = |t: VertexId| seen.get(t.index()).copied().unwrap_or(0);
-        let mut cursor = [0usize; LANES];
-        for &t in targets {
-            for_each_lane(lanes_of(t), |lane| cursor[lane] += 1);
-        }
-        let mut end = out.targets.len();
-        for row in &mut cursor[..batch.len()] {
-            (*row, end) = (end, end + *row);
-            out.offsets.push(end);
-        }
-        out.targets.resize(end, VertexId(0));
-        for &t in targets {
-            for_each_lane(lanes_of(t), |lane| {
-                out.targets[cursor[lane]] = t;
-                cursor[lane] += 1;
-            });
-        }
-
-        for v in touched.drain(..) {
-            seen[v.index()] = 0;
-        }
-        for v in level.drain(..) {
-            frontier[v.index()] = 0;
-        }
-        out.batches += 1;
+        out.expanded += lanes.walk(g, batch, k, || gov.check_coarse("graph.khop"))?;
+        // A target outside the graph is reached by no source.
+        let word = |t: VertexId| lanes.seen.get(t.index()).copied().unwrap_or(0);
+        out.push_batch(batch.len(), targets.iter().map(|&t| (t, word(t))));
     }
-    REACH_EXPANDED.add(out.expanded as u64);
     Ok(out)
 }
 
-/// Call `f` with the index of every set bit of `lanes`, lowest first.
-#[inline]
-fn for_each_lane(mut lanes: u64, mut f: impl FnMut(usize)) {
-    while lanes != 0 {
-        f(lanes.trailing_zeros() as usize);
-        lanes &= lanes - 1;
+/// Each of `sources`' whole ball — the live vertices within `k` undirected
+/// hops of it, itself included; a removed source's is empty — as rows in
+/// source order, each vertex once per row, in no particular order.
+/// Sources must be distinct, in any order.
+///
+/// The rows are read off the vertices a batch touched, so no pass scans
+/// more than the batch reached. Ungoverned, with no fault point: HER's
+/// block index and IncExt's HER zone call it (DESIGN.md §11).
+pub fn k_hop_balls(g: &LabeledGraph, sources: &[VertexId], k: usize) -> Reach {
+    let mut lanes = Lanes::default();
+    let mut out = Reach {
+        offsets: vec![0],
+        ..Reach::default()
+    };
+    for batch in sources.chunks(LANES) {
+        let Ok(expanded) = lanes.walk(g, batch, k, || Ok::<(), Infallible>(()));
+        out.expanded += expanded;
+        let cells = lanes.touched.iter().map(|&v| (v, lanes.seen[v.index()]));
+        out.push_batch(batch.len(), cells);
     }
-}
-
-/// The buffers of one k-hop ball, reused over a run of them: HER's block
-/// index takes a ball per indexed vertex, and a fresh set each would cost
-/// more than the walk. Always inline and ungoverned.
-#[derive(Default)]
-pub struct KHopScratch {
-    seen: FxHashSet<VertexId>,
-    /// The ball in BFS order; the tail from the last level's start on is
-    /// the frontier.
-    order: Vec<VertexId>,
-}
-
-impl KHopScratch {
-    /// The vertices of [`k_hop_set`]`(g, start, k)`, each once, in BFS
-    /// order; valid until the next call.
-    pub fn ball(&mut self, g: &LabeledGraph, start: VertexId, k: usize) -> &[VertexId] {
-        self.seen.clear();
-        self.order.clear();
-        if g.is_live(start) {
-            self.seen.insert(start);
-            self.order.push(start);
-            let mut level_start = 0;
-            for _ in 0..k {
-                let level_end = self.order.len();
-                for i in level_start..level_end {
-                    for (e, _) in g.incident(self.order[i]) {
-                        if self.seen.insert(e.to) {
-                            self.order.push(e.to);
-                        }
-                    }
-                }
-                level_start = level_end;
-            }
-        }
-        KHOP_CALLS.inc();
-        KHOP_VISITED.add(self.order.len() as u64);
-        &self.order
-    }
+    out
 }
 
 /// Bidirectional BFS: are `u` and `v` connected within `k` undirected hops?
@@ -254,12 +274,10 @@ impl KHopScratch {
 /// their index with [`k_hop_reach`]); this stays as the reference the
 /// index is tested and benchmarked against.
 pub fn within_k_hops(g: &LabeledGraph, u: VertexId, v: VertexId, k: usize) -> bool {
-    BFS_CALLS.inc();
     if !g.is_live(u) || !g.is_live(v) {
         return false;
     }
     if u == v {
-        BFS_HITS.inc();
         return true;
     }
     if k == 0 {
@@ -294,8 +312,6 @@ pub fn within_k_hops(g: &LabeledGraph, u: VertexId, v: VertexId, k: usize) -> bo
                 }
                 if let Some(&other_d) = theirs.get(&x) {
                     if depth + other_d <= k {
-                        BFS_HITS.inc();
-                        BFS_VISITED.add((mine.len() + theirs.len()) as u64);
                         return true;
                     }
                 }
@@ -305,7 +321,6 @@ pub fn within_k_hops(g: &LabeledGraph, u: VertexId, v: VertexId, k: usize) -> bo
         }
         *frontier = next;
     }
-    BFS_VISITED.add((from_u.len() + from_v.len()) as u64);
     false
 }
 
@@ -423,17 +438,21 @@ mod tests {
     }
 
     #[test]
-    fn reused_scratch_yields_the_k_hop_set() {
+    fn balls_yield_the_k_hop_set() {
         let (mut g, vs) = chain(6);
         g.add_edge(vs[4], "back", vs[2]);
         g.remove_vertex(vs[0]);
-        let mut scratch = KHopScratch::default();
-        // Large ball first: nothing of it may leak into the later ones.
-        for (start, k) in [(vs[3], 4), (vs[3], 0), (vs[0], 2), (vs[6], 1), (vs[2], 2)] {
-            let ball = scratch.ball(&g, start, k).to_vec();
-            let set: FxHashSet<VertexId> = ball.iter().copied().collect();
-            assert_eq!(set.len(), ball.len(), "a vertex listed twice");
-            assert_eq!(set, k_hop_set(&g, start, k), "start={start} k={k}");
+        // Unordered, one removed.
+        let starts = [vs[3], vs[6], vs[0], vs[2]];
+        for k in 0..5 {
+            let balls = k_hop_balls(&g, &starts, k);
+            assert_eq!((balls.offsets.len(), balls.batches), (starts.len() + 1, 1));
+            for (i, &start) in starts.iter().enumerate() {
+                let ball = balls.row(i);
+                let set: FxHashSet<VertexId> = ball.iter().copied().collect();
+                assert_eq!(set.len(), ball.len(), "a vertex listed twice");
+                assert_eq!(set, k_hop_set(&g, start, k), "start={start} k={k}");
+            }
         }
     }
 
@@ -443,7 +462,8 @@ mod tests {
         /// `k_hop_reach` ≡ one `k_hop_set` per source, across lane
         /// boundaries: 0–150 distinct sources (0 to 3 batches, with exactly
         /// 64 and 65 forced), targets that are and are not sources, one
-        /// removed source and one removed target, `k` 0–4.
+        /// removed source and one removed target, `k` 0–4. Each
+        /// `k_hop_balls` row, as a set, is that source's `k_hop_set`.
         #[test]
         fn reach_equals_the_per_source_reference(
             n in 60usize..201,
@@ -485,6 +505,15 @@ mod tests {
                 (reach.offsets, reach.targets),
                 per_source_reach(&g, &sources, &targets, k)
             );
+
+            let balls = k_hop_balls(&g, &sources, k);
+            prop_assert_eq!(balls.batches, sources.len().div_ceil(64));
+            prop_assert_eq!(balls.offsets.len(), sources.len() + 1);
+            for (i, &s) in sources.iter().enumerate() {
+                let row: FxHashSet<VertexId> = balls.row(i).iter().copied().collect();
+                prop_assert_eq!(row.len(), balls.row(i).len());
+                prop_assert_eq!(row, k_hop_set(&g, s, k));
+            }
         }
     }
 
@@ -543,8 +572,9 @@ mod tests {
         gsj_faults::set_spec(Some("graph.khop:error")).unwrap();
         let err = k_hop_reach(&g, &vs, &vs, 2, &gov).unwrap_err();
         assert!(matches!(err, GsjError::Internal(_)), "{err:?}");
-        // No batch, no fault point; and the ungoverned ball carries none.
+        // No batch, no fault point; and the ungoverned balls carry none.
         assert!(k_hop_reach(&g, &[], &vs, 2, &gov).is_ok());
+        assert_eq!(k_hop_balls(&g, &vs, 2).targets.len(), 3 + 4 + 4 + 3);
         assert_eq!(k_hop_set(&g, vs[0], 2).len(), 3);
         gsj_faults::set_spec(None).unwrap();
     }

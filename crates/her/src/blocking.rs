@@ -16,8 +16,8 @@
 //! per pair.
 
 use crate::normalize::tokens;
-use gsj_common::{FxHashMap, FxHashSet, Symbol};
-use gsj_graph::traversal::KHopScratch;
+use gsj_common::{FxHashMap, Symbol};
+use gsj_graph::traversal::k_hop_balls;
 use gsj_graph::{LabeledGraph, VertexId};
 
 /// Rows of sorted, distinct `u32` ids stored back to back.
@@ -167,7 +167,7 @@ pub struct BlockIndex {
     /// Token id → slots of the vertices whose vicinity contains it,
     /// ascending.
     blocks: Vec<Vec<u32>>,
-    /// Slot → vertex, in indexing order; a slot is the vertex's row in
+    /// Slot → vertex, ascending; a slot is the vertex's row in
     /// `vicinity_labels` / `vicinity_tokens`.
     vertices: Vec<VertexId>,
     vicinity_labels: IdRows,
@@ -179,32 +179,30 @@ pub struct BlockIndex {
 impl BlockIndex {
     /// Build the index over `candidates` — every live vertex for the full
     /// matcher; for IncExt's incremental matching only the vertices whose
-    /// vicinity an update could have changed. A vertex listed twice is
-    /// indexed once.
+    /// vicinity an update could have changed. The order does not matter,
+    /// a vertex listed twice is indexed once, and a removed one not at all.
     pub fn build_over(
         g: &LabeledGraph,
         candidates: impl IntoIterator<Item = VertexId>,
         hops: usize,
         max_block: usize,
     ) -> Self {
+        let mut vertices: Vec<_> = candidates.into_iter().filter(|&v| g.is_live(v)).collect();
+        vertices.sort_unstable();
+        vertices.dedup();
+        let balls = k_hop_balls(g, &vertices, hops);
         let mut index = BlockIndex {
             max_block,
+            vertices,
             ..BlockIndex::default()
         };
         // Graph label symbol → label id: each distinct vertex label is
         // resolved and tokenised once, however many vicinities it sits in.
         let mut by_symbol: FxHashMap<Symbol, u32> = FxHashMap::default();
-        let mut indexed: FxHashSet<VertexId> = FxHashSet::default();
-        let mut ball = KHopScratch::default();
         let (mut labels, mut toks) = (Vec::new(), Vec::new());
-        for v in candidates {
-            if !g.is_live(v) || !indexed.insert(v) {
-                continue;
-            }
-            let slot = index.vertices.len() as u32;
-            index.vertices.push(v);
+        for slot in 0..index.vertices.len() {
             labels.clear();
-            for &u in ball.ball(g, v, hops) {
+            for &u in balls.row(slot) {
                 let sym = g.vertex_label(u).expect("a ball holds live vertices");
                 let id = *by_symbol
                     .entry(sym)
@@ -218,7 +216,7 @@ impl BlockIndex {
             }
             index.vicinity_tokens.push(&mut toks);
             for &t in &toks {
-                index.blocks[t as usize].push(slot);
+                index.blocks[t as usize].push(slot as u32);
             }
         }
         index

@@ -138,7 +138,7 @@ fn her_match_indexed(s: &Relation, cfg: &HerConfig, index: &BlockIndex) -> Resul
     let id_pos = s.schema().require(&cfg.id_attr)?;
     let mut matches = MatchRelation::new();
     let mut candidates = Candidates::default();
-    let mut group: Vec<(VertexId, u32)> = Vec::new();
+    let mut group: Vec<u32> = Vec::new();
     for row in 0..s.len() {
         let values = tuple_values(s, row, id_pos, index);
         if values.is_empty() {
@@ -153,9 +153,10 @@ fn her_match_indexed(s: &Relation, cfg: &HerConfig, index: &BlockIndex) -> Resul
         // nothing further down can be accepted or win; at an equal bound
         // only a lower vertex id still can. The winner under "score
         // descending, vertex id ascending" does not depend on the order
-        // candidates are visited in.
+        // candidates are visited in. Slots ascend with vertex id, so the
+        // best is kept as (score, slot).
         let n = values.len();
-        let mut best: Option<(f64, VertexId)> = None;
+        let mut best: Option<(f64, u32)> = None;
         let top = candidates.slots().iter().map(|&c| candidates.max_hits(c));
         let top = top.max().unwrap_or(0);
         for level in (0..=top).rev() {
@@ -164,14 +165,10 @@ fn her_match_indexed(s: &Relation, cfg: &HerConfig, index: &BlockIndex) -> Resul
                 break;
             }
             group.clear();
-            group.extend(
-                (candidates.slots().iter())
-                    .filter(|&&c| candidates.max_hits(c) == level)
-                    .map(|&c| (index.vertex(c), c)),
-            );
+            group.extend((candidates.slots().iter()).filter(|&&c| candidates.max_hits(c) == level));
             group.sort_unstable();
-            for &(v, slot) in &group {
-                if best.is_some_and(|(bs, bv)| bs == bound && bv < v) {
+            for &slot in &group {
+                if best.is_some_and(|(bs, b)| bs == bound && b < slot) {
                     break; // the rest of the level has higher ids still
                 }
                 scored += 1;
@@ -184,15 +181,15 @@ fn her_match_indexed(s: &Relation, cfg: &HerConfig, index: &BlockIndex) -> Resul
                 let score = hits as f64 / n as f64;
                 let better = match best {
                     None => true,
-                    Some((bs, bv)) => score > bs || (score == bs && v < bv),
+                    Some((bs, b)) => score > bs || (score == bs && slot < b),
                 };
                 if better && score >= cfg.min_score {
-                    best = Some((score, v));
+                    best = Some((score, slot));
                 }
             }
         }
-        if let Some((_, v)) = best {
-            matches.push(s.value_at(row, id_pos), v);
+        if let Some((_, slot)) = best {
+            matches.push(s.value_at(row, id_pos), index.vertex(slot));
         }
     }
     let pruned = generated - scored;

@@ -7,7 +7,7 @@
 //! and are read out as snapshots by the exporters in [`crate::export`].
 //!
 //! Naming scheme (see DESIGN.md §10): `gsj_<crate>_<stage>_<what>[_total]`,
-//! e.g. `gsj_graph_bfs_visited_total` or `gsj_her_candidates_scored_total`.
+//! e.g. `gsj_graph_reach_expanded_total` or `gsj_her_candidates_scored_total`.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -375,8 +375,8 @@ impl Registry {
 /// call sites:
 ///
 /// ```ignore
-/// static BFS_CALLS: LazyCounter = LazyCounter::new("gsj_graph_bfs_calls_total");
-/// BFS_CALLS.add(1);
+/// static REACH_EXPANDED: LazyCounter = LazyCounter::new("gsj_graph_reach_expanded_total");
+/// REACH_EXPANDED.add(expanded as u64);
 /// ```
 pub struct LazyCounter {
     name: &'static str,

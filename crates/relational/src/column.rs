@@ -624,14 +624,8 @@ impl Hash for CellRef<'_> {
                 state.write_u8(1);
                 b.hash(state);
             }
-            CellRef::Int(i) => {
-                state.write_u8(2);
-                state.write_u64(Value::canonical_float_bits(*i as f64));
-            }
-            CellRef::Float(f) => {
-                state.write_u8(2);
-                state.write_u64(Value::canonical_float_bits(*f));
-            }
+            CellRef::Int(i) => Value::hash_numeric(*i as f64, state),
+            CellRef::Float(f) => Value::hash_numeric(*f, state),
             CellRef::Str(s) => {
                 state.write_u8(3);
                 s.hash(state);
@@ -668,6 +662,7 @@ impl Ord for CellRef<'_> {
 mod tests {
     use super::*;
     use std::collections::hash_map::DefaultHasher;
+    use std::hash::BuildHasher;
 
     fn vh(v: &Value) -> u64 {
         let mut s = DefaultHasher::new();
@@ -789,6 +784,17 @@ mod tests {
                 // ...and agrees with Value's own hash equivalence.
                 assert_eq!(vh(a), vh(b), "{a:?} vs {b:?}");
             }
+        }
+    }
+
+    #[test]
+    fn integer_key_rows_spread_over_the_buckets() {
+        // A one-cell `Cells` key, as the multi-key hash join and group-by
+        // hash it; a table buckets by the low bits.
+        let fx = |i: i64| gsj_common::FxBuildHasher::default().hash_one(vec![CellRef::Int(i)]);
+        for ints in [0..100_000, -50_000..50_000] {
+            let low: gsj_common::FxHashSet<u64> = ints.clone().map(|i| fx(i) & 0xffff).collect();
+            assert!(low.len() >= 40_000, "{ints:?}: {} patterns", low.len());
         }
     }
 
