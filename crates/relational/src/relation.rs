@@ -9,11 +9,11 @@
 //! it ([`Relation::row`], [`Relation::rows`]) and get a fresh [`Tuple`]
 //! that the relation does not keep.
 
-use crate::column::Column;
+use crate::column::{CellRef, Column};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use gsj_common::{GsjError, Result, Value};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// A relation instance (bag semantics, like SQL).
@@ -321,39 +321,37 @@ impl Relation {
     }
 
     /// Render as CSV (RFC-4180-style quoting; NULL cells are empty).
+    ///
+    /// One pre-sized `String`, written cell by cell off borrowed cells:
+    /// strings are pushed as they are (quoted when they hold `,`, `"`,
+    /// `\n` or `\r`), integers are formatted in place, and every other
+    /// cell is `Value`'s `Display`, which never needs quoting.
     pub fn to_csv(&self) -> String {
-        let quote = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
+        let mut out = String::with_capacity(CSV_CELL_GUESS * (self.len + 1) * self.cols.len());
+        for (i, a) in self.schema.attrs().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .schema
-                .attrs()
-                .iter()
-                .map(|a| quote(a))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
+            push_csv_field(&mut out, a);
+        }
         out.push('\n');
         for r in 0..self.len {
-            let row: Vec<String> = self
-                .cols
-                .iter()
-                .map(|c| {
-                    let cell = c.cell(r);
-                    if cell.is_null() {
-                        String::new()
-                    } else {
-                        quote(&cell.to_value().to_string())
+            for (i, c) in self.cols.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                // Writing into a `String` cannot fail.
+                match c.cell(r) {
+                    CellRef::Null => {}
+                    CellRef::Str(s) => push_csv_field(&mut out, s),
+                    CellRef::Int(v) => {
+                        let _ = write!(out, "{v}");
                     }
-                })
-                .collect();
-            out.push_str(&row.join(","));
+                    other => {
+                        let _ = write!(out, "{}", other.to_value());
+                    }
+                }
+            }
             out.push('\n');
         }
         out
@@ -394,6 +392,27 @@ impl Relation {
         }
         out
     }
+}
+
+/// Bytes [`Relation::to_csv`] reserves per cell up front.
+const CSV_CELL_GUESS: usize = 8;
+
+/// Append one CSV field, quoted (with `"` doubled) when it holds a
+/// separator, a quote, or a line break — `\r` included, which every
+/// `lines()`-based reader would otherwise strip from the row's end.
+fn push_csv_field(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r')) {
+        out.push_str(s);
+        return;
+    }
+    out.push('"');
+    for ch in s.chars() {
+        if ch == '"' {
+            out.push('"');
+        }
+        out.push(ch);
+    }
+    out.push('"');
 }
 
 impl fmt::Display for Relation {
@@ -465,6 +484,130 @@ mod tests {
         assert_eq!(lines[0], "a,b");
         assert_eq!(lines[1], "\"x,y\",");
         assert_eq!(lines[2], "\"quo\"\"te\",3");
+    }
+
+    /// The renderer `to_csv` replaced: a `String` per cell and per row,
+    /// quoting on `,`, `"` and `\n` only.
+    fn to_csv_per_cell(r: &Relation) -> String {
+        let quote = |s: &str| -> String {
+            if s.contains(',') || s.contains('"') || s.contains('\n') {
+                format!("\"{}\"", s.replace('"', "\"\""))
+            } else {
+                s.to_string()
+            }
+        };
+        let mut out = String::new();
+        out.push_str(
+            &r.schema
+                .attrs()
+                .iter()
+                .map(|a| quote(a))
+                .collect::<Vec<_>>()
+                .join(","),
+        );
+        out.push('\n');
+        for i in 0..r.len {
+            let row: Vec<String> = r
+                .cols
+                .iter()
+                .map(|c| {
+                    let cell = c.cell(i);
+                    if cell.is_null() {
+                        String::new()
+                    } else {
+                        quote(&cell.to_value().to_string())
+                    }
+                })
+                .collect();
+            out.push_str(&row.join(","));
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn csv_is_byte_identical_to_the_per_cell_renderer() {
+        let rows = [
+            [
+                Value::Null,
+                Value::Bool(true),
+                Value::Int(i64::MIN),
+                Value::Int(1),
+                Value::Float(-0.0),
+                Value::str("a,b"),
+            ],
+            [
+                Value::Null,
+                Value::Null,
+                Value::Int(0),
+                Value::str("s\"q"),
+                Value::Float(f64::NAN),
+                Value::str(""),
+            ],
+            [
+                Value::Null,
+                Value::Bool(false),
+                Value::Null,
+                Value::Bool(true),
+                Value::Float(f64::INFINITY),
+                Value::Null,
+            ],
+            [
+                Value::Null,
+                Value::Null,
+                Value::Int(-42),
+                Value::Float(2.5),
+                Value::Float(f64::NEG_INFINITY),
+                Value::str("two\nlines"),
+            ],
+            [
+                Value::Null,
+                Value::Bool(false),
+                Value::Int(i64::MAX),
+                Value::Null,
+                Value::Float(1e21),
+                Value::str("say \"hi\", then go"),
+            ],
+            [
+                Value::Null,
+                Value::Null,
+                Value::Int(7),
+                Value::str("plain"),
+                Value::Float(1e-7),
+                Value::str("plain"),
+            ],
+        ];
+        let schema = Schema::of(
+            "kinds",
+            &["nothing", "flag", "n", "mixed", "x,y", "say \"s\""],
+        );
+        let mut r = Relation::empty(schema.clone());
+        for row in rows {
+            r.push_values(row.to_vec()).unwrap();
+        }
+        let reprs: Vec<&str> = r.columns().iter().map(|c| c.repr_name()).collect();
+        assert_eq!(reprs, ["null", "bool", "int", "mixed", "float", "str"]);
+        assert_eq!(r.to_csv(), to_csv_per_cell(&r));
+        // `""` next to NULL: a present empty string and a NULL both
+        // render as an empty field.
+        assert!(r.to_csv().lines().nth(2).unwrap().ends_with(','));
+        // Zero rows: the header alone.
+        let empty = Relation::empty(schema);
+        assert_eq!(empty.to_csv(), to_csv_per_cell(&empty));
+        assert_eq!(
+            empty.to_csv(),
+            "nothing,flag,n,mixed,\"x,y\",\"say \"\"s\"\"\"\n"
+        );
+    }
+
+    #[test]
+    fn csv_quotes_a_carriage_return() {
+        let mut r = Relation::empty(Schema::of("t", &["a", "b"]));
+        r.push_values(vec![Value::str("x\r"), Value::Int(1)])
+            .unwrap();
+        assert_eq!(r.to_csv(), "a,b\n\"x\r\",1\n");
+        // The one byte difference from the per-cell renderer.
+        assert_eq!(to_csv_per_cell(&r), "a,b\nx\r,1\n");
     }
 
     #[test]

@@ -4,15 +4,18 @@
 //!
 //! 1. liveness (`PING`),
 //! 2. eight concurrent clients running the workload successfully,
-//! 3. a governance rejection (zero deadline → `DeadlineExceeded`),
-//! 4. an admission shed (saturate sessions + queue → `ResourceExhausted`),
-//! 5. a wire-traced query (`trace: 1` → span-tree body + `trace-id`
+//! 3. a constant thread count under load (`/proc/<pid>/task` before and
+//!    after 1 000 more queries: main, accept, metrics, and a worker plus
+//!    its watcher per session),
+//! 4. a governance rejection (zero deadline → `DeadlineExceeded`),
+//! 5. an admission shed (saturate sessions + queue → `ResourceExhausted`),
+//! 6. a wire-traced query (`trace: 1` → span-tree body + `trace-id`
 //!    header) and an `explain: analyze` one, cross-checked against the
 //!    `/debug/queries`, `/debug/slow` and `/debug/trace/<id>`
 //!    introspection routes,
-//! 6. a `/metrics` scrape that parses as Prometheus text (including the
+//! 7. a `/metrics` scrape that parses as Prometheus text (including the
 //!    derived latency percentile gauges), plus `/healthz`,
-//! 7. graceful shutdown (`SHUTDOWN` verb → child exits 0).
+//! 8. graceful shutdown (`SHUTDOWN` verb → child exits 0).
 //!
 //! Exits nonzero (panics) on the first violated expectation.
 
@@ -27,6 +30,8 @@ use std::time::{Duration, Instant};
 const COLLECTION: &str = "Celebrity";
 const SESSIONS: usize = 4;
 const QUEUE: usize = 4;
+/// Queries of the thread-count step, spread over `SESSIONS` clients.
+const LOAD_QUERIES: usize = 1_000;
 
 /// Kill the child on any panic path so CI never leaks a server.
 struct KillGuard(Child);
@@ -46,6 +51,13 @@ fn serve_binary() -> std::path::PathBuf {
         "gsj-serve not found next to server_smoke at {p:?}"
     );
     p
+}
+
+/// The child's threads: `/proc/<pid>/task` holds one entry per thread.
+fn thread_count(pid: u32) -> usize {
+    std::fs::read_dir(format!("/proc/{pid}/task"))
+        .expect("read /proc/<pid>/task")
+        .count()
 }
 
 fn main() {
@@ -95,6 +107,14 @@ fn main() {
     // 1. Liveness.
     let mut probe = Client::connect(serve_addr).expect("connect");
     probe.ping().expect("ping");
+    let pid = guard.0.id();
+    let threads = thread_count(pid);
+    assert_eq!(
+        threads,
+        3 + 2 * SESSIONS,
+        "gsj-serve should run main, accept and metrics threads plus a worker \
+         and a watcher per session"
+    );
 
     // 2. Eight concurrent clients, each running the full workload for
     //    the served collection. SESSIONS + QUEUE = 8, so all of them are
@@ -129,7 +149,31 @@ fn main() {
         queries.len()
     );
 
-    // 3. Governance rejection: a zero deadline must come back as the
+    // 3. Constant thread count: no thread per connection or per query.
+    let clients: Vec<_> = (0..SESSIONS)
+        .map(|i| {
+            let queries = queries.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(serve_addr).expect("connect");
+                for j in 0..LOAD_QUERIES / SESSIONS {
+                    let q = &queries[(i + j) % queries.len()];
+                    c.query(q)
+                        .unwrap_or_else(|e| panic!("load client {i} query {j}: {e}"));
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("load client panicked");
+    }
+    assert_eq!(
+        thread_count(pid),
+        threads,
+        "gsj-serve's thread count changed under {LOAD_QUERIES} queries"
+    );
+    println!("server_smoke: {threads} threads before and after {LOAD_QUERIES} queries ok");
+
+    // 4. Governance rejection: a zero deadline must come back as the
     //    typed DeadlineExceeded, not a generic failure.
     let mut c = Client::connect(serve_addr).expect("connect");
     let opts = QueryOpts {
@@ -146,7 +190,7 @@ fn main() {
     drop(c);
     std::thread::sleep(Duration::from_millis(200)); // let every worker go idle
 
-    // 4. Admission shed: hold SESSIONS + QUEUE idle connections, then
+    // 5. Admission shed: hold SESSIONS + QUEUE idle connections, then
     //    one more client must be refused with ResourceExhausted.
     let holders: Vec<Client> = (0..SESSIONS + QUEUE)
         .map(|_| Client::connect(serve_addr).expect("holder connect"))
@@ -164,7 +208,7 @@ fn main() {
     drop(holders);
     std::thread::sleep(Duration::from_millis(200)); // workers notice the EOFs
 
-    // 5. Wire tracing + introspection: a `trace: 1` query returns the
+    // 6. Wire tracing + introspection: a `trace: 1` query returns the
     //    span tree as its body and a trace-id header, and the same id is
     //    resolvable through every /debug route.
     let mut c = Client::connect(serve_addr).expect("connect for trace");
@@ -244,7 +288,7 @@ fn main() {
     );
     println!("server_smoke: wire trace + introspection ok (trace id {tid})");
 
-    // 6. Metrics: must parse as Prometheus text and carry the serving
+    // 7. Metrics: must parse as Prometheus text and carry the serving
     //    counters; /healthz must answer.
     let text = http_get(metrics_addr, "/metrics").expect("GET /metrics");
     let snap = parse_prometheus_text(&text).expect("parse prometheus text");
@@ -273,7 +317,7 @@ fn main() {
         snap.samples.len()
     );
 
-    // 7. Graceful shutdown: acknowledge, drain, exit 0.
+    // 8. Graceful shutdown: acknowledge, drain, exit 0.
     let mut c = Client::connect(serve_addr).expect("connect for shutdown");
     c.shutdown_server().expect("SHUTDOWN");
     let deadline = Instant::now() + Duration::from_secs(30);

@@ -190,24 +190,23 @@ impl Verb {
 type HeaderList = Vec<(String, String)>;
 
 /// Split a payload into (first line, headers, body). Shared by request
-/// and response parsing.
-fn split_payload(payload: &str) -> Result<(&str, HeaderList, String)> {
-    let mut lines = payload.split('\n');
-    let first = lines
-        .next()
-        .ok_or_else(|| GsjError::Parse("empty payload".into()))?;
+/// and response parsing. The body is the payload's suffix after the
+/// blank line that ends the headers, taken as one slice; without that
+/// blank line it is empty.
+fn split_payload(payload: &str) -> Result<(&str, HeaderList, &str)> {
+    let (first, mut rest) = payload.split_once('\n').unwrap_or((payload, ""));
     let mut headers = Vec::new();
-    for line in lines.by_ref() {
+    loop {
+        let (line, tail) = rest.split_once('\n').unwrap_or((rest, ""));
         if line.is_empty() {
-            break;
+            return Ok((first, headers, tail));
         }
         let (name, value) = line.split_once(':').ok_or_else(|| {
             GsjError::Parse(format!("malformed header line `{line}` (missing `:`)"))
         })?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        rest = tail;
     }
-    let body: String = lines.collect::<Vec<_>>().join("\n");
-    Ok((first, headers, body))
 }
 
 fn header_lookup<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
@@ -290,7 +289,7 @@ impl Request {
         Ok(Request {
             verb,
             headers,
-            body,
+            body: body.to_string(),
         })
     }
 }
@@ -382,7 +381,11 @@ impl Response {
                 )))
             }
         };
-        Ok(Response { ok, headers, body })
+        Ok(Response {
+            ok,
+            headers,
+            body: body.to_string(),
+        })
     }
 
     /// Collapse an `ERROR` response into the typed error it carries; `OK`
@@ -465,6 +468,48 @@ mod tests {
             read_frame(&mut Cursor::new(bytes), 1024),
             Err(GsjError::Parse(_))
         ));
+    }
+
+    /// The split `split_payload` replaced: the payload cut into lines and
+    /// the body joined back from the lines after the blank one.
+    fn split_payload_by_lines(payload: &str) -> Result<(&str, HeaderList, String)> {
+        let mut lines = payload.split('\n');
+        let first = lines
+            .next()
+            .ok_or_else(|| GsjError::Parse("empty payload".into()))?;
+        let mut headers = Vec::new();
+        for line in lines.by_ref() {
+            if line.is_empty() {
+                break;
+            }
+            let (name, value) = line.split_once(':').ok_or_else(|| {
+                GsjError::Parse(format!("malformed header line `{line}` (missing `:`)"))
+            })?;
+            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        }
+        let body: String = lines.collect::<Vec<_>>().join("\n");
+        Ok((first, headers, body))
+    }
+
+    #[test]
+    fn body_is_the_suffix_the_line_split_rejoined() {
+        for payload in [
+            "GSJ/1 OK\nrows: 2\n\na,b\n1,2\n3,4\n",
+            "GSJ/1 OK\nrows: 1\n\n\nleading newline",
+            "GSJ/1 OK\n\nblank\n\nlines\n\n\ninside\n\n",
+            "GSJ/1 OK\nRows : 1\nelapsed-us:  7 \n\n",
+            "GSJ/1 OK\nrows: 1",
+            "GSJ/1 OK\nrows: 1\n",
+            "GSJ/1 OK",
+            "GSJ/1 OK\n",
+            "GSJ/1 OK\n\n",
+            "",
+            "\n\n\n",
+            "GSJ/1 QUERY\nno colon\n\nbody",
+        ] {
+            let sliced = split_payload(payload).map(|(f, h, b)| (f, h, b.to_string()));
+            assert_eq!(sliced, split_payload_by_lines(payload), "{payload:?}");
+        }
     }
 
     #[test]

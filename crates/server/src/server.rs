@@ -7,7 +7,10 @@
 //!              accept thread                 session workers
 //!   TcpListener ──────────────▶ bounded queue ──────────────▶ handle_conn
 //!   (nonblocking poll,          (cap = queue)   recv() loop    per-request:
-//!    shed when queue full)                                     governor + watcher
+//!    shed when queue full)                                     governor
+//!                                                                  │ slot
+//!                                                              watcher (one
+//!                                                              per worker)
 //! ```
 //!
 //! One **accept thread** polls a nonblocking listener; each accepted
@@ -19,10 +22,11 @@
 //! N **session workers** pull connections off the queue. A connection is
 //! a session: a loop of length-prefixed request frames, each handled
 //! under its own [`QueryGovernor`] built from the request's
-//! `deadline-ms` / `row-budget` / `mem-budget` headers. A watcher thread
-//! `peek`s the socket while the query runs and raises the governor's
-//! cancel flag if the client disconnects, so abandoned queries stop
-//! consuming CPU at the next operator boundary.
+//! `deadline-ms` / `row-budget` / `mem-budget` headers. Each worker owns
+//! one watcher thread, started with it: while a query runs, the watcher
+//! `peek`s the connection and raises the governor's cancel flag if the
+//! client disconnects, so abandoned queries stop consuming CPU at the
+//! next operator boundary. No thread is started per connection or query.
 //!
 //! Failure containment: every request is executed under
 //! `catch_unwind`, and the fault sites `server.session` /
@@ -46,10 +50,11 @@ use gsj_common::{GsjError, QueryGovernor, Result};
 use gsj_core::gsql::exec::{GsqlEngine, Strategy, TraceOpt};
 use gsj_faults::{fault_point, FaultClass};
 use gsj_obs::{LazyCounter, LazyGauge, LazyHistogram};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -85,12 +90,13 @@ pub fn update_latency_gauges() {
     LATENCY_P99.set(LATENCY.quantile(0.99) as i64);
 }
 
-/// How long an idle session read waits before re-checking the shutdown
-/// flag. Bounds shutdown latency for connected-but-quiet clients.
-const IDLE_POLL: Duration = Duration::from_millis(50);
 /// Accept-loop poll interval while no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
-/// Watcher poll interval while a query is executing.
+/// A connection's read timeout (`SO_RCVTIMEO`). The socket has one, shared
+/// by the session's reads and its watcher's `peek`s on the cloned stream,
+/// so the session sets it once, when it takes the connection, and nobody
+/// changes it after. It bounds how long an idle session takes to notice
+/// shutdown, and how long a watcher's `peek` outlives its query.
 const WATCH_POLL: Duration = Duration::from_millis(25);
 /// How long admission retries a full queue before shedding. A connection
 /// burst can fill the queue in the microseconds before idle workers wake
@@ -194,8 +200,9 @@ impl Drop for ServerHandle {
 pub struct Server;
 
 impl Server {
-    /// Bind, spawn the accept thread and `cfg.sessions` workers, and
-    /// return immediately. The engine is shared immutably: the catalog,
+    /// Bind, spawn the accept thread and `cfg.sessions` workers, each with
+    /// its watcher thread, and return immediately. These are all the
+    /// threads the server starts. The engine is shared immutably: the catalog,
     /// profile and `g_L` link cache are loaded once and served from
     /// behind the `Arc` (interior caches use their own locks).
     pub fn start(engine: Arc<GsqlEngine>, cfg: ServerConfig) -> Result<ServerHandle> {
@@ -213,13 +220,27 @@ impl Server {
 
         let mut workers = Vec::with_capacity(cfg.sessions.max(1));
         for i in 0..cfg.sessions.max(1) {
+            let watch = Arc::new(Watch::default());
+            let watcher = {
+                let watch = watch.clone();
+                thread::Builder::new()
+                    .name(format!("gsj-watch-{i}"))
+                    .spawn(move || watch_loop(&watch))
+                    .map_err(|e| GsjError::Internal(format!("spawn watcher: {e}")))?
+            };
+            // Stops and joins the watcher when the worker ends — or here,
+            // should the worker fail to spawn.
+            let watcher = Watcher {
+                watch,
+                thread: Some(watcher),
+            };
             let rx = rx.clone();
             let engine = engine.clone();
             let cfg = cfg.clone();
             let shutdown = shutdown.clone();
             let h = thread::Builder::new()
                 .name(format!("gsj-session-{i}"))
-                .spawn(move || session_worker(&rx, &engine, &cfg, &shutdown))
+                .spawn(move || session_worker(&rx, &engine, &cfg, &shutdown, &watcher.watch))
                 .map_err(|e| GsjError::Internal(format!("spawn worker: {e}")))?;
             workers.push(h);
         }
@@ -321,13 +342,14 @@ fn session_worker(
     engine: &Arc<GsqlEngine>,
     cfg: &ServerConfig,
     shutdown: &AtomicBool,
+    watch: &Watch,
 ) {
     while let Ok(stream) = rx.recv() {
         INFLIGHT.add(1);
         // A panic escaping the per-request guard (e.g. in framing code)
         // must not take the worker down with it.
         let _ = catch_unwind(AssertUnwindSafe(|| {
-            handle_conn(stream, engine, cfg, shutdown);
+            handle_conn(stream, engine, cfg, shutdown, watch);
         }));
         INFLIGHT.add(-1);
     }
@@ -345,14 +367,15 @@ fn handle_conn(
     engine: &Arc<GsqlEngine>,
     cfg: &ServerConfig,
     shutdown: &AtomicBool,
+    watch: &Watch,
 ) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
+    // Before the clone: it shares the socket, and with it this timeout.
+    let _ = stream.set_read_timeout(Some(WATCH_POLL));
+    let _attached = watch.attach(stream.try_clone().ok());
     loop {
-        // Re-arm each iteration: the disconnect watcher shares the fd
-        // and sets its own (shorter) timeout while a query runs.
-        let _ = stream.set_read_timeout(Some(IDLE_POLL));
         let frame = read_frame_with(&mut stream, cfg.max_frame, || {
             shutdown.load(Ordering::Acquire)
         });
@@ -387,7 +410,7 @@ fn handle_conn(
 
         REQUESTS.inc();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_request(&payload, &stream, engine, cfg, shutdown)
+            handle_request(&payload, watch, engine, cfg, shutdown)
         }));
         let (resp, after) = outcome.unwrap_or_else(|_| {
             (
@@ -413,7 +436,7 @@ fn handle_conn(
 /// holds the `catch_unwind`); every failure becomes an error frame.
 fn handle_request(
     payload: &str,
-    stream: &TcpStream,
+    watch: &Watch,
     engine: &Arc<GsqlEngine>,
     cfg: &ServerConfig,
     shutdown: &AtomicBool,
@@ -431,7 +454,7 @@ fn handle_request(
             shutdown.store(true, Ordering::Release);
             (Response::success("shutting down"), After::Close)
         }
-        Verb::Query => match run_query(&req, stream, engine, cfg) {
+        Verb::Query => match run_query(&req, watch, engine, cfg) {
             Ok(resp) => (resp, After::Continue),
             Err(e) => (Response::failure(&e), After::Continue),
         },
@@ -448,8 +471,9 @@ fn parse_u64_header(req: &Request, name: &str) -> Result<Option<u64>> {
     }
 }
 
-/// Execute a `QUERY` request under a per-request governor, with a
-/// watcher thread cancelling it if the client disconnects.
+/// Execute a `QUERY` request under a per-request governor, published to
+/// the session's watcher while it runs so that a client disconnect
+/// cancels it.
 ///
 /// Every served query runs through [`GsqlEngine::run_recorded`], so it
 /// leaves a flight-recorder record and gets a trace id, echoed in the
@@ -460,7 +484,7 @@ fn parse_u64_header(req: &Request, name: &str) -> Result<Option<u64>> {
 /// text; without either, `GSJ_TRACE=sample:p` sampling applies.
 fn run_query(
     req: &Request,
-    stream: &TcpStream,
+    watch: &Watch,
     engine: &Arc<GsqlEngine>,
     cfg: &ServerConfig,
 ) -> Result<Response> {
@@ -486,8 +510,7 @@ fn run_query(
         .header("trace")
         .is_some_and(|v| matches!(v.trim(), "1" | "true" | "on"));
 
-    let done = Arc::new(AtomicBool::new(false));
-    spawn_disconnect_watcher(stream, gov.clone(), done.clone());
+    let in_flight = watch.publish(&gov);
 
     // One call whatever the body: CSV, the span-tree document (`trace:
     // 1`) or the EXPLAIN ANALYZE text are three renderings of one run.
@@ -507,11 +530,7 @@ fn run_query(
             .map(|(rel, _ctx)| (doc.unwrap_or_else(|| rel.to_csv()), Some(rel.len() as u64)))
     };
     let elapsed = start.elapsed();
-
-    // Release the watcher; it exits on its own within one poll interval.
-    // Joining here would add up to WATCH_POLL to every response while the
-    // watcher's in-flight peek runs out its timeout.
-    done.store(true, Ordering::Release);
+    drop(in_flight);
     LATENCY.observe_ns(elapsed.as_nanos() as u64);
     update_latency_gauges();
 
@@ -528,52 +547,130 @@ fn run_query(
     Ok(resp.with_header("trace-id", run.trace_id))
 }
 
-/// Watch the socket while a query runs. The client is expected to be
-/// silent until the response arrives, so:
+/// What a session worker shares with its watcher thread: the slot, and
+/// the condition variable that wakes the watcher early when it must exit.
+#[derive(Default)]
+struct Watch {
+    slot: Mutex<WatchSlot>,
+    exited: Condvar,
+}
+
+#[derive(Default)]
+struct WatchSlot {
+    /// The session's connection, cloned once when the session takes it;
+    /// `None` between connections, or when the fd could not be cloned
+    /// (the connection's queries then run without disconnect detection).
+    peer: Option<Arc<TcpStream>>,
+    /// The query in flight on it: a per-session sequence number and the
+    /// governor to cancel.
+    query: Option<(u64, QueryGovernor)>,
+    /// The last sequence number handed out.
+    seq: u64,
+    /// Raised when the worker ends: the watcher returns.
+    exit: bool,
+}
+
+impl Watch {
+    /// The slot. Every update is a plain assignment, so a panic elsewhere
+    /// while it was held cannot have left it half-written.
+    fn lock(&self) -> MutexGuard<'_, WatchSlot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hand the watcher a new connection's cloned stream, until the
+    /// returned guard drops.
+    fn attach(&self, peer: Option<TcpStream>) -> Release<'_> {
+        self.lock().peer = peer.map(Arc::new);
+        Release(self, |s| s.peer = None)
+    }
+
+    /// Publish a query's governor, until the returned guard drops.
+    fn publish(&self, gov: &QueryGovernor) -> Release<'_> {
+        let mut slot = self.lock();
+        slot.seq += 1;
+        slot.query = Some((slot.seq, gov.clone()));
+        Release(self, |s| s.query = None)
+    }
+}
+
+/// Undoes a [`Watch`] hand-over when dropped, on every path out of the
+/// scope that made it, an unwinding one included.
+struct Release<'a>(&'a Watch, fn(&mut WatchSlot));
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        (self.1)(&mut self.0.lock());
+    }
+}
+
+/// A session worker's watcher thread; dropping it stops and joins it.
+struct Watcher {
+    watch: Arc<Watch>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Drop for Watcher {
+    fn drop(&mut self) {
+        self.watch.lock().exit = true;
+        self.watch.exited.notify_one();
+        if let Some(h) = self.thread.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+/// The watcher thread. Every `WATCH_POLL` it looks at the slot; a query
+/// in flight on an attached connection is `peek`ed until it is settled.
+/// The client is expected to be silent until the response arrives, so:
 ///
-/// * `peek() == 0` (EOF) — the client hung up: cancel the governor so
-///   the query stops at its next check, and count it.
+/// * `peek() == 0` (EOF) or an error — the client hung up: cancel the
+///   governor so the query stops at its next check, and count it;
 /// * `peek() > 0` — the client pipelined another frame; it is alive, so
-///   stop watching (the bytes stay queued for the session loop).
-/// * timeout — still connected, still waiting: keep polling `done`.
+///   stop watching this query (the bytes stay queued for the session);
+/// * timeout (`WATCH_POLL`) — look at the slot again at once.
 ///
-/// The watcher is detached: once `done` is raised it terminates within
-/// one `WATCH_POLL` on its own (it re-checks `done` before cancelling,
-/// so a hang-up *after* the query finished is never miscounted). When
-/// the fd cannot be cloned the query simply runs without disconnect
-/// detection.
-fn spawn_disconnect_watcher(stream: &TcpStream, gov: QueryGovernor, done: Arc<AtomicBool>) {
-    let Ok(peek) = stream.try_clone() else {
-        return;
-    };
-    let _ = peek.set_read_timeout(Some(WATCH_POLL));
-    let _ = thread::Builder::new()
-        .name("gsj-watch".into())
-        .spawn(move || {
-            let mut buf = [0u8; 1];
-            while !done.load(Ordering::Acquire) {
-                match peek.peek(&mut buf) {
-                    Ok(0) => {
-                        if !done.load(Ordering::Acquire) {
-                            gov.cancel();
-                            DISCONNECT_CANCEL.inc();
-                        }
-                        return;
-                    }
-                    Ok(_) => return,
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut => {}
-                    Err(_) => {
-                        if !done.load(Ordering::Acquire) {
-                            gov.cancel();
-                            DISCONNECT_CANCEL.inc();
-                        }
-                        return;
-                    }
-                }
+/// The cancel happens under the slot's lock and only if the peeked query
+/// is still the one in flight, so a hang-up after the query finished is
+/// never miscounted. The session never waits for the watcher, and
+/// publishing a query wakes nobody. The price is detection time: the
+/// watcher may be waiting out one `WATCH_POLL`, or one `peek` of an
+/// earlier query, when a query starts, so a hang-up is seen within
+/// 2 × `WATCH_POLL` of the query starting or of the hang-up, whichever
+/// is later.
+fn watch_loop(watch: &Watch) {
+    let mut buf = [0u8; 1];
+    // The last query watched to an outcome; it is not peeked again.
+    let mut settled = 0u64;
+    let mut slot = watch.lock();
+    while !slot.exit {
+        let target = match (&slot.peer, &slot.query) {
+            (Some(peer), Some((seq, gov))) if *seq != settled => {
+                Some((peer.clone(), *seq, gov.clone()))
             }
-        });
+            _ => None,
+        };
+        if let Some((peer, seq, gov)) = target {
+            drop(slot);
+            let peeked = peer.peek(&mut buf);
+            slot = watch.lock();
+            let hung_up = match peeked {
+                Ok(n) => n == 0,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    continue;
+                }
+                Err(_) => true,
+            };
+            settled = seq;
+            if hung_up && slot.query.as_ref().is_some_and(|(s, _)| *s == seq) {
+                gov.cancel();
+                DISCONNECT_CANCEL.inc();
+            }
+        }
+        slot = match watch.exited.wait_timeout(slot, WATCH_POLL) {
+            Ok((slot, _)) => slot,
+            Err(poisoned) => poisoned.into_inner().0,
+        };
+    }
 }
 
 /// Snapshot of the server-side counters, for tests and the load bench.

@@ -312,6 +312,40 @@ fn client_disconnect_mid_query_cancels_the_governor() {
     handle.shutdown();
 }
 
+/// A client that sends its next frame while a query runs is alive: the
+/// watcher stops watching that query without cancelling it, and both
+/// frames are answered, in order.
+#[test]
+fn pipelined_frame_mid_query_is_not_a_disconnect() {
+    let _guard = gsj_faults::exclusive();
+    let (col, _) = fixture();
+    let handle = start(1, 2);
+    let before = gsj_server::server_stats().disconnect_cancels;
+    gsj_faults::set_spec(Some("relational.filter:delay=400ms")).unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let q = workload(col)
+        .iter()
+        .find(|q| q.text.contains("where"))
+        .expect("a filtered query")
+        .text
+        .clone();
+    write_frame(&mut stream, &Request::query(q).encode()).unwrap();
+    std::thread::sleep(Duration::from_millis(100)); // let execution start
+    write_frame(
+        &mut stream,
+        &Request::new(gsj_server::Verb::Ping, "next").encode(),
+    )
+    .unwrap();
+    let first = read_payload(&mut stream);
+    gsj_faults::set_spec(None).unwrap();
+    assert!(first.ok, "the query was cancelled: {:?}", first.body);
+    let second = read_payload(&mut stream);
+    assert!(second.ok);
+    assert_eq!(second.body, "next");
+    assert_eq!(gsj_server::server_stats().disconnect_cancels, before);
+    handle.shutdown();
+}
+
 #[test]
 fn saturated_server_sheds_with_resource_exhausted() {
     let handle = start(1, 1);
