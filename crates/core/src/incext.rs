@@ -29,7 +29,6 @@ use gsj_graph::update::UpdateReport;
 use gsj_graph::{LabeledGraph, VertexId};
 use gsj_her::{her_match_local, HerConfig, MatchRelation};
 use gsj_relational::{Column, Relation, Schema};
-use std::sync::Arc;
 
 /// The maintained state: discovery, HER matches and the extracted `D_G`.
 #[derive(Debug, Clone)]
@@ -225,6 +224,8 @@ pub fn inc_update_graph(
         rext.extract_vertices(g, &ordered, &prev.discovery)
     })?;
     dg.append_rows(&fresh)?;
+    // Stored, so the new `D_G` does not pin the old one's columns.
+    let dg = dg.materialized();
 
     // --- Refresh the path cache for the re-extracted vertices (the one
     // copy of the discovery an update makes).
@@ -308,11 +309,14 @@ pub fn inc_update_keywords(
             prev.dg.columns()[i].clone()
         } else if let Some(cluster) = discovery.clusters.iter().rfind(|c| &c.attr == attr) {
             let single = ClusterLookup::new(std::slice::from_ref(cluster));
-            Arc::new(Column::from_values(row_paths.iter().map(|paths| {
-                extract_values(g, paths, &single, word, &mut cache).swap_remove(0)
-            })))
+            Column::from_values(
+                row_paths.iter().map(|paths| {
+                    extract_values(g, paths, &single, word, &mut cache).swap_remove(0)
+                }),
+            )
+            .into()
         } else {
-            Arc::new(Column::null(n))
+            Column::null(n).into()
         });
     }
     let dg = Relation::from_shared_columns(schema, cols, n)?;

@@ -7,9 +7,10 @@
 //! That expression stays the definition; it is evaluated through the
 //! stored references rather than two hash joins. Each row of `S` reaches
 //! its vertices through the match relation's tuple-id index, each vertex
-//! its `h` rows through a dense vertex index, and the output is one
-//! column gather per attribute (`join_three_way`). The tests keep the two
-//! natural joins as the reference the gather must equal.
+//! its `h` rows through a dense vertex index, and every output attribute
+//! defers through the resulting row-index vectors (`join_three_way`). The
+//! tests keep the two natural joins as the reference the gather must
+//! equal.
 
 use crate::incext::Extraction;
 use crate::rext::Rext;
@@ -17,7 +18,6 @@ use gsj_common::{QueryGovernor, Result};
 use gsj_graph::LabeledGraph;
 use gsj_her::{her_match, HerConfig, MatchRelation};
 use gsj_relational::{CellRef, Column, Relation, Schema};
-use std::sync::Arc;
 
 /// The conceptual-level enrichment join: calls HER and RExt online
 /// (Section IV-A "Baseline"). Returns the joined relation together with
@@ -98,7 +98,7 @@ pub(crate) fn enrichment_join_precomputed_governed(
 /// all nulls — rather than silently disappearing.
 ///
 /// This is a pure column re-arrangement: discovered keywords share the
-/// extracted relation's column `Arc`s (zero copy), undiscovered ones get an
+/// extracted relation's column slots (zero copy), undiscovered ones get an
 /// untyped all-null column of matching length.
 fn keyword_view(dg: &Relation, keywords: &[String]) -> Result<Relation> {
     let mut attrs: Vec<String> = vec!["vid".into()];
@@ -110,7 +110,7 @@ fn keyword_view(dg: &Relation, keywords: &[String]) -> Result<Relation> {
     for k in keywords {
         cols.push(match dg.schema().position(k) {
             Some(p) => dg.columns()[p].clone(),
-            None => Arc::new(Column::null(dg.len())),
+            None => Column::null(dg.len()).into(),
         });
     }
     Relation::from_shared_columns(schema, cols, dg.len())
@@ -135,13 +135,14 @@ fn vertex_slot(cell: CellRef<'_>, bound: usize) -> Option<usize> {
 /// `S ⋈ f ⋈ h`: exactly `natural_join(natural_join(S, f), h)` with `f` the
 /// relation `f_<S>(id_attr, vid)` of `matches`, evaluated as one gather.
 ///
-/// One pass over `S`'s id column looks each non-NULL id up in the match
+/// One pass over `S`'s id cells looks each non-NULL id up in the match
 /// relation's tuple-id index (every pair of the id, not just the last),
 /// then each vertex up in a dense index over `h`'s `vid` column built
-/// here, and records the row triples; one `Column::gather` per output
-/// column materializes them. The natural joins' other equalities hold as
-/// they did: an own `vid` of `S` must equal the matched vertex, and a
-/// column `S` shares with `h` must be equal (NULL never is) on the pair.
+/// here, and records the row triples; every output column defers through
+/// them ([`Relation::gather`]: no cell is copied). The natural joins'
+/// other equalities hold as they did: an own `vid` of `S` must equal the
+/// matched vertex, and a column `S` shares with `h` must be equal (NULL
+/// never is) on the pair.
 ///
 /// Schema: `S`'s attributes, then `vid` unless `S` has one, then `h`'s
 /// attributes not already present; the relation is named
@@ -174,32 +175,31 @@ fn join_three_way(
         .unwrap_or(0);
     let mut head = vec![NO_ROW; bound];
     let mut next = vec![NO_ROW; dg.len()];
-    let h_vids = dg.col(h_vid);
     for row in (0..dg.len()).rev() {
-        if let Some(v) = vertex_slot(h_vids.cell(row), bound) {
+        if let Some(v) = vertex_slot(dg.cell(row, h_vid), bound) {
             next[row] = head[v];
             head[v] = row as u32;
         }
     }
 
-    let ids = s.col(id_pos);
     let (mut s_rows, mut f_vids, mut h_rows) = (Vec::new(), Vec::new(), Vec::new());
     let mut s_f_rows = 0u64;
     for row in 0..s.len() {
-        if ids.is_null(row) {
+        let id = s.value_at(row, id_pos);
+        if id.is_null() {
             continue;
         }
-        for v in matches.vertices_of(&ids.value(row)) {
+        for v in matches.vertices_of(&id) {
             let vid = i64::from(v.0);
-            if s_vid.is_some_and(|p| s.col(p).cell(row) != CellRef::Int(vid)) {
+            if s_vid.is_some_and(|p| s.cell(row, p) != CellRef::Int(vid)) {
                 continue;
             }
             s_f_rows += 1;
             let mut h = head[v.0 as usize];
             while h != NO_ROW {
                 let agree = shared.iter().all(|&(i, j)| {
-                    let cell = s.col(i).cell(row);
-                    !cell.is_null() && cell == dg.col(j).cell(h as usize)
+                    let cell = s.cell(row, i);
+                    !cell.is_null() && cell == dg.cell(h as usize, j)
                 });
                 if agree {
                     s_rows.push(row as u32);
@@ -213,19 +213,16 @@ fn join_three_way(
     gov.charge_mem(8 * (s_f_rows + h_rows.len() as u64));
 
     let mut attrs = s.schema().attrs().to_vec();
-    let mut cols: Vec<Arc<Column>> = s
-        .columns()
-        .iter()
-        .map(|c| Arc::new(c.gather(&s_rows)))
-        .collect();
+    let mut cols = s.gather(&s_rows).columns().to_vec();
     if s_vid.is_none() {
         attrs.push("vid".into());
-        cols.push(Arc::new(Column::from_ints(f_vids)));
+        cols.push(Column::from_ints(f_vids).into());
     }
+    let h = dg.gather(&h_rows);
     for (j, a) in dg.schema().attrs().iter().enumerate() {
         if j != h_vid && !s.schema().contains(a) {
             attrs.push(a.clone());
-            cols.push(Arc::new(dg.col(j).gather(&h_rows)));
+            cols.push(h.columns()[j].clone());
         }
     }
     let s_name = s.schema().name();

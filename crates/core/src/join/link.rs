@@ -16,7 +16,6 @@ use gsj_graph::traversal::k_hop_reach;
 use gsj_graph::{LabeledGraph, VertexId};
 use gsj_her::{her_match, HerConfig, MatchRelation};
 use gsj_relational::{Column, Relation, Schema};
-use std::sync::Arc;
 
 /// The conceptual-level link join: HER on both sides, then connectivity
 /// of the matched vertices. Input schemas must have disjoint attribute
@@ -301,8 +300,8 @@ pub fn connectivity_relation(
     let rel = Relation::from_shared_columns(
         Schema::of(name, &["vid1", "vid2"]),
         vec![
-            Arc::new(Column::from_ints(vid1)),
-            Arc::new(Column::from_ints(vid2)),
+            Column::from_ints(vid1).into(),
+            Column::from_ints(vid2).into(),
         ],
         rows,
     )?;

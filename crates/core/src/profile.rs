@@ -144,8 +144,10 @@ impl GraphProfile {
     /// Replace a relation's extraction state (IncExt commits through
     /// here). This is the invalidation point of every `g_L` index: a
     /// committed extraction means the graph or `f(D,G)` changed, so the
-    /// next link join rebuilds from the current state.
-    pub fn set_extraction(&mut self, relation: &str, e: Extraction) {
+    /// next link join rebuilds from the current state. The `D_G` is kept
+    /// stored (see [`Relation::materialized`]).
+    pub fn set_extraction(&mut self, relation: &str, mut e: Extraction) {
+        e.dg = e.dg.materialized();
         self.extractions.insert(relation.to_string(), e);
         self.link_indexes.lock().clear();
     }

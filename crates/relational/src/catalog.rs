@@ -15,10 +15,13 @@ impl Database {
         Self::default()
     }
 
-    /// Register (or replace) a relation under its schema name.
+    /// Register (or replace) a relation under its schema name, stored
+    /// (see [`Relation::materialized`]).
     pub fn insert(&mut self, relation: Relation) {
-        self.relations
-            .insert(relation.schema().name().to_string(), relation);
+        self.relations.insert(
+            relation.schema().name().to_string(),
+            relation.materialized(),
+        );
     }
 
     /// Look up a relation.

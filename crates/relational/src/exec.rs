@@ -2,10 +2,11 @@
 //!
 //! Kernels are vectorized over the columnar storage
 //! ([`crate::column`]): filters evaluate predicate masks over column
-//! slices and gather the surviving rows wholesale, hash joins build and
-//! probe on typed key columns (single-key `Int`/`Str` joins never box a
-//! `Value` on the hot path) and materialize output via column gathers,
-//! and aggregates fold column slices per group. The row-at-a-time path
+//! slices and gather the surviving rows, hash joins build and probe on
+//! typed key columns (single-key `Int`/`Str` joins never box a `Value`
+//! on the hot path) and gather their output through the matched row
+//! ids, and aggregates fold column slices per group. A gather copies no
+//! cell: its columns defer through the row ids ([`Relation::gather`]). The row-at-a-time path
 //! survives as a fallback for predicates containing arithmetic
 //! ([`Expr::Bin`]), which can raise per-row errors (type mismatch,
 //! division by zero) that a mask evaluation could not order correctly.
@@ -26,7 +27,7 @@
 
 use crate::column::{CellRef, Column};
 use crate::expr::{AggFunc, AggSpec, CmpOp, Expr};
-use crate::relation::Relation;
+use crate::relation::{ColumnSlot, Relation};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use gsj_common::{FxHashMap, GsjError, QueryGovernor, Result, Value};
@@ -44,38 +45,74 @@ fn conjuncts(pred: &Expr) -> Vec<&Expr> {
     }
 }
 
+/// A theta predicate split for a hash join by [`equi_positions`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct EquiSplit {
+    /// Key positions in the left schema.
+    pub l_keys: Vec<usize>,
+    /// The matching key positions in the right schema.
+    pub r_keys: Vec<usize>,
+    /// The predicate without the mined conjuncts; `None` when the keys
+    /// are the whole predicate.
+    pub residual: Option<Expr>,
+}
+
 /// Mine hashable equi-conjuncts (`l.col = r.col` with the two sides
-/// resolving on opposite inputs) out of a theta predicate. Returns
-/// parallel position vectors into the left and right schemas.
-pub fn equi_positions(pred: &Expr, ls: &Schema, rs: &Schema) -> (Vec<usize>, Vec<usize>) {
-    let mut l_keys = Vec::new();
-    let mut r_keys = Vec::new();
+/// resolving on opposite inputs) out of a theta predicate: parallel
+/// position vectors into the left and right schemas, and the residual
+/// the join table does not decide.
+///
+/// A mined conjunct holds on every pair the table emits — the table keys
+/// on [`CellRef`] equality and never admits a NULL key, exactly the
+/// filter's `=` — and its columns resolve in the concatenated schema to
+/// the positions mined. The residual is the predicate's tree with the
+/// mined conjuncts cut out, so an `AND` still short-circuits where it
+/// did: dropping them changes neither rows nor errors.
+pub fn equi_positions(pred: &Expr, ls: &Schema, rs: &Schema) -> EquiSplit {
+    let (mut l_keys, mut r_keys) = (Vec::new(), Vec::new());
     for c in conjuncts(pred) {
-        if let Expr::Cmp(CmpOp::Eq, a, b) = c {
-            if let (Expr::Col(ca), Expr::Col(cb)) = (a.as_ref(), b.as_ref()) {
-                let (la, ra) = (
-                    Expr::resolve_column(ls, ca).ok(),
-                    Expr::resolve_column(rs, ca).ok(),
-                );
-                let (lb, rb) = (
-                    Expr::resolve_column(ls, cb).ok(),
-                    Expr::resolve_column(rs, cb).ok(),
-                );
-                match (la, ra, lb, rb) {
-                    (Some(i), None, None, Some(j)) => {
-                        l_keys.push(i);
-                        r_keys.push(j);
-                    }
-                    (None, Some(j), Some(i), None) => {
-                        l_keys.push(i);
-                        r_keys.push(j);
-                    }
-                    _ => {}
-                }
-            }
+        if let Some((i, j)) = equi_key(c, ls, rs) {
+            l_keys.push(i);
+            r_keys.push(j);
         }
     }
-    (l_keys, r_keys)
+    EquiSplit {
+        l_keys,
+        r_keys,
+        residual: without_keys(pred, ls, rs),
+    }
+}
+
+/// `(left, right)` positions when `c` is a hashable equi-conjunct.
+fn equi_key(c: &Expr, ls: &Schema, rs: &Schema) -> Option<(usize, usize)> {
+    let Expr::Cmp(CmpOp::Eq, a, b) = c else {
+        return None;
+    };
+    let (Expr::Col(ca), Expr::Col(cb)) = (a.as_ref(), b.as_ref()) else {
+        return None;
+    };
+    let side = |name: &str| {
+        (
+            Expr::resolve_column(ls, name).ok(),
+            Expr::resolve_column(rs, name).ok(),
+        )
+    };
+    match (side(ca), side(cb)) {
+        ((Some(i), None), (None, Some(j))) | ((None, Some(j)), (Some(i), None)) => Some((i, j)),
+        _ => None,
+    }
+}
+
+/// `pred`'s top-level `AND` tree with its equi-conjuncts cut out.
+fn without_keys(pred: &Expr, ls: &Schema, rs: &Schema) -> Option<Expr> {
+    match pred {
+        Expr::And(a, b) => match (without_keys(a, ls, rs), without_keys(b, ls, rs)) {
+            (Some(a), Some(b)) => Some(a.and(b)),
+            (one, None) | (None, one) => one,
+        },
+        c if equi_key(c, ls, rs).is_some() => None,
+        c => Some(c.clone()),
+    }
 }
 
 /// Build/probe cardinalities observed by one hash-join execution.
@@ -95,7 +132,8 @@ pub enum HashJoinMode {
     Natural,
     /// Equi join mined from a theta predicate: output is the full
     /// concatenation, the left input is the build side, and the residual
-    /// predicate is re-verified on every candidate pair.
+    /// (the conjuncts the keys do not cover) is checked on every
+    /// candidate pair.
     Equi,
 }
 
@@ -104,11 +142,19 @@ pub enum HashJoinMode {
 /// typed `Int` (resp. `Str`) index the unboxed payloads directly;
 /// everything else keys on borrowed [`CellRef`]s, whose hash/eq mirror
 /// `Value` (so `Int 3` still matches `Float 3.0` across
-/// differently-typed columns).
+/// differently-typed columns). Either way the keys are read where they
+/// are stored, through a deferred column's row ids: a join gathers no
+/// key column.
 enum JoinTable<'a> {
     Int(FxHashMap<i64, Vec<u32>>),
     Str(FxHashMap<&'a str, Vec<u32>>),
     Cells(FxHashMap<Vec<CellRef<'a>>, Vec<u32>>),
+}
+
+/// Each row's position in the column a slot's cells are stored in (see
+/// [`ColumnSlot::parts`]).
+fn src_rows(idx: Option<&[u32]>, len: usize) -> impl Iterator<Item = usize> + '_ {
+    (0..len).map(move |i| idx.map_or(i, |x| x[i] as usize))
 }
 
 impl<'a> JoinTable<'a> {
@@ -121,7 +167,8 @@ impl<'a> JoinTable<'a> {
         probe_keys: &[usize],
     ) -> Self {
         if build_keys.len() == 1 {
-            match (build.col(build_keys[0]), probe.col(probe_keys[0])) {
+            let (bc, bi) = build.columns()[build_keys[0]].parts();
+            match (bc, probe.columns()[probe_keys[0]].parts().0) {
                 (
                     Column::Int {
                         data: bd,
@@ -130,9 +177,9 @@ impl<'a> JoinTable<'a> {
                     Column::Int { .. },
                 ) => {
                     let mut table: FxHashMap<i64, Vec<u32>> = FxHashMap::default();
-                    for (i, &k) in bd.iter().enumerate() {
-                        if bv.get(i) {
-                            table.entry(k).or_default().push(i as u32);
+                    for (i, r) in src_rows(bi, build.len()).enumerate() {
+                        if bv.get(r) {
+                            table.entry(bd[r]).or_default().push(i as u32);
                         }
                     }
                     return JoinTable::Int(table);
@@ -145,9 +192,9 @@ impl<'a> JoinTable<'a> {
                     Column::Str { .. },
                 ) => {
                     let mut table: FxHashMap<&str, Vec<u32>> = FxHashMap::default();
-                    for (i, k) in bd.iter().enumerate() {
-                        if bv.get(i) {
-                            table.entry(k).or_default().push(i as u32);
+                    for (i, r) in src_rows(bi, build.len()).enumerate() {
+                        if bv.get(r) {
+                            table.entry(&bd[r]).or_default().push(i as u32);
                         }
                     }
                     return JoinTable::Str(table);
@@ -159,7 +206,7 @@ impl<'a> JoinTable<'a> {
         'build: for i in 0..build.len() {
             let mut key = Vec::with_capacity(build_keys.len());
             for &k in build_keys {
-                let cell = build.col(k).cell(i);
+                let cell = build.cell(i, k);
                 if cell.is_null() {
                     continue 'build;
                 }
@@ -175,16 +222,19 @@ impl<'a> JoinTable<'a> {
     fn probe(&self, probe: &'a Relation, probe_keys: &[usize], mut emit: impl FnMut(u32, u32)) {
         match self {
             JoinTable::Int(table) => {
-                let Column::Int {
-                    data: pd,
-                    validity: pv,
-                } = probe.col(probe_keys[0])
+                let (
+                    Column::Int {
+                        data: pd,
+                        validity: pv,
+                    },
+                    pi,
+                ) = probe.columns()[probe_keys[0]].parts()
                 else {
                     unreachable!("Int build table implies a typed-Int probe column")
                 };
-                for (j, key) in pd.iter().enumerate() {
-                    if pv.get(j) {
-                        if let Some(rows) = table.get(key) {
+                for (j, r) in src_rows(pi, probe.len()).enumerate() {
+                    if pv.get(r) {
+                        if let Some(rows) = table.get(&pd[r]) {
                             for &bi in rows {
                                 emit(bi, j as u32);
                             }
@@ -193,16 +243,19 @@ impl<'a> JoinTable<'a> {
                 }
             }
             JoinTable::Str(table) => {
-                let Column::Str {
-                    data: pd,
-                    validity: pv,
-                } = probe.col(probe_keys[0])
+                let (
+                    Column::Str {
+                        data: pd,
+                        validity: pv,
+                    },
+                    pi,
+                ) = probe.columns()[probe_keys[0]].parts()
                 else {
                     unreachable!("Str build table implies a typed-Str probe column")
                 };
-                for (j, key) in pd.iter().enumerate() {
-                    if pv.get(j) {
-                        if let Some(rows) = table.get(key.as_ref()) {
+                for (j, r) in src_rows(pi, probe.len()).enumerate() {
+                    if pv.get(r) {
+                        if let Some(rows) = table.get(pd[r].as_ref()) {
                             for &bi in rows {
                                 emit(bi, j as u32);
                             }
@@ -214,7 +267,7 @@ impl<'a> JoinTable<'a> {
                 'probe: for j in 0..probe.len() {
                     let mut key = Vec::with_capacity(probe_keys.len());
                     for &k in probe_keys {
-                        let cell = probe.col(k).cell(j);
+                        let cell = probe.cell(j, k);
                         if cell.is_null() {
                             continue 'probe;
                         }
@@ -268,7 +321,7 @@ fn probe_all(
 /// The single hash-join kernel behind [`natural_join`] and the
 /// `HashJoin` operator of [`crate::physical::join_rel`]. Matching is
 /// index-based: the probe emits `(build, probe)` row-index pairs and the
-/// output columns are gathered wholesale — no per-row tuple assembly.
+/// output columns defer through them — no per-row tuple assembly.
 /// The probe checks `gov` and charges its match buffers.
 #[allow(clippy::too_many_arguments)]
 pub fn hash_join(
@@ -442,9 +495,10 @@ fn mask_vectorizable(pred: &Expr) -> bool {
 }
 
 /// A comparison operand bound once per batch: a column reference
-/// resolved to its column, or a literal.
+/// resolved to its slot (read through its index when deferred), or a
+/// literal.
 enum Operand<'a> {
-    Col(&'a Column),
+    Col(&'a ColumnSlot),
     Lit(&'a Value),
 }
 
@@ -453,7 +507,7 @@ impl<'a> Operand<'a> {
         match e {
             Expr::Col(name) => {
                 let i = Expr::resolve_column(rel.schema(), name)?;
-                Ok(Operand::Col(rel.col(i)))
+                Ok(Operand::Col(&rel.columns()[i]))
             }
             Expr::Lit(v) => Ok(Operand::Lit(v)),
             _ => unreachable!("mask_vectorizable admits only Col/Lit operands"),
@@ -482,7 +536,7 @@ fn eval_mask(pred: &Expr, rel: &Relation) -> Result<Vec<bool>> {
         Expr::Lit(v) => Ok(vec![v.as_bool().unwrap_or(false); range.len()]),
         Expr::Col(name) => {
             let i = Expr::resolve_column(rel.schema(), name)?;
-            let c = rel.col(i);
+            let c = &rel.columns()[i];
             Ok(range
                 .map(|r| matches!(c.cell(r), CellRef::Bool(true)))
                 .collect())
@@ -579,21 +633,23 @@ pub(crate) fn filter(rel: Relation, pred: &Expr, gov: &QueryGovernor) -> Result<
 }
 
 /// Stable sort kernel: sorts row indices on the key cells, then gathers
-/// once — cells never move until the final gather.
-pub(crate) fn sort(rel: Relation, by: &[String], desc: bool) -> Result<Relation> {
-    let keys: Vec<usize> = by
+/// once — only the key columns are read (and charged to `gov` when they
+/// are gathered for it), and the gather defers the rest.
+pub(crate) fn sort(
+    rel: Relation,
+    by: &[String],
+    desc: bool,
+    gov: &QueryGovernor,
+) -> Result<Relation> {
+    let keys: Vec<&Column> = by
         .iter()
-        .map(|c| Expr::resolve_column(rel.schema(), c))
+        .map(|c| Expr::resolve_column(rel.schema(), c).map(|k| rel.col_governed(k, gov)))
         .collect::<Result<_>>()?;
     let mut idx: Vec<u32> = (0..rel.len() as u32).collect();
     idx.sort_by(|&a, &b| {
         let ord = keys
             .iter()
-            .map(|&k| {
-                rel.col(k)
-                    .cell(a as usize)
-                    .cmp(&rel.col(k).cell(b as usize))
-            })
+            .map(|k| k.cell(a as usize).cmp(&k.cell(b as usize)))
             .find(|o| !o.is_eq())
             .unwrap_or(Ordering::Equal);
         if desc {
@@ -608,7 +664,8 @@ pub(crate) fn sort(rel: Relation, by: &[String], desc: bool) -> Result<Relation>
 /// Grouping + aggregation kernel. Rows are bucketed into group ids on
 /// borrowed key cells (first-seen group order, rows increasing within a
 /// group), then each aggregate folds its column's slice of every group
-/// directly.
+/// directly. Keys are read cell by cell; a folded column is gathered
+/// whole when deferred, and charged to `gov`.
 pub fn aggregate(
     rel: &Relation,
     group_by: &[String],
@@ -643,7 +700,7 @@ pub fn aggregate(
         gov.check("relational.aggregate")?;
         let mut gid_of: FxHashMap<Vec<CellRef>, usize> = FxHashMap::default();
         for i in 0..rel.len() {
-            let key: Vec<CellRef> = group_pos.iter().map(|&p| rel.col(p).cell(i)).collect();
+            let key: Vec<CellRef> = group_pos.iter().map(|&p| rel.cell(i, p)).collect();
             let next = group_rows.len();
             let gid = *gid_of.entry(key).or_insert(next);
             if gid == next {
@@ -662,10 +719,11 @@ pub fn aggregate(
     for rows in &group_rows {
         let mut vals: Vec<Value> = group_pos
             .iter()
-            .map(|&p| rel.col(p).value(rows[0] as usize))
+            .map(|&p| rel.value_at(rows[0] as usize, p))
             .collect();
         for (spec, pos) in aggs.iter().zip(&agg_pos) {
-            vals.push(eval_agg_col(spec.func, pos.map(|p| rel.col(p)), rows));
+            let col = pos.map(|p| rel.col_governed(p, gov));
+            vals.push(eval_agg_col(spec.func, col, rows));
         }
         out.push(Tuple::new(vals));
     }
@@ -752,6 +810,7 @@ fn eval_agg_col(func: AggFunc, col: Option<&Column>, rows: &[u32]) -> Value {
 pub(crate) mod tests {
     use super::*;
     use crate::physical::{join_rel, ExecContext};
+    use proptest::prelude::*;
 
     /// Four customers; shared with the operator tests in `physical`.
     pub(crate) fn customer() -> Relation {
@@ -939,7 +998,9 @@ pub(crate) mod tests {
 
     #[test]
     fn sort_and_limit() {
-        let r = sort(customer(), &["bal".into()], true).unwrap().head(2);
+        let r = sort(customer(), &["bal".into()], true, &free())
+            .unwrap()
+            .head(2);
         assert_eq!(r.len(), 2);
         assert_eq!(r.value_at(0, 3), Value::Int(500));
         assert_eq!(r.value_at(1, 3), Value::Int(110));
@@ -968,9 +1029,15 @@ pub(crate) mod tests {
         let pred = Expr::cmp(CmpOp::Eq, Expr::col("T1.a"), Expr::col("T2.a"))
             .and(Expr::cmp(CmpOp::Eq, Expr::col("T2.c"), Expr::col("T1.b")))
             .and(Expr::cmp(CmpOp::Lt, Expr::col("T1.b"), Expr::lit(5i64)));
-        let (lk, rk) = equi_positions(&pred, &ls, &rs);
-        assert_eq!(lk, vec![0, 1]);
-        assert_eq!(rk, vec![0, 1]);
+        let split = equi_positions(&pred, &ls, &rs);
+        assert_eq!(split.l_keys, vec![0, 1]);
+        assert_eq!(split.r_keys, vec![0, 1]);
+        assert_eq!(
+            split.residual,
+            Some(Expr::cmp(CmpOp::Lt, Expr::col("T1.b"), Expr::lit(5i64)))
+        );
+        let keys_only = Expr::cmp(CmpOp::Eq, Expr::col("T1.a"), Expr::col("T2.a"));
+        assert_eq!(equi_positions(&keys_only, &ls, &rs).residual, None);
     }
 
     #[test]
@@ -1014,5 +1081,160 @@ pub(crate) mod tests {
         let empty = Relation::empty(Schema::of("e", &["a"]));
         let pred = Expr::col_eq("no_such_col", "x");
         assert!(filter(empty, &pred, &free()).unwrap().is_empty());
+    }
+
+    /// A key cell of one kind: Int, Float (NaN, −0.0 and integral values
+    /// that equal Ints), Str, or Mixed; NULL in every kind.
+    fn key_value(kind: u32, pick: u32) -> Value {
+        let p = pick as usize % 6;
+        match kind % 4 {
+            0 => [
+                Value::Int(0),
+                Value::Int(1),
+                Value::Null,
+                Value::Int(2),
+                Value::Int(-1),
+                Value::Int(1),
+            ][p]
+                .clone(),
+            1 => [
+                Value::Float(0.0),
+                Value::Float(-0.0),
+                Value::Null,
+                Value::Float(f64::NAN),
+                Value::Float(1.0),
+                Value::Float(2.5),
+            ][p]
+                .clone(),
+            2 => [
+                Value::str("a"),
+                Value::str(""),
+                Value::Null,
+                Value::str("b"),
+                Value::str("a"),
+                Value::str("c"),
+            ][p]
+                .clone(),
+            _ => [
+                Value::Int(1),
+                Value::Float(1.0),
+                Value::Null,
+                Value::str("a"),
+                Value::Float(f64::NAN),
+                Value::Bool(true),
+            ][p]
+                .clone(),
+        }
+    }
+
+    /// `T.k1, T.k2, T.p`: two keys of the given kinds and an `Int` payload.
+    fn keyed(alias: &str, kinds: (u32, u32), rows: &[(u32, u32, i64)]) -> Relation {
+        let mut r = Relation::empty(Schema::of(alias, &["k1", "k2", "p"]).qualify(alias));
+        for &(a, b, p) in rows {
+            r.push_values(vec![
+                key_value(kinds.0, a),
+                key_value(kinds.1, b),
+                Value::Int(p),
+            ])
+            .unwrap();
+        }
+        r
+    }
+
+    /// The theta predicates the residual check is tried on: keys alone,
+    /// two keys, keys beside non-key conjuncts at either end and nested,
+    /// a key under `OR` (not mined), and arithmetic (the row path).
+    fn theta_pred(i: usize) -> Expr {
+        let eq = |a: &str, b: &str| Expr::cmp(CmpOp::Eq, Expr::col(a), Expr::col(b));
+        let k1 = || eq("T1.k1", "T2.k1");
+        let k2 = || eq("T2.k2", "T1.k2");
+        let lt = || Expr::cmp(CmpOp::Lt, Expr::col("T1.p"), Expr::col("T2.p"));
+        match i {
+            0 => k1(),
+            1 => k1().and(k2()),
+            2 => k1().and(lt()),
+            3 => Expr::cmp(CmpOp::Ne, Expr::col("T1.p"), Expr::lit(0i64)).and(k1().and(k2())),
+            4 => k1().or(lt()).and(k2()),
+            5 => lt()
+                .and(k2())
+                .and(Expr::IsNull(Box::new(Expr::col("T2.k1")))),
+            _ => k1().and(Expr::cmp(
+                CmpOp::Gt,
+                Expr::Bin(
+                    crate::expr::BinOp::Add,
+                    Box::new(Expr::col("T1.p")),
+                    Box::new(Expr::col("T2.p")),
+                ),
+                Expr::lit(0i64),
+            )),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// An equi hash join that re-checks only the residual returns
+        /// what re-checking the whole predicate returned: the same rows in
+        /// the same order, with the same cells.
+        #[test]
+        fn residual_recheck_equals_the_full_recheck(
+            kinds in (0..4u32, 0..4u32, 0..4u32, 0..4u32),
+            l_rows in proptest::collection::vec((0..6u32, 0..6u32, -2..3i64), 0..12),
+            r_rows in proptest::collection::vec((0..6u32, 0..6u32, -2..3i64), 0..12),
+            pred in 0..7usize,
+        ) {
+            let l = keyed("T1", (kinds.0, kinds.1), &l_rows);
+            let r = keyed("T2", (kinds.2, kinds.3), &r_rows);
+            let pred = theta_pred(pred);
+            let split = equi_positions(&pred, l.schema(), r.schema());
+            prop_assert!(!split.l_keys.is_empty());
+            let join = |residual: Option<&Expr>| {
+                let schema = concat_schema(&l, &r, "_tj_", "theta join").unwrap();
+                hash_join(&l, &r, &split.l_keys, &split.r_keys, HashJoinMode::Equi, residual, schema, &free())
+                    .unwrap()
+                    .0
+            };
+            let (pruned, full) = (join(split.residual.as_ref()), join(Some(&pred)));
+            prop_assert_eq!(pruned.len(), full.len());
+            prop_assert_eq!(pruned.to_csv(), full.to_csv());
+            prop_assert!(pruned == full);
+            for i in 0..full.len() {
+                prop_assert_eq!(pruned.row(i), full.row(i));
+            }
+        }
+
+        /// A hash join over deferred inputs reads their keys through the
+        /// row ids: it returns what the join over stored copies returns
+        /// and is charged the same — no key column is gathered.
+        #[test]
+        fn a_join_over_deferred_inputs_equals_it_over_stored_ones(
+            kinds in (0..4u32, 0..4u32, 0..4u32, 0..4u32),
+            l_rows in proptest::collection::vec((0..6u32, 0..6u32, -2..3i64), 1..12),
+            r_rows in proptest::collection::vec((0..6u32, 0..6u32, -2..3i64), 1..12),
+            l_idx in proptest::collection::vec(0..12u32, 0..16),
+            r_idx in proptest::collection::vec(0..12u32, 0..16),
+            pred in 0..7usize,
+        ) {
+            let pick = |rel: Relation, idx: &[u32]| {
+                let n = rel.len() as u32;
+                rel.gather(&idx.iter().map(|i| i % n).collect::<Vec<_>>())
+            };
+            let l = pick(keyed("T1", (kinds.0, kinds.1), &l_rows), &l_idx);
+            let r = pick(keyed("T2", (kinds.2, kinds.3), &r_rows), &r_idx);
+            let pred = theta_pred(pred);
+            let split = equi_positions(&pred, l.schema(), r.schema());
+            let join = |l: &Relation, r: &Relation| {
+                let gov = QueryGovernor::builder().mem_budget(u64::MAX).build();
+                let schema = concat_schema(l, r, "_tj_", "theta join").unwrap();
+                let (out, _) = hash_join(l, r, &split.l_keys, &split.r_keys, HashJoinMode::Equi, split.residual.as_ref(), schema, &gov)
+                    .unwrap();
+                (out, gov.mem_charged())
+            };
+            let (deferred, charged) = join(&l, &r);
+            let (stored, stored_charged) = join(&l.materialized(), &r.materialized());
+            prop_assert_eq!(deferred.to_csv(), stored.to_csv());
+            prop_assert!(deferred == stored);
+            prop_assert_eq!(charged, stored_charged);
+        }
     }
 }

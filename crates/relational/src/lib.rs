@@ -35,6 +35,6 @@ pub use catalog::Database;
 pub use column::{Bitmap, CellRef, Column};
 pub use expr::{AggFunc, AggSpec, BinOp, CmpOp, Expr};
 pub use physical::{approx_rel_bytes, ExecContext, OpStats};
-pub use relation::Relation;
+pub use relation::{ColumnSlot, Relation};
 pub use schema::Schema;
 pub use tuple::Tuple;

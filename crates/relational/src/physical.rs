@@ -23,11 +23,12 @@ use crate::relation::Relation;
 use gsj_common::{QueryGovernor, Result};
 use std::time::Instant;
 
-/// Materialized size of a relation, for [`QueryGovernor::charge_mem`]:
-/// the real columnar payload bytes (typed vectors + validity bitmaps +
-/// string payloads), not a per-row estimate. Budgets are advisory
-/// ceilings, not an allocator — but the charge now tracks what the
-/// columns actually hold.
+/// What a relation holds, for [`QueryGovernor::charge_mem`]: the payload
+/// bytes of its stored and gathered columns (typed vectors + validity
+/// bitmaps + string payloads) and 4 bytes per row of each distinct
+/// row-index vector of its deferred ones ([`Relation::approx_bytes`]). Budgets are advisory
+/// ceilings, not an allocator — but the charge tracks what the query's
+/// relations add, not the cells they share with their inputs.
 pub fn approx_rel_bytes(rel: &Relation) -> u64 {
     rel.approx_bytes()
 }
@@ -244,9 +245,9 @@ pub fn join_rel(
     ctx.gov.check("Join")?;
     let t0 = Instant::now();
     let schema = concat_schema(l, r, "_tj_", "theta join")?;
-    let (l_keys, r_keys) = equi_positions(pred, l.schema(), r.schema());
+    let split = equi_positions(pred, l.schema(), r.schema());
     let label = label.into();
-    let (out, join_stats, label) = if l_keys.is_empty() {
+    let (out, join_stats, label) = if split.l_keys.is_empty() {
         (
             exec::nested_loop(l, r, pred, schema, &ctx.gov)?,
             None,
@@ -256,10 +257,10 @@ pub fn join_rel(
         let (out, stats) = exec::hash_join(
             l,
             r,
-            &l_keys,
-            &r_keys,
+            &split.l_keys,
+            &split.r_keys,
             HashJoinMode::Equi,
-            Some(pred),
+            split.residual.as_ref(),
             schema,
             &ctx.gov,
         )?;
@@ -320,7 +321,7 @@ pub fn sort_rel(
     ctx.gov.check("Sort")?;
     let t0 = Instant::now();
     let rows_in = rel.len();
-    let out = exec::sort(rel, by, desc)?;
+    let out = exec::sort(rel, by, desc, &ctx.gov)?;
     ctx.record(op(label.into(), rows_in, out.len(), t0));
     Ok(out)
 }
@@ -513,13 +514,14 @@ mod tests {
 
     #[test]
     fn governed_execution_trips_mem_budget() {
-        // The first join charges the real columnar bytes of its 3-row
-        // output (well over 100 B of string payloads); a second operator
-        // over the same context must trip a 100 B budget.
-        let gov = QueryGovernor::builder().mem_budget(100).build();
+        // The first join charges its 3 matched pairs (8 B each) and its
+        // output's two row-index vectors (4 B per row each): its columns
+        // are deferred, so the cells they point at are the inputs'. A
+        // second operator over the same context must trip a 40 B budget.
+        let gov = QueryGovernor::builder().mem_budget(40).build();
         let mut ctx = ExecContext::with_governor(gov.clone());
         assert!(join_on_cid(&mut ctx).is_ok());
-        assert!(gov.mem_charged() > 100);
+        assert_eq!(gov.mem_charged(), 3 * 8 + 2 * 3 * 4);
         let err = join_on_cid(&mut ctx).unwrap_err();
         assert!(matches!(err, GsjError::ResourceExhausted(_)), "{err}");
     }

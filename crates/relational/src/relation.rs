@@ -1,28 +1,212 @@
 //! Relations: a schema plus a bag of tuples, stored columnar.
 //!
-//! A relation *is* its columns: one [`Column`] per attribute (typed
-//! vectors + validity bitmaps, see [`crate::column`]) behind an `Arc`,
-//! plus a row count — there is no second, row-oriented copy. Kernels
-//! read cells ([`Relation::col`] + [`Column::cell`]) and materialize
-//! output by index vectors + [`Relation::gather`] /
-//! [`Relation::gather_concat`]; consumers that want a whole row ask for
-//! it ([`Relation::row`], [`Relation::rows`]) and get a fresh [`Tuple`]
-//! that the relation does not keep.
+//! A relation *is* its columns: one [`ColumnSlot`] per attribute plus a
+//! row count — there is no second, row-oriented copy. A slot either
+//! holds its cells (a [`Column`]: typed vectors + validity bitmaps, see
+//! [`crate::column`]) or defers them: a stored source column plus a
+//! shared row-index vector, row `r` being the source's row `idx[r]`.
+//!
+//! Every gather defers ([`Relation::gather`], [`Relation::gather_concat`],
+//! [`Relation::head`]): it copies no cell, only builds (or composes) index
+//! vectors, so a deferred slot is never more than one level deep. Cells
+//! are read through the index ([`Relation::cell`], [`Relation::value_at`],
+//! [`Relation::to_csv`]) and move in two places only: a kernel that
+//! matches on a whole [`Column`] asks for it ([`Relation::col_governed`],
+//! charging the governor; [`Relation::col`] outside a query), which
+//! gathers that one column once and keeps it, and a relation that is
+//! kept beyond a query is stored ([`Relation::materialized`]), sharing
+//! the columns a kernel already gathered. Consumers that want a whole row
+//! ask for it ([`Relation::row`], [`Relation::rows`]) and get a fresh
+//! [`Tuple`] that the relation does not keep.
 
 use crate::column::{CellRef, Column};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use gsj_common::{GsjError, Result, Value};
+use gsj_common::{GsjError, QueryGovernor, Result, Value};
 use std::fmt::{self, Write as _};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// One attribute's cells in a [`Relation`]: stored, or a deferred gather
+/// of a stored column (see the module docs). Cheap to clone; clones share
+/// the cells, the index vector and the gathered column.
+#[derive(Debug, Clone)]
+pub struct ColumnSlot(Slot);
+
+#[derive(Debug, Clone)]
+enum Slot {
+    Stored(Arc<Column>),
+    Deferred(Arc<Deferred>),
+}
+
+/// A shared row-index vector.
+type RowIds = Arc<[u32]>;
+
+/// Row `r` is `src`'s row `idx[r]`; `gathered` holds the cells once a
+/// kernel asked for the whole column.
+#[derive(Debug)]
+struct Deferred {
+    src: Arc<Column>,
+    idx: RowIds,
+    gathered: OnceLock<Arc<Column>>,
+}
+
+impl From<Column> for ColumnSlot {
+    fn from(c: Column) -> Self {
+        ColumnSlot(Slot::Stored(Arc::new(c)))
+    }
+}
+
+impl ColumnSlot {
+    fn deferred(src: Arc<Column>, idx: RowIds) -> Self {
+        ColumnSlot(Slot::Deferred(Arc::new(Deferred {
+            src,
+            idx,
+            gathered: OnceLock::new(),
+        })))
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Slot::Stored(c) => c.len(),
+            Slot::Deferred(d) => d.idx.len(),
+        }
+    }
+
+    /// True when no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Row `r` as a borrowed cell, read through the index when deferred.
+    #[inline]
+    pub fn cell(&self, r: usize) -> CellRef<'_> {
+        match &self.0 {
+            Slot::Stored(c) => c.cell(r),
+            Slot::Deferred(d) => d.src.cell(d.idx[r] as usize),
+        }
+    }
+
+    /// Row `r` as an owned value.
+    #[inline]
+    pub fn value(&self, r: usize) -> Value {
+        match &self.0 {
+            Slot::Stored(c) => c.value(r),
+            Slot::Deferred(d) => d.src.value(d.idx[r] as usize),
+        }
+    }
+
+    /// The cells as one [`Column`]. A deferred slot gathers them on the
+    /// first call and keeps them.
+    pub fn column(&self) -> &Column {
+        self.column_gathering().0
+    }
+
+    /// The column the cells are stored in and, when deferred, the row
+    /// ids into it: row `r` is the column's row `idx[r]`. For kernels that
+    /// read a typed column's payloads without gathering them.
+    pub(crate) fn parts(&self) -> (&Column, Option<&[u32]>) {
+        match &self.0 {
+            Slot::Stored(c) => (c, None),
+            Slot::Deferred(d) => (&d.src, Some(&d.idx)),
+        }
+    }
+
+    /// [`ColumnSlot::column`], charging `gov` the gathered cells on the
+    /// call that gathers them (and only on that one).
+    pub fn column_governed(&self, gov: &QueryGovernor) -> &Column {
+        let (c, fresh) = self.column_gathering();
+        if fresh {
+            gov.charge_mem(c.approx_bytes());
+        }
+        c
+    }
+
+    /// The cells, and whether this call gathered them.
+    fn column_gathering(&self) -> (&Column, bool) {
+        match &self.0 {
+            Slot::Stored(c) => (c, false),
+            Slot::Deferred(d) => {
+                let mut fresh = false;
+                let c = d.gathered.get_or_init(|| {
+                    fresh = true;
+                    Arc::new(d.src.gather(&d.idx))
+                });
+                (c, fresh)
+            }
+        }
+    }
+
+    /// This slot with its cells stored: a deferred slot shares the
+    /// column a kernel already gathered, or gathers its cells straight
+    /// into a new one.
+    fn stored(&self) -> ColumnSlot {
+        match &self.0 {
+            Slot::Stored(_) => self.clone(),
+            Slot::Deferred(d) => match d.gathered.get() {
+                Some(c) => ColumnSlot(Slot::Stored(c.clone())),
+                None => ColumnSlot::from(d.src.gather(&d.idx)),
+            },
+        }
+    }
+
+    /// The stored cells, for appending: a deferred slot is stored first,
+    /// a shared one copied.
+    fn make_mut(&mut self) -> &mut Column {
+        if let Slot::Deferred(_) = self.0 {
+            *self = self.stored();
+        }
+        match &mut self.0 {
+            Slot::Stored(c) => Arc::make_mut(c),
+            Slot::Deferred(_) => unreachable!("stored above"),
+        }
+    }
+}
+
+/// Defers slots through one index vector: a stored slot shares the
+/// vector, a deferred one gets its own vector composed with it — once per
+/// distinct vector, so the slots of one earlier gather still share one.
+struct Gather<'a> {
+    idx: &'a [u32],
+    shared: RowIds,
+    /// `(earlier vector, it composed with idx)` pairs.
+    composed: Vec<(RowIds, RowIds)>,
+}
+
+impl<'a> Gather<'a> {
+    fn new(idx: &'a [u32]) -> Self {
+        Gather {
+            idx,
+            shared: Arc::from(idx),
+            composed: Vec::new(),
+        }
+    }
+
+    fn slot(&mut self, slot: &ColumnSlot) -> ColumnSlot {
+        match &slot.0 {
+            Slot::Stored(c) => ColumnSlot::deferred(c.clone(), self.shared.clone()),
+            Slot::Deferred(d) => {
+                let idx = match self.composed.iter().find(|(k, _)| Arc::ptr_eq(k, &d.idx)) {
+                    Some((_, v)) => v.clone(),
+                    None => {
+                        let v: RowIds = self.idx.iter().map(|&i| d.idx[i as usize]).collect();
+                        self.composed.push((d.idx.clone(), v.clone()));
+                        v
+                    }
+                };
+                ColumnSlot::deferred(d.src.clone(), idx)
+            }
+        }
+    }
+}
 
 /// A relation instance (bag semantics, like SQL).
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,
-    /// One column per schema attribute. `Arc` so projections, aliasing
-    /// and appended-column joins share payloads instead of cloning.
-    cols: Vec<Arc<Column>>,
+    /// One slot per schema attribute. Projections, aliasing and gathers
+    /// share cells instead of cloning them.
+    cols: Vec<ColumnSlot>,
     /// Row count (columns are kept equal-length invariantly; an arity-0
     /// schema still needs an explicit count).
     len: usize,
@@ -33,10 +217,10 @@ impl PartialEq for Relation {
         if self.schema != other.schema || self.len != other.len {
             return false;
         }
-        self.cols
-            .iter()
-            .zip(&other.cols)
-            .all(|(a, b)| Arc::ptr_eq(a, b) || (0..self.len).all(|i| a.cell(i) == b.cell(i)))
+        self.cols.iter().zip(&other.cols).all(|(a, b)| {
+            matches!((&a.0, &b.0), (Slot::Stored(x), Slot::Stored(y)) if Arc::ptr_eq(x, y))
+                || (0..self.len).all(|i| a.cell(i) == b.cell(i))
+        })
     }
 }
 
@@ -44,7 +228,7 @@ impl Relation {
     /// An empty relation of the given schema.
     pub fn empty(schema: Schema) -> Self {
         let cols = (0..schema.arity())
-            .map(|_| Arc::new(Column::new()))
+            .map(|_| ColumnSlot::from(Column::new()))
             .collect();
         Relation {
             schema,
@@ -73,14 +257,14 @@ impl Relation {
         }
         Ok(Relation {
             schema,
-            cols: builders.into_iter().map(Arc::new).collect(),
+            cols: builders.into_iter().map(ColumnSlot::from).collect(),
             len,
         })
     }
 
-    /// Build directly from shared columns — the fast path used by the
+    /// Build directly from column slots — the fast path used by the
     /// vectorized kernels. All columns must have the same length.
-    pub fn from_shared_columns(schema: Schema, cols: Vec<Arc<Column>>, len: usize) -> Result<Self> {
+    pub fn from_shared_columns(schema: Schema, cols: Vec<ColumnSlot>, len: usize) -> Result<Self> {
         if cols.len() != schema.arity() {
             return Err(GsjError::Schema(format!(
                 "{} columns do not match schema `{}` arity {}",
@@ -103,14 +287,29 @@ impl Relation {
         &self.schema
     }
 
-    /// The columns (one per schema attribute, in order).
-    pub fn columns(&self) -> &[Arc<Column>] {
+    /// The column slots (one per schema attribute, in order).
+    pub fn columns(&self) -> &[ColumnSlot] {
         &self.cols
     }
 
-    /// Column `i`.
+    /// Column `i` as one [`Column`]. A deferred column is gathered on the
+    /// first call and kept; prefer [`Relation::cell`] to read a few cells,
+    /// and [`Relation::col_governed`] inside a query.
     pub fn col(&self, i: usize) -> &Column {
-        &self.cols[i]
+        self.cols[i].column()
+    }
+
+    /// Column `i` as one [`Column`], for kernels that match on its
+    /// representation: [`Relation::col`], charging `gov` the cells of a
+    /// deferred column on the call that gathers them.
+    pub fn col_governed(&self, i: usize, gov: &QueryGovernor) -> &Column {
+        self.cols[i].column_governed(gov)
+    }
+
+    /// Cell at (`row`, `col`), borrowed.
+    #[inline]
+    pub fn cell(&self, row: usize, col: usize) -> CellRef<'_> {
+        self.cols[col].cell(row)
     }
 
     /// Cell at (`row`, `col`) as an owned value.
@@ -138,7 +337,7 @@ impl Relation {
         self.len == 0
     }
 
-    /// Append a tuple, checking arity.
+    /// Append a tuple, checking arity. Deferred columns are stored first.
     pub fn push(&mut self, t: Tuple) -> Result<()> {
         if t.arity() != self.schema.arity() {
             return Err(GsjError::Schema(format!(
@@ -149,7 +348,7 @@ impl Relation {
             )));
         }
         for (c, v) in self.cols.iter_mut().zip(t.into_values()) {
-            Arc::make_mut(c).push(v);
+            c.make_mut().push(v);
         }
         self.len += 1;
         Ok(())
@@ -162,7 +361,7 @@ impl Relation {
 
     /// Append every row of `other` (schemas must have equal arity; the
     /// caller is responsible for attribute compatibility, as `UNION`'s
-    /// planner already checked it).
+    /// planner already checked it). Deferred columns are stored first.
     pub fn append_rows(&mut self, other: &Relation) -> Result<()> {
         if other.schema.arity() != self.schema.arity() {
             return Err(GsjError::Schema(format!(
@@ -178,7 +377,7 @@ impl Relation {
             self.cols = other.cols.clone();
         } else {
             for (c, o) in self.cols.iter_mut().zip(&other.cols) {
-                Arc::make_mut(c).append(o);
+                c.make_mut().append(o.column());
             }
         }
         self.len += other.len;
@@ -186,11 +385,12 @@ impl Relation {
     }
 
     /// The relation restricted to the given row indices, in order
-    /// (indices may repeat).
+    /// (indices may repeat). Deferred: no cell is copied.
     pub fn gather(&self, idx: &[u32]) -> Relation {
+        let mut g = Gather::new(idx);
         Relation {
             schema: self.schema.clone(),
-            cols: self.cols.iter().map(|c| Arc::new(c.gather(idx))).collect(),
+            cols: self.cols.iter().map(|c| g.slot(c)).collect(),
             len: idx.len(),
         }
     }
@@ -207,8 +407,8 @@ impl Relation {
     /// Concatenate gathered rows of two relations side by side: row `r`
     /// of the output is `l[l_idx[r]] ++ r[r_idx[r]]`, keeping only the
     /// right columns in `r_keep` (all of them when `None`). This is the
-    /// join materialization kernel — columns are gathered wholesale,
-    /// never row by row.
+    /// join materialization kernel — it defers every column through the
+    /// two index vectors, never row by row and without copying a cell.
     pub fn gather_concat(
         left: &Relation,
         l_idx: &[u32],
@@ -218,23 +418,26 @@ impl Relation {
         schema: Schema,
     ) -> Result<Relation> {
         debug_assert_eq!(l_idx.len(), r_idx.len());
-        let mut cols: Vec<Arc<Column>> = Vec::with_capacity(schema.arity());
-        for c in &left.cols {
-            cols.push(Arc::new(c.gather(l_idx)));
-        }
+        let mut cols: Vec<ColumnSlot> = Vec::with_capacity(schema.arity());
+        let mut lg = Gather::new(l_idx);
+        cols.extend(left.cols.iter().map(|c| lg.slot(c)));
+        let mut rg = Gather::new(r_idx);
         match r_keep {
-            Some(keep) => {
-                for &j in keep {
-                    cols.push(Arc::new(right.cols[j].gather(r_idx)));
-                }
-            }
-            None => {
-                for c in &right.cols {
-                    cols.push(Arc::new(c.gather(r_idx)));
-                }
-            }
+            Some(keep) => cols.extend(keep.iter().map(|&j| rg.slot(&right.cols[j]))),
+            None => cols.extend(right.cols.iter().map(|c| rg.slot(c))),
         }
         Relation::from_shared_columns(schema, cols, l_idx.len())
+    }
+
+    /// The same relation with every column stored: what is kept beyond
+    /// a query (a profile's `D_G`, a catalog's relations) is stored this
+    /// way, so it never pins the source of a deferred gather.
+    pub fn materialized(&self) -> Relation {
+        Relation {
+            schema: self.schema.clone(),
+            cols: self.cols.iter().map(ColumnSlot::stored).collect(),
+            len: self.len,
+        }
     }
 
     /// One column's values, by attribute name.
@@ -262,11 +465,27 @@ impl Relation {
         Relation::from_shared_columns(schema, cols, self.len)
     }
 
-    /// Approximate heap bytes held by the column payloads — the whole
-    /// footprint of the relation, and the number the governor's memory
-    /// budget charges.
+    /// Approximate heap bytes the relation holds — the number the
+    /// governor's memory budget charges: the payload of every stored
+    /// column and every gathered deferred one, plus 4 bytes per row of
+    /// each distinct index vector. Cells a deferred column only points
+    /// at are not counted: they belong to its source.
     pub fn approx_bytes(&self) -> u64 {
-        self.cols.iter().map(|c| c.approx_bytes()).sum()
+        let mut ids: Vec<&RowIds> = Vec::new();
+        let mut bytes = 0;
+        for c in &self.cols {
+            match &c.0 {
+                Slot::Stored(c) => bytes += c.approx_bytes(),
+                Slot::Deferred(d) => {
+                    if !ids.iter().any(|v| Arc::ptr_eq(v, &d.idx)) {
+                        ids.push(&d.idx);
+                        bytes += 4 * d.idx.len() as u64;
+                    }
+                    bytes += d.gathered.get().map_or(0, |c| c.approx_bytes());
+                }
+            }
+        }
+        bytes
     }
 
     /// Parse a relation from CSV text (header row = attribute names;
@@ -430,6 +649,9 @@ impl fmt::Display for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::{CmpOp, Expr};
+    use gsj_common::QueryGovernor;
+    use proptest::prelude::*;
 
     fn product() -> Relation {
         let mut r = Relation::empty(Schema::of("product", &["pid", "risk"]));
@@ -585,7 +807,7 @@ mod tests {
         for row in rows {
             r.push_values(row.to_vec()).unwrap();
         }
-        let reprs: Vec<&str> = r.columns().iter().map(|c| c.repr_name()).collect();
+        let reprs: Vec<&str> = (0..6).map(|i| r.col(i).repr_name()).collect();
         assert_eq!(reprs, ["null", "bool", "int", "mixed", "float", "str"]);
         assert_eq!(r.to_csv(), to_csv_per_cell(&r));
         // `""` next to NULL: a present empty string and a NULL both
@@ -692,5 +914,365 @@ mod tests {
         assert!(r.approx_bytes() > 0);
         let empty = Relation::empty(Schema::of("e", &["a"]));
         assert_eq!(empty.approx_bytes(), 0);
+    }
+
+    /// The gathers the deferred ones replaced: every column copied at
+    /// once. The reference of `deferred_chains_equal_the_eager_ones`.
+    fn gather_eager(r: &Relation, idx: &[u32]) -> Relation {
+        let cols = r.cols.iter().map(|c| c.column().gather(idx).into());
+        Relation::from_shared_columns(r.schema.clone(), cols.collect(), idx.len()).unwrap()
+    }
+
+    fn gather_concat_eager(
+        l: &Relation,
+        l_idx: &[u32],
+        r: &Relation,
+        r_idx: &[u32],
+        r_keep: &[usize],
+        schema: Schema,
+    ) -> Relation {
+        let mut cols: Vec<ColumnSlot> = l
+            .cols
+            .iter()
+            .map(|c| c.column().gather(l_idx).into())
+            .collect();
+        cols.extend(
+            r_keep
+                .iter()
+                .map(|&j| r.cols[j].column().gather(r_idx).into()),
+        );
+        Relation::from_shared_columns(schema, cols, l_idx.len()).unwrap()
+    }
+
+    /// The cell values of each kind the chains draw from, NULL, NaN,
+    /// −0.0, `""` and CSV-quoted strings included.
+    fn kind_value(kind: usize, pick: u8) -> Value {
+        let p = pick as usize % 6;
+        match kind {
+            0 => Value::Null,
+            1 => [Value::Null, Value::Bool(true), Value::Bool(false)][p % 3].clone(),
+            2 => [
+                Value::Int(0),
+                Value::Null,
+                Value::Int(-7),
+                Value::Int(i64::MAX),
+                Value::Int(3),
+                Value::Int(3),
+            ][p]
+                .clone(),
+            3 => [
+                Value::Float(-0.0),
+                Value::Float(f64::NAN),
+                Value::Null,
+                Value::Float(0.0),
+                Value::Float(2.5),
+                Value::Float(1e21),
+            ][p]
+                .clone(),
+            4 => [
+                Value::str("a"),
+                Value::str(""),
+                Value::Null,
+                Value::str("x,\"y\""),
+                Value::str("two\nlines"),
+                Value::str("a"),
+            ][p]
+                .clone(),
+            _ => [
+                Value::Int(1),
+                Value::str("a"),
+                Value::Null,
+                Value::Float(1.0),
+                Value::Bool(true),
+                Value::Float(f64::NAN),
+            ][p]
+                .clone(),
+        }
+    }
+
+    /// Six columns, one per kind: null, bool, int, float, str, mixed.
+    fn kinds_relation(rows: &[Vec<u8>], attrs: &[String]) -> Relation {
+        let mut r = Relation::empty(Schema::new("k", attrs.to_vec()).unwrap());
+        for row in rows {
+            r.push_values((0..6).map(|k| kind_value(k, row[k])).collect())
+                .unwrap();
+        }
+        r
+    }
+
+    /// A cell as comparable bits: its type and payload, floats by their
+    /// bits (so NaN equals NaN and −0.0 differs from 0.0).
+    fn bits(v: &Value) -> (u8, u64, String) {
+        match v {
+            Value::Null => (0, 0, String::new()),
+            Value::Bool(b) => (1, *b as u64, String::new()),
+            Value::Int(i) => (2, *i as u64, String::new()),
+            Value::Float(f) => (3, f.to_bits(), String::new()),
+            Value::Str(s) => (4, 0, s.to_string()),
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Gather(Vec<u32>),
+        Concat(Vec<(u32, u32)>, Vec<bool>),
+        Head(usize),
+        Project(Vec<usize>),
+        Qualify,
+        Filter(usize, u8),
+        Sort(usize, bool),
+        AppendSelf(Vec<u32>),
+        Push([u8; 6]),
+    }
+
+    /// A step from drawn numbers: `kind` picks the operation, `a` and
+    /// `b` are raw row ids (reduced modulo the length when applied;
+    /// repeats and empty vectors included), `x` the scalar knob.
+    fn decode(kind: u8, a: &[u32], b: &[u32], x: usize) -> Step {
+        match kind {
+            0 => Step::Gather(a.to_vec()),
+            1 => Step::Concat(
+                a.iter().copied().zip(b.iter().copied()).collect(),
+                (0..6).map(|j| x >> j & 1 == 1).collect(),
+            ),
+            2 => Step::Head(x % 8),
+            3 => Step::Project(
+                std::iter::once(x)
+                    .chain(a.iter().take(3).map(|&i| i as usize))
+                    .collect(),
+            ),
+            4 => Step::Qualify,
+            5 => Step::Filter(x, (x / 16 % 4) as u8),
+            6 => Step::Sort(x, x & 1 == 1),
+            7 => Step::AppendSelf(a.to_vec()),
+            _ => Step::Push(std::array::from_fn(|j| (x >> j) as u8 ^ j as u8)),
+        }
+    }
+
+    /// `raw` as row ids of a relation of `len` rows (none when empty).
+    fn ids(raw: &[u32], len: usize) -> Vec<u32> {
+        if len == 0 {
+            return Vec::new();
+        }
+        raw.iter().map(|&i| i % len as u32).collect()
+    }
+
+    /// The filter predicates a chain applies to column `name`.
+    fn step_pred(name: &str, kind: u8) -> Expr {
+        let col = || Expr::col(name);
+        match kind {
+            0 => Expr::IsNull(Box::new(col())),
+            1 => Expr::Not(Box::new(Expr::IsNull(Box::new(col())))),
+            2 => Expr::cmp(CmpOp::Ge, col(), Expr::lit(0i64)),
+            _ => Expr::cmp(CmpOp::Eq, col(), Expr::lit("a")),
+        }
+    }
+
+    /// Apply one step to the deferred relation (through the kernels) and
+    /// to the eager one (through the references), side by side.
+    fn apply(
+        n: usize,
+        s: &Step,
+        d: Relation,
+        e: Relation,
+        side: &Relation,
+    ) -> (Relation, Relation) {
+        let gov = QueryGovernor::unlimited();
+        match s {
+            Step::Gather(raw) => {
+                let idx = ids(raw, d.len());
+                (d.gather(&idx), gather_eager(&e, &idx))
+            }
+            Step::Concat(pairs, keep) => {
+                let l: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+                let r: Vec<u32> = pairs.iter().map(|p| p.1).collect();
+                let (l, r) = (ids(&l, d.len()), ids(&r, side.len()));
+                let n_pairs = l.len().min(r.len());
+                let (l, r) = (&l[..n_pairs], &r[..n_pairs]);
+                let keep: Vec<usize> = (0..6).filter(|&j| keep[j]).collect();
+                let names: Vec<String> = (0..6).map(|j| format!("c{n}_{j}")).collect();
+                let side = side.project(&[0, 1, 2, 3, 4, 5], names).unwrap();
+                let mut attrs = d.schema().attrs().to_vec();
+                attrs.extend(keep.iter().map(|&j| side.schema().attrs()[j].clone()));
+                let schema = Schema::new("cat", attrs).unwrap();
+                (
+                    Relation::gather_concat(&d, l, &side, r, Some(&keep), schema.clone()).unwrap(),
+                    gather_concat_eager(&e, l, &side, r, &keep, schema),
+                )
+            }
+            Step::Head(k) => {
+                let eager = if *k >= e.len() {
+                    e.clone()
+                } else {
+                    gather_eager(&e, &(0..*k as u32).collect::<Vec<_>>())
+                };
+                (d.head(*k), eager)
+            }
+            Step::Project(raw) => {
+                let pos: Vec<usize> = raw.iter().map(|&p| p % d.schema().arity()).collect();
+                let names: Vec<String> = (0..pos.len()).map(|i| format!("p{n}_{i}")).collect();
+                (
+                    d.project(&pos, names.clone()).unwrap(),
+                    e.project(&pos, names).unwrap(),
+                )
+            }
+            Step::Qualify => (d.qualified("Q"), e.qualified("Q")),
+            Step::Filter(c, kind) => {
+                let name = d.schema().attrs()[c % d.schema().arity()].clone();
+                let pred = step_pred(&name, *kind);
+                let keep: Vec<u32> = (0..e.len() as u32)
+                    .filter(|&i| pred.holds(e.schema(), &e.row(i as usize)).unwrap())
+                    .collect();
+                let eager = if keep.len() == e.len() {
+                    e.clone()
+                } else {
+                    gather_eager(&e, &keep)
+                };
+                (crate::exec::filter(d, &pred, &gov).unwrap(), eager)
+            }
+            Step::Sort(c, desc) => {
+                let k = c % d.schema().arity();
+                let mut idx: Vec<u32> = (0..e.len() as u32).collect();
+                idx.sort_by(|&a, &b| {
+                    let o = e.value_at(a as usize, k).cmp(&e.value_at(b as usize, k));
+                    if *desc {
+                        o.reverse()
+                    } else {
+                        o
+                    }
+                });
+                let name = d.schema().attrs()[k].clone();
+                (
+                    crate::exec::sort(d, &[name], *desc, &gov).unwrap(),
+                    gather_eager(&e, &idx),
+                )
+            }
+            Step::AppendSelf(raw) => {
+                let idx = ids(raw, d.len());
+                let (mut d, mut e) = (d, e);
+                let (dd, ee) = (d.gather(&idx), gather_eager(&e, &idx));
+                d.append_rows(&dd).unwrap();
+                e.append_rows(&ee).unwrap();
+                (d, e)
+            }
+            Step::Push(picks) => {
+                let arity = d.schema().arity();
+                let row: Vec<Value> = (0..arity)
+                    .map(|j| kind_value(j % 6, picks[j % 6]))
+                    .collect();
+                let (mut d, mut e) = (d, e);
+                d.push_values(row.clone()).unwrap();
+                e.push_values(row).unwrap();
+                (d, e)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Chains of gathers, joins, limits, projections, aliases,
+        /// filters, sorts, appends and pushes over deferred columns equal
+        /// the same chains over columns copied at every step: schema,
+        /// every cell's type and bits, CSV bytes, `==`, and — once stored
+        /// — the byte count the governor would charge.
+        #[test]
+        fn deferred_chains_equal_the_eager_ones(
+            rows in proptest::collection::vec(proptest::collection::vec(0..6u8, 6), 0..10),
+            side_rows in proptest::collection::vec(proptest::collection::vec(0..6u8, 6), 0..6),
+            draws in proptest::collection::vec(
+                (
+                    0..9u8,
+                    proptest::collection::vec(0..64u32, 0..9),
+                    proptest::collection::vec(0..64u32, 0..9),
+                    0..4096usize,
+                ),
+                1..7,
+            ),
+        ) {
+            let steps: Vec<Step> = draws.iter().map(|(k, a, b, x)| decode(*k, a, b, *x)).collect();
+            let attrs: Vec<String> = (0..6).map(|j| format!("a{j}")).collect();
+            let base = kinds_relation(&rows, &attrs);
+            let side = kinds_relation(&side_rows, &attrs);
+            let (mut d, mut e) = (base.clone(), base);
+            for (n, s) in steps.iter().enumerate() {
+                (d, e) = apply(n, s, d, e, &side);
+                prop_assert_eq!(d.schema(), e.schema(), "step {} {:?}", n, s);
+                prop_assert_eq!(d.len(), e.len());
+                for r in 0..d.len() {
+                    for c in 0..d.schema().arity() {
+                        prop_assert_eq!(bits(&d.value_at(r, c)), bits(&e.value_at(r, c)));
+                        prop_assert_eq!(d.cell(r, c), e.cell(r, c));
+                    }
+                }
+                prop_assert_eq!(d.to_csv(), e.to_csv());
+                prop_assert!(d == e);
+                let stored = d.materialized();
+                for c in 0..d.schema().arity() {
+                    prop_assert_eq!(stored.col(c).repr_name(), e.col(c).repr_name());
+                    prop_assert_eq!(d.col(c).repr_name(), e.col(c).repr_name());
+                }
+                prop_assert_eq!(stored.approx_bytes(), e.approx_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn gathers_compose_and_charge_their_ids() {
+        let r = product();
+        let once = r.gather(&[1, 1, 0]);
+        // A deferred relation charges one 4 B id per row per distinct
+        // index vector, not the cells it points at.
+        assert_eq!(once.approx_bytes(), 3 * 4);
+        let twice = once.gather(&[2, 0]);
+        assert_eq!(twice.approx_bytes(), 2 * 4);
+        assert_eq!(twice.value_at(0, 0), Value::str("fd1"));
+        assert_eq!(twice.value_at(1, 1), Value::str("high"));
+        // A gather of a gather points at the stored source: one level.
+        for slot in twice.columns() {
+            let Slot::Deferred(d) = &slot.0 else {
+                panic!("a gather defers")
+            };
+            assert!(matches!(r.columns()[0].0, Slot::Stored(_)));
+            assert_eq!(&*d.idx, &[0, 1]);
+        }
+        // The columns of one gather share one index vector.
+        let [Slot::Deferred(a), Slot::Deferred(b)] = [&twice.cols[0].0, &twice.cols[1].0] else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(&a.idx, &b.idx));
+        // `col` gathers one column and keeps it; the charge grows by it.
+        let before = twice.approx_bytes();
+        let col = twice.col(0) as *const Column;
+        assert_eq!(twice.col(0) as *const Column, col);
+        assert!(twice.approx_bytes() > before);
+        assert_eq!(
+            twice.materialized().approx_bytes(),
+            gather_eager(&r, &[0, 1]).approx_bytes()
+        );
+        // Storing shares what a kernel gathered instead of copying it.
+        let Slot::Stored(kept) = &twice.materialized().cols[0].0 else {
+            panic!("materialized columns are stored")
+        };
+        assert!(std::ptr::eq(&**kept, col));
+    }
+
+    #[test]
+    fn col_governed_charges_the_gather_once() {
+        let r = product();
+        let gov = QueryGovernor::builder().mem_budget(1 << 20).build();
+        // A stored column is the relation's own: nothing to charge.
+        r.col_governed(1, &gov);
+        assert_eq!(gov.mem_charged(), 0);
+        let g = r.gather(&[1, 0, 1]);
+        let col = g.col_governed(1, &gov);
+        assert_eq!(gov.mem_charged(), col.approx_bytes());
+        g.col_governed(1, &gov);
+        g.col(1);
+        assert_eq!(gov.mem_charged(), col.approx_bytes());
+        // A column gathered outside a query is not charged later.
+        g.col(0);
+        g.col_governed(0, &gov);
+        assert_eq!(gov.mem_charged(), col.approx_bytes());
     }
 }

@@ -2,9 +2,7 @@
 //! request/response. The test suite, the smoke binary and the load
 //! bench all speak to the server through this.
 
-use crate::protocol::{
-    read_frame, write_frame, FrameRead, Request, Response, Verb, DEFAULT_MAX_FRAME,
-};
+use crate::protocol::{read_frame, FrameRead, Request, Response, Verb, DEFAULT_MAX_FRAME};
 use gsj_common::{GsjError, Result};
 use gsj_core::gsql::exec::Strategy;
 use std::io::ErrorKind;
@@ -67,7 +65,7 @@ impl Client {
     /// One request → one response, or a typed error reconstructed from
     /// the server's error frame.
     fn round_trip(&mut self, req: &Request) -> Result<Response> {
-        if let Err(e) = write_frame(&mut self.stream, &req.encode()) {
+        if let Err(e) = req.write_to(&mut self.stream) {
             // A server that refuses the connection writes its `ERROR`
             // frame and closes without reading; a request sent into that
             // close fails half-way, with the refusal already waiting in
@@ -162,6 +160,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::write_frame;
     use std::io::Write;
     use std::net::TcpListener;
 
@@ -173,7 +172,7 @@ mod tests {
         // frame, then close, without reading.
         let refusal = GsjError::ResourceExhausted("admission queue full".into());
         let (mut peer, _) = listener.accept().unwrap();
-        write_frame(&mut peer, &Response::failure(&refusal).encode()).unwrap();
+        Response::failure(&refusal).write_to(&mut peer).unwrap();
         drop(peer);
         // A byte into the closed peer draws its RST, so the request's own
         // send fails instead of racing the close.

@@ -55,12 +55,24 @@ pub const MAGIC: &str = "GSJ/1";
 /// prefix cannot balloon server memory.
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame: the prefix and the payload go out in
+/// one buffer, by one `write_all`.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
+    send_frame(w, payload.len(), |out| out.push_str(payload))
+}
+
+/// Encode a payload of about `hint` bytes straight into one frame buffer
+/// behind a 4-byte length placeholder, fill the length in, and send the
+/// frame with one `write_all`.
+fn send_frame(w: &mut impl Write, hint: usize, encode: impl FnOnce(&mut String)) -> io::Result<()> {
+    let mut frame = String::with_capacity(4 + hint);
+    frame.push_str("\0\0\0\0");
+    encode(&mut frame);
+    let mut frame = frame.into_bytes();
+    let len = u32::try_from(frame.len() - 4)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame over 4 GiB"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -216,20 +228,24 @@ fn header_lookup<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a 
         .map(|(_, v)| v.as_str())
 }
 
-fn encode_payload(first: &str, headers: &[(String, String)], body: &str) -> String {
-    let mut s = String::with_capacity(first.len() + body.len() + 64);
-    s.push_str(first);
-    s.push('\n');
+/// Bytes reserved for a payload's first line and headers.
+const HEAD_GUESS: usize = 96;
+
+/// Append a payload: `GSJ/1 <word>`, the headers, a blank line, the body.
+fn encode_payload(out: &mut String, word: &str, headers: &[(String, String)], body: &str) {
+    out.push_str(MAGIC);
+    out.push(' ');
+    out.push_str(word);
+    out.push('\n');
     for (name, value) in headers {
         debug_assert!(!value.contains('\n'), "header values must be single-line");
-        s.push_str(name);
-        s.push_str(": ");
-        s.push_str(value);
-        s.push('\n');
+        out.push_str(name);
+        out.push_str(": ");
+        out.push_str(value);
+        out.push('\n');
     }
-    s.push('\n');
-    s.push_str(body);
-    s
+    out.push('\n');
+    out.push_str(body);
 }
 
 /// A parsed request.
@@ -267,11 +283,17 @@ impl Request {
     }
 
     pub fn encode(&self) -> String {
-        encode_payload(
-            &format!("{MAGIC} {}", self.verb.as_str()),
-            &self.headers,
-            &self.body,
-        )
+        let mut s = String::with_capacity(HEAD_GUESS + self.body.len());
+        encode_payload(&mut s, self.verb.as_str(), &self.headers, &self.body);
+        s
+    }
+
+    /// Send as one frame: `write_frame(w, &self.encode())` without the
+    /// intermediate payload.
+    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        send_frame(w, HEAD_GUESS + self.body.len(), |out| {
+            encode_payload(out, self.verb.as_str(), &self.headers, &self.body)
+        })
     }
 
     pub fn parse(payload: &str) -> Result<Request> {
@@ -356,9 +378,27 @@ impl Response {
         header_lookup(&self.headers, name)
     }
 
+    fn status(&self) -> &'static str {
+        if self.ok {
+            "OK"
+        } else {
+            "ERROR"
+        }
+    }
+
     pub fn encode(&self) -> String {
-        let status = if self.ok { "OK" } else { "ERROR" };
-        encode_payload(&format!("{MAGIC} {status}"), &self.headers, &self.body)
+        let mut s = String::with_capacity(HEAD_GUESS + self.body.len());
+        encode_payload(&mut s, self.status(), &self.headers, &self.body);
+        s
+    }
+
+    /// Send as one frame: `write_frame(w, &self.encode())` without the
+    /// intermediate payload — the status line, headers and body are
+    /// encoded straight into the frame buffer and written at once.
+    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        send_frame(w, HEAD_GUESS + self.body.len(), |out| {
+            encode_payload(out, self.status(), &self.headers, &self.body)
+        })
     }
 
     pub fn parse(payload: &str) -> Result<Response> {
@@ -510,6 +550,87 @@ mod tests {
             let sliced = split_payload(payload).map(|(f, h, b)| (f, h, b.to_string()));
             assert_eq!(sliced, split_payload_by_lines(payload), "{payload:?}");
         }
+    }
+
+    /// The encoder `Response::write_to` replaced: the payload built as a
+    /// `String` of its own, then written behind its length by two
+    /// `write` calls.
+    fn encode_payload_then_frame(first: &str, headers: &[(String, String)], body: &str) -> Vec<u8> {
+        let mut payload = String::with_capacity(first.len() + body.len() + 64);
+        payload.push_str(first);
+        payload.push('\n');
+        for (name, value) in headers {
+            payload.push_str(name);
+            payload.push_str(": ");
+            payload.push_str(value);
+            payload.push('\n');
+        }
+        payload.push('\n');
+        payload.push_str(body);
+        let mut wire = Vec::new();
+        wire.write_all(&(payload.len() as u32).to_be_bytes())
+            .unwrap();
+        wire.write_all(payload.as_bytes()).unwrap();
+        wire
+    }
+
+    /// A sink that counts the `write` calls it sees.
+    #[derive(Default)]
+    struct CountingWrite {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_direct_replies_are_the_old_bytes_in_one_write() {
+        let mut responses = vec![
+            Response::success(""),
+            Response::success("a,b\n1,2\n"),
+            Response::success("say \"hi\", ✓\n\nblank line inside\n")
+                .with_header("elapsed-us", 345)
+                .with_header("rows", 2)
+                .with_header("trace-id", "9f3a"),
+            Response::success("x".repeat(70_000)).with_header("rows", 1),
+        ];
+        for e in [
+            GsjError::Cancelled,
+            GsjError::Parse("bad token `selct`".into()),
+        ] {
+            responses.push(Response::failure(&e).with_header("trace-id", "t"));
+        }
+        for resp in &responses {
+            let first = format!("{MAGIC} {}", resp.status());
+            let old = encode_payload_then_frame(&first, &resp.headers, &resp.body);
+            let mut sink = CountingWrite::default();
+            resp.write_to(&mut sink).unwrap();
+            assert_eq!(sink.bytes, old, "{:?}", resp.body);
+            assert_eq!(sink.writes, 1);
+            assert_eq!(old[4..], *resp.encode().as_bytes());
+            let mut framed = CountingWrite::default();
+            write_frame(&mut framed, &resp.encode()).unwrap();
+            assert_eq!((framed.bytes, framed.writes), (old, 1));
+        }
+        let req = Request::query("select *\nfrom t").with_header("strategy", "optimized");
+        let first = format!("{MAGIC} {}", req.verb.as_str());
+        let mut sink = CountingWrite::default();
+        req.write_to(&mut sink).unwrap();
+        assert_eq!(
+            sink.bytes,
+            encode_payload_then_frame(&first, &req.headers, &req.body)
+        );
+        assert_eq!(sink.writes, 1);
     }
 
     #[test]

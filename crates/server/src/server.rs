@@ -42,9 +42,7 @@
 //! next idle poll, and exit. New connections arriving during shutdown
 //! are refused with `ResourceExhausted`.
 
-use crate::protocol::{
-    read_frame_with, write_frame, FrameRead, Request, Response, Verb, DEFAULT_MAX_FRAME,
-};
+use crate::protocol::{read_frame_with, FrameRead, Request, Response, Verb, DEFAULT_MAX_FRAME};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use gsj_common::{GsjError, QueryGovernor, Result};
 use gsj_core::gsql::exec::{GsqlEngine, Strategy, TraceOpt};
@@ -332,7 +330,7 @@ fn admit(stream: TcpStream, tx: &Sender<TcpStream>) {
 fn refuse(mut stream: TcpStream, e: &GsjError) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    let _ = write_frame(&mut stream, &Response::failure(e).encode());
+    let _ = Response::failure(e).write_to(&mut stream);
 }
 
 /// One worker: pull admitted connections until the queue closes *and*
@@ -396,14 +394,14 @@ fn handle_conn(
                     "frame of {n} B exceeds the {} B limit",
                     cfg.max_frame
                 ));
-                let _ = write_frame(&mut stream, &Response::failure(&e).encode());
+                let _ = Response::failure(&e).write_to(&mut stream);
                 return;
             }
             Err(e) => {
                 // Truncated / corrupt / transport failure: tell the peer
                 // if the pipe still works, then close.
                 ERRORS.inc();
-                let _ = write_frame(&mut stream, &Response::failure(&e).encode());
+                let _ = Response::failure(&e).write_to(&mut stream);
                 return;
             }
         };
@@ -423,7 +421,7 @@ fn handle_conn(
         if !resp.ok {
             ERRORS.inc();
         }
-        if write_frame(&mut stream, &resp.encode()).is_err() {
+        if resp.write_to(&mut stream).is_err() {
             return; // peer gone mid-response
         }
         if matches!(after, After::Close) {

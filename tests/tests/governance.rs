@@ -11,7 +11,8 @@ use gsj_datagen::Collection;
 use gsj_graph::random_walk::{build_corpus, WalkConfig};
 use gsj_graph::LabeledGraph;
 use gsj_relational::exec::natural_join;
-use gsj_relational::{Relation, Schema};
+use gsj_relational::physical::{filter_rel, join_rel, limit_rel, sort_rel};
+use gsj_relational::{CmpOp, ExecContext, Expr, Relation, Schema};
 use gsj_server::engine_for_collection;
 use gsj_tests::tiny;
 use std::sync::OnceLock;
@@ -228,5 +229,78 @@ fn cross_thread_cancel_stops_a_running_join() {
         matches!(res, Err(GsjError::Cancelled)),
         "expected the join to observe the cross-thread cancel, got {:?}",
         res.map(|rel| rel.len())
+    );
+}
+
+/// Join outputs are deferred — row-index vectors into the inputs — and
+/// the governor charges those ids, not the cells they point at. A join
+/// whose rows explode still trips a memory budget: `n` rows on one key
+/// make `n²` pairs, each charged 8 B in the probe and 4 B in each of the
+/// output's two index vectors.
+#[test]
+fn row_exploding_join_trips_mem_budget_under_the_id_charge() {
+    let n = 300;
+    let gov = QueryGovernor::builder().mem_budget(1 << 20).build();
+    let mut ctx = ExecContext::with_governor(gov.clone());
+    let joined = self_join_on_one_key(n, &mut ctx).unwrap();
+    let pairs = (n * n) as u64;
+    assert_eq!(joined.len() as u64, pairs);
+    assert_eq!(gov.mem_charged(), 8 * pairs + 2 * 4 * pairs);
+    // The cells were not charged: stored, the output is far larger.
+    assert!(joined.materialized().approx_bytes() > 2 * gov.mem_charged());
+    let err = filter_rel(joined, &Expr::lit(true), "Filter", &mut ctx).unwrap_err();
+    assert!(
+        matches!(err, GsjError::ResourceExhausted(ref m) if m.contains("memory budget")),
+        "{err}"
+    );
+}
+
+/// `T1 ⋈ T2` on `k` of `n` rows that all share one key, each with its own
+/// `name`: `n²` output rows.
+fn self_join_on_one_key(n: usize, ctx: &mut ExecContext) -> gsj_common::Result<Relation> {
+    let mut r = Relation::empty(Schema::of("t", &["k", "name"]));
+    for i in 0..n {
+        r.push_values(vec![Value::Int(7), Value::str(format!("name-{i}"))])
+            .unwrap();
+    }
+    let pred = Expr::cmp(CmpOp::Eq, Expr::col("T1.k"), Expr::col("T2.k"));
+    join_rel(
+        &r.qualified("T1"),
+        &r.qualified("T2"),
+        &pred,
+        "T1 ⋈ T2",
+        ctx,
+    )
+}
+
+/// A kernel that needs a deferred column whole gathers it, and the
+/// governor is charged those cells when they are gathered: an `ORDER BY`
+/// on a string key over a row-exploding join trips a budget that the
+/// join's ids alone stay under.
+#[test]
+fn sorting_a_row_exploding_join_charges_the_gathered_key() {
+    let n = 200;
+    let pairs = (n * n) as u64;
+    let ids = 8 * pairs + 2 * 4 * pairs;
+    let key = self_join_on_one_key(n, &mut ExecContext::new())
+        .unwrap()
+        .col(1)
+        .approx_bytes();
+    // A string cell is charged at least 16 B, so the budget lies strictly
+    // between the ids and the ids plus the gathered key.
+    let budget = ids + 8 * pairs;
+    assert!(ids < budget && budget < ids + key);
+    let gov = QueryGovernor::builder().mem_budget(budget).build();
+    let mut ctx = ExecContext::with_governor(gov.clone());
+    let joined = self_join_on_one_key(n, &mut ctx).unwrap();
+    assert_eq!(gov.mem_charged(), ids);
+    let by = ["T1.name".to_string()];
+    let sorted = sort_rel(joined, &by, true, "Sort", &mut ctx).unwrap();
+    assert_eq!(gov.mem_charged(), ids + key);
+    assert_eq!(sorted.value_at(0, 1), Value::str("name-99"));
+    let err = limit_rel(sorted, 10, "Limit", &mut ctx).unwrap_err();
+    assert!(
+        matches!(err, GsjError::ResourceExhausted(ref m) if m.contains("memory budget")),
+        "{err}"
     );
 }
